@@ -28,11 +28,7 @@ from .dualmesh import (
 )
 from .quadrature import QuadratureRule, boundary_quadrature, simplex_quadrature
 from .basis import bubble_normalization, bubble_value, bubble_gradient
-from .smoothing import (
-    build_smoothed_gradient,
-    smoothed_strain_block,
-    volume_average_gradient,
-)
+from .smoothing import build_smoothed_gradient, volume_average_gradient
 from .assembly import (
     METHODS,
     Discretization,
@@ -99,7 +95,6 @@ __all__ = [
     "bubble_value",
     "bubble_gradient",
     "build_smoothed_gradient",
-    "smoothed_strain_block",
     "volume_average_gradient",
     "METHODS",
     "Discretization",

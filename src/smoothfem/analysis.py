@@ -14,10 +14,9 @@ import numpy as np
 
 from .assembly import (MaterialParams, canonical_method, divergence_operator,
                        full_elastic_matrix, shear_weight_vector, strain_rows)
-from .basis import bubble_value
+from .basis import bubble_gradient, bubble_value
 from .dualmesh import mesh_size
 from .quadrature import simplex_quadrature
-from .smoothing import batched_bubble_gradients
 
 
 @dataclass(frozen=True)
@@ -294,7 +293,7 @@ def _energy_mini(disc, u, p, exact, mat):
         np.einsum("eir,eic->erc", vals[mesh.elements], grads)[:, None],
         (E, Q, dim, dim)).copy()
     lam = np.broadcast_to(rule.points, (E, Q, dim + 1))
-    gb = batched_bubble_gradients("power", lam, grads)
+    gb = bubble_gradient("power", lam, grads)
     H += vals[mesh.n_nodes:][:, None, :, None] * gb[:, :, None, :]
 
     eps = np.empty((E, Q, 3 if dim == 2 else 6))

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import sparse
 
-from .basis import affine_maps, bubble_volume_mean
+from .basis import affine_maps, bubble_gradient, bubble_volume_mean
 from .dualmesh import (
     build_micro_decomposition,
     build_pressure_cells,
@@ -29,7 +29,7 @@ from .dualmesh import (
 )
 from .mesh import build_topology
 from .quadrature import simplex_quadrature
-from .smoothing import ElementFrames, batched_bubble_gradients, build_smoothed_gradient
+from .smoothing import ElementFrames, build_smoothed_gradient
 
 METHODS = ("bes-fem", "bfs-fem", "es-fem", "fs-fem", "ns-fem", "fem-t3", "mini")
 
@@ -280,7 +280,7 @@ def assemble_plain_B(disc, dofmap, bubble=None):
         cpts = micro.points[micro.cells]
         X = np.einsum("qi,kid->kqd", rule.points, cpts)
         lam_pts = disc.frames.barycentric(t, X)
-        gb = batched_bubble_gradients(bubble, lam_pts, grads[t])  # (M, Q, d)
+        gb = bubble_gradient(bubble, lam_pts, grads[t])  # (M, Q, d)
         mean = np.einsum("q,kqc->kc", rule.weights, gb)
         for c in range(dim):
             rows.append(i)
@@ -317,7 +317,7 @@ def assemble_h1_gram(disc, dofmap, bubble=None):
     else:
         rule = simplex_quadrature(dim, 2 * dim)
         lam = np.broadcast_to(rule.points, (E,) + rule.points.shape)
-        gb = batched_bubble_gradients("power", lam, grads)
+        gb = bubble_gradient("power", lam, grads)
         diag = meas * np.einsum("q,tqd,tqd->t", rule.weights, gb, gb)
     G = sparse.block_diag([K, sparse.diags(diag)], format="csr")
     return sparse.kron(G, sparse.eye(dim), format="csr")
@@ -515,7 +515,7 @@ def _assemble_mini(disc, mat):
     rule = simplex_quadrature(dim, 2 * dim)
     Q = len(rule.weights)
     lam = np.broadcast_to(rule.points, (E, Q, dim + 1))
-    gb = batched_bubble_gradients("power", lam, grads)      # (E, Q, d)
+    gb = bubble_gradient("power", lam, grads)      # (E, Q, d)
 
     # gradient table per element/point/local function
     gradtab = np.empty((E, Q, nloc, dim))

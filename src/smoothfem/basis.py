@@ -37,11 +37,6 @@ def bubble_normalization(kind, dim):
     return 1.0 / (dim + 1)
 
 
-def p1_values(bary):
-    """Hat-function values at barycentric points: they are the coordinates."""
-    return np.asarray(bary, float)
-
-
 def affine_maps(nodes, elements):
     """Per-element affine geometry: hat gradients and measures.
 
@@ -78,30 +73,6 @@ def _factorial(d):
     return out
 
 
-def barycentric_coordinates(verts, points):
-    """Barycentric coordinates of physical ``points`` in the simplex ``verts``.
-
-    verts is (d+1, d); points is (..., d).  Returns (..., d+1).
-    """
-    verts = np.asarray(verts, float)
-    points = np.asarray(points, float)
-    A = (verts[1:] - verts[0]).T                  # (d, d)
-    rhs = points - verts[0]
-    lam_rest = rhs @ np.linalg.inv(A).T
-    lam0 = 1.0 - lam_rest.sum(axis=-1, keepdims=True)
-    return np.concatenate([lam0, lam_rest], axis=-1)
-
-
-def eval_p1(verts, points):
-    """Hat values and gradients of one element at physical points.
-
-    Returns (values (..., d+1), grads (d+1, d)).
-    """
-    verts = np.asarray(verts, float)
-    grads, _ = affine_maps(verts, np.arange(len(verts))[None, :])
-    return barycentric_coordinates(verts, points), grads[0]
-
-
 def bubble_value(kind, bary):
     """Bubble values at barycentric points ``bary`` of shape (..., d+1)."""
     check_bubble_kind(kind)
@@ -112,35 +83,34 @@ def bubble_value(kind, bary):
     return (dim + 1) * np.min(bary, axis=-1)
 
 
-def bubble_gradient(kind, bary, lam_grads):
-    """Bubble gradients at barycentric points.
+def bubble_gradient(kind, lam, lam_grads):
+    """Bubble gradients at batched barycentric points.
 
     Parameters
     ----------
     kind : 'power' or 'hat'
-    bary : (..., d+1) barycentric points
-    lam_grads : (d+1, d) constant hat gradients of the element
+    lam : (C, Q, d+1) barycentric points, one batch row per element
+    lam_grads : (C, d+1, d) constant hat gradients of each row's element
 
     Returns
     -------
-    (..., d) gradient vectors.  For the ``hat`` bubble the gradient on each
+    (C, Q, d) gradient vectors.  For the ``hat`` bubble the gradient on each
     centroid-cone sub-simplex is ``(d+1) grad lambda_i`` with i the smallest
     coordinate; on interface points the smallest index is taken, which is
     irrelevant under integration.
     """
     check_bubble_kind(kind)
-    bary = np.asarray(bary, float)
-    lam_grads = np.asarray(lam_grads, float)
-    dim = bary.shape[-1] - 1
+    dim = lam.shape[-1] - 1
     if kind == "power":
         scale = (dim + 1) ** (dim + 1)
-        out = np.zeros(bary.shape[:-1] + (dim,))
+        out = np.zeros(lam.shape[:-1] + (dim,))
         for i in range(dim + 1):
-            others = np.delete(bary, i, axis=-1).prod(axis=-1)
-            out += others[..., None] * lam_grads[i]
+            others = np.delete(lam, i, axis=-1).prod(axis=-1)   # (C, Q)
+            out += others[..., None] * lam_grads[:, None, i, :]
         return scale * out
-    imin = np.argmin(bary, axis=-1)
-    return (dim + 1) * lam_grads[imin]
+    imin = np.argmin(lam, axis=-1)                              # (C, Q)
+    C = lam.shape[0]
+    return (dim + 1) * lam_grads[np.arange(C)[:, None], imin, :]
 
 
 def bubble_volume_mean(kind, dim):

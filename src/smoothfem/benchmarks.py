@@ -4,9 +4,10 @@ Each scenario solves a family of meshes for a list of methods and returns
 per-cell :class:`~smoothfem.analysis.ErrorReport` rows plus a summary dict
 holding derived quantities (monitored displacements, fitted rates, inf-sup
 constants, pressure-profile variation) and named pass/fail checks evaluated
-against the thresholds shipped in ``data/acceptance.json``.  The command
-line drives everything through :func:`run_scenario`, but every runner is an
-ordinary function usable from Python or tests.
+against the thresholds shipped in ``data/acceptance.json``.  Each runner
+fills the named checks and returns its reports, failed cells and derived
+quantities; :func:`run_scenario`, which the command line calls, wraps them
+in the summary.
 
 Scenarios
 ---------
@@ -264,6 +265,34 @@ def _fail_cell(report, exc, failures):
     failures.append(f"{report.method}/{report.mesh_id}")
 
 
+def _sweep(config, mesh_of, cell, keys=None, row=None):
+    """Solve every cell of a scenario over its mesh series.
+
+    Each resolution n is meshed by ``mesh_of(n)`` and discretized once;
+    ``cell(disc, n, key, report)`` then fills one ErrorReport per key (the
+    configured methods unless ``keys`` is given) and returns the value the
+    scenario's derived quantities read.  ``row(n, key)`` gives the report's
+    (method, mesh_id), by default (key, n).  A cell that raises is reported
+    as failed and stores no value.
+
+    Returns (reports, failures, values) with values keyed by (key, n).
+    """
+    reports, failures, values = [], [], {}
+    for n in config.meshes:
+        disc = Discretization(mesh_of(n))
+        h = characteristic_h(disc)
+        for key in config.methods if keys is None else keys:
+            method, mesh_id = row(n, key) if row else (key, _mesh_id(n))
+            report = ErrorReport(method, mesh_id, h, disc.mesh.n_elements)
+            try:
+                values[(key, n)] = cell(disc, n, key, report)
+                report.extra["status"] = "ok"
+            except Exception as exc:
+                _fail_cell(report, exc, failures)
+            reports.append(report)
+    return reports, failures, values
+
+
 def _add_check(checks, name, value, op, threshold, source, tol=None):
     """Record one named check; ``op`` is '>=', '<=', '>', '<' or '~'.
 
@@ -291,6 +320,13 @@ def _add_check(checks, name, value, op, threshold, source, tol=None):
     checks[name] = entry
 
 
+def _gate(checks, data, key, name, value, op):
+    """Check ``value`` against the packaged threshold ``data[key]``, if any."""
+    if key in data:
+        entry = data[key]
+        _add_check(checks, name, value, op, entry["value"], entry["source"])
+
+
 def _config_summary(config):
     return {
         "scenario": config.scenario, "methods": list(config.methods),
@@ -303,7 +339,19 @@ def _config_summary(config):
 
 
 def _series(store, method, meshes):
-    return [store.get((method, _mesh_id(n)), float("nan")) for n in meshes]
+    return [store.get((method, n), float("nan")) for n in meshes]
+
+
+def _tip_cell(config, mat, tractions, point, comp):
+    """Sweep cell solving one linear method and reading one displacement."""
+    def cell(disc, n, method, report):
+        sol, dofmap = _solve_linear(disc, method, mat, tractions,
+                                    _method_bubble(method, config))
+        report.tip_uy = tip_displacement(disc.mesh, dofmap, sol.u, point,
+                                         comp=comp)
+        report.extra["n_dof"] = dofmap.n_disp
+        return report.tip_uy
+    return cell
 
 
 # ----------------------------------------------------------------------
@@ -317,78 +365,48 @@ def _cook_mesh(resolution, config):
     return mesh
 
 
-def run_cook(config):
+def run_cook(config, data, checks):
     """Tip-displacement study of the membrane near incompressibility.
 
-    Returns (reports, summary).  The summary carries the tip series per
-    method, the extrapolated limit of the enriched method, per-baseline
-    locking gaps, and (on the undistorted scenario, when both profile
-    methods are configured) the pressure-profile total-variation block.
+    Derives the tip series per method, the extrapolated limit of the
+    enriched method, per-baseline locking gaps, and (on the undistorted
+    scenario, when both profile methods are configured) the
+    pressure-profile total-variation block.
     """
     mat = MaterialParams(config.young, config.poisson)
     tractions = {"traction": (0.0, config.load / COOK_EDGE)}
-    reports, failures = [], []
-    tips = {}
-    for n in config.meshes:
-        mesh_id = _mesh_id(n)
-        disc = Discretization(_cook_mesh(n, config))
-        h = characteristic_h(disc)
-        for method in config.methods:
-            report = ErrorReport(method, mesh_id, h, disc.mesh.n_elements)
-            try:
-                bubble = _method_bubble(method, config)
-                sol, dofmap = _solve_linear(disc, method, mat, tractions,
-                                            bubble)
-                report.tip_uy = tip_displacement(disc.mesh, dofmap, sol.u,
-                                                 COOK_TIP, comp=1)
-                report.extra["n_dof"] = dofmap.n_disp
-                report.extra["status"] = "ok"
-                tips[(method, mesh_id)] = report.tip_uy
-            except Exception as exc:
-                _fail_cell(report, exc, failures)
-            reports.append(report)
+    reports, failures, tips = _sweep(
+        config, lambda n: _cook_mesh(n, config),
+        _tip_cell(config, mat, tractions, COOK_TIP, 1))
 
     summary = {
-        "scenario": config.scenario,
-        "config": _config_summary(config),
-        "meshes": [_mesh_id(n) for n in config.meshes],
         "tips": {m: _series(tips, m, config.meshes) for m in config.methods},
     }
-    checks = {}
-    data = acceptance_data().get(config.scenario, {})
-    enriched = "bes-fem"
-    series = [t for t in summary["tips"].get(enriched, [])]
+    series = summary["tips"].get("bes-fem", [])
     finite = [t for t in series if np.isfinite(t)]
     if len(finite) >= 3:
         summary["tip_limit"] = richardson_limit(finite)
     elif finite:
         summary["tip_limit"] = finite[-1]
 
-    if "tip_change_max" in data and len(finite) >= 2:
-        entry = data["tip_change_max"]
-        change = abs(finite[-1] - finite[-2]) / abs(finite[-1])
-        _add_check(checks, "tip-change", change, "<=", entry["value"],
-                   entry["source"])
+    if len(finite) >= 2:
+        _gate(checks, data, "tip_change_max", "tip-change",
+              abs(finite[-1] - finite[-2]) / abs(finite[-1]), "<=")
     if "locking_gap_min" in data and "tip_limit" in summary:
-        entry = data["locking_gap_min"]
         limit = summary["tip_limit"]
-        gap_id = "16" if "16" in summary["meshes"] else summary["meshes"][-1]
-        summary["locking_gap_mesh"] = gap_id
+        gap_n = 16 if 16 in config.meshes else config.meshes[-1]
+        summary["locking_gap_mesh"] = _mesh_id(gap_n)
         for method in ("fem-t3", "es-fem"):
-            tip = tips.get((method, gap_id))
-            if tip is None:
-                continue
-            gap = (limit - tip) / abs(limit)
-            _add_check(checks, f"locking-gap-{method}", gap, ">=",
-                       entry["value"], entry["source"])
+            tip = tips.get((method, gap_n))
+            if tip is not None:
+                _gate(checks, data, "locking_gap_min",
+                      f"locking-gap-{method}", (limit - tip) / abs(limit),
+                      ">=")
 
     if (config.scenario == "cook" and not config.distort
             and {"bes-fem", "ns-fem"} <= set(config.methods)):
         _cook_profiles(config, mat, failures, summary, checks, data)
-
-    summary["checks"] = checks
-    summary["failures"] = failures
-    return reports, summary
+    return reports, failures, summary
 
 
 def _cook_profiles(config, mat, failures, summary, checks, data):
@@ -428,15 +446,12 @@ def _cook_profiles(config, mat, failures, summary, checks, data):
     if "bes-fem" in profiles and "ns-fem" in profiles:
         tv_bes = block["bes-fem"]["tv"]
         tv_ns = block["ns-fem"]["tv"]
-        if "tv_ratio_min" in data and tv_bes > 0:
-            entry = data["tv_ratio_min"]
-            _add_check(checks, "pressure-tv-ratio", tv_ns / tv_bes, ">=",
-                       entry["value"], entry["source"])
-        if "tv_envelope_max" in data and block["bes-fem"]["envelope_tv"] > 0:
-            entry = data["tv_envelope_max"]
-            ratio = tv_bes / block["bes-fem"]["envelope_tv"]
-            _add_check(checks, "pressure-tv-envelope", ratio, "<=",
-                       entry["value"], entry["source"])
+        if tv_bes > 0:
+            _gate(checks, data, "tv_ratio_min", "pressure-tv-ratio",
+                  tv_ns / tv_bes, ">=")
+        if block["bes-fem"]["envelope_tv"] > 0:
+            _gate(checks, data, "tv_envelope_max", "pressure-tv-envelope",
+                  tv_bes / block["bes-fem"]["envelope_tv"], "<=")
     if "bes-fem" in profiles and "mini" in profiles:
         _, p_bes = profiles["bes-fem"]
         _, p_mini = profiles["mini"]
@@ -451,60 +466,40 @@ def _cook_profiles(config, mat, failures, summary, checks, data):
 # pipe scenario
 # ----------------------------------------------------------------------
 
-def run_pipe(config):
+def run_pipe(config, data, checks):
     """Convergence study against the closed-form pipe solution.
 
-    Returns (reports, summary) with all three error norms per cell, fitted
-    rates per method, and the strictness margin of the cross-method error
-    ordering on every mesh.
+    Reports all three error norms per cell and derives fitted rates per
+    method and the strictness margin of the cross-method error ordering on
+    every mesh.
     """
     exact = ExactPipeSolution(p=config.load, E=config.young,
                               nu=config.poisson)
     mat = exact.material
     tractions = {"traction": ("pressure", config.load)}
-    reports, failures = [], []
-    errors = {}
-    for n in config.meshes:
-        mesh_id = _mesh_id(n)
-        disc = Discretization(generate_annulus(n))
-        h = characteristic_h(disc)
-        for method in config.methods:
-            report = ErrorReport(method, mesh_id, h, disc.mesh.n_elements)
-            try:
-                bubble = _method_bubble(method, config)
-                sol, dofmap = _solve_linear(disc, method, mat, tractions,
-                                            bubble)
-                report.err_u = error_displacement(disc, dofmap, sol.u,
-                                                  exact.displacement,
-                                                  bubble=bubble)
-                report.err_p = error_pressure(disc, sol.p, exact.pressure,
-                                              continuous=(method == "mini"))
-                norm, signed = error_energy(disc, method, sol.u, sol.p,
-                                            exact, mat, bubble=bubble)
-                report.err_E = norm
-                report.extra["err_E_signed"] = signed
-                report.tip_uy = tip_displacement(disc.mesh, dofmap, sol.u,
-                                                 PIPE_INNER, comp=0)
-                report.extra["n_dof"] = dofmap.n_disp
-                report.extra["status"] = "ok"
-                errors[(method, mesh_id)] = (h, report.err_u, report.err_p,
-                                             report.err_E)
-            except Exception as exc:
-                _fail_cell(report, exc, failures)
-            reports.append(report)
 
-    summary = {
-        "scenario": config.scenario,
-        "config": _config_summary(config),
-        "meshes": [_mesh_id(n) for n in config.meshes],
-        "exact_residual": exact.strong_form_residual(),
-        "rates": {},
-    }
-    checks = {}
-    data = acceptance_data().get("pipe", {})
+    def cell(disc, n, method, report):
+        bubble = _method_bubble(method, config)
+        sol, dofmap = _solve_linear(disc, method, mat, tractions, bubble)
+        report.err_u = error_displacement(disc, dofmap, sol.u,
+                                          exact.displacement, bubble=bubble)
+        report.err_p = error_pressure(disc, sol.p, exact.pressure,
+                                      continuous=(method == "mini"))
+        norm, signed = error_energy(disc, method, sol.u, sol.p, exact, mat,
+                                    bubble=bubble)
+        report.err_E = norm
+        report.extra["err_E_signed"] = signed
+        report.tip_uy = tip_displacement(disc.mesh, dofmap, sol.u,
+                                         PIPE_INNER, comp=0)
+        report.extra["n_dof"] = dofmap.n_disp
+        return report.h, report.err_u, report.err_p, report.err_E
+
+    reports, failures, errors = _sweep(config, generate_annulus, cell)
+
+    summary = {"exact_residual": exact.strong_form_residual(), "rates": {}}
     for method in config.methods:
-        cells = [errors.get((method, _mesh_id(n))) for n in config.meshes]
-        cells = [c for c in cells if c is not None]
+        cells = [errors[(method, n)] for n in config.meshes
+                 if (method, n) in errors]
         if len(cells) < 3:
             continue
         hs = [c[0] for c in cells]
@@ -515,75 +510,42 @@ def run_pipe(config):
         }
     if "bes-fem" in summary["rates"]:
         rates = summary["rates"]["bes-fem"]
-        if "rate_u_min" in data:
-            entry = data["rate_u_min"]
-            _add_check(checks, "rate-u", rates["u"], ">=", entry["value"],
-                       entry["source"])
-        if "rate_p_min" in data:
-            entry = data["rate_p_min"]
-            _add_check(checks, "rate-p", rates["p"], ">=", entry["value"],
-                       entry["source"])
+        _gate(checks, data, "rate_u_min", "rate-u", rates["u"], ">=")
+        _gate(checks, data, "rate_p_min", "rate-p", rates["p"], ">=")
 
     margins = []
     for n in config.meshes:
-        bes = errors.get(("bes-fem", _mesh_id(n)))
+        bes = errors.get(("bes-fem", n))
         if bes is None:
             continue
         for other in ("mini", "ns-fem"):
-            cell = errors.get((other, _mesh_id(n)))
-            if cell is None:
+            cell_errors = errors.get((other, n))
+            if cell_errors is None:
                 continue
             for i in (1, 2, 3):
-                margins.append((cell[i] - bes[i]) / cell[i])
+                margins.append((cell_errors[i] - bes[i]) / cell_errors[i])
     if margins and "ordering" in data:
-        entry = data["ordering"]
         summary["ordering_margin"] = min(margins)
-        _add_check(checks, "error-ordering", min(margins), ">", 0.0,
-                   entry["source"])
-
-    summary["checks"] = checks
-    summary["failures"] = failures
-    return reports, summary
+        _gate(checks, data, "ordering", "error-ordering", min(margins), ">")
+    return reports, failures, summary
 
 
 # ----------------------------------------------------------------------
 # 3D block scenario
 # ----------------------------------------------------------------------
 
-def run_block3d(config):
+def run_block3d(config, data, checks):
     """Loaded-block study: monitored tip displacement and locking ratio."""
     mat = MaterialParams(config.young, config.poisson)
     tractions = {"traction": ("pressure", config.load)}
-    reports, failures = [], []
-    tips = {}
-    for n in config.meshes:
-        mesh_id = _mesh_id(n)
-        disc = Discretization(generate_block(n, pattern=config.pattern))
-        h = characteristic_h(disc)
-        for method in config.methods:
-            report = ErrorReport(method, mesh_id, h, disc.mesh.n_elements)
-            try:
-                bubble = _method_bubble(method, config)
-                sol, dofmap = _solve_linear(disc, method, mat, tractions,
-                                            bubble)
-                report.tip_uy = tip_displacement(disc.mesh, dofmap, sol.u,
-                                                 BLOCK_MONITOR, comp=2)
-                report.extra["n_dof"] = dofmap.n_disp
-                report.extra["status"] = "ok"
-                tips[(method, mesh_id)] = report.tip_uy
-            except Exception as exc:
-                _fail_cell(report, exc, failures)
-            reports.append(report)
+    reports, failures, tips = _sweep(
+        config, lambda n: generate_block(n, pattern=config.pattern),
+        _tip_cell(config, mat, tractions, BLOCK_MONITOR, 2))
 
     summary = {
-        "scenario": config.scenario,
-        "config": _config_summary(config),
-        "meshes": [_mesh_id(n) for n in config.meshes],
         "tips": {m: _series(tips, m, config.meshes) for m in config.methods},
     }
-    checks = {}
-    data = acceptance_data().get("block3d", {})
-    finest = _mesh_id(config.meshes[-1])
+    finest = config.meshes[-1]
     tip_bfs = tips.get(("bfs-fem", finest))
     if tip_bfs is not None and "tip_reference" in data:
         entry = data["tip_reference"]
@@ -594,22 +556,17 @@ def run_block3d(config):
     tip_fs = tips.get(("fs-fem", finest))
     if tip_bfs is not None and tip_fs is not None \
             and "locking_ratio_min" in data:
-        entry = data["locking_ratio_min"]
         ratio = abs(tip_bfs) / abs(tip_fs)
         summary["locking_ratio"] = ratio
-        _add_check(checks, "locking-ratio", ratio, ">=", entry["value"],
-                   entry["source"])
-
-    summary["checks"] = checks
-    summary["failures"] = failures
-    return reports, summary
+        _gate(checks, data, "locking_ratio_min", "locking-ratio", ratio, ">=")
+    return reports, failures, summary
 
 
 # ----------------------------------------------------------------------
 # neo-Hookean scenario
 # ----------------------------------------------------------------------
 
-def run_cook_neohookean(config):
+def run_cook_neohookean(config, data, checks):
     """Bulk-modulus sweep of the large-deformation membrane.
 
     One cell per (mesh, bulk modulus); the monitored displacement is the
@@ -617,61 +574,39 @@ def run_cook_neohookean(config):
     accepted load step converged and that, for each bulk modulus, the
     monitored value grows monotonically with mesh resolution.
     """
-    reports, failures = [], []
-    tips = {}
-    for n in config.meshes:
-        disc = Discretization(_cook_mesh(n, config))
-        h = characteristic_h(disc)
-        for kappa in config.kappa:
-            mesh_id = f"{n}/k{kappa:g}"
-            report = ErrorReport("bes-fem", mesh_id, h, disc.mesh.n_elements)
-            try:
-                params = NeoHookeanParams(config.mu, kappa)
-                problem = SmoothedHyperProblem(disc, params,
-                                               bubble=config.bubble)
-                f = assemble_loads(
-                    disc.mesh, disc.topo, problem.dofmap,
-                    {"traction": (0.0, config.load / COOK_EDGE)})
-                fixed = dirichlet_dofs(disc.mesh, problem.dofmap)
-                u, history = newton_load_stepping(problem, f, fixed,
-                                                  steps=config.steps)
-                tip = tip_displacement(disc.mesh, problem.dofmap, u,
-                                       COOK_MIDRIGHT, comp=1)
-                report.tip_uy = tip
-                report.extra.update({
-                    "kappa": kappa, "resolution": n,
-                    "energy": problem.energy(u) - float(f @ u),
-                    "load_steps": len(history),
-                    "newton_iterations": sum(r["iterations"]
-                                             for r in history),
-                    "floor_limited": any(r.get("floor_limited")
-                                         for r in history),
-                    "status": "ok",
-                })
-                tips[(kappa, n)] = tip
-            except Exception as exc:
-                report.extra["kappa"] = kappa
-                _fail_cell(report, exc, failures)
-            reports.append(report)
+    def cell(disc, n, kappa, report):
+        report.extra["kappa"] = kappa
+        params = NeoHookeanParams(config.mu, kappa)
+        problem = SmoothedHyperProblem(disc, params, bubble=config.bubble)
+        f = assemble_loads(disc.mesh, disc.topo, problem.dofmap,
+                           {"traction": (0.0, config.load / COOK_EDGE)})
+        fixed = dirichlet_dofs(disc.mesh, problem.dofmap)
+        u, history = newton_load_stepping(problem, f, fixed,
+                                          steps=config.steps)
+        report.tip_uy = tip_displacement(disc.mesh, problem.dofmap, u,
+                                         COOK_MIDRIGHT, comp=1)
+        report.extra.update({
+            "resolution": n,
+            "energy": problem.energy(u) - float(f @ u),
+            "load_steps": len(history),
+            "newton_iterations": sum(r["iterations"] for r in history),
+            "floor_limited": any(r.get("floor_limited") for r in history),
+        })
+        return report.tip_uy
+
+    reports, failures, tips = _sweep(
+        config, lambda n: _cook_mesh(n, config), cell, keys=config.kappa,
+        row=lambda n, kappa: ("bes-fem", f"{n}/k{kappa:g}"))
 
     summary = {
-        "scenario": config.scenario,
-        "config": _config_summary(config),
-        "meshes": [_mesh_id(n) for n in config.meshes],
         "curves": {f"k{k:g}": [tips.get((k, n), float("nan"))
                                for n in config.meshes]
                    for k in config.kappa},
     }
-    checks = {}
-    data = acceptance_data().get("cook-neohookean", {})
-    n_cells = len(config.meshes) * len(config.kappa)
-    if "all_steps_converge" in data and n_cells:
-        entry = data["all_steps_converge"]
-        converged = len(tips) / n_cells
-        _add_check(checks, "all-steps-converge", converged, ">=",
-                   entry["value"], entry["source"])
+    converged = len(tips) / (len(config.meshes) * len(config.kappa))
+    _gate(checks, data, "all_steps_converge", "all-steps-converge",
+          converged, ">=")
     if "monotone_in_mesh" in data and len(config.meshes) >= 2:
-        entry = data["monotone_in_mesh"]
         increments = []
         for kappa in config.kappa:
             vals = [tips.get((kappa, n)) for n in config.meshes]
@@ -682,12 +617,9 @@ def run_cook_neohookean(config):
             increments.extend(np.diff(vals) / scale)
         worst = float(np.min(increments)) if increments else float("nan")
         summary["min_increment"] = worst
-        _add_check(checks, "monotone-in-mesh", worst, ">=", entry["value"],
-                   entry["source"])
-
-    summary["checks"] = checks
-    summary["failures"] = failures
-    return reports, summary
+        _gate(checks, data, "monotone_in_mesh", "monotone-in-mesh", worst,
+              ">=")
+    return reports, failures, summary
 
 
 # ----------------------------------------------------------------------
@@ -717,51 +649,32 @@ def infsup_pair(disc, mat, method, bubble="power"):
     return beta, eigs
 
 
-def run_infsup(config):
+def run_infsup(config, data, checks):
     """Inf-sup constants over the membrane mesh series."""
     mat = MaterialParams(config.young, config.poisson)
-    reports, failures = [], []
-    betas = {}
-    for n in config.meshes:
-        mesh_id = _mesh_id(n)
-        disc = Discretization(_cook_mesh(n, config))
-        h = characteristic_h(disc)
-        for method in config.methods:
-            report = ErrorReport(method, mesh_id, h, disc.mesh.n_elements)
-            try:
-                beta, eigs = infsup_pair(disc, mat, method,
-                                         bubble=config.bubble)
-                report.extra["beta"] = beta
-                report.extra["n_pressure"] = int(len(eigs))
-                report.extra["status"] = "ok"
-                betas[(method, mesh_id)] = beta
-            except Exception as exc:
-                _fail_cell(report, exc, failures)
-            reports.append(report)
+
+    def cell(disc, n, method, report):
+        beta, eigs = infsup_pair(disc, mat, method, bubble=config.bubble)
+        report.extra["beta"] = beta
+        report.extra["n_pressure"] = int(len(eigs))
+        return beta
+
+    reports, failures, betas = _sweep(
+        config, lambda n: _cook_mesh(n, config), cell)
 
     summary = {
-        "scenario": config.scenario,
-        "config": _config_summary(config),
-        "meshes": [_mesh_id(n) for n in config.meshes],
         "betas": {m: _series(betas, m, config.meshes)
                   for m in config.methods},
     }
-    checks = {}
-    data = acceptance_data().get("infsup", {})
     bes = [b for b in summary["betas"].get("bes-fem", []) if np.isfinite(b)]
-    if len(bes) >= 3 and "uniform_min" in data:
-        entry = data["uniform_min"]
-        _add_check(checks, "uniform-lower-bound", min(bes) / max(bes), ">=",
-                   entry["value"], entry["source"])
+    if len(bes) >= 3:
+        _gate(checks, data, "uniform_min", "uniform-lower-bound",
+              min(bes) / max(bes), ">=")
     es = [b for b in summary["betas"].get("es-fem", []) if np.isfinite(b)]
-    if len(es) >= 2 and "decay_max" in data:
-        entry = data["decay_max"]
-        _add_check(checks, "vertex-pairing-decay", es[-1] / es[0], "<",
-                   entry["value"], entry["source"])
-
-    summary["checks"] = checks
-    summary["failures"] = failures
-    return reports, summary
+    if len(es) >= 2:
+        _gate(checks, data, "decay_max", "vertex-pairing-decay",
+              es[-1] / es[0], "<")
+    return reports, failures, summary
 
 
 # ----------------------------------------------------------------------
@@ -904,7 +817,7 @@ def condensation_defect(disc, mat, tractions, bubble="power"):
     return float(max(du, dp))
 
 
-def run_lemma_checks(config):
+def run_lemma_checks(config, data, checks):
     """Operator-identity battery on the fixed probe meshes.
 
     Each identity becomes one report row (method 'property') whose extra
@@ -913,13 +826,11 @@ def run_lemma_checks(config):
     reference constant alongside the closed-form value actually measured,
     so a disagreement between the two stays visible in every report.
     """
-    data = acceptance_data().get("lemma-checks", {})
     probes = property_meshes()
     discs = [(name, Discretization(mesh)) for name, mesh in probes]
     two_d = [(n, d) for n, d in discs if d.dim == 2]
     three_d = [(n, d) for n, d in discs if d.dim == 3]
     reports, failures = [], []
-    checks = {}
 
     def run_case(name, fn, op, key, n_elements):
         report = ErrorReport("property", name, float("nan"), n_elements)
@@ -1016,14 +927,7 @@ def run_lemma_checks(config):
             {"traction": ("pressure", 250.0)}),
         "<=", "condensation", disc3.mesh.n_elements)
 
-    summary = {
-        "scenario": config.scenario,
-        "config": _config_summary(config),
-        "meshes": [name for name, _ in probes],
-        "checks": checks,
-        "failures": failures,
-    }
-    return reports, summary
+    return reports, failures, {"meshes": [name for name, _ in probes]}
 
 
 # ----------------------------------------------------------------------
@@ -1052,4 +956,12 @@ def run_scenario(config):
         Scenario echo, derived quantities, named ``checks``, and the
         ``failures`` list (empty on a fully healthy run).
     """
-    return _RUNNERS[config.scenario](config)
+    checks = {}
+    data = acceptance_data().get(config.scenario, {})
+    reports, failures, derived = _RUNNERS[config.scenario](config, data,
+                                                           checks)
+    # a runner's own "meshes" (the lemma probe names) replaces the series
+    summary = {"scenario": config.scenario, "config": _config_summary(config),
+               "meshes": [_mesh_id(n) for n in config.meshes], **derived,
+               "checks": checks, "failures": failures}
+    return reports, summary

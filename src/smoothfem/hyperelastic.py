@@ -279,8 +279,10 @@ def _newton(problem, u0, load, free, tol, max_iter):
         if rn <= tol or rabs <= floor:
             return u, {"iterations": it, "residuals": residuals,
                        "floor_limited": rn > tol}
-        K_red = K[free][:, free].tocsc()
-        du = spla.splu(K_red).solve(-r[free])
+        try:
+            du = spla.splu(K[free][:, free].tocsc()).solve(-r[free])
+        except RuntimeError:   # exactly singular tangent
+            raise _StepFailure(residuals)
         if not np.all(np.isfinite(du)):
             raise _StepFailure(residuals)
         u[free] += du
@@ -293,9 +295,10 @@ def newton_load_stepping(problem, f_ext, fixed, steps=10, tol=1e-9,
 
     Returns (u, history): the converged displacement at full load and one
     record per accepted step with the load fraction, Newton update count,
-    and residual trail.  A step that fails (non-convergence or an inverted
-    domain) is retried at half width, up to ``max_halvings`` times overall;
-    running out raises RuntimeError with the last residual trail.
+    and residual trail.  A step that fails (non-convergence, an inverted
+    domain or an exactly singular tangent) is retried at half width, up to
+    ``max_halvings`` times overall; running out raises RuntimeError with
+    the last residual trail.
     """
     if steps < 1:
         raise ValueError("need at least one load step")

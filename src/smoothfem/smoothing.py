@@ -20,7 +20,7 @@ code with the boundary form, and exists to cross-check it.
 import numpy as np
 from scipy.sparse import coo_matrix
 
-from .basis import bubble_value
+from .basis import affine_maps, bubble_gradient, bubble_value
 from .quadrature import boundary_quadrature, simplex_quadrature
 
 
@@ -44,8 +44,6 @@ class ElementFrames:
     """Cached per-element affine data shared by the smoothing builders."""
 
     def __init__(self, mesh):
-        from .basis import affine_maps
-
         self.grads, self.measures = affine_maps(mesh.nodes, mesh.elements)
         verts = mesh.nodes[mesh.elements]
         self.origin = verts[:, 0, :]
@@ -147,57 +145,7 @@ def volume_average_gradient(mesh, micro, domains, k, coeffs, bubble=None,
         rule = simplex_quadrature(dim, 4)
         X = np.einsum("qi,kid->kqd", rule.points, cpts)
         lam = frames.barycentric(celem, X)          # (C, Q, d+1)
-        gb = batched_bubble_gradients(bubble, lam, gl)    # (C, Q, d)
+        gb = bubble_gradient(bubble, lam, gl)       # (C, Q, d)
         Ub = coeffs[N + celem]                      # (C, d)
         H += np.einsum("k,q,kqc,kr->rc", cmeas, rule.weights, gb, Ub)
     return H / domains.measures[k]
-
-
-def batched_bubble_gradients(kind, lam, lam_grads):
-    """Bubble gradients for batched points.
-
-    lam is (C, Q, d+1) barycentric points; lam_grads is (C, d+1, d) hat
-    gradients of the owning element of each batch row.
-    """
-    dim = lam.shape[-1] - 1
-    if kind == "power":
-        scale = (dim + 1) ** (dim + 1)
-        out = np.zeros(lam.shape[:-1] + (dim,))
-        for i in range(dim + 1):
-            others = np.delete(lam, i, axis=-1).prod(axis=-1)   # (C, Q)
-            out += others[..., None] * lam_grads[:, None, i, :]
-        return scale * out
-    imin = np.argmin(lam, axis=-1)                              # (C, Q)
-    C = lam.shape[0]
-    return (dim + 1) * lam_grads[np.arange(C)[:, None], imin, :]
-
-
-def smoothed_strain_block(G_list, k, dim):
-    """Dense per-domain strain matrix in engineering Voigt order.
-
-    Returns (B_k, scalar_cols): B_k is (n_voigt, len(cols) * d), mapping the
-    interleaved displacement dofs of the listed scalar columns to the
-    smoothed strain {e_xx, e_yy(, e_zz), g_xy(, g_yz, g_zx)} of domain k.
-    """
-    rows = [np.asarray(G.getrow(k).todense()).ravel() for G in G_list]
-    cols = np.unique(np.concatenate([np.flatnonzero(r) for r in rows]))
-    loc = [r[cols] for r in rows]
-    n = len(cols)
-    if dim == 2:
-        B = np.zeros((3, 2 * n))
-        B[0, 0::2] = loc[0]
-        B[1, 1::2] = loc[1]
-        B[2, 0::2] = loc[1]
-        B[2, 1::2] = loc[0]
-    else:
-        B = np.zeros((6, 3 * n))
-        B[0, 0::3] = loc[0]
-        B[1, 1::3] = loc[1]
-        B[2, 2::3] = loc[2]
-        B[3, 0::3] = loc[1]
-        B[3, 1::3] = loc[0]
-        B[4, 1::3] = loc[2]
-        B[4, 2::3] = loc[1]
-        B[5, 0::3] = loc[2]
-        B[5, 2::3] = loc[0]
-    return B, cols

@@ -17,8 +17,6 @@ from scipy.sparse import linalg as spla
 
 from .assembly import apply_dirichlet, assemble_condensed, expand_solution
 
-ITERATIVE_THRESHOLD = 200_000
-
 _SINGULAR_MSG = (
     "linear system is singular; the mesh likely lacks enough displacement "
     "constraints to remove rigid-body motion"
@@ -49,12 +47,15 @@ def _refine(lu, apply_l, b_l, n, max_rounds=6):
     the same precision, so the refinement target is the unrounded system
     even when the factorized matrix had to be assembled in double.  Starts
     from zero (the first round is the plain direct solve) and raises when
-    the residual cannot be driven down, which is how numerically singular
-    factorizations surface.
+    the residual cannot be driven down.  A non-finite result, or a
+    correction that does not reduce the residual at all, means the factor
+    is no approximation of the inverse: the system is numerically singular.
+    A residual that falls, but too slowly, is reported as stagnation.
     """
     bnorm = float(np.linalg.norm(np.asarray(b_l, float))) or 1.0
     x = np.zeros(n, dtype=np.longdouble)
     resid = np.inf
+    rounds, singular = 0, False
     for _ in range(max_rounds):
         r = b_l - apply_l(x)
         new = float(np.linalg.norm(np.asarray(r, float))) / bnorm
@@ -64,6 +65,7 @@ def _refine(lu, apply_l, b_l, n, max_rounds=6):
             resid = new
             break
         if new > 0.5 * resid:
+            singular = new >= resid
             resid = min(resid, new)
             break
         resid = new
@@ -71,39 +73,26 @@ def _refine(lu, apply_l, b_l, n, max_rounds=6):
         if not np.all(np.isfinite(dx)):
             raise RuntimeError(_SINGULAR_MSG)
         x = x + dx
+        rounds += 1
     if resid > 1e-8:
-        raise RuntimeError(_SINGULAR_MSG)
-    return x, resid
-
-
-def _cg_solve(K_red, f_red):
-    d = K_red.diagonal()
-    precond = sparse.diags(1.0 / np.where(d > 0, d, 1.0))
-    x, status = spla.cg(K_red, f_red, rtol=1e-12, atol=0.0, M=precond,
-                        maxiter=20_000)
-    if status != 0:
-        raise RuntimeError(f"conjugate gradients stalled (status {status})")
-    resid = float(np.linalg.norm(f_red - K_red @ x)
-                  / (np.linalg.norm(f_red) or 1.0))
+        if singular:
+            raise RuntimeError(_SINGULAR_MSG)
+        raise RuntimeError(f"refinement stagnated at residual {resid:.3g} "
+                           f"after {rounds} rounds")
     return x, resid
 
 
 def solve_condensed(K, f, fixed, values=None):
     """Solve the displacement-only system under Dirichlet constraints.
 
-    Uses a refined direct factorization; beyond ITERATIVE_THRESHOLD unknowns
-    it switches to conjugate gradients with diagonal preconditioning.
+    Uses a direct factorization polished by extended-precision refinement.
     """
     K_red, f_red, free = apply_dirichlet(K, f, fixed, values)
-    if K_red.shape[0] > ITERATIVE_THRESHOLD:
-        x, resid = _cg_solve(K_red, f_red)
-    else:
-        lu = _factorize(K_red.tocsc())
-        K_l = K_red.astype(np.longdouble).tocsr()
-        x, resid = _refine(lu, lambda v: K_l @ v,
-                           f_red.astype(np.longdouble), len(free))
-        x = np.asarray(x, float)
-    u = expand_solution(x, free, K.shape[0], fixed, values)
+    lu = _factorize(K_red.tocsc())
+    K_l = K_red.astype(np.longdouble).tocsr()
+    x, resid = _refine(lu, lambda v: K_l @ v, f_red.astype(np.longdouble),
+                       len(free))
+    u = expand_solution(np.asarray(x, float), free, K.shape[0], fixed, values)
     return u, {"path": "condensed", "residual": resid, "n_free": len(free)}
 
 
@@ -119,12 +108,6 @@ def solve_condensed_split(A, B, C_diag, lam, f, fixed, values=None):
     """
     K = assemble_condensed(A, B, C_diag, lam)
     K_red, f_red, free = apply_dirichlet(K, f, fixed, values)
-    if K_red.shape[0] > ITERATIVE_THRESHOLD:
-        x, resid = _cg_solve(K_red, f_red)
-        u = expand_solution(x, free, K.shape[0], fixed, values)
-        p = recover_pressure(B, C_diag, lam, u)
-        return u, p, {"path": "condensed", "residual": resid,
-                      "n_free": len(free)}
     lu = _factorize(K_red.tocsc())
     A_l = A.astype(np.longdouble).tocsr()
     B_l = B.astype(np.longdouble).tocsr()

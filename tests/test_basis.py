@@ -7,18 +7,18 @@ from hypothesis import strategies as st
 
 from smoothfem.basis import (
     affine_maps,
-    barycentric_coordinates,
     bubble_gradient,
     bubble_normalization,
     bubble_value,
     bubble_volume_mean,
-    eval_p1,
 )
+from smoothfem.mesh import PrimalMesh
 from smoothfem.quadrature import (
     barycentric_monomial_integral,
     boundary_quadrature,
     simplex_quadrature,
 )
+from smoothfem.smoothing import ElementFrames
 
 RNG = np.random.default_rng(20240811)
 
@@ -27,6 +27,21 @@ def random_barycentric(rng, dim, n):
     """Uniform-ish interior barycentric points."""
     lam = rng.dirichlet(np.ones(dim + 1), size=n)
     return lam
+
+
+def one_element(verts):
+    """Frames of a one-element mesh on ``verts``, positively reordered."""
+    verts = np.array(verts, float)
+    _, meas = affine_maps(verts, np.arange(len(verts))[None, :])
+    if meas[0] < 0:
+        verts[[0, 1]] = verts[[1, 0]]
+    mesh = PrimalMesh(verts, np.arange(len(verts))[None, :])
+    return mesh.nodes, ElementFrames(mesh)
+
+
+def bary(frames, pts):
+    """(1, P, d+1) barycentric coordinates of points (P, d) in element 0."""
+    return frames.barycentric(np.zeros(1, np.int64), pts[None])
 
 
 def all_exponents(dim, total):
@@ -93,14 +108,11 @@ def test_affine_maps_reference(dim):
 
 @pytest.mark.parametrize("dim", [2, 3])
 def test_barycentric_roundtrip(dim):
-    verts = RNG.normal(size=(dim + 1, dim))
+    verts, frames = one_element(RNG.normal(size=(dim + 1, dim)))
     lam = random_barycentric(RNG, dim, 40)
     pts = lam @ verts
-    lam2 = barycentric_coordinates(verts, pts)
-    np.testing.assert_allclose(lam2, lam, atol=1e-12)
-    vals, grads = eval_p1(verts, pts)
-    np.testing.assert_allclose(vals, lam, atol=1e-12)
-    np.testing.assert_allclose(grads.sum(axis=0), 0.0, atol=1e-12)
+    np.testing.assert_allclose(bary(frames, pts)[0], lam, atol=1e-12)
+    np.testing.assert_allclose(frames.grads[0].sum(axis=0), 0.0, atol=1e-12)
 
 
 @given(st.integers(0, 2 ** 32 - 1), st.sampled_from([2, 3]))
@@ -174,50 +186,41 @@ def test_hat_bubble_volume_mean(dim):
     assert bubble_volume_mean("hat", dim) == pytest.approx(1.0 / (dim + 1))
 
 
+def fd_bubble_gradient(kind, frames, pts, h):
+    """Central differences of the bubble at points (P, d); (P, d)."""
+    out = np.empty_like(pts)
+    for c in range(pts.shape[1]):
+        step = np.zeros(pts.shape[1])
+        step[c] = h
+        out[:, c] = (bubble_value(kind, bary(frames, pts + step)[0])
+                     - bubble_value(kind, bary(frames, pts - step)[0])) / (2 * h)
+    return out
+
+
 @pytest.mark.parametrize("dim", [2, 3])
 def test_power_bubble_gradient_fd(dim):
-    verts = RNG.normal(size=(dim + 1, dim)) * 2.0
-    grads, meas = affine_maps(verts, np.arange(dim + 1)[None, :])
-    if meas[0] < 0:
-        verts[[0, 1]] = verts[[1, 0]]
-        grads, meas = affine_maps(verts, np.arange(dim + 1)[None, :])
+    verts, frames = one_element(RNG.normal(size=(dim + 1, dim)) * 2.0)
     pts = random_barycentric(RNG, dim, 15) @ verts
-    h = 1e-6
-    for x in pts:
-        lam = barycentric_coordinates(verts, x)
-        g = bubble_gradient("power", lam, grads[0])
-        for c in range(dim):
-            xp, xm = x.copy(), x.copy()
-            xp[c] += h
-            xm[c] -= h
-            fd = (
-                bubble_value("power", barycentric_coordinates(verts, xp))
-                - bubble_value("power", barycentric_coordinates(verts, xm))
-            ) / (2 * h)
-            assert g[c] == pytest.approx(fd, rel=5e-6, abs=5e-6)
+    g = bubble_gradient("power", bary(frames, pts), frames.grads[:1])[0]
+    fd = fd_bubble_gradient("power", frames, pts, 1e-6)
+    assert g == pytest.approx(fd, rel=5e-6, abs=5e-6)
 
 
 @pytest.mark.parametrize("dim", [2, 3])
 def test_hat_bubble_gradient_fd(dim):
     """FD check at points safely inside one cone of the hat bubble."""
-    verts = np.vstack([np.zeros(dim), np.eye(dim)]) * 1.7
-    grads, _ = affine_maps(verts, np.arange(dim + 1)[None, :])
-    # bias points toward vertex 0 so lambda_0 is the strict minimum... the
-    # minimum coordinate must be unique and stay unique under perturbation
+    verts, frames = one_element(np.vstack([np.zeros(dim), np.eye(dim)]) * 1.7)
+    # the minimum coordinate must be unique and stay unique under perturbation
     rng = np.random.default_rng(7)
     lam = rng.dirichlet(np.ones(dim + 1), size=40)
     lam = lam[np.min(np.abs(np.diff(np.sort(lam, axis=1), axis=1)), axis=1) > 1e-3]
-    pts = lam @ verts
-    h = 1e-7
-    for x in pts[:10]:
-        lam_x = barycentric_coordinates(verts, x)
-        g = bubble_gradient("hat", lam_x, grads[0])
-        for c in range(dim):
-            xp, xm = x.copy(), x.copy()
-            xp[c] += h
-            xm[c] -= h
-            fd = (
-                bubble_value("hat", barycentric_coordinates(verts, xp))
-                - bubble_value("hat", barycentric_coordinates(verts, xm))
-            ) / (2 * h)
-            assert g[c] == pytest.approx(fd, rel=1e-4, abs=1e-4)
+    pts = (lam @ verts)[:10]
+    g = bubble_gradient("hat", bary(frames, pts), frames.grads[:1])[0]
+    fd = fd_bubble_gradient("hat", frames, pts, 1e-7)
+    assert g == pytest.approx(fd, rel=1e-4, abs=1e-4)
+
+
+def test_bubble_gradient_rejects_unknown_kind():
+    lam = np.full((1, 1, 3), 1.0 / 3.0)
+    with pytest.raises(ValueError, match="bubble kind"):
+        bubble_gradient("cubic", lam, np.zeros((1, 3, 2)))

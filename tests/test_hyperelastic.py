@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+import smoothfem.hyperelastic as hyperelastic
 from smoothfem.assembly import (Discretization, assemble_A_bar,
                                 assemble_lambda_stiffness, assemble_loads,
                                 dirichlet_dofs)
@@ -222,3 +223,30 @@ def test_impossible_load_raises_after_halvings(disc):
     with pytest.raises(RuntimeError, match="halvings"):
         newton_load_stepping(problem, f, fixed, steps=1, max_halvings=2,
                              max_iter=6)
+
+
+def test_singular_tangent_halves_the_step(disc, monkeypatch):
+    """An exactly singular tangent fails the step, which is then halved."""
+    spla = hyperelastic.spla
+    calls = []
+
+    class FirstSingular:
+        def splu(self, A):
+            calls.append(A.shape)
+            if len(calls) == 1:
+                raise RuntimeError("Factor is exactly singular")
+            return spla.splu(A)
+
+        def __getattr__(self, name):
+            return getattr(spla, name)
+
+    monkeypatch.setattr(hyperelastic, "spla", FirstSingular())
+    problem = SmoothedHyperProblem(disc, PARAMS)
+    fixed = dirichlet_dofs(disc.mesh, problem.dofmap)
+    f = assemble_loads(disc.mesh, disc.topo, problem.dofmap,
+                       {"traction": (0.0, 1.0 / 16.0)})
+    u, history = newton_load_stepping(problem, f, fixed, steps=2)
+    assert len(calls) > 1
+    assert history[0]["load"] == pytest.approx(0.25)
+    assert history[-1]["load"] == pytest.approx(1.0)
+    assert np.all(np.isfinite(u))

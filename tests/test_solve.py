@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+import smoothfem.solve as solve
 from smoothfem.assembly import (
     Discretization,
     MaterialParams,
@@ -132,6 +133,34 @@ def test_singular_system_reports_missing_constraints():
     bundle, f, _ = cook_problem(disc, "fem-t3", 0.3)
     with pytest.raises(RuntimeError, match="constraint"):
         solve_condensed(bundle.condensed(), f, np.array([], dtype=np.int64))
+
+
+def test_weak_factor_reports_stagnation(monkeypatch):
+    """A factor that reduces the residual too slowly is not called singular."""
+    spla = solve.spla
+
+    class WeakLU:
+        def __init__(self, lu):
+            self.lu = lu
+
+        def solve(self, r):
+            return 0.3 * self.lu.solve(r)
+
+    class WeakSpla:
+        def splu(self, A):
+            return WeakLU(spla.splu(A))
+
+        def __getattr__(self, name):
+            return getattr(spla, name)
+
+    monkeypatch.setattr(solve, "spla", WeakSpla())
+    disc = Discretization(generate_cook(2))
+    bundle, f, fixed = cook_problem(disc, "fem-t3", 0.3)
+    with pytest.raises(RuntimeError) as info:
+        solve_condensed(bundle.condensed(), f, fixed)
+    message = str(info.value)
+    assert message == "refinement stagnated at residual 0.7 after 1 rounds"
+    assert "constraint" not in message
 
 
 def test_locking_order_cook():
