@@ -12,8 +12,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .assembly import (MaterialParams, canonical_method, divergence_operator,
-                       full_elastic_matrix, shear_weight_vector, strain_rows)
+from .assembly import (VOIGT_PAIRS, MaterialParams, canonical_method,
+                       divergence_operator, full_elastic_matrix,
+                       shear_weight_vector, strain_rows)
 from .basis import bubble_gradient, bubble_value
 from .dualmesh import mesh_size
 from .quadrature import simplex_quadrature
@@ -296,12 +297,8 @@ def _energy_mini(disc, u, p, exact, mat):
     gb = bubble_gradient("power", lam, grads)
     H += vals[mesh.n_nodes:][:, None, :, None] * gb[:, :, None, :]
 
-    eps = np.empty((E, Q, 3 if dim == 2 else 6))
-    for c in range(dim):
-        eps[..., c] = H[..., c, c]
-    pairs = [(0, 1)] if dim == 2 else [(0, 1), (1, 2), (2, 0)]
-    for v, (r, c) in enumerate(pairs, start=dim):
-        eps[..., v] = H[..., r, c] + H[..., c, r]
+    eps = np.stack([H[..., i, j] + H[..., j, i] if i != j else H[..., i, i]
+                    for i, j in VOIGT_PAIRS[dim]], axis=-1)
 
     diff = exact.strain(X) - eps
     shear = shear_weight_vector(dim)

@@ -29,7 +29,7 @@ from .dualmesh import (
 )
 from .mesh import build_topology
 from .quadrature import simplex_quadrature
-from .smoothing import ElementFrames, build_smoothed_gradient
+from .smoothing import ElementFrames, build_smoothed_gradient, facet_normals
 
 METHODS = ("bes-fem", "bfs-fem", "es-fem", "fs-fem", "ns-fem", "fem-t3", "mini")
 
@@ -175,42 +175,82 @@ class Discretization:
                       with_bubble)
 
 
-def _comp_row(dim, c):
-    row = sparse.csr_matrix(
-        (np.ones(1), (np.zeros(1, int), np.asarray([c]))), shape=(1, dim)
-    )
-    return row
+# Voigt order of the engineering strain: row v holds (i, j), the normal
+# strain when i == j and the shear strain du_i/dx_j + du_j/dx_i otherwise
+VOIGT_PAIRS = {2: ((0, 0), (1, 1), (0, 1)),
+               3: ((0, 0), (1, 1), (2, 2), (0, 1), (1, 2), (2, 0))}
 
 
-def expand_to_component(G, dim, c):
-    """Map scalar columns j of G to interleaved displacement columns (j, c)."""
-    return sparse.kron(G, _comp_row(dim, c), format="csr")
+def dof_indices(scalar, dim):
+    """Interleaved displacement dofs (..., n * dim) of scalar functions
+    (..., n): function j, component c sits at j * dim + c."""
+    scalar = np.asarray(scalar)
+    return (scalar[..., None] * dim
+            + np.arange(dim)).reshape(scalar.shape[:-1] + (-1,))
+
+
+def scatter_blocks(blocks, shape):
+    """Sparse sum of dense local blocks.
+
+    ``blocks`` holds (local, rows, cols) triples: local (T, r, c) values
+    added at the global rows (T, r) and columns (T, c).  All triples go
+    into one coordinate list, so duplicates are summed in a single pass.
+    """
+    data, ii, jj = [], [], []
+    for local, rows, cols in blocks:
+        ii.append(np.repeat(rows, cols.shape[1], axis=1).ravel())
+        jj.append(np.tile(cols, (1, rows.shape[1])).ravel())
+        data.append(local.ravel())
+    return sparse.coo_matrix(
+        (np.concatenate(data), (np.concatenate(ii), np.concatenate(jj))),
+        shape=shape).tocsr()
+
+
+def strain_matrix(grad, F=None):
+    """Dense Voigt strain-displacement rows of local scalar functions.
+
+    ``grad`` is (..., n, d), the gradients of n functions; the result is
+    (..., nv, n * d) with column a * d + k the dof of component k of
+    function a.  Without ``F`` the rows give the small strain; with the
+    deformation gradient F (..., d, d) they give the variation of the
+    Green-Lagrange strain, (F^T grad du)_ij + (F^T grad du)_ji.
+    """
+    d = grad.shape[-1]
+    pairs = VOIGT_PAIRS[d]
+    B = np.zeros(grad.shape[:-2] + (len(pairs),) + grad.shape[-2:])
+    for v, (i, j) in enumerate(pairs):
+        if F is None:
+            B[..., v, :, i] = grad[..., j]
+            B[..., v, :, j] = grad[..., i]
+        else:
+            B[..., v, :, :] = grad[..., :, j, None] * F[..., None, :, i]
+            if i != j:
+                B[..., v, :, :] += grad[..., :, i, None] * F[..., None, :, j]
+    return B.reshape(grad.shape[:-2] + (len(pairs), -1))
+
+
+def _component_columns(G, dim, c):
+    """G with scalar column j moved to displacement column j * dim + c."""
+    return sparse.csr_matrix((G.data, G.indices * dim + c, G.indptr),
+                             shape=(G.shape[0], G.shape[1] * dim))
 
 
 def strain_rows(G_list, dim):
     """Voigt strain operators, one (K x n_disp) matrix per engineering row."""
-    gx = G_list
-    if dim == 2:
-        return [
-            expand_to_component(gx[0], 2, 0),
-            expand_to_component(gx[1], 2, 1),
-            expand_to_component(gx[1], 2, 0) + expand_to_component(gx[0], 2, 1),
-        ]
-    return [
-        expand_to_component(gx[0], 3, 0),
-        expand_to_component(gx[1], 3, 1),
-        expand_to_component(gx[2], 3, 2),
-        expand_to_component(gx[1], 3, 0) + expand_to_component(gx[0], 3, 1),
-        expand_to_component(gx[2], 3, 1) + expand_to_component(gx[1], 3, 2),
-        expand_to_component(gx[2], 3, 0) + expand_to_component(gx[0], 3, 2),
-    ]
+    rows = []
+    for i, j in VOIGT_PAIRS[dim]:
+        row = _component_columns(G_list[j], dim, i)
+        if i != j:
+            row = row + _component_columns(G_list[i], dim, j)
+        rows.append(row)
+    return rows
 
 
 def divergence_operator(G_list, dim):
     """Sparse (K x n_disp) smoothed divergence."""
-    out = expand_to_component(G_list[0], dim, 0)
+    out = _component_columns(G_list[0], dim, 0)
     for c in range(1, dim):
-        out = out + expand_to_component(G_list[c], dim, c)
+        out = out + _component_columns(G_list[c], dim, c)
     return out.tocsr()
 
 
@@ -305,22 +345,24 @@ def assemble_h1_gram(disc, dofmap, bubble=None):
     dim, N, E = mesh.dim, mesh.n_nodes, mesh.n_elements
     grads, meas = disc.frames.grads, disc.frames.measures
     local = np.einsum("t,tid,tjd->tij", meas, grads, grads)
-    ii = np.repeat(mesh.elements, dim + 1, axis=1).ravel()
-    jj = np.tile(mesh.elements, (1, dim + 1)).ravel()
-    K = sparse.coo_matrix((local.ravel(), (ii, jj)), shape=(N, N)).tocsr()
-    if not dofmap.with_bubble:
-        return sparse.kron(K, sparse.eye(dim), format="csr")
-    if bubble is None:
-        raise ValueError("bubble kind required for an enriched gram matrix")
-    if bubble == "hat":
-        diag = (dim + 1) * meas * np.einsum("tid,tid->t", grads, grads)
-    else:
-        rule = simplex_quadrature(dim, 2 * dim)
-        lam = np.broadcast_to(rule.points, (E,) + rule.points.shape)
-        gb = bubble_gradient("power", lam, grads)
-        diag = meas * np.einsum("q,tqd,tqd->t", rule.weights, gb, gb)
-    G = sparse.block_diag([K, sparse.diags(diag)], format="csr")
-    return sparse.kron(G, sparse.eye(dim), format="csr")
+    blocks = [(local, mesh.elements, mesh.elements)]
+    if dofmap.with_bubble:
+        if bubble is None:
+            raise ValueError(
+                "bubble kind required for an enriched gram matrix")
+        if bubble == "hat":
+            diag = (dim + 1) * meas * np.einsum("tid,tid->t", grads, grads)
+        else:
+            rule = simplex_quadrature(dim, 2 * dim)
+            lam = np.broadcast_to(rule.points, (E,) + rule.points.shape)
+            gb = bubble_gradient("power", lam, grads)
+            diag = meas * np.einsum("q,tqd,tqd->t", rule.weights, gb, gb)
+        bub = (N + np.arange(E))[:, None]
+        blocks.append((diag[:, None, None], bub, bub))
+    # the same scalar blocks on every displacement component
+    return scatter_blocks([(vals, rows * dim + c, cols * dim + c)
+                           for vals, rows, cols in blocks for c in range(dim)],
+                          (dofmap.n_disp, dofmap.n_disp))
 
 
 # ----------------------------------------------------------------------
@@ -335,14 +377,7 @@ def _facet_geometry(mesh, topo, facets):
     if np.any(counts != 1):
         raise ValueError("traction facets must lie on the mesh boundary")
     pts = mesh.nodes[facets]
-    if mesh.dim == 2:
-        tvec = pts[:, 1] - pts[:, 0]
-        meas = np.linalg.norm(tvec, axis=1)
-        normal = np.column_stack([tvec[:, 1], -tvec[:, 0]]) / meas[:, None]
-    else:
-        nvec = 0.5 * np.cross(pts[:, 1] - pts[:, 0], pts[:, 2] - pts[:, 0])
-        meas = np.linalg.norm(nvec, axis=1)
-        normal = nvec / meas[:, None]
+    normal, meas = facet_normals(pts)
     centers = pts.mean(axis=1)
     elem_centers = mesh.nodes[mesh.elements[elems]].mean(axis=1)
     flip = np.einsum("fd,fd->f", normal, centers - elem_centers) < 0.0
@@ -511,55 +546,28 @@ def _assemble_mini(disc, mat):
     dim, N, E = mesh.dim, mesh.n_nodes, mesh.n_elements
     dofmap = disc.dofmap(with_bubble=True)
     grads, meas = disc.frames.grads, disc.frames.measures
-    nloc = dim + 2                    # hats + bubble
     rule = simplex_quadrature(dim, 2 * dim)
     Q = len(rule.weights)
     lam = np.broadcast_to(rule.points, (E, Q, dim + 1))
     gb = bubble_gradient("power", lam, grads)      # (E, Q, d)
 
-    # gradient table per element/point/local function
-    gradtab = np.empty((E, Q, nloc, dim))
-    gradtab[:, :, :dim + 1, :] = grads[:, None, :, :]
-    gradtab[:, :, dim + 1, :] = gb
-
-    nv = 3 if dim == 2 else 6
-    Bq = np.zeros((E, Q, nv, nloc * dim))
-    for j in range(nloc):
-        for c in range(dim):
-            col = j * dim + c
-            Bq[:, :, c, col] = gradtab[:, :, j, c]
-    pairs_2d = [(2, 0, 1), (2, 1, 0)]
-    pairs_3d = [(3, 0, 1), (3, 1, 0), (4, 1, 2), (4, 2, 1), (5, 0, 2), (5, 2, 0)]
-    for row, c_dof, c_grad in (pairs_2d if dim == 2 else pairs_3d):
-        for j in range(nloc):
-            Bq[:, :, row, j * dim + c_dof] = gradtab[:, :, j, c_grad]
-
+    # gradient table per element/point/local function: hats, then bubble
+    gradtab = np.concatenate(
+        [np.broadcast_to(grads[:, None], (E, Q, dim + 1, dim)),
+         gb[:, :, None]], axis=2)
+    Bq = strain_matrix(gradtab)
     Dw = 2.0 * mat.mu * shear_weight_vector(dim)
     A_loc = np.einsum("tqvp,v,tqvr,q,t->tpr", Bq, Dw, Bq, rule.weights, meas)
-
-    # scatter local dofs to global interleaved numbering
-    loc_dofs = np.empty((E, nloc * dim), dtype=np.int64)
-    for j in range(dim + 1):
-        for c in range(dim):
-            loc_dofs[:, j * dim + c] = mesh.elements[:, j] * dim + c
-    for c in range(dim):
-        loc_dofs[:, (dim + 1) * dim + c] = (N + np.arange(E)) * dim + c
-    ii = np.repeat(loc_dofs, nloc * dim, axis=1).ravel()
-    jj = np.tile(loc_dofs, (1, nloc * dim)).ravel()
-    A = sparse.coo_matrix((A_loc.ravel(), (ii, jj)),
-                          shape=(dofmap.n_disp, dofmap.n_disp)).tocsr()
+    loc_dofs = dof_indices(
+        np.column_stack([mesh.elements, N + np.arange(E)]), dim)
+    A = scatter_blocks([(A_loc, loc_dofs, loc_dofs)],
+                       (dofmap.n_disp, dofmap.n_disp))
 
     # pressure coupling int q div u, pressure mass int p q
     B_loc = np.einsum("tqi,tqjc,q,t->tijc", lam, gradtab, rule.weights, meas)
-    rows = np.repeat(mesh.elements, nloc * dim, axis=1).ravel()
-    cols = np.tile(loc_dofs, (1, dim + 1)).ravel()
-    B = sparse.coo_matrix(
-        (B_loc.reshape(E, -1).ravel(), (rows, cols)), shape=(N, dofmap.n_disp)
-    ).tocsr()
-
+    B = scatter_blocks([(B_loc.reshape(E, dim + 1, -1), mesh.elements,
+                         loc_dofs)], (N, dofmap.n_disp))
     M_loc = np.einsum("tqi,tqj,q,t->tij", lam, lam, rule.weights, meas)
-    mi = np.repeat(mesh.elements, dim + 1, axis=1).ravel()
-    mj = np.tile(mesh.elements, (1, dim + 1)).ravel()
-    C = sparse.coo_matrix((M_loc.ravel(), (mi, mj)), shape=(N, N)).tocsr()
+    C = scatter_blocks([(M_loc, mesh.elements, mesh.elements)], (N, N))
     return OperatorBundle("mini", True, dofmap, mat, A, B, C, "element",
                           "power")

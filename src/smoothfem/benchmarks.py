@@ -180,6 +180,11 @@ class ScenarioConfig:
         self.kappa = tuple(float(k) for k in self.kappa)
         if any(k <= 0.0 for k in self.kappa):
             raise ValueError("bulk moduli must be positive")
+        # the sweep keys results by value, so a repeat would overwrite its twin
+        for name in ("methods", "meshes", "kappa"):
+            values = getattr(self, name)
+            if len(set(values)) != len(values):
+                raise ValueError(f"repeated {name} values in {values}")
         if self.steps < 1:
             raise ValueError("need at least one load step")
         if not 0.0 <= self.distort < 1.0:

@@ -148,10 +148,16 @@ def _report_scenario(config, reports, summary, stream):
     failures = summary.get("failures", [])
     details = {f"{r.method}/{r.mesh_id}": r.extra.get("error", "")
                for r in reports if r.extra.get("status") == "failed"}
+    # pressure profiles run on their own mesh and have no report row
+    mesh = summary.get("profile", {}).get("mesh")
+    profiles = {f"{m}/{mesh}": why
+                for m, why in summary.get("profile_errors", {}).items()}
     for cell in failures:
-        print(f"failed cell {cell}: {details.get(cell, '')}", file=stream)
+        kind = "profile" if cell in profiles else "cell"
+        why = profiles.get(cell, details.get(cell, ""))
+        print(f"failed {kind} {cell}: {why}", file=stream)
     n_bad = sum(1 for c in checks.values() if not c["passed"])
-    print(f"{len(reports)} cells, {len(failures)} failed; "
+    print(f"{len(reports)} cells, {len(failures) - len(profiles)} failed; "
           f"{len(checks)} checks, {n_bad} failed", file=stream)
     return not failures and n_bad == 0
 

@@ -12,11 +12,9 @@ plane stretch is one).
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import sparse
 from scipy.sparse import linalg as spla
 
-_VOIGT_PAIRS = {2: ((0, 0), (1, 1), (0, 1)),
-                3: ((0, 0), (1, 1), (2, 2), (0, 1), (1, 2), (2, 0))}
+from .assembly import VOIGT_PAIRS, dof_indices, scatter_blocks, strain_matrix
 
 
 @dataclass(frozen=True)
@@ -82,14 +80,11 @@ def material_tangent(C, params):
     return params.lam * outer + g * sym
 
 
-def _voigt_tangent(C, params):
-    """Tangent as a Voigt matrix (nv, nv) matching engineering strain rows."""
-    d = C.shape[-1]
-    pairs = _VOIGT_PAIRS[d]
-    pi = np.array([p[0] for p in pairs])
-    pj = np.array([p[1] for p in pairs])
-    Ci = np.linalg.inv(C)
-    g = params.mu - params.lam * _log_J(C)
+def _voigt_tangent(Ci, lnJ, params):
+    """Tangent as a Voigt matrix (nv, nv) matching engineering strain rows,
+    from the inverse metric C^-1 and ln J of each domain."""
+    pi, pj = np.array(VOIGT_PAIRS[Ci.shape[-1]]).T
+    g = params.mu - params.lam * lnJ
     CiV = Ci[:, pi, pj]
     term = params.lam * CiV[:, :, None] * CiV[:, None, :]
     term += g[:, None, None] * (
@@ -132,29 +127,17 @@ class SmoothedHyperProblem:
         self._groups = self._gather_groups(disc.gradient_ops(kind, bubble))
 
     def _gather_groups(self, G):
+        # every G_c shares one CSR structure: build_smoothed_gradient fills
+        # them from the same coordinate list
         dim = self.disc.dim
-        Gc = [g.tocsr() for g in G]
-        pattern = (Gc[0] != 0).astype(np.int8)
-        for g in Gc[1:]:
-            pattern = pattern + (g != 0).astype(np.int8)
-        pattern = pattern.tocsr()
-        pattern.sort_indices()
-        counts = np.diff(pattern.indptr)
+        counts = np.diff(G[0].indptr)
         groups = []
         for n in np.unique(counts):
             rows = np.flatnonzero(counts == n)
-            cols = pattern.indices[
-                (pattern.indptr[rows][:, None] + np.arange(n)).ravel()
-            ].reshape(len(rows), n)
-            grad = np.zeros((len(rows), n, dim))
-            for c in range(dim):
-                M = Gc[c][rows]
-                rep = np.repeat(np.arange(len(rows)), np.diff(M.indptr))
-                pos = (cols[rep] == M.indices[:, None]).argmax(axis=1)
-                grad[rep, pos, c] = M.data
-            dofs = (cols[:, :, None] * dim
-                    + np.arange(dim)).reshape(len(rows), n * dim)
-            groups.append((rows, cols, grad, dofs))
+            pos = G[0].indptr[rows][:, None] + np.arange(n)
+            cols = G[0].indices[pos]
+            grad = np.stack([g.data[pos] for g in G], axis=-1)
+            groups.append((rows, cols, grad, dof_indices(cols, dim)))
         return groups
 
     def state(self, u):
@@ -175,75 +158,48 @@ class SmoothedHyperProblem:
             raise _Inverted("deformation inverted on a smoothing domain")
         return float(self.measures @ strain_energy(state.C, self.params))
 
-    def residual_tangent(self, u, tangent=True, noise=False):
-        """Internal force vector and (optionally) the consistent tangent.
+    def residual_tangent(self, u):
+        """Internal force vector, consistent tangent and a roundoff bound.
 
-        With ``noise=True`` a third array is returned: a per-dof bound on
-        the roundoff carried by the assembled force.  The stress is a
-        near-cancellation of terms of magnitude (mu + |lam| (1 + |ln J|))
-        times the inverse metric, so its absolute accuracy is machine
-        epsilon at that scale no matter how converged the displacement is;
-        the bound contracts those magnitudes through |Bn| exactly like the
-        force itself.  Raises _Inverted when any smoothing domain reaches
-        J <= 0.
+        Returns (R, K, noise).  ``noise`` is a per-dof bound on the roundoff
+        carried by the assembled force: the stress is a near-cancellation
+        of terms of magnitude (mu + |lam| (1 + |ln J|)) times the inverse
+        metric, so its absolute accuracy is machine epsilon at that scale
+        no matter how converged the displacement is; the bound contracts
+        those magnitudes through |Bn| exactly like the force itself.
+        Raises _Inverted when any smoothing domain reaches J <= 0.
         """
         dim = self.disc.dim
-        pairs = _VOIGT_PAIRS[dim]
-        vals = np.asarray(u, float).reshape(-1, dim)
+        state = self.state(u)
+        if state.J.min() <= 0.0:
+            raise _Inverted("deformation inverted on a smoothing domain")
+        Ci, lnJ = np.linalg.inv(state.C), _log_J(state.C)
+        S = pk2_stress(state.C, self.params)
+        pi, pj = np.array(VOIGT_PAIRS[dim]).T
+        Sv = S[:, pi, pj]
+        M = _voigt_tangent(Ci, lnJ, self.params)
+        mu, lam = self.params.mu, self.params.lam
+        s_scale = ((mu + abs(lam) * (1.0 + np.abs(lnJ)))
+                   * np.linalg.norm(Ci, axis=(1, 2)))
         R = np.zeros(self.dofmap.n_disp)
-        noise_vec = np.zeros(self.dofmap.n_disp) if noise else None
-        data, rows_ix, cols_ix = [], [], []
+        noise = np.zeros(self.dofmap.n_disp)
+        blocks = []
         eye = np.eye(dim)
 
-        for rows, cols, grad, dofs in self._groups:
+        for rows, _, grad, dofs in self._groups:
             m = self.measures[rows]
-            H = np.einsum("tar,tac->trc", vals[cols], grad)
-            F = H + eye
-            J = np.linalg.det(F)
-            if J.min() <= 0.0:
-                raise _Inverted("deformation inverted on a smoothing domain")
-            C = np.einsum("tri,trj->tij", F, F)
-            S = pk2_stress(C, self.params)
+            Bn = strain_matrix(grad, state.F[rows])
+            np.add.at(R, dofs, np.einsum("t,tvx,tv->tx", m, Bn, Sv[rows]))
+            np.add.at(noise, dofs,
+                      np.einsum("t,tvx->tx", m * s_scale[rows], np.abs(Bn)))
+            K_loc = np.einsum("t,tvx,tvw,twy->txy", m, Bn, M[rows], Bn)
+            A = np.einsum("t,tai,tij,tbj->tab", m, grad, S[rows], grad)
+            K_loc += (A[:, :, None, :, None]
+                      * eye[None, None, :, None, :]).reshape(K_loc.shape)
+            blocks.append((K_loc, dofs, dofs))
 
-            D, n = grad.shape[:2]
-            Bn = np.empty((D, len(pairs), n, dim))
-            for v, (i, j) in enumerate(pairs):
-                Bn[:, v] = grad[:, :, j, None] * F[:, None, :, i]
-                if i != j:
-                    Bn[:, v] += grad[:, :, i, None] * F[:, None, :, j]
-            Bn = Bn.reshape(D, len(pairs), n * dim)
-
-            pi = [p[0] for p in pairs]
-            pj = [p[1] for p in pairs]
-            Sv = S[:, pi, pj]
-            np.add.at(R, dofs, np.einsum("t,tvx,tv->tx", m, Bn, Sv))
-
-            if noise:
-                lnJ = _log_J(C)
-                s_scale = ((self.params.mu
-                            + abs(self.params.lam) * (1.0 + np.abs(lnJ)))
-                           * np.linalg.norm(np.linalg.inv(C), axis=(1, 2)))
-                np.add.at(noise_vec, dofs,
-                          np.einsum("t,tvx->tx", m * s_scale, np.abs(Bn)))
-
-            if tangent:
-                M = _voigt_tangent(C, self.params)
-                K_loc = np.einsum("t,tvx,tvw,twy->txy", m, Bn, M, Bn)
-                A = np.einsum("t,tai,tij,tbj->tab", m, grad, S, grad)
-                K_loc += (A[:, :, None, :, None]
-                          * eye[None, None, :, None, :]).reshape(K_loc.shape)
-                nd = n * dim
-                rows_ix.append(np.repeat(dofs, nd, axis=1).ravel())
-                cols_ix.append(np.tile(dofs, (1, nd)).ravel())
-                data.append(K_loc.ravel())
-
-        if not tangent:
-            return (R, None, noise_vec) if noise else (R, None)
-        K = sparse.coo_matrix(
-            (np.concatenate(data),
-             (np.concatenate(rows_ix), np.concatenate(cols_ix))),
-            shape=(self.dofmap.n_disp, self.dofmap.n_disp)).tocsr()
-        return (R, K, noise_vec) if noise else (R, K)
+        n = self.dofmap.n_disp
+        return R, scatter_blocks(blocks, (n, n)), noise
 
 
 class _StepFailure(Exception):
@@ -255,7 +211,7 @@ class _StepFailure(Exception):
 
 
 # multiple of machine epsilon granted to the assembly noise bound when
-# testing convergence; see SmoothedHyperProblem.residual_tangent(noise=True)
+# testing convergence; see SmoothedHyperProblem.residual_tangent
 _NOISE_FACTOR = 16.0
 
 
@@ -265,7 +221,7 @@ def _newton(problem, u0, load, free, tol, max_iter):
     residuals = []
     for it in range(max_iter):
         try:
-            R, K, noise = problem.residual_tangent(u, noise=True)
+            R, K, noise = problem.residual_tangent(u)
         except _Inverted:
             raise _StepFailure(residuals)
         r = R - load

@@ -24,11 +24,11 @@ from .basis import affine_maps, bubble_gradient, bubble_value
 from .quadrature import boundary_quadrature, simplex_quadrature
 
 
-def _facet_normals(pts):
-    """Outward unit normals and measures of oriented facets.
+def facet_normals(pts):
+    """Unit normals and measures of flat facets, oriented by vertex order.
 
-    pts is (F, d, dim): segment endpoints (2D) or triangle vertices (3D),
-    ordered outward by the owning micro-cell's facet pattern.
+    pts is (F, d, dim): segment endpoints (2D) or triangle vertices (3D);
+    the micro-cell facet patterns order them outward from the owning cell.
     """
     if pts.shape[2] == 2:
         t = pts[:, 1, :] - pts[:, 0, :]
@@ -80,7 +80,7 @@ def build_smoothed_gradient(mesh, micro, domains, bubble=None, frames=None):
     frames = frames or ElementFrames(mesh)
 
     fpts = micro.points[domains.facet_pts]          # (F, d, dim)
-    normals, areas = _facet_normals(fpts)
+    normals, areas = facet_normals(fpts)
     felem = micro.cell_elem[domains.facet_cell]     # (F,)
     fdom = np.repeat(np.arange(domains.n_domains), np.diff(domains.facet_ptr))
 

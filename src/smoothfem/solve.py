@@ -170,7 +170,9 @@ def solve_bundle(bundle, f, fixed, path="auto", values=None):
 
     ``path`` is 'mixed', 'condensed', or 'auto' (mixed for saddle methods).
     Displacement baselines always use the condensed branch, and every method
-    reports a nodal/cell pressure through its recovery operators.
+    reports a nodal/cell pressure through its recovery operators.  MINI's
+    continuous pressure cannot be condensed: ``bundle.condensed()`` raises
+    ValueError on the 'condensed' path.
     """
     lam = bundle.mat.lam
     if bundle.mixed and path in ("auto", "mixed"):
@@ -181,12 +183,7 @@ def solve_bundle(bundle, f, fixed, path="auto", values=None):
                                            lam, f, fixed, values)
     else:
         u, info = solve_condensed(bundle.condensed(), f, fixed, values)
-        if isinstance(bundle.C, np.ndarray):
-            p = recover_pressure(bundle.B, bundle.C, lam, u)
-        else:
-            # continuous-pressure mass (MINI): projected recovery
-            p = spla.spsolve(bundle.C.tocsc(), lam * (bundle.B @ u))
-        info = dict(info)
+        p = recover_pressure(bundle.B, bundle.C, lam, u)
     info["method"] = bundle.method
     return SolutionField(bundle.method, u, p, info)
 

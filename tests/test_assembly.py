@@ -11,6 +11,7 @@ import pytest
 from scipy import sparse
 
 from smoothfem.assembly import (
+    VOIGT_PAIRS,
     Discretization,
     MaterialParams,
     apply_dirichlet,
@@ -21,9 +22,13 @@ from smoothfem.assembly import (
     assemble_plain_B,
     canonical_method,
     dirichlet_dofs,
+    divergence_operator,
     expand_solution,
     full_elastic_matrix,
+    strain_matrix,
+    strain_rows,
 )
+from smoothfem.hyperelastic import NeoHookeanParams, SmoothedHyperProblem
 from smoothfem.mesh import (
     PrimalMesh,
     distort_mesh,
@@ -161,6 +166,57 @@ def test_bubble_columns_3d_single_constant(bubble, expected, disc_3d):
     ratios = S[keep] / P[keep]
     assert ratios.max() - ratios.min() < 1e-8 * max(1.0, abs(ratios.mean()))
     np.testing.assert_allclose(ratios, expected, rtol=1e-10)
+
+
+@pytest.mark.parametrize("which", ["2d", "3d"])
+def test_strain_rows_equal_kron_expansion(which, disc_2d, disc_3d):
+    """Moving scalar column j to j * dim + c is the Kronecker product with
+    the unit row e_c, entry for entry and in the same CSR layout."""
+    disc = disc_2d if which == "2d" else disc_3d
+    dim = disc.dim
+    G = disc.gradient_ops(disc.smoothing_kind(), "hat")
+
+    def kron(g, c):
+        return sparse.kron(g, sparse.eye(1, dim, c), format="csr")
+
+    expected = [kron(G[j], i) + kron(G[i], j) if i != j else kron(G[i], i)
+                for i, j in VOIGT_PAIRS[dim]]
+    div = kron(G[0], 0)
+    for c in range(1, dim):
+        div = div + kron(G[c], c)
+    expected.append(div)
+    got = strain_rows(G, dim) + [divergence_operator(G, dim)]
+    for mine, ref in zip(got, expected, strict=True):
+        for name in ("data", "indices", "indptr"):
+            np.testing.assert_array_equal(getattr(mine, name),
+                                          getattr(ref, name))
+
+
+@pytest.mark.parametrize("which", ["2d", "3d"])
+def test_dense_and_sparse_strain_builders_agree(which, disc_2d, disc_3d):
+    """The dense strain_matrix (MINI, Newton) and the sparse strain_rows
+    (smoothed operators, energy norm) give the same domain strains."""
+    disc = disc_2d if which == "2d" else disc_3d
+    dim = disc.dim
+    G = disc.gradient_ops(disc.smoothing_kind(), "power")
+    # the Newton groups read every component through G[0]'s structure
+    for g in G[1:]:
+        np.testing.assert_array_equal(g.indptr, G[0].indptr)
+        np.testing.assert_array_equal(g.indices, G[0].indices)
+    problem = SmoothedHyperProblem(disc, NeoHookeanParams(0.6, 10.0))
+    u = RNG.standard_normal(problem.dofmap.n_disp)
+    eps_sparse = np.stack([R @ u for R in strain_rows(G, dim)], axis=-1)
+    scale = np.abs(eps_sparse).max()
+    covered = 0
+    for rows, _, grad, dofs in problem._groups:
+        B = strain_matrix(grad)
+        assert B.shape == (len(rows), 3 * dim - 3, grad.shape[1] * dim)
+        eye = np.broadcast_to(np.eye(dim), (len(rows), dim, dim))
+        np.testing.assert_array_equal(strain_matrix(grad, eye), B)
+        eps_dense = np.einsum("tvx,tx->tv", B, u[dofs])
+        assert np.abs(eps_dense - eps_sparse[rows]).max() <= 1e-13 * scale
+        covered += len(rows)
+    assert covered == problem.n_domains
 
 
 def test_fem_t3_matches_textbook_stiffness():

@@ -55,6 +55,8 @@ def test_make_config_overrides_and_none_passthrough():
     ({"methods": ("bfs-fem",)}, "not defined"),
     ({"distort": 1.5}, "distortion"),
     ({"pattern": "random"}, "pattern"),
+    ({"meshes": (2, 2, 4)}, "repeated meshes"),
+    ({"methods": ("bes-fem", "bes")}, "repeated methods"),
 ])
 def test_config_validation_cook(kwargs, match):
     with pytest.raises(ValueError, match=match):
@@ -72,6 +74,9 @@ def test_config_validation_scenario_specific():
         make_config("infsup", methods=("mini",))
     with pytest.raises(ValueError, match="bulk"):
         make_config("cook-neohookean", kappa=(-1.0,))
+    with pytest.raises(ValueError, match="repeated kappa"):
+        make_config("cook-neohookean", meshes=(2,), kappa=(1.95, 1.95),
+                    steps=2)
 
 
 @pytest.mark.parametrize("scenario", SCENARIOS)
@@ -177,6 +182,22 @@ def test_cli_reports_failed_cells_nonzero(monkeypatch, capsys, tmp_path):
     assert "failed cell fem-t3/2" in text and "synthetic breakdown" in text
     body = (tmp_path / "cook.csv").read_text()
     assert "nan" in body  # the failed cell still produced a row
+
+
+def test_cli_reports_profile_failure_reason(monkeypatch, capsys):
+    def breaking(*args, **kwargs):
+        raise RuntimeError("synthetic profile breakdown")
+
+    monkeypatch.setattr(benchmarks, "pressure_profile", breaking)
+    code = main(["run", "cook", "--methods", "bes-fem,ns-fem", "--meshes",
+                 "2"])
+    assert code == 1
+    text = capsys.readouterr().out
+    for method in ("bes-fem", "ns-fem"):
+        assert (f"failed profile {method}/8x16: RuntimeError: synthetic "
+                "profile breakdown") in text
+    assert "failed cell" not in text
+    assert "2 cells, 0 failed;" in text  # both report rows are ok
 
 
 def test_format_table_and_checks():

@@ -133,7 +133,7 @@ def test_tangent_matches_stress_derivative():
 
 def test_zero_state_matches_linear_stiffness(disc):
     problem = SmoothedHyperProblem(disc, PARAMS)
-    R, K = problem.residual_tangent(np.zeros(problem.dofmap.n_disp))
+    R, K, _ = problem.residual_tangent(np.zeros(problem.dofmap.n_disp))
     assert np.abs(R).max() == 0.0
 
     G = disc.gradient_ops("edge", "power")
@@ -153,7 +153,7 @@ def test_rigid_rotation_gives_zero_residual(disc):
     vals = np.zeros((dofmap.n_scalar, 2))
     vals[:disc.mesh.n_nodes] = disc.mesh.nodes @ (Q - np.eye(2)).T
     problem = SmoothedHyperProblem(disc, PARAMS)
-    R, _ = problem.residual_tangent(vals.ravel(), tangent=False)
+    R, _, _ = problem.residual_tangent(vals.ravel())
     state = problem.state(vals.ravel())
     np.testing.assert_allclose(state.J, 1.0, rtol=1e-12)
     assert np.abs(R).max() <= 1e-10 * PARAMS.mu
@@ -176,14 +176,14 @@ def test_global_tangent_matches_fd_residual(disc):
     problem = SmoothedHyperProblem(disc, PARAMS)
     rng = np.random.default_rng(13)
     u = 1e-2 * rng.standard_normal(problem.dofmap.n_disp)
-    _, K = problem.residual_tangent(u)
+    _, K, _ = problem.residual_tangent(u)
     h = 1e-6
     scale = np.abs(K.data).max()
     for dof in rng.choice(problem.dofmap.n_disp, size=8, replace=False):
         e = np.zeros(problem.dofmap.n_disp)
         e[dof] = h
-        Rp, _ = problem.residual_tangent(u + e, tangent=False)
-        Rm, _ = problem.residual_tangent(u - e, tangent=False)
+        Rp, _, _ = problem.residual_tangent(u + e)
+        Rm, _, _ = problem.residual_tangent(u - e)
         col = (Rp - Rm) / (2.0 * h)
         dense = np.asarray(K[:, dof].todense()).ravel()
         assert np.abs(col - dense).max() <= 1e-5 * scale

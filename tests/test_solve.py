@@ -109,6 +109,14 @@ def test_mixed_equals_condensed(nu):
     assert dp < 1e-9
 
 
+def test_mini_has_no_condensed_path():
+    """MINI's continuous pressure mass cannot be eliminated exactly."""
+    disc = Discretization(generate_cook(2))
+    bundle, f, fixed = cook_problem(disc, "mini", 0.4999)
+    with pytest.raises(ValueError, match="diagonal pressure mass"):
+        solve_bundle(bundle, f, fixed, path="condensed")
+
+
 def test_pressure_recovery_identity():
     disc = Discretization(generate_cook(3))
     bundle, f, fixed = cook_problem(disc, "bes-fem", 0.4999)
