@@ -270,6 +270,21 @@ def _fail_cell(report, exc, failures):
     failures.append(f"{report.method}/{report.mesh_id}")
 
 
+def format_bound(check):
+    """A recorded check's comparison as text, e.g. '0.3 <= 1e-10'."""
+    bound = f"{check['value']:.6g} {check['op']} {check['threshold']:.6g}"
+    if "tol" in check:
+        bound += f" (tol {check['tol']:g})"
+    return bound
+
+
+def _fail_check(report, check, failures):
+    """Fail a property row whose check did not hold, stating the bound."""
+    report.extra["status"] = "failed"
+    report.extra["error"] = f"check failed: {format_bound(check)}"
+    failures.append(f"{report.method}/{report.mesh_id}")
+
+
 def _sweep(config, mesh_of, cell, keys=None, row=None):
     """Solve every cell of a scenario over its mesh series.
 
@@ -847,8 +862,7 @@ def run_lemma_checks(config, data, checks):
             _add_check(checks, name, value, op, entry["value"],
                        entry["source"], tol=entry.get("tol"))
             if not checks[name]["passed"]:
-                report.extra["status"] = "failed"
-                failures.append(f"property/{name}")
+                _fail_check(report, checks[name], failures)
         except Exception as exc:
             _fail_cell(report, exc, failures)
             _add_check(checks, name, float("nan"), op, entry["value"],
@@ -892,8 +906,7 @@ def run_lemma_checks(config, data, checks):
                        entry["source"])
             checks[name]["expected_constant"] = expected
             if not checks[name]["passed"]:
-                report.extra["status"] = "failed"
-                failures.append(f"property/{name}")
+                _fail_check(report, checks[name], failures)
         except Exception as exc:
             _fail_cell(report, exc, failures)
             _add_check(checks, name, float("nan"), "<=", entry["tol"],

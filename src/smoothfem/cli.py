@@ -31,7 +31,7 @@ import os
 import sys
 
 from .analysis import CSV_COLUMNS, reports_to_csv, reports_to_json
-from .benchmarks import SCENARIOS, make_config, run_scenario
+from .benchmarks import SCENARIOS, format_bound, make_config, run_scenario
 
 
 def _parse_names(text):
@@ -131,10 +131,8 @@ def format_checks(checks):
     lines = []
     for name, c in checks.items():
         verdict = "PASS" if c["passed"] else "FAIL"
-        bound = f"{c['value']:.6g} {c['op']} {_cell(float(c['threshold']))}"
-        if "tol" in c:
-            bound += f" (tol {c['tol']:g})"
-        lines.append(f"check {name}: {bound} [{c['source']}] {verdict}")
+        lines.append(f"check {name}: {format_bound(c)} [{c['source']}] "
+                     f"{verdict}")
     return lines
 
 

@@ -200,6 +200,25 @@ def test_cli_reports_profile_failure_reason(monkeypatch, capsys):
     assert "2 cells, 0 failed;" in text  # both report rows are ok
 
 
+def test_cli_reports_failed_property_bound(monkeypatch, capsys, tmp_path):
+    """A lemma property that misses its bound without raising still says
+    why its row failed."""
+    monkeypatch.setattr(benchmarks, "vertex_column_defect",
+                        lambda *args: 1.0)
+    code = main(["run", "lemma-checks", "--out", str(tmp_path)])
+    assert code == 1
+    text = capsys.readouterr().out
+    reason = "check failed: 1 <= 1e-12"
+    assert f"failed cell property/vertex-columns: {reason}\n" in text
+    assert "1 failed; 10 checks, 1 failed" in text
+    reports, summary = reports_from_json(
+        (tmp_path / "lemma-checks.json").read_text())
+    assert summary["failures"] == ["property/vertex-columns"]
+    failed = [r for r in reports if r.extra["status"] != "ok"]
+    assert [(r.mesh_id, r.extra["error"]) for r in failed] == [
+        ("vertex-columns", reason)]
+
+
 def test_format_table_and_checks():
     reports, summary = run_scenario(make_config("cook", methods=("bes-fem",),
                                                 meshes=(2,)))
