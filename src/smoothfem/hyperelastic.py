@@ -15,7 +15,6 @@ import numpy as np
 from scipy.sparse import linalg as spla
 
 from .assembly import VOIGT_PAIRS, dof_indices, scatter_blocks, strain_matrix
-from .solve import SQD_OPTIONS
 
 
 @dataclass(frozen=True)
@@ -216,31 +215,6 @@ class _StepFailure(Exception):
 _NOISE_FACTOR = 16.0
 
 
-def _tangent_step(K, rhs):
-    """Solve K du = rhs for the free-dof tangent, or return None.
-
-    The tangent is symmetric and, away from instability, positive definite,
-    so it is factored with the unpivoted ``SQD_OPTIONS`` first.  Once it
-    loses definiteness that factor can break down silently, so a failed
-    factorization, a non-finite update or a residual above 1e-6 relative
-    (about 1e-9 at worst on healthy tangents) falls back to COLAMD with
-    partial pivoting.  None means that fallback failed too (an exactly
-    singular tangent).
-    """
-    try:
-        du = spla.splu(K, **SQD_OPTIONS).solve(rhs)
-        if (np.all(np.isfinite(du)) and np.linalg.norm(K @ du - rhs)
-                <= 1e-6 * np.linalg.norm(rhs)):
-            return du
-    except RuntimeError:
-        pass
-    try:
-        du = spla.splu(K).solve(rhs)
-    except RuntimeError:
-        return None
-    return du if np.all(np.isfinite(du)) else None
-
-
 def _newton(problem, u0, load, free, tol, max_iter):
     u = u0.copy()
     scale = np.linalg.norm(load[free]) or 1.0
@@ -261,8 +235,11 @@ def _newton(problem, u0, load, free, tol, max_iter):
         if rn <= tol or rabs <= floor:
             return u, {"iterations": it, "residuals": residuals,
                        "floor_limited": rn > tol}
-        du = _tangent_step(K[free][:, free].tocsc(), -r[free])
-        if du is None:
+        try:
+            du = spla.splu(K[free][:, free].tocsc()).solve(-r[free])
+        except RuntimeError:   # exactly singular tangent
+            raise _StepFailure(residuals)
+        if not np.all(np.isfinite(du)):
             raise _StepFailure(residuals)
         u[free] += du
     raise _StepFailure(residuals)

@@ -13,13 +13,11 @@ A is positive definite once the Dirichlet rows are gone and C is a positive
 pressure mass, so it factors stably under any symmetric permutation without
 pivoting (Vanderbei, SIAM J. Optim. 5, 1995).  ``solve_mixed`` therefore
 factors it in SuperLU's symmetric mode with a minimum-degree ordering of
-A' + A (``SQD_OPTIONS``, also used for the Newton tangent), and refactors
-with the default COLAMD ordering and partial pivoting only when that
-factorization or its refinement fails.  The condensed paths keep COLAMD:
-refinement stops at a 1e-15 residual of an ill-conditioned K, so their
-outputs carry ordering-dependent rounding (1e-8 relative in the ns-fem
-pressure error on the pipe).  The inf-sup Gram solve, a small share of
-that measurement, keeps it as well.
+A' + A (``SQD_OPTIONS``).  The condensed paths keep the default COLAMD
+ordering with partial pivoting: refinement stops at a 1e-15 residual of an
+ill-conditioned K, so their outputs carry ordering-dependent rounding (1e-8
+relative in the ns-fem pressure error on the pipe).  The inf-sup Gram
+solve, a small share of that measurement, keeps it as well.
 """
 
 from dataclasses import dataclass, field
@@ -51,9 +49,9 @@ SQD_OPTIONS = {"permc_spec": "MMD_AT_PLUS_A", "diag_pivot_thresh": 0.0,
                "options": {"SymmetricMode": True}}
 
 
-def _factorize(M, options=None):
+def _factorize(M, **options):
     try:
-        return spla.splu(M.tocsc(), **(options or {}))
+        return spla.splu(M.tocsc(), **options)
     except RuntimeError as exc:
         raise RuntimeError(_SINGULAR_MSG) from exc
 
@@ -111,8 +109,7 @@ def solve_condensed(K, f, fixed, values=None):
     x, resid = _refine(lu, lambda v: K_l @ v, f_red.astype(np.longdouble),
                        len(free))
     u = expand_solution(np.asarray(x, float), free, K.shape[0], fixed, values)
-    return u, {"path": "condensed", "residual": resid, "n_free": len(free),
-               "ordering": "colamd", "fill": lu.nnz}
+    return u, {"path": "condensed", "residual": resid, "n_free": len(free)}
 
 
 def solve_condensed_split(A, B, C_diag, lam, f, fixed, values=None):
@@ -149,18 +146,14 @@ def solve_condensed_split(A, B, C_diag, lam, f, fixed, values=None):
     # cannot carry it to full relative accuracy
     p = np.asarray(w_l * (B_l @ u_full), float)
     u = np.asarray(u_full, float)
-    return u, p, {"path": "condensed", "residual": resid, "n_free": len(free),
-                  "ordering": "colamd", "fill": lu.nnz}
+    return u, p, {"path": "condensed", "residual": resid, "n_free": len(free)}
 
 
 def solve_mixed(A, B, C, lam, f, fixed, values=None):
     """Solve the scaled saddle system for displacement and pressure.
 
     C may be a diagonal vector (smoothed pairs) or a sparse pressure mass
-    (MINI).  Returns (u, p, info) with the pressure unscaled.  The matrix
-    is factored with ``SQD_OPTIONS``; if that factorization or its
-    refinement fails, it is refactored once with COLAMD, and
-    ``info["ordering"]`` says which factor produced the solution.
+    (MINI).  Returns (u, p, info) with the pressure unscaled.
     """
     n_disp = A.shape[0]
     A_red, f_red, free = apply_dirichlet(A, f, fixed, values)
@@ -173,21 +166,14 @@ def solve_mixed(A, B, C, lam, f, fixed, values=None):
     C_mat = sparse.diags(C) if isinstance(C, np.ndarray) else C
     M = sparse.bmat([[A_red, s * B_red.T], [s * B_red, -C_mat]], format="csc")
     rhs = np.concatenate([f_red, s * extra])
+    lu = _factorize(M, **SQD_OPTIONS)
     M_l = M.astype(np.longdouble).tocsr()
-    rhs_l = rhs.astype(np.longdouble)
-    for ordering, options in (("sqd", SQD_OPTIONS), ("colamd", None)):
-        try:
-            lu = _factorize(M, options)
-            x, resid = _refine(lu, lambda v: M_l @ v, rhs_l, M.shape[0])
-            break
-        except RuntimeError:
-            if options is None:
-                raise
+    x, resid = _refine(lu, lambda v: M_l @ v, rhs.astype(np.longdouble),
+                       M.shape[0])
     u = expand_solution(np.asarray(x[: len(free)], float), free, n_disp,
                         fixed, values)
     p = np.asarray(s * x[len(free):], float)
-    return u, p, {"path": "mixed", "residual": resid, "n_free": len(free),
-                  "ordering": ordering, "fill": lu.nnz}
+    return u, p, {"path": "mixed", "residual": resid, "n_free": len(free)}
 
 
 def recover_pressure(B, C_diag, lam, u):
@@ -202,9 +188,7 @@ def solve_bundle(bundle, f, fixed, path="auto", values=None):
     Displacement baselines always use the condensed branch, and every method
     reports a nodal/cell pressure through its recovery operators.  MINI's
     continuous pressure cannot be condensed: ``bundle.condensed()`` raises
-    ValueError on the 'condensed' path.  ``info`` records the solve:
-    ``path``, refined ``residual``, ``n_free``, the factor's ``ordering``
-    ('sqd' or 'colamd') and its ``fill`` (SuperLU's stored L + U nonzeros).
+    ValueError on the 'condensed' path.
     """
     lam = bundle.mat.lam
     if bundle.mixed and path in ("auto", "mixed"):
