@@ -13,7 +13,6 @@ from .mesh import (
     build_topology,
     distort_mesh,
     generate_annulus,
-    generate_benchmark_mesh,
     generate_block,
     generate_cook,
 )
@@ -27,7 +26,7 @@ from .dualmesh import (
     mesh_size,
 )
 from .quadrature import QuadratureRule, boundary_quadrature, simplex_quadrature
-from .basis import bubble_normalization, bubble_value, bubble_gradient
+from .basis import bubble_value, bubble_gradient
 from .smoothing import build_smoothed_gradient, volume_average_gradient
 from .assembly import (
     METHODS,
@@ -78,7 +77,6 @@ __all__ = [
     "build_topology",
     "distort_mesh",
     "generate_annulus",
-    "generate_benchmark_mesh",
     "generate_block",
     "generate_cook",
     "MicroCellDecomposition",
@@ -91,7 +89,6 @@ __all__ = [
     "QuadratureRule",
     "boundary_quadrature",
     "simplex_quadrature",
-    "bubble_normalization",
     "bubble_value",
     "bubble_gradient",
     "build_smoothed_gradient",

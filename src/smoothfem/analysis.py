@@ -160,22 +160,6 @@ def characteristic_h(disc):
     return mesh_size(disc.micro, [disc.domains(kind), disc.domains("node")])
 
 
-def microcell_quadrature(disc, degree=4):
-    """Volume quadrature over every micro-cell of a discretization.
-
-    Returns (X, w, elem, lam): physical points (M, Q, d), weights (M, Q)
-    that already include the micro-cell measures, owning elements (M,), and
-    barycentric coordinates (M, Q, d+1) in the owning element.
-    """
-    micro = disc.micro
-    rule = simplex_quadrature(disc.dim, degree)
-    corners = micro.points[micro.cells]
-    X = np.einsum("qi,kid->kqd", rule.points, corners)
-    w = micro.measures[:, None] * rule.weights[None, :]
-    lam = disc.frames.barycentric(micro.cell_elem, X)
-    return X, w, micro.cell_elem, lam
-
-
 def displacement_values(disc, dofmap, u, lam, elem, bubble="power"):
     """Evaluate a discrete displacement at batched barycentric points.
 
@@ -198,7 +182,8 @@ def error_displacement(disc, dofmap, u, exact, bubble="power"):
     partition each element, so piecewise-linear bubbles are integrated
     exactly.
     """
-    X, w, elem, lam = microcell_quadrature(disc)
+    X, w, lam = disc.quadrature()
+    elem = disc.micro.cell_elem
     diff = displacement_values(disc, dofmap, u, lam, elem, bubble) - exact(X)
     return float(np.sqrt(np.einsum("kq,kqd,kqd->", w, diff, diff)))
 
@@ -209,9 +194,10 @@ def error_pressure(disc, p, exact, continuous=False):
     ``p`` holds one value per mesh vertex: cell constants by default, or a
     continuous P1 field (MINI) with ``continuous=True``.
     """
-    X, w, elem, lam = microcell_quadrature(disc)
+    X, w, lam = disc.quadrature()
     p = np.asarray(p, float)
     if continuous:
+        elem = disc.micro.cell_elem
         ph = np.einsum("kqi,ki->kq", lam, p[disc.mesh.elements[elem]])
     else:
         ph = np.broadcast_to(p[disc.micro.cell_node][:, None], w.shape)
@@ -245,31 +231,35 @@ def error_energy(disc, method, u, p, exact, mat, bubble="power"):
     return _energy_stress(disc, method, u, exact, mat)
 
 
+def _strain_defect(disc, kind, G, u, exact):
+    """Exact minus domain-averaged strain at the micro-cell points.
+
+    Returns (X, w, dom, diff): the cached quadrature's points and weights,
+    each micro-cell's domain in ``kind``, and the Voigt defect (M, Q, nv).
+    """
+    eps_bar = np.stack([R @ u for R in strain_rows(G, disc.dim)], axis=-1)
+    dom = disc.domains(kind).dom_of_cell
+    X, w, _ = disc.quadrature()
+    return X, w, dom, exact.strain(X) - eps_bar[dom][:, None, :]
+
+
 def _energy_stress(disc, method, u, exact, mat):
     """Full-metric smoothed-stress defect for displacement-only methods."""
-    dim = disc.dim
     kind = _STRESS_KINDS[method]
-    G = disc.gradient_ops(kind, None)
-    eps_bar = np.stack([R @ u for R in strain_rows(G, dim)], axis=-1)
-    dom = disc.domains(kind).dom_of_cell
-    X, w, _, _ = microcell_quadrature(disc)
-    diff = exact.strain(X) - eps_bar[dom][:, None, :]
-    C = full_elastic_matrix(mat.lam, mat.mu, dim)
+    _, w, _, diff = _strain_defect(disc, kind, disc.gradient_ops(kind, None),
+                                   u, exact)
+    C = full_elastic_matrix(mat.lam, mat.mu, disc.dim)
     total = np.einsum("kq,kqv,vw,kqw->", w, diff, C, diff)
     return float(np.sqrt(max(0.0, total))), float(total)
 
 
 def _energy_mixed(disc, u, p, exact, mat, bubble):
     """Shear defect plus pressure-divergence defect on smoothing domains."""
-    dim = disc.dim
     kind = disc.smoothing_kind()
     G = disc.gradient_ops(kind, bubble)
-    eps_bar = np.stack([R @ u for R in strain_rows(G, dim)], axis=-1)
-    div_bar = divergence_operator(G, dim) @ u
-    dom = disc.domains(kind).dom_of_cell
-    X, w, _, _ = microcell_quadrature(disc)
-    diff = exact.strain(X) - eps_bar[dom][:, None, :]
-    shear = shear_weight_vector(dim)
+    X, w, dom, diff = _strain_defect(disc, kind, G, u, exact)
+    div_bar = divergence_operator(G, disc.dim) @ u
+    shear = shear_weight_vector(disc.dim)
     quad = 2.0 * mat.mu * np.einsum("kq,kqv,v->", w, diff * diff, shear)
     p = np.asarray(p, float)
     pdiff = exact.pressure(X) - p[disc.micro.cell_node][:, None]

@@ -114,18 +114,14 @@ class DofMap:
     def vertex_dof(self, node, comp):
         return node * self.dim + comp
 
-    def bubble_dof(self, element, comp):
-        if not self.with_bubble:
-            raise ValueError("dof map has no bubbles")
-        return (self.n_nodes + element) * self.dim + comp
-
     def reshape(self, u):
         """View a flat displacement vector as (n_scalar, dim) dof values."""
         return np.asarray(u).reshape(self.n_scalar, self.dim)
 
 
 class Discretization:
-    """Cached geometric products of one mesh: topology, micro-cells, domains.
+    """Cached geometric products of one mesh: topology, micro-cells, domains
+    and the micro-cell quadrature.
 
     Everything downstream (operators, error norms, benchmarks) pulls from
     here so the expensive pieces are built once per mesh.
@@ -140,6 +136,7 @@ class Discretization:
         self._domains = {}
         self._gradients = {}
         self._overlaps = {}
+        self._quadrature = None
 
     @property
     def dim(self):
@@ -169,6 +166,26 @@ class Discretization:
                 self.micro, self.domains(kind)
             )
         return self._overlaps[kind]
+
+    def quadrature(self):
+        """Degree-4 volume rule over every micro-cell, built once.
+
+        Returns read-only (X, w, lam): physical points (M, Q, d), weights
+        (M, Q) that already include the micro-cell measures, and
+        barycentric coordinates (M, Q, d+1) in each micro-cell's element
+        ``micro.cell_elem``.
+        """
+        if self._quadrature is None:
+            micro = self.micro
+            rule = simplex_quadrature(self.dim, 4)
+            X = np.einsum("qi,kid->kqd", rule.points,
+                          micro.points[micro.cells])
+            w = micro.measures[:, None] * rule.weights[None, :]
+            lam = self.frames.barycentric(micro.cell_elem, X)
+            for a in (X, w, lam):
+                a.flags.writeable = False
+            self._quadrature = (X, w, lam)
+        return self._quadrature
 
     def dofmap(self, with_bubble):
         return DofMap(self.mesh.n_nodes, self.mesh.n_elements, self.dim,

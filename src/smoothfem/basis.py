@@ -28,15 +28,6 @@ def check_bubble_kind(kind):
         raise ValueError(f"unknown bubble kind {kind!r}; expected one of {BUBBLE_KINDS}")
 
 
-def bubble_normalization(kind, dim):
-    """Scale factor c_b making ``c_b * (d+1)^3 * prod lambda`` (power) or
-    ``c_b * (d+1) * lambda_sub`` (hat) equal 1 at the centroid."""
-    check_bubble_kind(kind)
-    if kind == "power":
-        return float((dim + 1) ** (dim - 2))
-    return 1.0 / (dim + 1)
-
-
 def affine_maps(nodes, elements):
     """Per-element affine geometry: hat gradients and measures.
 

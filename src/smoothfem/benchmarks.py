@@ -45,7 +45,7 @@ and an error note, and the summary lists it under ``failures``.
 """
 
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from importlib import resources
 
 import numpy as np
@@ -348,14 +348,10 @@ def _gate(checks, data, key, name, value, op):
 
 
 def _config_summary(config):
-    return {
-        "scenario": config.scenario, "methods": list(config.methods),
-        "meshes": list(config.meshes), "young": config.young,
-        "poisson": config.poisson, "load": config.load,
-        "bubble": config.bubble, "kappa": list(config.kappa),
-        "mu": config.mu, "steps": config.steps, "distort": config.distort,
-        "seed": config.seed, "pattern": config.pattern,
-    }
+    """Every config field but the output directory (tuples dump as lists)."""
+    summary = asdict(config)
+    del summary["out"]
+    return summary
 
 
 def _series(store, method, meshes):

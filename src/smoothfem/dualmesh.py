@@ -94,10 +94,6 @@ class SmoothingDomainSet:
     def cells_of(self, k):
         return self.cell_ids[self.cell_ptr[k]:self.cell_ptr[k + 1]]
 
-    def facets_of(self, k):
-        sl = slice(self.facet_ptr[k], self.facet_ptr[k + 1])
-        return self.facet_pts[sl], self.facet_cell[sl]
-
 
 @dataclass
 class PressureCellSet:

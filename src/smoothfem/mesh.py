@@ -1,4 +1,4 @@
-"""Simplicial meshes: benchmark generators, topology, distortion, JSON IO.
+"""Simplicial meshes: benchmark generators, topology, distortion.
 
 A mesh is triangles (2D) or tetrahedra (3D) with consistently positive
 orientation and a set of labeled boundary facet groups.  The label
@@ -18,7 +18,6 @@ a quarter pipe annulus, a quarter 3D block) with these labels attached, so
 downstream code never re-derives boundary semantics from coordinates.
 """
 
-import json
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -91,24 +90,6 @@ class PrimalMesh:
     def copy_with_nodes(self, nodes):
         return PrimalMesh(nodes, self.elements.copy(),
                           {k: v.copy() for k, v in self.boundary.items()})
-
-    def to_json(self):
-        payload = {
-            "dim": self.dim,
-            "nodes": self.nodes.tolist(),
-            "elements": self.elements.tolist(),
-            "boundary": {k: self.boundary[k].tolist() for k in sorted(self.boundary)},
-        }
-        return json.dumps(payload, indent=1)
-
-    @classmethod
-    def from_json(cls, text):
-        payload = json.loads(text)
-        return cls(
-            np.asarray(payload["nodes"], float),
-            np.asarray(payload["elements"], np.int64),
-            {k: np.asarray(v, np.int64) for k, v in payload["boundary"].items()},
-        )
 
 
 @dataclass
@@ -481,17 +462,6 @@ def _triple(resolution):
     if len(triple) != 3 or min(triple) < 2:
         raise ValueError("resolution must be >= 2 per side")
     return triple
-
-
-def generate_benchmark_mesh(geometry, resolution, **kwargs):
-    """Dispatch on geometry name: 'cook', 'annulus' (pipe), or 'block'."""
-    if geometry == "cook":
-        return generate_cook(resolution)
-    if geometry in ("annulus", "pipe"):
-        return generate_annulus(resolution, **kwargs)
-    if geometry == "block":
-        return generate_block(resolution, **kwargs)
-    raise ValueError(f"unknown geometry {geometry!r}")
 
 
 # ----------------------------------------------------------------------

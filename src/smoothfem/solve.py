@@ -181,17 +181,20 @@ def recover_pressure(B, C_diag, lam, u):
     return lam * (B @ u) / C_diag
 
 
-def solve_bundle(bundle, f, fixed, path="auto", values=None):
+def solve_bundle(bundle, f, fixed, path="mixed", values=None):
     """Solve one assembled method; returns a SolutionField.
 
-    ``path`` is 'mixed', 'condensed', or 'auto' (mixed for saddle methods).
-    Displacement baselines always use the condensed branch, and every method
-    reports a nodal/cell pressure through its recovery operators.  MINI's
-    continuous pressure cannot be condensed: ``bundle.condensed()`` raises
-    ValueError on the 'condensed' path.
+    ``path`` is 'mixed' (the saddle solve of mixed methods) or 'condensed';
+    anything else raises ValueError.  Displacement baselines always use the
+    condensed branch, and every method reports a nodal/cell pressure through
+    its recovery operators.  MINI's continuous pressure cannot be condensed:
+    ``bundle.condensed()`` raises ValueError on the 'condensed' path.
     """
+    if path not in ("mixed", "condensed"):
+        raise ValueError(f"unknown solve path {path!r}; "
+                         "expected 'mixed' or 'condensed'")
     lam = bundle.mat.lam
-    if bundle.mixed and path in ("auto", "mixed"):
+    if bundle.mixed and path == "mixed":
         u, p, info = solve_mixed(bundle.A, bundle.B, bundle.C, lam, f, fixed,
                                  values)
     elif bundle.mixed and isinstance(bundle.C, np.ndarray):

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+import smoothfem.assembly as assembly
 from smoothfem.analysis import (CSV_COLUMNS, ErrorReport, ExactPipeSolution,
                                 characteristic_h, error_displacement,
                                 error_energy, error_pressure, fit_rate,
@@ -178,6 +179,32 @@ def test_mini_energy_ignores_smoothing_domains(disc_annulus, monkeypatch):
     monkeypatch.setattr(disc_annulus, "domains", forbidden)
     norm, total = error_energy(disc_annulus, "mini", u, p, fld, mat)
     assert np.isfinite(norm)
+
+
+def test_microcell_quadrature_built_once(pipe, monkeypatch):
+    """All error norms of one mesh share one read-only micro-cell rule."""
+    calls = []
+    build = assembly.simplex_quadrature
+
+    def counting(dim, degree):
+        calls.append((dim, degree))
+        return build(dim, degree)
+
+    monkeypatch.setattr(assembly, "simplex_quadrature", counting)
+    disc = Discretization(generate_annulus(2))
+    mat = pipe.material
+    rng = np.random.default_rng(5)
+    p = rng.standard_normal(disc.mesh.n_nodes)
+    for method, with_bubble in (("bes-fem", True), ("ns-fem", False)):
+        dofmap = disc.dofmap(with_bubble)
+        u = rng.standard_normal(dofmap.n_disp)
+        error_displacement(disc, dofmap, u, pipe.displacement)
+        error_pressure(disc, p, pipe.pressure)
+        error_energy(disc, method, u, p, pipe, mat)
+    assert calls == [(2, 4)]
+    X, w, lam = disc.quadrature()
+    with pytest.raises(ValueError):
+        X[0, 0, 0] = 0.0
 
 
 def test_energy_cross_term_is_signed(disc_cook):

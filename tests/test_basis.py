@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from smoothfem.basis import (
     affine_maps,
     bubble_gradient,
-    bubble_normalization,
     bubble_value,
     bubble_volume_mean,
 )
@@ -138,15 +137,6 @@ def test_bubble_range_and_boundary(seed, dim, kind):
     on_facet[:, 0] = 0.0
     on_facet /= on_facet.sum(axis=1, keepdims=True)
     np.testing.assert_allclose(bubble_value(kind, on_facet), 0.0, atol=1e-14)
-
-
-def test_bubble_normalization_values():
-    assert bubble_normalization("power", 2) == pytest.approx(1.0)
-    assert bubble_normalization("power", 3) == pytest.approx(4.0)
-    assert bubble_normalization("hat", 2) == pytest.approx(1 / 3)
-    assert bubble_normalization("hat", 3) == pytest.approx(1 / 4)
-    with pytest.raises(ValueError):
-        bubble_normalization("cubic", 2)
 
 
 @pytest.mark.parametrize("dim", [2, 3])

@@ -1,5 +1,6 @@
 """Tests of the benchmark configuration, scenario engine and CLI."""
 
+import importlib.util
 import json
 import time
 from pathlib import Path
@@ -7,6 +8,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import smoothfem
+import smoothfem.assembly as assembly
 import smoothfem.benchmarks as benchmarks
 from smoothfem.analysis import reports_from_json
 from smoothfem.benchmarks import SCENARIOS, make_config, run_scenario
@@ -264,3 +267,42 @@ def test_acceptance_data_is_packaged():
                for section in data.values() if isinstance(section, dict)
                for entry in section.values() if isinstance(entry, dict)}
     assert sources <= {"published-value", "measured-baseline"}
+
+
+def test_public_names_resolve():
+    missing = [name for name in smoothfem.__all__
+               if not hasattr(smoothfem, name)]
+    assert missing == []
+
+
+def _load_perfbench_spans():
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+    spec = importlib.util.spec_from_file_location("perfbench_spans", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_perfbench_tracer_finds_its_seams():
+    """The benchmark's outside-in tracer nests and still sees every layer.
+
+    A refactor that stops looking a traced name up at call time would
+    leave its span unrecorded here.
+    """
+    spans = _load_perfbench_spans()
+    seams = [(benchmarks, "error_displacement"), (benchmarks, "solve_bundle"),
+             (assembly, "build_smoothing_domains"),
+             (assembly.Discretization, "__init__")]
+    before = [owner.__dict__[name] for owner, name in seams]
+    tracer = spans.Tracer("pipe-tiny")
+    restore = spans.install(tracer)
+    try:
+        with tracer.span(spans.ROOT):
+            reports, _ = run_scenario(make_config("pipe", meshes=(2, 3, 4)))
+    finally:
+        restore()
+    assert [owner.__dict__[name] for owner, name in seams] == before
+    assert len(reports) == 9
+    assert tracer.check_nesting() == []
+    names = {span[0] for span in tracer.spans}
+    assert {"analysis.error_norms", "dualmesh.domains"} <= names

@@ -188,7 +188,7 @@ def test_domain_facets_trace_known_shape():
     domains = build_smoothing_domains(micro, "edge")
     interior = np.flatnonzero(~topo.boundary_facet_mask)
     k = interior[0]
-    fpts, _ = domains.facets_of(k)
+    fpts = domains.facet_pts[domains.facet_ptr[k]:domains.facet_ptr[k + 1]]
     assert len(fpts) == 4
     cells = domains.cells_of(k)
     assert len(cells) == 4

@@ -1,4 +1,4 @@
-"""Tests for benchmark mesh generators, topology, distortion, and IO."""
+"""Tests for benchmark mesh generators, topology, and distortion."""
 
 import numpy as np
 import pytest
@@ -8,7 +8,6 @@ from smoothfem.mesh import (
     build_topology,
     distort_mesh,
     generate_annulus,
-    generate_benchmark_mesh,
     generate_block,
     generate_cook,
 )
@@ -81,11 +80,9 @@ def test_block_geometry():
 
 
 def test_dispatcher():
-    assert generate_benchmark_mesh("cook", 2).n_elements == 8
-    assert generate_benchmark_mesh("pipe", (2, 4)).n_elements == 16
-    assert generate_benchmark_mesh("block", 2).n_elements == 48
-    with pytest.raises(ValueError):
-        generate_benchmark_mesh("sphere", 2)
+    assert generate_cook(2).n_elements == 8
+    assert generate_annulus((2, 4)).n_elements == 16
+    assert generate_block(2).n_elements == 48
 
 
 def test_inverted_element_rejected():
@@ -163,15 +160,3 @@ def test_distortion_density_zero_is_identity():
     mesh = generate_annulus((3, 4))
     out = distort_mesh(mesh, 0.0, seed=5)
     np.testing.assert_array_equal(out.nodes, mesh.nodes)
-
-
-def test_json_roundtrip():
-    mesh = generate_annulus((3, 5))
-    text = mesh.to_json()
-    back = PrimalMesh.from_json(text)
-    np.testing.assert_array_equal(back.nodes, mesh.nodes)
-    np.testing.assert_array_equal(back.elements, mesh.elements)
-    assert set(back.boundary) == set(mesh.boundary)
-    for key in mesh.boundary:
-        np.testing.assert_array_equal(back.boundary[key], mesh.boundary[key])
-    assert back.to_json() == text

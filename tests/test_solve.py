@@ -117,6 +117,17 @@ def test_mini_has_no_condensed_path():
         solve_bundle(bundle, f, fixed, path="condensed")
 
 
+@pytest.mark.parametrize("method", ["bes-fem", "mini", "fem-t3"])
+def test_unknown_solve_path_rejected(method):
+    """A misspelled path raises instead of silently picking a solve."""
+    disc = Discretization(generate_cook(2))
+    bundle, f, fixed = cook_problem(disc, method, 0.4999)
+    for path in ("mixd", "auto"):
+        with pytest.raises(ValueError, match="unknown solve path"):
+            solve_bundle(bundle, f, fixed, path=path)
+    assert solve_bundle(bundle, f, fixed).info["method"] == method
+
+
 def test_pressure_recovery_identity():
     disc = Discretization(generate_cook(3))
     bundle, f, fixed = cook_problem(disc, "bes-fem", 0.4999)
