@@ -410,12 +410,12 @@ def fit_rate(h, err):
     return float(np.polyfit(np.log(h), np.log(err), 1)[0])
 
 
-def richardson_limit(values, ratio=2.0):
+def richardson_limit(values):
     """Extrapolated limit of a refinement series from its last three values.
 
-    Assumes one dominant error term decaying geometrically with the mesh
-    ratio.  Falls back to the finest value when the differences do not
-    contract.
+    Assumes one dominant error term decaying geometrically at the observed
+    contraction of the last two differences.  Falls back to the finest
+    value when the differences do not contract.
     """
     v = np.asarray(values, float)
     if v.size < 3:

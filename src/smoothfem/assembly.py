@@ -456,30 +456,11 @@ def dirichlet_dofs(mesh, dofmap):
     return np.asarray(sorted(fixed), dtype=np.int64)
 
 
-def apply_dirichlet(K, f, fixed, values=None):
-    """Reduce a system by eliminating constrained dofs.
-
-    ``values`` are the prescribed dof values (zero when omitted); their
-    coupling moves to the right-hand side.  Returns (K_free, f_free, free);
-    expand solutions back with ``expand_solution``.
-    """
-    n = K.shape[0]
+def free_dofs(n, fixed):
+    """Ascending indices of the dofs of an n-vector not listed in ``fixed``."""
     mask = np.ones(n, bool)
     mask[fixed] = False
-    free = np.flatnonzero(mask)
-    K = K.tocsr()
-    f_free = np.asarray(f, float)[free]
-    if values is not None and len(fixed):
-        f_free = f_free - K[free][:, fixed] @ np.asarray(values, float)
-    return K[free][:, free], f_free, free
-
-
-def expand_solution(u_free, free, n_total, fixed=None, values=None):
-    u = np.zeros(n_total)
-    u[free] = u_free
-    if fixed is not None and values is not None:
-        u[fixed] = values
-    return u
+    return np.flatnonzero(mask)
 
 
 # ----------------------------------------------------------------------
@@ -506,15 +487,6 @@ class OperatorBundle:
     C: object
     kind: str
     bubble: str = None
-
-    def condensed(self):
-        """Displacement-only operator; for mixed pairs with diagonal C this
-        eliminates the pressure exactly."""
-        if not self.mixed:
-            return self.A
-        if not isinstance(self.C, np.ndarray):
-            raise ValueError("condensation needs a diagonal pressure mass")
-        return assemble_condensed(self.A, self.B, self.C, self.mat.lam)
 
 
 def assemble_method(disc, method, mat, bubble="power"):

@@ -14,7 +14,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.sparse import linalg as spla
 
-from .assembly import VOIGT_PAIRS, dof_indices, scatter_blocks, strain_matrix
+from .assembly import (VOIGT_PAIRS, dof_indices, free_dofs, scatter_blocks,
+                       strain_matrix)
 
 
 @dataclass(frozen=True)
@@ -259,9 +260,7 @@ def newton_load_stepping(problem, f_ext, fixed, steps=10, tol=1e-9,
     if steps < 1:
         raise ValueError("need at least one load step")
     f_ext = np.asarray(f_ext, float)
-    mask = np.ones(problem.dofmap.n_disp, bool)
-    mask[fixed] = False
-    free = np.flatnonzero(mask)
+    free = free_dofs(problem.dofmap.n_disp, fixed)
 
     u = np.zeros(problem.dofmap.n_disp)
     history = []

@@ -1,19 +1,23 @@
 """Linear solution paths, pressure recovery, and the inf-sup measure.
 
-Both solution paths of the mixed methods are exposed: the saddle system in
-(u, p) and the displacement-only condensed system obtained by eliminating
-the piecewise-constant pressure.  Near the incompressible limit the Lame
-parameter spans many orders of magnitude, so the saddle system is solved in
-the symmetrically scaled variable q = p / sqrt(lambda) and both paths polish
-the factorization with extended-precision iterative refinement; this keeps
-the two paths in agreement to strict tolerances even at nu = 0.4999999.
+One constrained direct solve, ``_solve_constrained``, eliminates the
+Dirichlet dofs, factors the free block and polishes the solution by
+extended-precision iterative refinement against the full operator with the
+prescribed values in place.  ``solve_mixed`` uses it for the saddle system
+of the mixed methods and ``solve_condensed`` for the displacement
+baselines.  ``solve_condensed_split`` eliminates the piecewise-constant
+pressure of the enriched pair and refines against the separate blocks; it
+is the oracle of acceptance criterion 4 (Malkus & Hughes, CMAME 15, 1978).
+The saddle system is solved in the scaled variable q = p / sqrt(lambda),
+and refinement keeps it in agreement with the oracle to strict tolerances
+even at nu = 0.4999999.
 
 The scaled saddle matrix [[A, sB'], [sB, -C]] is symmetric quasi-definite:
 A is positive definite once the Dirichlet rows are gone and C is a positive
 pressure mass, so it factors stably under any symmetric permutation without
 pivoting (Vanderbei, SIAM J. Optim. 5, 1995).  ``solve_mixed`` therefore
 factors it in SuperLU's symmetric mode with a minimum-degree ordering of
-A' + A (``SQD_OPTIONS``).  The condensed paths keep the default COLAMD
+A' + A (``SQD_OPTIONS``).  The condensed solves keep the default COLAMD
 ordering with partial pivoting: refinement stops at a 1e-15 residual of an
 ill-conditioned K, so their outputs carry ordering-dependent rounding (1e-8
 relative in the ns-fem pressure error on the pipe).  The inf-sup Gram
@@ -26,7 +30,7 @@ import numpy as np
 from scipy import sparse
 from scipy.sparse import linalg as spla
 
-from .assembly import apply_dirichlet, assemble_condensed, expand_solution
+from .assembly import assemble_condensed, free_dofs
 
 _SINGULAR_MSG = (
     "linear system is singular; the mesh likely lacks enough displacement "
@@ -62,19 +66,21 @@ def _refine(lu, apply_l, b_l, n, max_rounds=6):
     ``apply_l`` maps an extended-precision vector to the operator product at
     the same precision, so the refinement target is the unrounded system
     even when the factorized matrix had to be assembled in double.  Starts
-    from zero (the first round is the plain direct solve) and raises when
-    the residual cannot be driven down.  A non-finite result, or a
-    correction that does not reduce the residual at all, means the factor
-    is no approximation of the inverse: the system is numerically singular.
-    A residual that falls, but too slowly, is reported as stagnation.
+    from zero (the first round is the plain direct solve), measures each
+    residual relative to the first, and raises when the residual cannot be
+    driven down.  A non-finite result, or a correction that does not reduce
+    the residual at all, means the factor is no approximation of the
+    inverse: the system is numerically singular.  A residual that falls,
+    but too slowly, is reported as stagnation.
     """
-    bnorm = float(np.linalg.norm(np.asarray(b_l, float))) or 1.0
     x = np.zeros(n, dtype=np.longdouble)
-    resid = np.inf
+    bnorm, resid = None, np.inf
     rounds, singular = 0, False
     for _ in range(max_rounds):
         r = b_l - apply_l(x)
-        new = float(np.linalg.norm(np.asarray(r, float))) / bnorm
+        rnorm = float(np.linalg.norm(np.asarray(r, float)))
+        bnorm = bnorm or rnorm or 1.0
+        new = rnorm / bnorm
         if not np.isfinite(new):
             raise RuntimeError(_SINGULAR_MSG)
         if new < 1e-15:
@@ -98,18 +104,38 @@ def _refine(lu, apply_l, b_l, n, max_rounds=6):
     return x, resid
 
 
-def solve_condensed(K, f, fixed, values=None):
-    """Solve the displacement-only system under Dirichlet constraints.
+def _solve_constrained(K, f, fixed, values=None, apply_l=None, **options):
+    """Solve K x = f with the dofs ``fixed`` held at ``values`` (zero when
+    omitted); the one direct solve behind every linear path.
 
-    Uses a direct factorization polished by extended-precision refinement.
+    Factors the free block K[free][:, free] (``options`` go to SuperLU) and
+    refines against ``apply_l``, which maps the full extended-precision
+    vector, prescribed values in place, to its operator product (K in
+    longdouble by default).  Returns that full longdouble vector and an
+    info dict with the refined residual and the number of free dofs.
     """
-    K_red, f_red, free = apply_dirichlet(K, f, fixed, values)
-    lu = _factorize(K_red.tocsc())
-    K_l = K_red.astype(np.longdouble).tocsr()
-    x, resid = _refine(lu, lambda v: K_l @ v, f_red.astype(np.longdouble),
-                       len(free))
-    u = expand_solution(np.asarray(x, float), free, K.shape[0], fixed, values)
-    return u, {"path": "condensed", "residual": resid, "n_free": len(free)}
+    K = K.tocsr()
+    free = free_dofs(K.shape[0], fixed)
+    lu = _factorize(K[free][:, free], **options)
+    if apply_l is None:
+        apply_l = K.astype(np.longdouble).dot
+    x = np.zeros(K.shape[0], dtype=np.longdouble)
+    if values is not None and len(fixed):
+        x[fixed] = np.asarray(values, np.longdouble)
+
+    def apply_free(v):
+        x[free] = v
+        return apply_l(x)[free]
+
+    x[free], resid = _refine(lu, apply_free,
+                             np.asarray(f, np.longdouble)[free], len(free))
+    return x, {"residual": resid, "n_free": len(free)}
+
+
+def solve_condensed(K, f, fixed, values=None):
+    """Solve the displacement-only system under Dirichlet constraints."""
+    x, info = _solve_constrained(K, f, fixed, values)
+    return np.asarray(x, float), {"path": "condensed", **info}
 
 
 def solve_condensed_split(A, B, C_diag, lam, f, fixed, values=None):
@@ -122,31 +148,20 @@ def solve_condensed_split(A, B, C_diag, lam, f, fixed, values=None):
     from the separately stored, exactly assembled blocks in extended
     precision, so the refined solution satisfies the unrounded equations.
     """
-    K = assemble_condensed(A, B, C_diag, lam)
-    K_red, f_red, free = apply_dirichlet(K, f, fixed, values)
-    lu = _factorize(K_red.tocsc())
+    if not isinstance(C_diag, np.ndarray):
+        raise ValueError("condensation needs a diagonal pressure mass")
     A_l = A.astype(np.longdouble).tocsr()
     B_l = B.astype(np.longdouble).tocsr()
     Bt_l = B_l.T.tocsr()
     w_l = np.longdouble(lam) / C_diag.astype(np.longdouble)
-    u_full = np.zeros(A.shape[0], dtype=np.longdouble)
-    if values is not None and len(fixed):
-        u_full[fixed] = np.asarray(values, np.longdouble)
-
-    def apply_free(x):
-        u_full[free] = x
-        y = A_l @ u_full + Bt_l @ (w_l * (B_l @ u_full))
-        return y[free]
-
-    f_l = f.astype(np.longdouble)
-    x, resid = _refine(lu, apply_free, f_l[free], len(free))
-    u_full[free] = x
+    u, info = _solve_constrained(
+        assemble_condensed(A, B, C_diag, lam), f, fixed, values,
+        apply_l=lambda v: A_l @ v + Bt_l @ (w_l * (B_l @ v)))
     # recover the pressure before dropping the extended precision: B u is a
     # near-cancellation at the incompressible limit, so a double-precision u
     # cannot carry it to full relative accuracy
-    p = np.asarray(w_l * (B_l @ u_full), float)
-    u = np.asarray(u_full, float)
-    return u, p, {"path": "condensed", "residual": resid, "n_free": len(free)}
+    p = np.asarray(w_l * (B_l @ u), float)
+    return np.asarray(u, float), p, {"path": "condensed", **info}
 
 
 def solve_mixed(A, B, C, lam, f, fixed, values=None):
@@ -156,24 +171,14 @@ def solve_mixed(A, B, C, lam, f, fixed, values=None):
     (MINI).  Returns (u, p, info) with the pressure unscaled.
     """
     n_disp = A.shape[0]
-    A_red, f_red, free = apply_dirichlet(A, f, fixed, values)
-    if values is not None and len(fixed):
-        extra = -(B.tocsr()[:, fixed] @ np.asarray(values, float))
-    else:
-        extra = np.zeros(B.shape[0])
-    B_red = B.tocsr()[:, free]
     s = np.sqrt(lam)
     C_mat = sparse.diags(C) if isinstance(C, np.ndarray) else C
-    M = sparse.bmat([[A_red, s * B_red.T], [s * B_red, -C_mat]], format="csc")
-    rhs = np.concatenate([f_red, s * extra])
-    lu = _factorize(M, **SQD_OPTIONS)
-    M_l = M.astype(np.longdouble).tocsr()
-    x, resid = _refine(lu, lambda v: M_l @ v, rhs.astype(np.longdouble),
-                       M.shape[0])
-    u = expand_solution(np.asarray(x[: len(free)], float), free, n_disp,
-                        fixed, values)
-    p = np.asarray(s * x[len(free):], float)
-    return u, p, {"path": "mixed", "residual": resid, "n_free": len(free)}
+    M = sparse.bmat([[A, s * B.T], [s * B, -C_mat]], format="csr")
+    rhs = np.concatenate([f, np.zeros(B.shape[0])])
+    x, info = _solve_constrained(M, rhs, fixed, values, **SQD_OPTIONS)
+    u = np.asarray(x[:n_disp], float)
+    p = np.asarray(s * x[n_disp:], float)
+    return u, p, {"path": "mixed", **info}
 
 
 def recover_pressure(B, C_diag, lam, u):
@@ -181,27 +186,19 @@ def recover_pressure(B, C_diag, lam, u):
     return lam * (B @ u) / C_diag
 
 
-def solve_bundle(bundle, f, fixed, path="mixed", values=None):
+def solve_bundle(bundle, f, fixed, values=None):
     """Solve one assembled method; returns a SolutionField.
 
-    ``path`` is 'mixed' (the saddle solve of mixed methods) or 'condensed';
-    anything else raises ValueError.  Displacement baselines always use the
-    condensed branch, and every method reports a nodal/cell pressure through
-    its recovery operators.  MINI's continuous pressure cannot be condensed:
-    ``bundle.condensed()`` raises ValueError on the 'condensed' path.
+    Mixed methods take the saddle solve, displacement baselines the
+    condensed solve of their stiffness ``bundle.A``; every method reports a
+    nodal/cell pressure through its recovery operators.
     """
-    if path not in ("mixed", "condensed"):
-        raise ValueError(f"unknown solve path {path!r}; "
-                         "expected 'mixed' or 'condensed'")
     lam = bundle.mat.lam
-    if bundle.mixed and path == "mixed":
+    if bundle.mixed:
         u, p, info = solve_mixed(bundle.A, bundle.B, bundle.C, lam, f, fixed,
                                  values)
-    elif bundle.mixed and isinstance(bundle.C, np.ndarray):
-        u, p, info = solve_condensed_split(bundle.A, bundle.B, bundle.C,
-                                           lam, f, fixed, values)
     else:
-        u, info = solve_condensed(bundle.condensed(), f, fixed, values)
+        u, info = solve_condensed(bundle.A, f, fixed, values)
         p = recover_pressure(bundle.B, bundle.C, lam, u)
     info["method"] = bundle.method
     return SolutionField(bundle.method, u, p, info)
@@ -215,9 +212,7 @@ def infsup_measure(G_gram, B, C_diag, fixed, n_disp, zero_tol=1e-10):
     the returned beta is its square root.  G must be the H1-seminorm Gram
     matrix of the displacement space.
     """
-    mask = np.ones(n_disp, bool)
-    mask[fixed] = False
-    free = np.flatnonzero(mask)
+    free = free_dofs(n_disp, fixed)
     G_red = G_gram.tocsr()[free][:, free].tocsc()
     B_red = B.tocsr()[:, free]
     lu = _factorize(G_red)

@@ -14,8 +14,8 @@ from smoothfem.assembly import (
     VOIGT_PAIRS,
     Discretization,
     MaterialParams,
-    apply_dirichlet,
     assemble_B_bar,
+    assemble_condensed,
     assemble_loads,
     assemble_h1_gram,
     assemble_method,
@@ -23,7 +23,6 @@ from smoothfem.assembly import (
     canonical_method,
     dirichlet_dofs,
     divergence_operator,
-    expand_solution,
     full_elastic_matrix,
     strain_matrix,
     strain_rows,
@@ -226,7 +225,7 @@ def test_fem_t3_matches_textbook_stiffness():
     disc = Discretization(mesh)
     mat = MaterialParams(E=10.0, nu=0.25)
     bundle = assemble_method(disc, "fem-t3", mat)
-    K = bundle.condensed().toarray()
+    K = bundle.A.toarray()
 
     from smoothfem.basis import affine_maps
 
@@ -304,20 +303,6 @@ def test_dirichlet_dofs_labels():
     assert fixed.max() < mesh.n_nodes * 2
 
 
-def test_apply_dirichlet_with_values():
-    K = sparse.csr_matrix(np.array([[4.0, 1.0, 0.0], [1.0, 3.0, 1.0],
-                                    [0.0, 1.0, 2.0]]))
-    f = np.array([1.0, 2.0, 3.0])
-    fixed = np.array([0])
-    values = np.array([2.0])
-    K_red, f_red, free = apply_dirichlet(K, f, fixed, values)
-    x = np.linalg.solve(K_red.toarray(), f_red)
-    full = expand_solution(x, free, 3, fixed, values)
-    resid = K.toarray() @ full - f
-    np.testing.assert_allclose(resid[free], 0.0, atol=1e-12)
-    assert full[0] == 2.0
-
-
 def test_h1_gram_vertex_block(disc_2d):
     """The vertex block is the scalar P1 stiffness, expanded per component."""
     mesh = disc_2d.mesh
@@ -345,7 +330,7 @@ def test_h1_gram_vertex_block(disc_2d):
 def test_smoothed_stiffness_is_symmetric_psd(disc_2d):
     mat = MaterialParams(E=250.0, nu=0.4999)
     bundle = assemble_method(disc_2d, "bes-fem", mat)
-    K = bundle.condensed()
+    K = assemble_condensed(bundle.A, bundle.B, bundle.C, mat.lam)
     asym = np.abs((K - K.T).toarray()).max()
     assert asym < 1e-8 * np.abs(K.toarray()).max()
     X = RNG.normal(size=(K.shape[0], 5))

@@ -60,6 +60,8 @@ def test_make_config_overrides_and_none_passthrough():
     ({"pattern": "random"}, "pattern"),
     ({"meshes": (2, 2, 4)}, "repeated meshes"),
     ({"methods": ("bes-fem", "bes")}, "repeated methods"),
+    ({"meshes": (16, 1)}, ">= 2"),
+    ({"kappa": (10.0,)}, "kappa"),
 ])
 def test_config_validation_cook(kwargs, match):
     with pytest.raises(ValueError, match=match):
@@ -80,6 +82,11 @@ def test_config_validation_scenario_specific():
     with pytest.raises(ValueError, match="repeated kappa"):
         make_config("cook-neohookean", meshes=(2,), kappa=(1.95, 1.95),
                     steps=2)
+    for scenario in ("pipe", "block3d", "lemma-checks"):
+        with pytest.raises(ValueError, match="does not distort"):
+            make_config(scenario, distort=0.4)
+    with pytest.raises(ValueError, match="kappa"):
+        make_config("pipe", kappa=(1.95,))
 
 
 @pytest.mark.parametrize("scenario", SCENARIOS)

@@ -7,6 +7,7 @@ import smoothfem.solve as solve
 from smoothfem.assembly import (
     Discretization,
     MaterialParams,
+    assemble_condensed,
     assemble_h1_gram,
     assemble_loads,
     assemble_method,
@@ -23,10 +24,8 @@ from smoothfem.solve import (
     recover_pressure,
     solve_bundle,
     solve_condensed,
-    solve_mixed,
+    solve_condensed_split,
 )
-
-RNG = np.random.default_rng(99)
 
 
 def boundary_values(disc, exact):
@@ -43,12 +42,28 @@ def boundary_values(disc, exact):
     return np.asarray(fixed)[order], np.asarray(values)[order]
 
 
-@pytest.mark.parametrize("method,bubble", [
-    ("bes-fem", "power"), ("bes-fem", "hat"), ("es-fem", None),
-    ("ns-fem", None), ("fem-t3", None), ("mini", None),
+def solve_patch(bundle, f, fixed, values, split):
+    """(u, p) from the bundle's own solve, or from the split-condensed one."""
+    if split:
+        u, p, _ = solve_condensed_split(bundle.A, bundle.B, bundle.C,
+                                        bundle.mat.lam, f, fixed, values)
+        return u, p
+    sol = solve_bundle(bundle, f, fixed, values=values)
+    return sol.u, sol.p
+
+
+@pytest.mark.parametrize("method,bubble,split", [
+    pytest.param(m, b, split, id=f"{m}-{b}" + ("-split" if split else ""))
+    for m, b, split in [
+        ("bes-fem", "power", False), ("bes-fem", "hat", False),
+        ("es-fem", None, False), ("ns-fem", None, False),
+        ("fem-t3", None, False), ("mini", None, False),
+        ("bes-fem", "power", True), ("bes-fem", "hat", True),
+    ]
 ])
-def test_patch_test_linear_field(method, bubble):
-    """Every method reproduces a linear displacement field exactly."""
+def test_patch_test_linear_field(method, bubble, split):
+    """Every method reproduces a linear displacement field exactly; the
+    split-condensed oracle does so under the same prescribed values."""
     mesh = distort_mesh(generate_cook(3), 0.3, seed=14)
     disc = Discretization(mesh)
     mat = MaterialParams(E=200.0, nu=0.3)
@@ -58,8 +73,8 @@ def test_patch_test_linear_field(method, bubble):
     exact = lambda x: A @ x + b
     fixed, values = boundary_values(disc, exact)
     f = np.zeros(bundle.dofmap.n_disp)
-    sol = solve_bundle(bundle, f, fixed, values=values)
-    U = bundle.dofmap.reshape(sol.u)
+    u, p = solve_patch(bundle, f, fixed, values, split)
+    U = bundle.dofmap.reshape(u)
     expected = mesh.nodes @ A.T + b
     scale = np.abs(expected).max()
     np.testing.assert_allclose(U[: mesh.n_nodes], expected, atol=1e-10 * scale)
@@ -67,24 +82,25 @@ def test_patch_test_linear_field(method, bubble):
         assert np.abs(U[mesh.n_nodes:]).max() < 1e-10 * scale
     # the recovered pressure is lam tr(A) everywhere
     p_exact = mat.lam * np.trace(A)
-    np.testing.assert_allclose(sol.p, p_exact, rtol=1e-8)
+    np.testing.assert_allclose(p, p_exact, rtol=1e-8)
 
 
-def test_patch_test_3d():
+@pytest.mark.parametrize("split", [False, True], ids=["saddle", "split"])
+def test_patch_test_3d(split):
     mesh = distort_mesh(generate_block(2, size=(1.0, 1.0, 1.0)), 0.2, seed=15)
     disc = Discretization(mesh)
     mat = MaterialParams(E=10.0, nu=0.3)
     bundle = assemble_method(disc, "bfs-fem", mat, bubble="power")
-    A = RNG.normal(size=(3, 3)) * 0.05
+    A = np.random.default_rng(99).normal(size=(3, 3)) * 0.05
     exact = lambda x: A @ x
     fixed, values = boundary_values(disc, exact)
-    sol = solve_bundle(bundle, np.zeros(bundle.dofmap.n_disp), fixed,
-                       values=values)
-    U = bundle.dofmap.reshape(sol.u)
+    u, p = solve_patch(bundle, np.zeros(bundle.dofmap.n_disp), fixed, values,
+                       split)
+    U = bundle.dofmap.reshape(u)
     expected = mesh.nodes @ A.T
     scale = max(np.abs(expected).max(), 1e-30)
     np.testing.assert_allclose(U[: mesh.n_nodes], expected, atol=1e-9 * scale)
-    np.testing.assert_allclose(sol.p, mat.lam * np.trace(A), rtol=1e-7)
+    np.testing.assert_allclose(p, mat.lam * np.trace(A), rtol=1e-7)
 
 
 def cook_problem(disc, method, nu, bubble="power"):
@@ -101,10 +117,11 @@ def test_mixed_equals_condensed(nu):
     """Both solution paths agree to tight tolerance even near the limit."""
     disc = Discretization(generate_cook(4))
     bundle, f, fixed = cook_problem(disc, "bes-fem", nu)
-    mixed = solve_bundle(bundle, f, fixed, path="mixed")
-    cond = solve_bundle(bundle, f, fixed, path="condensed")
-    du = np.abs(mixed.u - cond.u).max() / np.abs(mixed.u).max()
-    dp = np.abs(mixed.p - cond.p).max() / np.abs(mixed.p).max()
+    mixed = solve_bundle(bundle, f, fixed)
+    u, p, _ = solve_condensed_split(bundle.A, bundle.B, bundle.C,
+                                    bundle.mat.lam, f, fixed)
+    du = np.abs(mixed.u - u).max() / np.abs(mixed.u).max()
+    dp = np.abs(mixed.p - p).max() / np.abs(mixed.p).max()
     assert du < 1e-9
     assert dp < 1e-9
 
@@ -114,24 +131,25 @@ def test_mini_has_no_condensed_path():
     disc = Discretization(generate_cook(2))
     bundle, f, fixed = cook_problem(disc, "mini", 0.4999)
     with pytest.raises(ValueError, match="diagonal pressure mass"):
-        solve_bundle(bundle, f, fixed, path="condensed")
+        solve_condensed_split(bundle.A, bundle.B, bundle.C, bundle.mat.lam,
+                              f, fixed)
 
 
 @pytest.mark.parametrize("method", ["bes-fem", "mini", "fem-t3"])
 def test_unknown_solve_path_rejected(method):
-    """A misspelled path raises instead of silently picking a solve."""
+    """The method picks the solve; asking for a path raises instead of
+    silently picking one."""
     disc = Discretization(generate_cook(2))
     bundle, f, fixed = cook_problem(disc, method, 0.4999)
-    for path in ("mixd", "auto"):
-        with pytest.raises(ValueError, match="unknown solve path"):
-            solve_bundle(bundle, f, fixed, path=path)
+    with pytest.raises(TypeError, match="path"):
+        solve_bundle(bundle, f, fixed, path="mixed")
     assert solve_bundle(bundle, f, fixed).info["method"] == method
 
 
 def test_pressure_recovery_identity():
     disc = Discretization(generate_cook(3))
     bundle, f, fixed = cook_problem(disc, "bes-fem", 0.4999)
-    sol = solve_bundle(bundle, f, fixed, path="mixed")
+    sol = solve_bundle(bundle, f, fixed)
     p2 = recover_pressure(bundle.B, bundle.C, bundle.mat.lam, sol.u)
     np.testing.assert_allclose(p2, sol.p, rtol=1e-9)
 
@@ -140,10 +158,11 @@ def test_energy_identity():
     """For the condensed solve, u^T K u = f^T u (Galerkin)."""
     disc = Discretization(generate_cook(4))
     bundle, f, fixed = cook_problem(disc, "bes-fem", 0.4999)
-    sol = solve_bundle(bundle, f, fixed, path="condensed")
-    K = bundle.condensed()
-    lhs = sol.u @ (K @ sol.u)
-    rhs = f @ sol.u
+    u, _, _ = solve_condensed_split(bundle.A, bundle.B, bundle.C,
+                                    bundle.mat.lam, f, fixed)
+    K = assemble_condensed(bundle.A, bundle.B, bundle.C, bundle.mat.lam)
+    lhs = u @ (K @ u)
+    rhs = f @ u
     assert lhs == pytest.approx(rhs, rel=1e-10)
 
 
@@ -151,7 +170,7 @@ def test_singular_system_reports_missing_constraints():
     disc = Discretization(generate_cook(2))
     bundle, f, _ = cook_problem(disc, "fem-t3", 0.3)
     with pytest.raises(RuntimeError, match="constraint"):
-        solve_condensed(bundle.condensed(), f, np.array([], dtype=np.int64))
+        solve_condensed(bundle.A, f, np.array([], dtype=np.int64))
 
 
 def test_weak_factor_reports_stagnation(monkeypatch):
@@ -176,7 +195,7 @@ def test_weak_factor_reports_stagnation(monkeypatch):
     disc = Discretization(generate_cook(2))
     bundle, f, fixed = cook_problem(disc, "fem-t3", 0.3)
     with pytest.raises(RuntimeError) as info:
-        solve_condensed(bundle.condensed(), f, fixed)
+        solve_condensed(bundle.A, f, fixed)
     message = str(info.value)
     assert message == "refinement stagnated at residual 0.7 after 1 rounds"
     assert "constraint" not in message
