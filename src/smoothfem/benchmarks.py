@@ -45,7 +45,8 @@ and an error note, and the summary lists it under ``failures``.
 """
 
 import json
-from dataclasses import asdict, dataclass
+from collections import namedtuple
+from dataclasses import asdict, dataclass, fields
 from importlib import resources
 
 import numpy as np
@@ -68,6 +69,7 @@ from .assembly import (
     Discretization,
     MaterialParams,
     assemble_B_bar,
+    assemble_C_bar,
     assemble_h1_gram,
     assemble_loads,
     assemble_method,
@@ -84,9 +86,6 @@ from .mesh import distort_mesh, generate_annulus, generate_block, generate_cook
 from .smoothing import volume_average_gradient
 from .solve import infsup_measure, solve_bundle, solve_condensed_split
 
-SCENARIOS = ("cook", "cook-distorted", "pipe", "block3d", "cook-neohookean",
-             "infsup", "lemma-checks")
-
 # monitored points and profile geometry
 COOK_TIP = (48.0, 60.0)            # top right corner of the membrane
 COOK_MIDRIGHT = (48.0, 52.0)       # midpoint of the loaded edge
@@ -96,50 +95,17 @@ BLOCK_MONITOR = (0.0, 0.0, 50.0)   # top corner under the loaded patch
 PROFILE_LINE_X = 24.0              # sampling line of the pressure profile
 PROFILE_MESH = (8, 16)             # 256-element membrane mesh
 
-_DEFAULTS = {
-    "cook": dict(
-        methods=("fem-t3", "es-fem", "ns-fem", "mini", "bes-fem"),
-        meshes=(2, 4, 8, 16, 32), young=250.0, poisson=0.4999, load=100.0,
-    ),
-    "cook-distorted": dict(
-        methods=("fem-t3", "es-fem", "ns-fem", "mini", "bes-fem"),
-        meshes=(2, 4, 8, 16, 32), young=250.0, poisson=0.4999, load=100.0,
-        distort=0.4,
-    ),
-    "pipe": dict(
-        methods=("bes-fem", "mini", "ns-fem"), meshes=(4, 8, 16, 32),
-        young=21000.0, poisson=0.4999999, load=8.0,
-    ),
-    "block3d": dict(
-        methods=("bfs-fem", "fs-fem", "fem-t3", "ns-fem", "mini"),
-        meshes=(5,), young=180000.0, poisson=0.4999999, load=250.0,
-    ),
-    "cook-neohookean": dict(
-        methods=("bes-fem",), meshes=(2, 4, 8), load=1.0,
-        kappa=(1.95, 10.0, 100.0, 1000.0, 10000.0), mu=0.6, steps=10,
-    ),
-    "infsup": dict(
-        methods=("bes-fem", "es-fem"), meshes=(2, 4, 8, 16, 32),
-        young=250.0, poisson=0.4999,
-    ),
-    "lemma-checks": dict(methods=(), meshes=()),
-}
-
-_METHODS_2D_ONLY = {"bes-fem", "es-fem"}
-_METHODS_3D_ONLY = {"bfs-fem", "fs-fem"}
-
 
 @dataclass
 class ScenarioConfig:
     """Validated settings of one benchmark run.
 
     Build instances through :func:`make_config`, which fills the
-    scenario-specific defaults before validation.  ``load`` is the
-    resultant force on the loaded membrane edge (the applied traction
-    density is ``load / 16``) and the boundary pressure for the pipe and
-    block scenarios.  ``mu``/``kappa`` and ``steps`` only drive the
-    neo-Hookean scenario, ``pattern`` only the 3D block, and
-    ``distort``/``seed`` the mesh perturbation of the membrane scenarios.
+    scenario's defaults before validation.  Each scenario accepts only the
+    settings it reads (:func:`accepted_settings`); every other field must
+    keep its default here.  ``load`` is the resultant force on the loaded
+    membrane edge (the applied traction density is ``load / 16``) and the
+    boundary pressure for the pipe and block scenarios.
     """
 
     scenario: str
@@ -158,17 +124,13 @@ class ScenarioConfig:
     out: str = ""
 
     def __post_init__(self):
-        if self.scenario not in SCENARIOS:
+        if self.scenario not in _SCENARIO_TABLE:
             raise ValueError(f"unknown scenario {self.scenario!r}; "
                              f"choose from {', '.join(SCENARIOS)}")
         self.methods = tuple(canonical_method(m) for m in self.methods)
         self.meshes = tuple(int(n) for n in self.meshes)
         if any(n < 2 for n in self.meshes):
             raise ValueError("mesh resolutions must be integers >= 2")
-        if self.scenario != "lemma-checks" and not self.meshes:
-            raise ValueError("need at least one mesh resolution")
-        if self.scenario not in ("lemma-checks",) and not self.methods:
-            raise ValueError("need at least one method")
         if self.bubble not in ("power", "hat"):
             raise ValueError("bubble must be 'power' or 'hat'")
         if self.young <= 0.0:
@@ -191,30 +153,26 @@ class ScenarioConfig:
             raise ValueError("distortion density must lie in [0, 1)")
         if self.pattern not in ("uniform", "unstructured"):
             raise ValueError("pattern must be 'uniform' or 'unstructured'")
-        dim = 3 if self.scenario == "block3d" else 2
-        bad = _METHODS_2D_ONLY if dim == 3 else _METHODS_3D_ONLY
-        wrong = [m for m in self.methods if m in bad]
+        spec = _SCENARIO_TABLE[self.scenario]
+        wrong = [m for m in self.methods if m not in spec.methods]
         if wrong:
             raise ValueError(f"{', '.join(wrong)} not defined on the "
-                             f"{dim}D scenario {self.scenario!r}")
-        if self.distort and self.scenario in ("pipe", "block3d",
-                                              "lemma-checks"):
-            raise ValueError(f"the {self.scenario!r} scenario does not "
-                             "distort its meshes")
-        if self.kappa and self.scenario != "cook-neohookean":
-            raise ValueError("bulk moduli (kappa) drive only the "
-                             "neo-Hookean scenario")
-        if self.scenario == "cook-neohookean":
-            if set(self.methods) - {"bes-fem"}:
-                raise ValueError("the neo-Hookean scenario supports the "
-                                 "enriched smoothed method only")
-            if not self.kappa:
-                raise ValueError("need at least one bulk modulus")
-        if self.scenario == "infsup":
-            extra = set(self.methods) - {"bes-fem", "es-fem"}
-            if extra:
-                raise ValueError("inf-sup measurement supports bes-fem and "
-                                 f"es-fem, not {', '.join(sorted(extra))}")
+                             f"{self.scenario!r} scenario; it runs "
+                             f"{', '.join(spec.methods) or 'no method'}")
+        accepted = ("scenario", *accepted_settings(self.scenario))
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if f.name not in accepted and value != f.default:
+                raise ValueError(f"the {self.scenario!r} scenario does not "
+                                 f"read {f.name}; leave it at {f.default!r}")
+            if f.name in spec.settings and value == ():
+                raise ValueError(f"need at least one value of {f.name}")
+
+
+def accepted_settings(scenario):
+    """Names of the settings ``scenario`` reads, plus the ``seed`` and
+    ``out`` that every scenario accepts."""
+    return (*_SCENARIO_TABLE[scenario].settings, "seed", "out")
 
 
 def make_config(scenario, **overrides):
@@ -228,10 +186,9 @@ def make_config(scenario, **overrides):
         Any ScenarioConfig field; values of None are ignored so partially
         filled option namespaces can be passed straight through.
     """
-    if scenario not in _DEFAULTS:
-        raise ValueError(f"unknown scenario {scenario!r}; "
-                         f"choose from {', '.join(SCENARIOS)}")
-    settings = dict(_DEFAULTS[scenario])
+    # ScenarioConfig rejects an unknown scenario
+    spec = _SCENARIO_TABLE.get(scenario)
+    settings = dict(spec.settings) if spec else {}
     for key, value in overrides.items():
         if value is None:
             continue
@@ -405,8 +362,11 @@ def run_cook(config, data, checks):
     summary = {
         "tips": {m: _series(tips, m, config.meshes) for m in config.methods},
     }
+    # the limit and the tip-change gate need consecutive refinements, so
+    # only the tips after the last failed mesh count
     series = summary["tips"].get("bes-fem", [])
-    finite = [t for t in series if np.isfinite(t)]
+    failed = [i for i, t in enumerate(series) if not np.isfinite(t)]
+    finite = series[failed[-1] + 1:] if failed else series
     if len(finite) >= 3:
         summary["tip_limit"] = richardson_limit(finite)
     elif finite:
@@ -649,35 +609,40 @@ def run_cook_neohookean(config, data, checks):
 # inf-sup scenario
 # ----------------------------------------------------------------------
 
-def infsup_pair(disc, mat, method, bubble="power"):
+def _smoothed_B(disc, bubble):
+    """The enriched method's smoothed pressure coupling on ``disc``."""
+    kind = disc.smoothing_kind()
+    return assemble_B_bar(disc.gradient_ops(kind, bubble), disc.domains(kind),
+                          disc.overlap(kind), disc.dim)
+
+
+def infsup_pair(disc, method, bubble="power"):
     """Inf-sup constant of one pairing on one membrane discretization.
 
     'bes-fem' measures the enriched displacement space against the
     node-cell pressures; 'es-fem' restricts the same coupling to the
     vertex columns, pairing the unenriched space with those pressures.
     """
-    bundle = assemble_method(disc, "bes-fem", mat, bubble=bubble)
+    B = _smoothed_B(disc, bubble)
     if method == "bes-fem":
-        dofmap = bundle.dofmap
+        dofmap = disc.dofmap(True)
         G = assemble_h1_gram(disc, dofmap, bubble=bubble)
-        B = bundle.B
     elif method == "es-fem":
         dofmap = disc.dofmap(False)
         G = assemble_h1_gram(disc, dofmap, bubble=None)
-        B = bundle.B.tocsr()[:, :dofmap.n_disp]
+        B = B.tocsr()[:, :dofmap.n_disp]
     else:
         raise ValueError(f"no inf-sup pairing for {method!r}")
     fixed = dirichlet_dofs(disc.mesh, dofmap)
-    beta, eigs = infsup_measure(G, B, bundle.C, fixed, dofmap.n_disp)
+    C = assemble_C_bar(disc.pressure_cells)
+    beta, eigs = infsup_measure(G, B, C, fixed, dofmap.n_disp)
     return beta, eigs
 
 
 def run_infsup(config, data, checks):
     """Inf-sup constants over the membrane mesh series."""
-    mat = MaterialParams(config.young, config.poisson)
-
     def cell(disc, n, method, report):
-        beta, eigs = infsup_pair(disc, mat, method, bubble=config.bubble)
+        beta, eigs = infsup_pair(disc, method, bubble=config.bubble)
         report.extra["beta"] = beta
         report.extra["n_pressure"] = int(len(eigs))
         return beta
@@ -718,13 +683,9 @@ def property_meshes():
 
 def coupling_operators(disc, bubble):
     """Smoothed and element-wise pressure couplings on one mesh."""
-    kind = disc.smoothing_kind()
     dofmap = disc.dofmap(with_bubble=bool(bubble))
-    G = disc.gradient_ops(kind, bubble)
-    B_bar = assemble_B_bar(G, disc.domains(kind), disc.overlap(kind),
-                           disc.dim)
     B_plain = assemble_plain_B(disc, dofmap, bubble=bubble)
-    return B_bar, B_plain, dofmap
+    return _smoothed_B(disc, bubble), B_plain, dofmap
 
 
 def vertex_column_defect(disc, bubble):
@@ -762,6 +723,19 @@ def bubble_ratio_defect(stats, expected):
     """Distance of measured ratio statistics from one expected constant."""
     return max(abs(stats["median"] - expected) / abs(expected),
                stats["spread"] / abs(expected), stats["leak"])
+
+
+def _bubble_ratio_case(group, bubble, expected, recorded):
+    """Worst defect of one bubble family's ratios from ``expected``, and the
+    row extras: the measured median, the spread and any ``recorded``
+    constant shown beside it."""
+    stats = [bubble_ratio_stats(d, bubble) for _, d in group]
+    extra = {"measured": stats[0]["median"],
+             "spread": max(s["spread"] for s in stats)}
+    if recorded:
+        extra["recorded_constant"] = recorded["value"]
+        extra["recorded_note"] = recorded.get("note", "")
+    return max(bubble_ratio_defect(s, expected) for s in stats), extra
 
 
 def measure_identity_defect(disc):
@@ -857,32 +831,34 @@ def run_lemma_checks(config, data, checks):
     three_d = [(n, d) for n, d in discs if d.dim == 3]
     reports, failures = [], []
 
-    def run_case(name, fn, op, key, n_elements):
-        report = ErrorReport("property", name, float("nan"), n_elements)
+    def run_case(name, key, n_elements, measure):
+        """One property row and its check.  ``measure()`` gives the value
+        and the row's extra fields; an entry with a ``tol`` records a
+        constant, the value is the defect from it, and ``tol`` bounds it."""
         entry = data[key]
+        bound = entry.get("tol", entry["value"])
+        report = ErrorReport("property", name, float("nan"), n_elements)
         try:
-            value = fn()
-            report.extra["value"] = value
-            report.extra["status"] = "ok"
-            _add_check(checks, name, value, op, entry["value"],
-                       entry["source"], tol=entry.get("tol"))
+            value, extra = measure()
+            report.extra.update(value=value, **extra, status="ok")
+            _add_check(checks, name, value, "<=", bound, entry["source"])
+            if "tol" in entry:
+                checks[name]["expected_constant"] = entry["value"]
             if not checks[name]["passed"]:
                 _fail_check(report, checks[name], failures)
         except Exception as exc:
             _fail_cell(report, exc, failures)
-            _add_check(checks, name, float("nan"), op, entry["value"],
-                       entry["source"], tol=entry.get("tol"))
+            _add_check(checks, name, float("nan"), "<=", bound,
+                       entry["source"])
         reports.append(report)
 
     n_all = sum(d.mesh.n_elements for _, d in discs)
     n_2d = sum(d.mesh.n_elements for _, d in two_d)
     n_3d = sum(d.mesh.n_elements for _, d in three_d)
 
-    run_case(
-        "vertex-columns",
-        lambda: max(vertex_column_defect(d, b)
-                    for _, d in discs for b in (None, "power", "hat")),
-        "<=", "vertex_columns", n_all)
+    run_case("vertex-columns", "vertex_columns", n_all, lambda: (
+        max(vertex_column_defect(d, b)
+            for _, d in discs for b in (None, "power", "hat")), {}))
 
     ratio_cases = [
         ("bubble-ratio-2d-power", two_d, "power",
@@ -894,78 +870,70 @@ def run_lemma_checks(config, data, checks):
     ]
     recorded = data.get("bubble_ratio_2d_power", {})
     for name, group, bubble, key, n_elem in ratio_cases:
-        report = ErrorReport("property", name, float("nan"), n_elem)
-        entry = data[key]
-        expected = entry["value"]
-        try:
-            stats = [bubble_ratio_stats(d, bubble) for _, d in group]
-            defect = max(bubble_ratio_defect(s, expected) for s in stats)
-            report.extra["value"] = defect
-            report.extra["measured"] = stats[0]["median"]
-            report.extra["spread"] = max(s["spread"] for s in stats)
-            if name == "bubble-ratio-2d-power" and recorded:
-                report.extra["recorded_constant"] = recorded["value"]
-                report.extra["recorded_note"] = recorded.get("note", "")
-            report.extra["status"] = "ok"
-            _add_check(checks, name, defect, "<=", entry["tol"],
-                       entry["source"])
-            checks[name]["expected_constant"] = expected
-            if not checks[name]["passed"]:
-                _fail_check(report, checks[name], failures)
-        except Exception as exc:
-            _fail_cell(report, exc, failures)
-            _add_check(checks, name, float("nan"), "<=", entry["tol"],
-                       entry["source"])
-        reports.append(report)
+        shown = recorded if name == "bubble-ratio-2d-power" else {}
+        run_case(name, key, n_elem, lambda: _bubble_ratio_case(
+            group, bubble, data[key]["value"], shown))
 
-    run_case(
-        "bubble-ratio-3d-spread",
-        lambda: max(bubble_ratio_stats(d, "power")["spread"]
-                    for _, d in three_d),
-        "<=", "bubble_ratio_3d_spread", n_3d)
+    run_case("bubble-ratio-3d-spread", "bubble_ratio_3d_spread", n_3d,
+             lambda: (max(bubble_ratio_stats(d, "power")["spread"]
+                          for _, d in three_d), {}))
 
-    run_case(
-        "measure-identities",
-        lambda: max(measure_identity_defect(d) for _, d in discs),
-        "<=", "measure_identities", n_all)
+    run_case("measure-identities", "measure_identities", n_all, lambda: (
+        max(measure_identity_defect(d) for _, d in discs), {}))
 
-    run_case(
-        "smoothing-oracle",
-        lambda: max(smoothing_oracle_defect(d, np.random.default_rng(2024))
-                    for _, d in discs),
-        "<=", "smoothing_oracle", n_all)
+    run_case("smoothing-oracle", "smoothing_oracle", n_all, lambda: (
+        max(smoothing_oracle_defect(d, np.random.default_rng(2024))
+            for _, d in discs), {}))
 
     disc2 = dict(two_d)["cook-3-distorted"]
-    run_case(
-        "condensation-2d",
-        lambda: condensation_defect(
-            disc2, MaterialParams(250.0, 0.4999),
-            {"traction": (0.0, 6.25)}),
-        "<=", "condensation", disc2.mesh.n_elements)
+    run_case("condensation-2d", "condensation", disc2.mesh.n_elements,
+             lambda: (condensation_defect(
+                 disc2, MaterialParams(250.0, 0.4999),
+                 {"traction": (0.0, 6.25)}), {}))
     disc3 = dict(three_d)["block-2"]
-    run_case(
-        "condensation-3d",
-        lambda: condensation_defect(
-            disc3, MaterialParams(180000.0, 0.4999999),
-            {"traction": ("pressure", 250.0)}),
-        "<=", "condensation", disc3.mesh.n_elements)
+    run_case("condensation-3d", "condensation", disc3.mesh.n_elements,
+             lambda: (condensation_defect(
+                 disc3, MaterialParams(180000.0, 0.4999999),
+                 {"traction": ("pressure", 250.0)}), {}))
 
     return reports, failures, {"meshes": [name for name, _ in probes]}
 
 
 # ----------------------------------------------------------------------
-# dispatch
+# the scenario table and dispatch
 # ----------------------------------------------------------------------
 
-_RUNNERS = {
-    "cook": run_cook,
-    "cook-distorted": run_cook,
-    "pipe": run_pipe,
-    "block3d": run_block3d,
-    "cook-neohookean": run_cook_neohookean,
-    "infsup": run_infsup,
-    "lemma-checks": run_lemma_checks,
+_Scenario = namedtuple("_Scenario", "run methods settings")
+
+_MEMBRANE_METHODS = ("fem-t3", "es-fem", "ns-fem", "mini", "bes-fem")
+_BLOCK_METHODS = ("bfs-fem", "fs-fem", "fem-t3", "ns-fem", "mini")
+_COOK = dict(methods=_MEMBRANE_METHODS, meshes=(2, 4, 8, 16, 32),
+             young=250.0, poisson=0.4999, load=100.0, bubble="power",
+             distort=0.0)
+
+# per scenario: its runner, the methods it can run, and the settings it
+# reads with their defaults
+_SCENARIO_TABLE = {
+    "cook": _Scenario(run_cook, _MEMBRANE_METHODS, _COOK),
+    "cook-distorted": _Scenario(run_cook, _MEMBRANE_METHODS,
+                                {**_COOK, "distort": 0.4}),
+    "pipe": _Scenario(run_pipe, _MEMBRANE_METHODS, dict(
+        methods=("bes-fem", "mini", "ns-fem"), meshes=(4, 8, 16, 32),
+        young=21000.0, poisson=0.4999999, load=8.0, bubble="power")),
+    "block3d": _Scenario(run_block3d, _BLOCK_METHODS, dict(
+        methods=_BLOCK_METHODS, meshes=(5,), young=180000.0,
+        poisson=0.4999999, load=250.0, bubble="power",
+        pattern="unstructured")),
+    "cook-neohookean": _Scenario(run_cook_neohookean, ("bes-fem",), dict(
+        methods=("bes-fem",), meshes=(2, 4, 8), load=1.0, bubble="power",
+        kappa=(1.95, 10.0, 100.0, 1000.0, 10000.0), mu=0.6, steps=10,
+        distort=0.0)),
+    "infsup": _Scenario(run_infsup, ("bes-fem", "es-fem"), dict(
+        methods=("bes-fem", "es-fem"), meshes=(2, 4, 8, 16, 32),
+        bubble="power", distort=0.0)),
+    "lemma-checks": _Scenario(run_lemma_checks, (), {}),
 }
+SCENARIOS = tuple(_SCENARIO_TABLE)
 
 
 def run_scenario(config):
@@ -981,8 +949,8 @@ def run_scenario(config):
     """
     checks = {}
     data = acceptance_data().get(config.scenario, {})
-    reports, failures, derived = _RUNNERS[config.scenario](config, data,
-                                                           checks)
+    reports, failures, derived = _SCENARIO_TABLE[config.scenario].run(
+        config, data, checks)
     # a runner's own "meshes" (the lemma probe names) replaces the series
     summary = {"scenario": config.scenario, "config": _config_summary(config),
                "meshes": [_mesh_id(n) for n in config.meshes], **derived,

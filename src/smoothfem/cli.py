@@ -15,9 +15,11 @@ operator property battery and the inf-sup sweep back to back.
 
 Options may also be read from a flat ``key = value`` file through
 ``--config``; command-line flags override file values, which override
-the scenario defaults.  :func:`config_to_text` writes the effective
-settings back in that same format, so a run is reproducible from its
-saved configuration alone.
+the scenario defaults.  Each scenario accepts only the settings it reads;
+any other option is an error.  :func:`config_to_text` renders a
+configuration in that file format: the scenario and the settings it
+accepts, which :func:`parse_config_text` reads back to an equal
+configuration.
 
 The process exits nonzero when any cell failed to solve or any recorded
 check did not pass.
@@ -31,7 +33,8 @@ import os
 import sys
 
 from .analysis import CSV_COLUMNS, reports_to_csv, reports_to_json
-from .benchmarks import SCENARIOS, format_bound, make_config, run_scenario
+from .benchmarks import (SCENARIOS, accepted_settings, format_bound,
+                         make_config, run_scenario)
 
 
 def _parse_names(text):
@@ -46,27 +49,37 @@ def _parse_floats(text):
     return tuple(float(part) for part in _parse_names(text))
 
 
-FIELD_TYPES = {
-    "methods": _parse_names,
-    "meshes": _parse_ints,
-    "young": float,
-    "poisson": float,
-    "load": float,
-    "bubble": str,
-    "kappa": _parse_floats,
-    "mu": float,
-    "steps": int,
-    "distort": float,
-    "seed": int,
-    "pattern": str,
-    "out": str,
+# configuration field -> (command-line flag, parser, help)
+OPTIONS = {
+    "methods": ("--methods", _parse_names, "comma-separated method names"),
+    "meshes": ("--meshes", _parse_ints, "comma-separated mesh resolutions"),
+    "young": ("--young", float, "Young's modulus"),
+    "poisson": ("--nu", float, "Poisson ratio"),
+    "load": ("--load", float,
+             "resultant edge force (Cook) or boundary pressure"),
+    "bubble": ("--bubble", str,
+               "bubble family for the enriched methods: power or hat"),
+    "kappa": ("--kappa", _parse_floats,
+              "comma-separated bulk moduli (neo-Hookean)"),
+    "mu": ("--mu", float, "shear modulus (neo-Hookean)"),
+    "steps": ("--steps", int, "number of load steps (neo-Hookean)"),
+    "distort": ("--distort", float,
+                "interior node perturbation as a fraction of h"),
+    "seed": ("--seed", int, "random seed for mesh distortion"),
+    "pattern": ("--pattern", str,
+                "3D block mesh pattern: uniform or unstructured"),
+    "out": ("--out", str, "directory for the CSV and JSON reports"),
 }
 
 
 def config_to_text(config):
-    """Render a configuration as a flat ``key = value`` file."""
+    """Render a configuration as a flat ``key = value`` file holding the
+    scenario and the settings it accepts."""
     lines = ["# benchmark scenario configuration"]
+    names = ("scenario", *accepted_settings(config.scenario))
     for f in dataclasses.fields(config):
+        if f.name not in names:
+            continue
         value = getattr(config, f.name)
         if isinstance(value, tuple):
             value = ",".join(repr(v) if isinstance(v, float) else str(v)
@@ -96,8 +109,8 @@ def parse_config_text(text):
         key, value = key.strip(), value.strip()
         if key == "scenario":
             values[key] = value
-        elif key in FIELD_TYPES:
-            values[key] = FIELD_TYPES[key](value)
+        elif key in OPTIONS:
+            values[key] = OPTIONS[key][1](value)
         else:
             raise ValueError(f"line {lineno}: unknown configuration key "
                              f"{key!r}")
@@ -187,7 +200,7 @@ def _collect_overrides(args):
             values = parse_config_text(fh.read())
         values.pop("scenario", None)
         overrides.update(values)
-    for name in FIELD_TYPES:
+    for name in OPTIONS:
         value = getattr(args, name, None)
         if value is not None:
             overrides[name] = value
@@ -219,34 +232,11 @@ def build_parser():
         description="Execute one benchmark scenario and report per-cell "
                     "results plus pass/fail checks.")
     run.add_argument("scenario", choices=SCENARIOS)
-    run.add_argument("--methods", type=_parse_names, default=None,
-                     metavar="A,B,...", help="comma-separated method names")
-    run.add_argument("--meshes", type=_parse_ints, default=None,
-                     metavar="N,N,...", help="mesh resolutions")
-    run.add_argument("--young", type=float, default=None,
-                     help="Young's modulus")
-    run.add_argument("--nu", dest="poisson", type=float, default=None,
-                     help="Poisson ratio")
-    run.add_argument("--load", type=float, default=None,
-                     help="resultant edge force (Cook) or boundary pressure")
-    run.add_argument("--bubble", choices=("power", "hat"), default=None,
-                     help="bubble family for the enriched methods")
-    run.add_argument("--kappa", type=_parse_floats, default=None,
-                     metavar="K,K,...", help="bulk moduli (neo-Hookean)")
-    run.add_argument("--mu", type=float, default=None,
-                     help="shear modulus (neo-Hookean)")
-    run.add_argument("--steps", type=int, default=None,
-                     help="number of load steps (neo-Hookean)")
-    run.add_argument("--distort", type=float, default=None,
-                     help="interior node perturbation as a fraction of h")
-    run.add_argument("--seed", type=int, default=None,
-                     help="random seed for mesh distortion")
-    run.add_argument("--pattern", choices=("uniform", "unstructured"),
-                     default=None, help="3D block mesh pattern")
+    for name, (flag, parse, text) in OPTIONS.items():
+        run.add_argument(flag, dest=name, type=parse, default=None,
+                         metavar=flag[2:].upper(), help=text)
     run.add_argument("--config", default=None, metavar="FILE",
                      help="key = value file with defaults for the flags")
-    run.add_argument("--out", default=None, metavar="DIR",
-                     help="directory for the CSV and JSON reports")
 
     check = sub.add_parser(
         "check", help="run the operator property battery and inf-sup sweep",

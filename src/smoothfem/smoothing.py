@@ -45,9 +45,11 @@ class ElementFrames:
 
     def __init__(self, mesh):
         self.grads, self.measures = affine_maps(mesh.nodes, mesh.elements)
-        verts = mesh.nodes[mesh.elements]
-        self.origin = verts[:, 0, :]
-        self.inv = np.linalg.inv(verts[:, 1:, :] - verts[:, :1, :])
+        self.origin = mesh.nodes[mesh.elements[:, 0]]
+        # the vertex-1.. hat gradients are the inverse edge matrix transposed;
+        # a C-ordered copy keeps barycentric's einsum summation order
+        self.inv = np.ascontiguousarray(
+            np.swapaxes(self.grads[:, 1:, :], 1, 2))
 
     def barycentric(self, elem_ids, X):
         """Barycentric coordinates of X (..., Q, d) in the given elements."""

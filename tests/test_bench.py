@@ -73,9 +73,9 @@ def test_config_validation_scenario_specific():
         make_config("plate")
     with pytest.raises(ValueError, match="not defined"):
         make_config("block3d", methods=("bes-fem",))
-    with pytest.raises(ValueError, match="enriched"):
+    with pytest.raises(ValueError, match="not defined"):
         make_config("cook-neohookean", methods=("mini",))
-    with pytest.raises(ValueError, match="inf-sup"):
+    with pytest.raises(ValueError, match="not defined"):
         make_config("infsup", methods=("mini",))
     with pytest.raises(ValueError, match="bulk"):
         make_config("cook-neohookean", kappa=(-1.0,))
@@ -83,10 +83,50 @@ def test_config_validation_scenario_specific():
         make_config("cook-neohookean", meshes=(2,), kappa=(1.95, 1.95),
                     steps=2)
     for scenario in ("pipe", "block3d", "lemma-checks"):
-        with pytest.raises(ValueError, match="does not distort"):
+        with pytest.raises(ValueError, match="does not read distort"):
             make_config(scenario, distort=0.4)
     with pytest.raises(ValueError, match="kappa"):
         make_config("pipe", kappa=(1.95,))
+    with pytest.raises(ValueError, match="does not read mu"):
+        make_config("pipe", meshes=(2, 3), methods=("bes-fem",), seed=7,
+                    mu=5.0, steps=3, pattern="uniform")
+
+
+# a valid value other than the dataclass default for every setting that some
+# scenario does not read (seed and out are accepted by every scenario)
+_OTHER_VALUES = dict(methods=("bes-fem",), meshes=(3,), young=100.0,
+                     poisson=0.3, load=2.0, bubble="hat", kappa=(5.0,),
+                     mu=2.0, steps=3, distort=0.2, pattern="uniform")
+
+
+@pytest.mark.parametrize("scenario", SCENARIOS)
+def test_config_rejects_settings_the_scenario_does_not_read(scenario):
+    accepted = benchmarks.accepted_settings(scenario)
+    assert {"seed", "out"} <= set(accepted)
+    make_config(scenario, seed=7, out="results")
+    for name, value in _OTHER_VALUES.items():
+        if name not in accepted:
+            with pytest.raises(ValueError,
+                               match=f"does not read {name}|not defined"):
+                make_config(scenario, **{name: value})
+
+
+def _load_perfbench(module):
+    path = Path(__file__).resolve().parents[1] / "perfbench" / f"{module}.py"
+    spec = importlib.util.spec_from_file_location(f"perfbench_{module}", path)
+    loaded = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(loaded)
+    return loaded
+
+
+@pytest.mark.parametrize("tiny", [False, True])
+@pytest.mark.parametrize("seed", [0, 501])
+def test_perfbench_workloads_make_valid_configs(tiny, seed):
+    workloads = _load_perfbench("workloads")
+    for name, work in workloads.WORKLOADS.items():
+        overrides = workloads.make_overrides(name, seed, tiny=tiny)
+        cfg = make_config(work.scenario, **overrides)
+        assert cfg.seed == workloads.config_seed(name, seed)
 
 
 @pytest.mark.parametrize("scenario", SCENARIOS)
@@ -135,6 +175,28 @@ def test_failed_cell_is_marked_not_raised(monkeypatch):
     assert np.isnan(failed.tip_uy)
     good = next(r for r in reports if r.method == "bes-fem")
     assert good.extra["status"] == "ok" and np.isfinite(good.tip_uy)
+
+
+def test_failed_middle_mesh_is_not_extrapolated_across(monkeypatch):
+    """The tip limit and tip-change gate use only the meshes after the
+    last failed one, never a series with a gap."""
+    solve = benchmarks._solve_linear
+    failing = benchmarks.generate_cook(3).n_elements
+
+    def breaking(disc, method, mat, tractions, bubble):
+        if disc.mesh.n_elements == failing:
+            raise RuntimeError("synthetic breakdown")
+        return solve(disc, method, mat, tractions, bubble)
+
+    monkeypatch.setattr(benchmarks, "_solve_linear", breaking)
+    cfg = make_config("cook", methods=("bes-fem",), meshes=(2, 3, 4, 5))
+    _, summary = run_scenario(cfg)
+    assert summary["failures"] == ["bes-fem/3"]
+    tips = summary["tips"]["bes-fem"]
+    assert np.isnan(tips[1])
+    assert summary["tip_limit"] == tips[3]
+    change = summary["checks"]["tip-change"]["value"]
+    assert change == pytest.approx(abs(tips[3] - tips[2]) / abs(tips[3]))
 
 
 def test_cli_run_writes_reports_and_is_deterministic(tmp_path):
@@ -282,21 +344,13 @@ def test_public_names_resolve():
     assert missing == []
 
 
-def _load_perfbench_spans():
-    path = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
-    spec = importlib.util.spec_from_file_location("perfbench_spans", path)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
-
-
 def test_perfbench_tracer_finds_its_seams():
     """The benchmark's outside-in tracer nests and still sees every layer.
 
     A refactor that stops looking a traced name up at call time would
     leave its span unrecorded here.
     """
-    spans = _load_perfbench_spans()
+    spans = _load_perfbench("spans")
     seams = [(benchmarks, "error_displacement"), (benchmarks, "solve_bundle"),
              (assembly, "build_smoothing_domains"),
              (assembly.Discretization, "__init__")]
