@@ -20,8 +20,12 @@ factors it in SuperLU's symmetric mode with a minimum-degree ordering of
 A' + A (``SQD_OPTIONS``).  The condensed solves keep the default COLAMD
 ordering with partial pivoting: refinement stops at a 1e-15 residual of an
 ill-conditioned K, so their outputs carry ordering-dependent rounding (1e-8
-relative in the ns-fem pressure error on the pipe).  The inf-sup Gram
-solve, a small share of that measurement, keeps it as well.
+relative in the ns-fem pressure error on the pipe).
+
+``infsup_measure`` forms no dense matrix: ARPACK finds the low end of the
+pressure spectrum by shift-invert.  Its Gram factor keeps COLAMD, and its
+shifted saddle [[G, B'], [B, sigma C]] with sigma < 0 is again symmetric
+quasi-definite and factors with ``SQD_OPTIONS``.
 """
 
 from dataclasses import dataclass, field
@@ -36,6 +40,7 @@ _SINGULAR_MSG = (
     "linear system is singular; the mesh likely lacks enough displacement "
     "constraints to remove rigid-body motion"
 )
+_DEGENERATE_MSG = "pairing is completely degenerate"
 
 
 @dataclass
@@ -207,23 +212,54 @@ def solve_bundle(bundle, f, fixed, values=None):
 def infsup_measure(G_gram, B, C_diag, fixed, n_disp, zero_tol=1e-10):
     """Numerical inf-sup constant of a displacement/pressure pairing.
 
-    Computes the smallest nonzero eigenvalue of B G^{-1} B^T measured
-    against the pressure mass C, over the constrained displacement space;
-    the returned beta is its square root.  G must be the H1-seminorm Gram
-    matrix of the displacement space.
+    beta is the square root of the smallest nonzero eigenvalue of
+    S = B G^{-1} B^T measured against the pressure mass C, over the
+    constrained displacement space; G must be the H1-seminorm Gram matrix
+    of the displacement space.  ARPACK works on T = W S W, W = C^{-1/2},
+    without forming it: T v is one solve with the sparse factor of G, and
+    (T - sigma I)^{-1} one solve with [[G, B^T], [B, sigma C]], whose
+    pressure block is -(S - sigma C)^{-1}.  An eigenvalue below
+    ``zero_tol`` times the largest counts as zero.  Returns beta and the
+    computed low end of the spectrum of T.
     """
     free = free_dofs(n_disp, fixed)
-    G_red = G_gram.tocsr()[free][:, free].tocsc()
+    G_red = G_gram.tocsr()[free][:, free]
     B_red = B.tocsr()[:, free]
-    lu = _factorize(G_red)
-    X = lu.solve(np.asarray(B_red.todense().T))        # G^{-1} B^T
-    S = np.asarray(B_red @ X)                          # (N_p, N_p)
-    S = 0.5 * (S + S.T)
+    n_p = B_red.shape[0]
     w = 1.0 / np.sqrt(C_diag)
-    T = (S * w[None, :]) * w[:, None]
-    eigs = np.linalg.eigvalsh(T)
-    cutoff = zero_tol * max(eigs.max(), 1e-300)
-    nonzero = eigs[eigs > cutoff]
-    if len(nonzero) == 0:
-        raise RuntimeError("pairing is completely degenerate")
-    return float(np.sqrt(nonzero[0])), eigs
+    lu = _factorize(G_red)
+    T = spla.LinearOperator(
+        (n_p, n_p), dtype=float,
+        matvec=lambda v: w * (B_red @ lu.solve(B_red.T @ (w * v.ravel()))))
+    # a fixed start vector: ARPACK's default draws from a state that every
+    # earlier eigsh call in the process advances
+    v0 = np.random.default_rng(0).uniform(-1.0, 1.0, n_p)
+    lam_max = 0.0
+    if B_red.count_nonzero():
+        lam_max = spla.eigsh(T, k=1, which="LA", tol=1e-6, v0=v0,
+                             return_eigenvectors=False)[0]
+    if lam_max <= 0.0:
+        raise RuntimeError(_DEGENERATE_MSG)
+    # below the nonnegative spectrum, and close to its low end
+    sigma = -1e-3 * lam_max
+    saddle = _factorize(sparse.bmat(
+        [[G_red, B_red.T], [B_red, sparse.diags(sigma * C_diag)]]),
+        **SQD_OPTIONS)
+    sqrt_c = 1.0 / w
+    n_free = len(free)
+
+    def shift_invert(r):
+        rhs = np.concatenate([np.zeros(n_free), sqrt_c * r.ravel()])
+        return -sqrt_c * saddle.solve(rhs)[n_free:]
+
+    OPinv = spla.LinearOperator((n_p, n_p), matvec=shift_invert, dtype=float)
+    k = min(6, n_p - 1)
+    while True:
+        low = np.sort(spla.eigsh(T, k, sigma=sigma, OPinv=OPinv, v0=v0,
+                                 return_eigenvectors=False))
+        nonzero = low[low > zero_tol * lam_max]
+        if len(nonzero):
+            return float(np.sqrt(nonzero[0])), low
+        if k == n_p - 1:
+            raise RuntimeError(_DEGENERATE_MSG)
+        k = min(2 * k, n_p - 1)

@@ -2,6 +2,7 @@
 
 import importlib.util
 import json
+import math
 import time
 from pathlib import Path
 
@@ -111,9 +112,11 @@ def test_config_rejects_settings_the_scenario_does_not_read(scenario):
                 make_config(scenario, **{name: value})
 
 
-def _load_perfbench(module):
-    path = Path(__file__).resolve().parents[1] / "perfbench" / f"{module}.py"
-    spec = importlib.util.spec_from_file_location(f"perfbench_{module}", path)
+def _load_repo_module(relpath):
+    """A script module of the repository (``perfbench/``, ``tools/``)."""
+    path = Path(__file__).resolve().parents[1] / relpath
+    spec = importlib.util.spec_from_file_location(
+        f"{path.parent.name}_{path.stem}", path)
     loaded = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(loaded)
     return loaded
@@ -122,7 +125,7 @@ def _load_perfbench(module):
 @pytest.mark.parametrize("tiny", [False, True])
 @pytest.mark.parametrize("seed", [0, 501])
 def test_perfbench_workloads_make_valid_configs(tiny, seed):
-    workloads = _load_perfbench("workloads")
+    workloads = _load_repo_module("perfbench/workloads.py")
     for name, work in workloads.WORKLOADS.items():
         overrides = workloads.make_overrides(name, seed, tiny=tiny)
         cfg = make_config(work.scenario, **overrides)
@@ -350,7 +353,7 @@ def test_perfbench_tracer_finds_its_seams():
     A refactor that stops looking a traced name up at call time would
     leave its span unrecorded here.
     """
-    spans = _load_perfbench("spans")
+    spans = _load_repo_module("perfbench/spans.py")
     seams = [(benchmarks, "error_displacement"), (benchmarks, "solve_bundle"),
              (assembly, "build_smoothing_domains"),
              (assembly.Discretization, "__init__")]
@@ -367,3 +370,37 @@ def test_perfbench_tracer_finds_its_seams():
     assert tracer.check_nesting() == []
     names = {span[0] for span in tracer.spans}
     assert {"analysis.error_norms", "dualmesh.domains"} <= names
+
+
+def test_same_outputs_tolerates_only_numeric_drift(tmp_path):
+    tool = _load_repo_module("tools/same_outputs.py")
+    base = {"beta": 0.125, "status": "ok",
+            "checks": {"gate": {"passed": True}}}
+    drifted = {**base, "beta": 0.125 * (1 + 1e-12)}
+    flipped = {**drifted, "checks": {"gate": {"passed": False}}}
+    drift, where, other = tool.json_diff(base, drifted)
+    assert drift == pytest.approx(1e-12, rel=1e-3)
+    assert where == "$.beta" and other == []
+    assert tool.json_diff(base, flipped)[2] == [
+        "$.checks.gate.passed: True != False"]
+    for x in (float("nan"), float("inf")):
+        assert tool.json_diff([1.0, x], [1.0, 1.0]) == (math.inf, "$[1]", [])
+        assert tool.json_diff([1.0, 1.0], [1.0, x]) == (math.inf, "$[1]", [])
+
+    def runs(head):
+        """Two runs of scenario ``s`` whose JSON files are base and head."""
+        sides = []
+        for side, doc in (("base", base), ("head", head)):
+            out = tmp_path / side
+            out.mkdir(exist_ok=True)
+            (out / "s.json").write_text(json.dumps(doc))
+            sides.append({"status": 0, "stdout": [], "out": out})
+        return sides
+
+    drift_note = f"worst numeric drift {drift:.3g} at $.beta"
+    assert tool.compare("s", *runs(drifted)) == (
+        ["JSON differs", drift_note], [])
+    assert tool.compare("s", *runs(drifted), rtol=1e-10) == (
+        [], [drift_note])
+    problems, _ = tool.compare("s", *runs(flipped), rtol=1e-10)
+    assert "$.checks.gate.passed: True != False" in problems

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from scipy import sparse
+from scipy.sparse import linalg as spla
 
 import smoothfem.solve as solve
 from smoothfem.assembly import (
@@ -13,6 +15,7 @@ from smoothfem.assembly import (
     assemble_method,
     dirichlet_dofs,
 )
+from smoothfem.benchmarks import infsup_operators
 from smoothfem.mesh import (
     build_topology,
     distort_mesh,
@@ -286,3 +289,57 @@ def test_infsup_smoke():
         assert 0.0 < beta < 10.0
         betas[n] = beta
     assert betas[4] > 0.3 * betas[2]
+
+
+def dense_infsup(G_gram, B, C_diag, fixed, n_disp, zero_tol=1e-10):
+    """Reference inf-sup constant: every eigenvalue of the dense
+    C^{-1/2} B G^{-1} B^T C^{-1/2} by ``eigvalsh``."""
+    free = np.setdiff1d(np.arange(n_disp), fixed)
+    G_red = G_gram.tocsr()[free][:, free].tocsc()
+    B_red = B.tocsr()[:, free]
+    S = B_red @ spla.splu(G_red).solve(B_red.toarray().T)
+    w = 1.0 / np.sqrt(C_diag)
+    eigs = np.linalg.eigvalsh(0.5 * (S + S.T) * w[None, :] * w[:, None])
+    return float(np.sqrt(eigs[eigs > zero_tol * eigs.max()][0]))
+
+
+def cook_infsup_operators(n, method, distort=0.0):
+    mesh = generate_cook(n)
+    if distort:
+        mesh = distort_mesh(mesh, distort, seed=3)
+    return infsup_operators(Discretization(mesh), method)
+
+
+@pytest.mark.parametrize("distort", [0.0, 0.4])
+@pytest.mark.parametrize("method", ["bes-fem", "es-fem"])
+def test_infsup_matches_dense_oracle(method, distort):
+    for n in (2, 4, 8, 16):
+        ops = cook_infsup_operators(n, method, distort)
+        beta, _ = infsup_measure(*ops)
+        assert beta == pytest.approx(dense_infsup(*ops), rel=1e-10)
+
+
+def test_infsup_skips_more_zero_modes_than_one_batch():
+    """Eight zero pressure rows outnumber the six eigenvalues of a first
+    batch, so the measure has to widen its search to find beta."""
+    G, B, C, fixed, n_disp = cook_infsup_operators(4, "bes-fem")
+    B_pad = sparse.vstack([B, sparse.csr_matrix((8, B.shape[1]))])
+    C_pad = np.concatenate([C, np.linspace(0.5, 2.0, 8)])
+    beta, low = infsup_measure(G, B_pad, C_pad, fixed, n_disp)
+    assert len(low) > 8
+    assert beta == pytest.approx(infsup_measure(G, B, C, fixed, n_disp)[0],
+                                 rel=1e-10)
+
+
+def test_infsup_rejects_an_all_zero_coupling():
+    G, B, C, fixed, n_disp = cook_infsup_operators(4, "bes-fem")
+    with pytest.raises(RuntimeError, match="completely degenerate"):
+        infsup_measure(G, B * 0.0, C, fixed, n_disp)
+
+
+def test_infsup_is_independent_of_earlier_arpack_calls():
+    ops = cook_infsup_operators(8, "es-fem", distort=0.4)
+    first, _ = infsup_measure(*ops)
+    spla.eigsh(sparse.diags(np.arange(1.0, 51.0)), k=3,
+               return_eigenvectors=False)
+    assert infsup_measure(*ops)[0] == first

@@ -3,7 +3,7 @@
 
 Usage (from anywhere inside the repository)::
 
-    python3 tools/same_outputs.py REV
+    python3 tools/same_outputs.py REV [--rtol R]
 
 Extracts REV with ``git archive`` into a temporary directory and runs the
 seven default scenarios, ``smoothfem run <scenario> --out DIR``, once on
@@ -11,10 +11,15 @@ REV and once on the working tree.  For each scenario it compares the JSON
 file byte for byte, the CSV rows without their timestamp line, the exit
 status, and standard output without its ``wrote ...`` line.  A difference
 is reported with the worst relative drift of a numeric JSON field and its
-path, plus the non-numeric mismatches.  Exit status 0 when all seven
-scenarios are identical, 1 otherwise.
+path, plus the non-numeric mismatches.  With ``--rtol R`` a scenario also
+passes when its JSON differs only in numeric fields, each within R
+relative; exit status, standard output, CSV rows and every non-numeric
+field (statuses, check verdicts) must still be identical, and the worst
+drift is still printed.  Exit status 0 when all seven scenarios pass, 1
+otherwise.
 """
 
+import argparse
 import json
 import math
 import os
@@ -58,9 +63,9 @@ def json_diff(a, b, path="$"):
     if _number(a) and _number(b):
         if a == b or (math.isnan(a) and math.isnan(b)):
             return 0.0, None, []
-        scale = max(abs(a), abs(b))
-        drift = abs(a - b) / scale if math.isfinite(scale) else math.inf
-        return drift, path, []
+        # NaN against a number, or an infinity, is an unbounded drift
+        drift = abs(a - b) / max(abs(a), abs(b))
+        return drift if math.isfinite(drift) else math.inf, path, []
     if isinstance(a, dict) and isinstance(b, dict) and a.keys() == b.keys():
         items = [(f"{path}.{k}", a[k], b[k]) for k in a]
     elif isinstance(a, list) and isinstance(b, list) and len(a) == len(b):
@@ -76,9 +81,13 @@ def json_diff(a, b, path="$"):
     return worst, where, other
 
 
-def compare(scenario, base, head):
-    """Lines describing how two runs of one scenario differ; empty if none."""
-    problems = []
+def compare(scenario, base, head, rtol=0.0):
+    """(problems, notes) describing how two runs of one scenario differ.
+
+    A JSON file that differs only in numeric fields, each by at most
+    ``rtol`` relative, gives a note instead of a problem.
+    """
+    problems, notes = [], []
     if base["status"] != head["status"]:
         problems.append(f"exit status {base['status']} -> {head['status']}")
     if base["stdout"] != head["stdout"]:
@@ -89,17 +98,19 @@ def compare(scenario, base, head):
     paths = [run["out"] / f"{scenario}.json" for run in (base, head)]
     if not all(p.exists() for p in paths):
         problems.append("JSON missing")
-        return problems
+        return problems, notes
     raw_a, raw_b = (p.read_bytes() for p in paths)
     if raw_a != raw_b:
         drift, where, other = json_diff(json.loads(raw_a), json.loads(raw_b))
-        problems.append("JSON differs")
+        if other or drift > rtol:
+            problems.append("JSON differs")
         if where is not None:
-            problems.append(f"worst numeric drift {drift:.3g} at {where}")
+            (notes if drift <= rtol else problems).append(
+                f"worst numeric drift {drift:.3g} at {where}")
         problems += other[:SHOWN]
         if len(other) > SHOWN:
             problems.append(f"... {len(other) - SHOWN} more mismatches")
-    return problems
+    return problems, notes
 
 
 def extract(rev, repo, dest):
@@ -113,18 +124,21 @@ def extract(rev, repo, dest):
 
 
 def main(argv=None):
-    argv = sys.argv[1:] if argv is None else argv
-    if len(argv) != 1:
-        print(__doc__.strip(), file=sys.stderr)
-        return 2
-    rev = argv[0]
+    parser = argparse.ArgumentParser(
+        description="Check that the working tree reproduces a revision's "
+                    "scenario outputs.")
+    parser.add_argument("rev", help="git revision to compare against")
+    parser.add_argument("--rtol", type=float, default=0.0,
+                        help="largest relative drift a numeric JSON field "
+                             "may show (default 0: byte-identical JSON)")
+    args = parser.parse_args(argv)
     repo = Path(subprocess.run(
         ["git", "rev-parse", "--show-toplevel"], check=True,
         capture_output=True, text=True).stdout.strip())
     with tempfile.TemporaryDirectory(prefix="same-outputs-") as tmp:
         tmp = Path(tmp)
         trees = {"base": tmp / "rev", "head": repo}
-        extract(rev, repo, trees["base"])
+        extract(args.rev, repo, trees["base"])
         same = 0
         for scenario in SCENARIOS:
             runs = {}
@@ -132,12 +146,15 @@ def main(argv=None):
                 out = tmp / "out" / side
                 status, stdout = run_scenario(tree, scenario, out)
                 runs[side] = {"status": status, "stdout": stdout, "out": out}
-            problems = compare(scenario, runs["base"], runs["head"])
-            print(f"{scenario}: {'identical' if not problems else 'DIFFERS'}")
-            for line in problems:
+            problems, notes = compare(scenario, runs["base"], runs["head"],
+                                      args.rtol)
+            verdict = ("DIFFERS" if problems else
+                       f"within rtol {args.rtol:g}" if notes else "identical")
+            print(f"{scenario}: {verdict}")
+            for line in problems + notes:
                 print(f"  {line}")
             same += not problems
-        print(f"{same} of {len(SCENARIOS)} scenarios identical to {rev}")
+        print(f"{same} of {len(SCENARIOS)} scenarios match {args.rev}")
     return 0 if same == len(SCENARIOS) else 1
 
 
