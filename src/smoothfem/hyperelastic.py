@@ -10,12 +10,13 @@ plane stretch is one).
 """
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
+from scipy import sparse
 from scipy.sparse import linalg as spla
 
-from .assembly import (VOIGT_PAIRS, dof_indices, free_dofs, scatter_blocks,
-                       strain_matrix)
+from .assembly import VOIGT_PAIRS, dof_indices, free_dofs, strain_matrix
 
 
 @dataclass(frozen=True)
@@ -112,8 +113,10 @@ class SmoothedHyperProblem:
     """Total-Lagrangian neo-Hookean problem on the enriched smoothed basis.
 
     Wraps one Discretization: domain gradients are gathered once into dense
-    per-domain blocks (grouped by support size) so that each Newton step is
-    a batched stress/tangent evaluation plus one sparse factorization.
+    per-domain blocks (grouped by support size), so each Newton step is a
+    batched stress/tangent evaluation, one ``np.bincount`` of the local
+    blocks into the tangent's CSC sparsity pattern (built on first use and
+    shared by every later tangent) and one sparse factorization.
     """
 
     def __init__(self, disc, params, bubble="power"):
@@ -126,10 +129,19 @@ class SmoothedHyperProblem:
         self.measures = domains.measures
         self.n_domains = domains.n_domains
         self._groups = self._gather_groups(disc.gradient_ops(kind, bubble))
+        self._dofs = np.concatenate([dofs.ravel()
+                                     for *_, dofs in self._groups])
 
     def _gather_groups(self, G):
-        # every G_c shares one CSR structure: build_smoothed_gradient fills
-        # them from the same coordinate list
+        # build_smoothed_gradient fills every G_c from one coordinate list,
+        # so all components are read through G[0]'s structure
+        for c, g in enumerate(G[1:], 1):
+            if not (g.shape == G[0].shape
+                    and np.array_equal(g.indptr, G[0].indptr)
+                    and np.array_equal(g.indices, G[0].indices)):
+                raise ValueError(
+                    f"gradient component {c} does not share the CSR "
+                    "structure (indptr, indices) of component 0")
         dim = self.disc.dim
         counts = np.diff(G[0].indptr)
         groups = []
@@ -140,6 +152,22 @@ class SmoothedHyperProblem:
             grad = np.stack([g.data[pos] for g in G], axis=-1)
             groups.append((rows, cols, grad, dof_indices(cols, dim)))
         return groups
+
+    @cached_property
+    def _pattern(self):
+        """CSC structure (indptr, indices) of the n x n tangent, and the
+        data position of every local block entry in group order."""
+        n = self.dofmap.n_disp
+        # block entry (t, x, y) sits at row dofs[t, x], column dofs[t, y]
+        keys = np.concatenate([(dofs[:, None, :] * n + dofs[:, :, None])
+                               .ravel() for *_, dofs in self._groups])
+        cells, positions = np.unique(keys, return_inverse=True)
+        # the index type scipy would pick, so no matrix built on the
+        # pattern copies it
+        itype = np.int32 if cells.size < 2 ** 31 else np.int64
+        indptr = np.zeros(n + 1, itype)
+        np.cumsum(np.bincount(cells // n, minlength=n), out=indptr[1:])
+        return indptr, (cells % n).astype(itype), positions
 
     def state(self, u):
         """Smoothed F, C, J on every domain for a displacement vector."""
@@ -162,45 +190,72 @@ class SmoothedHyperProblem:
     def residual_tangent(self, u):
         """Internal force vector, consistent tangent and a roundoff bound.
 
-        Returns (R, K, noise).  ``noise`` is a per-dof bound on the roundoff
-        carried by the assembled force: the stress is a near-cancellation
-        of terms of magnitude (mu + |lam| (1 + |ln J|)) times the inverse
-        metric, so its absolute accuracy is machine epsilon at that scale
-        no matter how converged the displacement is; the bound contracts
-        those magnitudes through |Bn| exactly like the force itself.
-        Raises _Inverted when any smoothing domain reaches J <= 0.
+        Returns (R, K, noise).  K is a CSC matrix on the problem's fixed
+        tangent pattern: its indptr and indices arrays are built on the
+        first call and shared by every later K, and its data is one
+        bincount of the local blocks.  ``noise`` is a per-dof bound on the
+        roundoff carried by the assembled force: the stress is a
+        near-cancellation of terms of magnitude (mu + |lam| (1 + |ln J|))
+        times the inverse metric, so its absolute accuracy is machine
+        epsilon at that scale no matter how converged the displacement is;
+        the bound contracts those magnitudes through |Bn| exactly like the
+        force itself.  Raises _Inverted when any smoothing domain reaches
+        J <= 0.
         """
         dim = self.disc.dim
         state = self.state(u)
         if state.J.min() <= 0.0:
             raise _Inverted("deformation inverted on a smoothing domain")
-        Ci, lnJ = np.linalg.inv(state.C), _log_J(state.C)
-        S = pk2_stress(state.C, self.params)
-        pi, pj = np.array(VOIGT_PAIRS[dim]).T
-        Sv = S[:, pi, pj]
-        M = _voigt_tangent(Ci, lnJ, self.params)
         mu, lam = self.params.mu, self.params.lam
-        s_scale = ((mu + abs(lam) * (1.0 + np.abs(lnJ)))
+        m = self.measures
+        Ci, lnJ = np.linalg.inv(state.C), _log_J(state.C)
+        # the pk2_stress formula on this one inverse; stress, tangent and
+        # noise scale are integrated over each domain here, once
+        S = m[:, None, None] * (mu * (np.eye(dim) - Ci)
+                                + (lam * lnJ)[:, None, None] * Ci)
+        pi, pj = np.array(VOIGT_PAIRS[dim]).T
+        Sv = S[:, None, pi, pj]
+        M = m[:, None, None] * _voigt_tangent(Ci, lnJ, self.params)
+        s_scale = (m * (mu + abs(lam) * (1.0 + np.abs(lnJ)))
                    * np.linalg.norm(Ci, axis=(1, 2)))
-        R = np.zeros(self.dofmap.n_disp)
-        noise = np.zeros(self.dofmap.n_disp)
-        blocks = []
-        eye = np.eye(dim)
-
-        for rows, _, grad, dofs in self._groups:
-            m = self.measures[rows]
+        forces, bounds, blocks = [], [], []
+        for rows, _, grad, _ in self._groups:
             Bn = strain_matrix(grad, state.F[rows])
-            np.add.at(R, dofs, np.einsum("t,tvx,tv->tx", m, Bn, Sv[rows]))
-            np.add.at(noise, dofs,
-                      np.einsum("t,tvx->tx", m * s_scale[rows], np.abs(Bn)))
-            K_loc = np.einsum("t,tvx,tvw,twy->txy", m, Bn, M[rows], Bn)
-            A = np.einsum("t,tai,tij,tbj->tab", m, grad, S[rows], grad)
-            K_loc += (A[:, :, None, :, None]
-                      * eye[None, None, :, None, :]).reshape(K_loc.shape)
-            blocks.append((K_loc, dofs, dofs))
+            forces.append((Sv[rows] @ Bn).ravel())
+            bounds.append((s_scale[rows, None]
+                           * np.abs(Bn).sum(axis=1)).ravel())
+            K_loc = Bn.transpose(0, 2, 1) @ (M[rows] @ Bn)
+            A = grad @ S[rows] @ grad.transpose(0, 2, 1)
+            # the geometric term A (x) I on the interleaved dofs
+            K5 = K_loc.reshape(len(rows), A.shape[1], dim, A.shape[1], dim)
+            for k in range(dim):
+                K5[:, :, k, :, k] += A
+            blocks.append(K_loc.ravel())
 
         n = self.dofmap.n_disp
-        return R, scatter_blocks(blocks, (n, n)), noise
+        indptr, indices, positions = self._pattern
+        R = np.bincount(self._dofs, np.concatenate(forces), n)
+        noise = np.bincount(self._dofs, np.concatenate(bounds), n)
+        data = np.bincount(positions, np.concatenate(blocks), indices.size)
+        return R, sparse.csc_matrix((data, indices, indptr), (n, n)), noise
+
+
+def _free_block(indptr, indices, free):
+    """The free-free block of a square CSC pattern, as a map on its data.
+
+    Returns (keep, block_indptr, block_indices): for any K on the pattern,
+    K[free][:, free] for ascending ``free`` is the CSC matrix with data
+    K.data[keep] and the returned structure.
+    """
+    local = np.full(len(indptr) - 1, -1)
+    local[free] = np.arange(len(free))
+    rows = local[indices]
+    cols = np.repeat(local, np.diff(indptr))
+    keep = np.flatnonzero((rows >= 0) & (cols >= 0))
+    block_indptr = np.zeros(len(free) + 1, indptr.dtype)
+    np.cumsum(np.bincount(cols[keep], minlength=len(free)),
+              out=block_indptr[1:])
+    return keep, block_indptr, rows[keep].astype(indices.dtype)
 
 
 class _StepFailure(Exception):
@@ -216,7 +271,8 @@ class _StepFailure(Exception):
 _NOISE_FACTOR = 16.0
 
 
-def _newton(problem, u0, load, free, tol, max_iter):
+def _newton(problem, u0, load, free, block, tol, max_iter):
+    keep, block_indptr, block_indices = block
     u = u0.copy()
     scale = np.linalg.norm(load[free]) or 1.0
     residuals = []
@@ -236,8 +292,10 @@ def _newton(problem, u0, load, free, tol, max_iter):
         if rn <= tol or rabs <= floor:
             return u, {"iterations": it, "residuals": residuals,
                        "floor_limited": rn > tol}
+        A = sparse.csc_matrix((K.data[keep], block_indices, block_indptr),
+                              (len(free), len(free)))
         try:
-            du = spla.splu(K[free][:, free].tocsc()).solve(-r[free])
+            du = spla.splu(A).solve(-r[free])
         except RuntimeError:   # exactly singular tangent
             raise _StepFailure(residuals)
         if not np.all(np.isfinite(du)):
@@ -261,6 +319,8 @@ def newton_load_stepping(problem, f_ext, fixed, steps=10, tol=1e-9,
         raise ValueError("need at least one load step")
     f_ext = np.asarray(f_ext, float)
     free = free_dofs(problem.dofmap.n_disp, fixed)
+    indptr, indices, _ = problem._pattern
+    block = _free_block(indptr, indices, free)
 
     u = np.zeros(problem.dofmap.n_disp)
     history = []
@@ -268,8 +328,8 @@ def newton_load_stepping(problem, f_ext, fixed, steps=10, tol=1e-9,
     while current < 1.0 - 1e-12:
         target = min(current + width, 1.0)
         try:
-            u_next, record = _newton(problem, u, target * f_ext, free, tol,
-                                     max_iter)
+            u_next, record = _newton(problem, u, target * f_ext, free,
+                                     block, tol, max_iter)
         except _StepFailure as exc:
             halved += 1
             if halved > max_halvings:

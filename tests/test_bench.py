@@ -372,6 +372,38 @@ def test_perfbench_tracer_finds_its_seams():
     assert {"analysis.error_norms", "dualmesh.domains"} <= names
 
 
+def test_perfbench_tracer_sees_the_newton_seams():
+    """The tracer still sees the Newton layer: residual_tangent and the
+    tangent factorizations through the module-global ``spla`` seam."""
+    spans = _load_repo_module("perfbench/spans.py")
+    tracer = spans.Tracer("newton-tiny")
+    restore = spans.install(tracer)
+    try:
+        with tracer.span(spans.ROOT):
+            reports, _ = run_scenario(make_config(
+                "cook-neohookean", meshes=(2,), kappa=(1.95, 100.0),
+                steps=2))
+    finally:
+        restore()
+    assert len(reports) == 2
+    assert tracer.check_nesting() == []
+
+    def inside_newton(parent):
+        while parent >= 0:
+            if tracer.spans[parent][0] == "hyperelastic.newton":
+                return True
+            parent = tracer.spans[parent][3]
+        return False
+
+    for name in ("hyperelastic.residual_tangent", "hyperelastic.factorize"):
+        parents = [span[3] for span in tracer.spans if span[0] == name]
+        assert parents and all(inside_newton(p) for p in parents), name
+    factorize_spans = sum(span[0] == "hyperelastic.factorize"
+                          for span in tracer.spans)
+    factorizations = tracer.counts["hyperelastic.factorizations"]
+    assert 0 < factorizations == factorize_spans
+
+
 def test_same_outputs_tolerates_only_numeric_drift(tmp_path):
     tool = _load_repo_module("tools/same_outputs.py")
     base = {"beta": 0.125, "status": "ok",

@@ -2,11 +2,13 @@
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 import smoothfem.hyperelastic as hyperelastic
-from smoothfem.assembly import (Discretization, assemble_A_bar,
+from smoothfem.assembly import (VOIGT_PAIRS, Discretization, assemble_A_bar,
                                 assemble_lambda_stiffness, assemble_loads,
-                                dirichlet_dofs)
+                                dirichlet_dofs, free_dofs, scatter_blocks,
+                                strain_matrix)
 from smoothfem.hyperelastic import (DeformationState, NeoHookeanParams,
                                     SmoothedHyperProblem, material_tangent,
                                     newton_load_stepping, pk2_stress,
@@ -250,3 +252,96 @@ def test_singular_tangent_halves_the_step(disc, monkeypatch):
     assert history[0]["load"] == pytest.approx(0.25)
     assert history[-1]["load"] == pytest.approx(1.0)
     assert np.all(np.isfinite(u))
+
+
+def test_gather_rejects_components_with_different_structure(disc):
+    problem = SmoothedHyperProblem(disc, PARAMS)
+    G = [g.copy() for g in disc.gradient_ops("edge", "power")]
+    problem._gather_groups(G)   # the shared structure gathers
+    G[1].data[G[1].indptr[1]] = 0.0
+    G[1].eliminate_zeros()
+    with pytest.raises(ValueError, match="component 1 does not share"):
+        problem._gather_groups(G)
+
+
+def einsum_reference(problem, u):
+    """Force, tangent and noise bound as per-domain einsums summed with
+    np.add.at and scatter_blocks, with the stress from pk2_stress."""
+    dim, params = problem.disc.dim, problem.params
+    state = problem.state(u)
+    Ci = np.linalg.inv(state.C)
+    lnJ = 0.5 * np.log(np.linalg.det(state.C))
+    S = pk2_stress(state.C, params)
+    pi, pj = np.array(VOIGT_PAIRS[dim]).T
+    M = hyperelastic._voigt_tangent(Ci, lnJ, params)
+    s_scale = ((params.mu + abs(params.lam) * (1.0 + np.abs(lnJ)))
+               * np.linalg.norm(Ci, axis=(1, 2)))
+    n = problem.dofmap.n_disp
+    R, noise, blocks = np.zeros(n), np.zeros(n), []
+    for rows, _, grad, dofs in problem._groups:
+        m = problem.measures[rows]
+        Bn = strain_matrix(grad, state.F[rows])
+        np.add.at(R, dofs,
+                  np.einsum("t,tvx,tv->tx", m, Bn, S[rows][:, pi, pj]))
+        np.add.at(noise, dofs,
+                  np.einsum("t,tvx->tx", m * s_scale[rows], np.abs(Bn)))
+        K_loc = np.einsum("t,tvx,tvw,twy->txy", m, Bn, M[rows], Bn)
+        A = np.einsum("t,tai,tij,tbj->tab", m, grad, S[rows], grad)
+        K_loc += np.einsum("tab,kl->takbl", A, np.eye(dim)).reshape(
+            K_loc.shape)
+        blocks.append((K_loc, dofs, dofs))
+    return R, scatter_blocks(blocks, (n, n)), noise
+
+
+@pytest.mark.parametrize("kappa", [1.95, 1e4])
+def test_tangent_matches_einsum_scatter_oracle(kappa):
+    disc = Discretization(generate_cook(4))
+    problem = SmoothedHyperProblem(disc, NeoHookeanParams(0.6, kappa))
+    u = 1e-2 * np.random.default_rng(41).standard_normal(
+        problem.dofmap.n_disp)
+    R, K, noise = problem.residual_tangent(u)
+    R_ref, K_ref, noise_ref = einsum_reference(problem, u)
+
+    assert K.format == "csc"
+    K_ref = K_ref.tocsc()
+    np.testing.assert_array_equal(K.indptr, K_ref.indptr)
+    np.testing.assert_array_equal(K.indices, K_ref.indices)
+    assert (np.abs(K.data - K_ref.data).max()
+            <= 1e-13 * np.abs(K_ref.data).max())
+    assert np.abs(R - R_ref).max() <= 1e-14 * np.abs(R_ref).max()
+    assert np.abs(noise - noise_ref).max() <= 1e-14 * noise_ref.max()
+
+    free = free_dofs(problem.dofmap.n_disp,
+                     dirichlet_dofs(disc.mesh, problem.dofmap))
+    keep, indptr, indices = hyperelastic._free_block(K.indptr, K.indices,
+                                                     free)
+    block = sp.csc_matrix((K.data[keep], indices, indptr),
+                          (len(free), len(free)))
+    np.testing.assert_array_equal(block.toarray(),
+                                  K.tocsr()[free][:, free].toarray())
+
+
+def test_tangent_pattern_and_free_block_are_built_once(disc, monkeypatch):
+    problem = SmoothedHyperProblem(disc, PARAMS)
+    u = 1e-3 * np.random.default_rng(8).standard_normal(
+        problem.dofmap.n_disp)
+    _, K1, _ = problem.residual_tangent(u)
+    _, K2, _ = problem.residual_tangent(2.0 * u)
+    assert K1.indptr is K2.indptr
+    # the csc constructor re-slices indices; both views share one array
+    assert K1.indices.base is K2.indices.base is problem._pattern[1]
+
+    builds = []
+    build = hyperelastic._free_block
+
+    def counted(*args):
+        builds.append(args)
+        return build(*args)
+
+    monkeypatch.setattr(hyperelastic, "_free_block", counted)
+    fixed = dirichlet_dofs(disc.mesh, problem.dofmap)
+    f = assemble_loads(disc.mesh, disc.topo, problem.dofmap,
+                       {"traction": (0.0, 1.0 / 16.0)})
+    _, history = newton_load_stepping(problem, f, fixed, steps=2)
+    assert sum(rec["iterations"] for rec in history) > 1
+    assert len(builds) == 1
