@@ -21,7 +21,9 @@ pressure cells exact.
 Micro-cell vertices are identified by symbolic point ids (mesh vertices,
 then edge midpoints, then face centroids, then element centroids), so
 shared internal facets cancel by integer comparison rather than any
-floating-point matching.
+floating-point matching: each micro-facet is an integer row (domain,
+sorted point ids), and one lexsort of those rows (``mesh.unique_rows``)
+finds the rows that occur twice.
 """
 
 from dataclasses import dataclass
@@ -29,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .basis import affine_maps
-from .mesh import element_facets
+from .mesh import element_facets, unique_rows
 
 _TRI_DIRECTED = ((1, 2), (2, 0), (0, 1))
 _TET_EDGE_INDEX = {(0, 1): 0, (0, 2): 1, (0, 3): 2, (1, 2): 3, (1, 3): 4, (2, 3): 5}
@@ -247,9 +249,8 @@ def build_smoothing_domains(micro, kind):
     faces = micro.cells[:, pattern].reshape(M * (d + 1), d)
     owner = np.repeat(np.arange(M), d + 1)
     key = np.column_stack([dom[owner], np.sort(faces, axis=1)])
-    _, inverse, counts = np.unique(key, axis=0, return_inverse=True,
-                                   return_counts=True)
-    keep = counts[inverse.ravel()] == 1
+    _, inverse, counts = unique_rows(key)
+    keep = counts[inverse] == 1
     faces, owner = faces[keep], owner[keep]
     fdom = dom[owner]
     facet_ptr, order = _csr_groups(fdom, n_domains)
@@ -271,17 +272,18 @@ def build_pressure_cells(micro):
 def domain_diameters(micro, domains):
     """Half of the largest vertex distance within each domain.
 
-    The distinct (domain, vertex) pairs come from one sort of int64 keys;
-    domains with equal vertex counts are then measured together over their
-    vertex pairs, in chunks that bound the difference array.  Each squared
-    distance is summed as in a per-domain loop, so the values are exact
-    repeats of it.
+    The distinct (domain, vertex) pairs come from one sort of int64 keys
+    and a mask of adjacent differences; domains with equal vertex counts
+    are then measured together over their vertex pairs, in chunks that
+    bound the difference array.  Each squared distance is summed as in a
+    per-domain loop, so the values are exact repeats of it.
     """
     n_pts = np.int64(len(micro.points))
     dom = np.repeat(np.arange(domains.n_domains, dtype=np.int64),
                     np.diff(domains.cell_ptr))
     verts = micro.cells[domains.cell_ids]
-    keys = np.unique((dom[:, None] * n_pts + verts).ravel())
+    keys = np.sort((dom[:, None] * n_pts + verts).ravel())
+    keys = keys[np.diff(keys, prepend=-1) != 0]
     dom_of, vert = np.divmod(keys, n_pts)
     ptr = np.searchsorted(dom_of, np.arange(domains.n_domains + 1))
     sizes = np.diff(ptr)

@@ -101,9 +101,9 @@ class Topology:
     elements touching entity k are ``facet_elems[facet_ptr[k]:facet_ptr[k+1]]``.
     """
 
-    edges: np.ndarray          # (NE, 2) sorted node pairs
+    edges: np.ndarray          # (NE, 2) sorted node pairs, rows lexsorted
     elem_edges: np.ndarray     # (E, n_local_edges) edge ids
-    facets: np.ndarray         # (NF, d) sorted node tuples
+    facets: np.ndarray         # (NF, d) sorted node tuples, rows lexsorted
     elem_facets: np.ndarray    # (E, d+1) facet ids, local facet i opposite vertex i
     facet_ptr: np.ndarray
     facet_elems: np.ndarray
@@ -123,12 +123,10 @@ class Topology:
     def facet_index(self, facet_nodes):
         """Map (F, d) facet node tuples to facet ids (raises on a miss)."""
         key = np.sort(np.asarray(facet_nodes, np.int64), axis=1)
-        order = np.lexsort(self.facets.T[::-1])
-        ordered = self.facets[order]
-        pos = _rows_searchsorted(ordered, key)
+        pos = _rows_searchsorted(self.facets, key)
         if pos is None:
             raise KeyError("facet not present in mesh")
-        return order[pos]
+        return pos
 
 
 def _rows_searchsorted(sorted_rows, query):
@@ -143,9 +141,24 @@ def _rows_searchsorted(sorted_rows, query):
     return pos
 
 
-def _unique_rows(rows):
-    """(unique sorted rows, inverse) with rows pre-sorted along axis 1."""
-    return np.unique(rows, axis=0, return_inverse=True)
+def unique_rows(rows):
+    """(unique, inverse, counts) of the rows of a 2-D integer array.
+
+    The same lexicographically sorted rows, inverse and counts as
+    ``np.unique(rows, axis=0, return_inverse=True, return_counts=True)``,
+    from one ``np.lexsort`` over the columns and a comparison of adjacent
+    rows, without packing a row into one key (so ids never overflow).
+    """
+    rows = np.asarray(rows)
+    order = np.lexsort(rows.T[::-1])
+    ordered = rows[order]
+    first = np.ones(len(rows), bool)
+    np.any(ordered[1:] != ordered[:-1], axis=1, out=first[1:])
+    inverse = np.empty(len(rows), np.intp)
+    inverse[order] = np.cumsum(first) - 1
+    starts = np.flatnonzero(first)
+    counts = np.diff(starts, append=len(rows))
+    return ordered[starts], inverse, counts
 
 
 def build_topology(mesh):
@@ -154,7 +167,7 @@ def build_topology(mesh):
     dim = mesh.dim
     local_edges = _TRI_EDGES if dim == 2 else _TET_EDGES
     edge_rows = np.sort(elems[:, local_edges].reshape(-1, 2), axis=1)
-    edges, edge_inv = _unique_rows(edge_rows)
+    edges, edge_inv, _ = unique_rows(edge_rows)
     elem_edges = edge_inv.reshape(len(elems), len(local_edges))
 
     if dim == 2:
@@ -162,7 +175,7 @@ def build_topology(mesh):
         facets, elem_facets = edges, elem_edges
     else:
         facet_rows = np.sort(elems[:, _TET_FACETS].reshape(-1, 3), axis=1)
-        facets, facet_inv = _unique_rows(facet_rows)
+        facets, facet_inv, _ = unique_rows(facet_rows)
         elem_facets = facet_inv.reshape(len(elems), 4)
 
     flat = elem_facets.ravel()
@@ -468,18 +481,24 @@ def _triple(resolution):
 # mesh distortion
 # ----------------------------------------------------------------------
 
-def _splitmix64(state):
-    """One SplitMix64 step: returns (new_state, 64-bit output)."""
-    state = (state + 0x9E3779B97F4A7C15) & 0xFFFFFFFFFFFFFFFF
-    z = state
-    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & 0xFFFFFFFFFFFFFFFF
-    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & 0xFFFFFFFFFFFFFFFF
-    return state, z ^ (z >> 31)
+def _splitmix64(states):
+    """SplitMix64 outputs of a uint64 array of states (wrapping mod 2**64)."""
+    z = states + np.uint64(0x9E3779B97F4A7C15)
+    z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
+    z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
+    return z ^ (z >> np.uint64(31))
 
 
-def _unit_interval(bits):
-    """Map a 64-bit integer to [-1, 1)."""
-    return bits / 2.0 ** 63 - 1.0
+def _uniform_draws(seed, shape):
+    """Deterministic draws in [-1, 1), one per entry of ``shape``.
+
+    Entry i in C order is the SplitMix64 output of state hash(seed) + i,
+    so a (node, coordinate) draw depends only on the seed and its position.
+    """
+    seed_hash = _splitmix64(np.array([int(seed) & 0xFFFFFFFFFFFFFFFF],
+                                     np.uint64))
+    bits = _splitmix64(seed_hash + np.arange(np.prod(shape), dtype=np.uint64))
+    return (bits / 2.0 ** 63 - 1.0).reshape(shape)
 
 
 def distort_mesh(mesh, density, seed=0):
@@ -516,13 +535,7 @@ def distort_mesh(mesh, density, seed=0):
         np.minimum.at(fallback, topo.edges[:, a], edge_len)
     spacing = np.where(np.isfinite(spacing), spacing, fallback[:, None])
 
-    _, seed_hash = _splitmix64(int(seed) & 0xFFFFFFFFFFFFFFFF)
-    r = np.empty((mesh.n_nodes, dim))
-    for n in range(mesh.n_nodes):
-        for c in range(dim):
-            _, bits = _splitmix64((seed_hash + n * dim + c) & 0xFFFFFFFFFFFFFFFF)
-            r[n, c] = _unit_interval(bits)
-
+    r = _uniform_draws(seed, (mesh.n_nodes, dim))
     shift = np.zeros((mesh.n_nodes, dim))
     shift[interior] = density * r[interior] * spacing[interior]
     factor = np.ones(mesh.n_nodes)

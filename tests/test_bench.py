@@ -436,3 +436,33 @@ def test_same_outputs_tolerates_only_numeric_drift(tmp_path):
         [], [drift_note])
     problems, _ = tool.compare("s", *runs(flipped), rtol=1e-10)
     assert "$.checks.gate.passed: True != False" in problems
+
+
+def test_same_outputs_compares_csv_cells_within_rtol(tmp_path):
+    tool = _load_repo_module("tools/same_outputs.py")
+    header = "# generated 2026-01-01T00:00:00\nmethod,err_u,status\n"
+    base = header + "bes-fem,0.1,ok\n"
+    drifted = header + f"bes-fem,{0.1 * (1 + 1e-15)!r},ok\n"
+    failed = header + "bes-fem,0.1,failed\n"
+    shorter = header
+
+    def runs(head):
+        """Two runs of scenario ``s`` whose CSV files are base and head."""
+        sides = []
+        for side, text in (("base", base), ("head", head)):
+            out = tmp_path / side
+            out.mkdir(exist_ok=True)
+            (out / "s.csv").write_text(text)
+            (out / "s.json").write_text("{}")
+            sides.append({"status": 0, "stdout": [], "out": out})
+        return sides
+
+    problems, notes = tool.compare("s", *runs(drifted), rtol=1e-12)
+    assert problems == [] and len(notes) == 1
+    assert notes[0].endswith("at s.csv[1][1]")
+    assert "CSV rows differ" in tool.compare("s", *runs(drifted))[0]
+    for head in (failed, shorter):
+        problems, _ = tool.compare("s", *runs(head), rtol=1e-12)
+        assert problems[0] == "CSV rows differ"
+    assert "s.csv[1][2]: 'ok' != 'failed'" in tool.compare(
+        "s", *runs(failed), rtol=1e-12)[0]

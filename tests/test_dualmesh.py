@@ -18,6 +18,7 @@ from smoothfem.dualmesh import (
 from smoothfem.mesh import (
     build_topology,
     distort_mesh,
+    element_facets,
     generate_annulus,
     generate_block,
     generate_cook,
@@ -174,6 +175,37 @@ def test_domain_boundaries_close(make, kind):
     np.add.at(sums, fdom, n_scaled)
     scale = np.abs(n_scaled).sum()
     assert np.abs(sums).max() < 1e-13 * scale
+
+
+def unique_oracle_facets(micro, dom):
+    """(facet_pts, facet_cell, facet_ptr) cancelled by np.unique(axis=0)."""
+    M, d = micro.n_cells, micro.dim
+    faces = micro.cells[:, element_facets(d)].reshape(M * (d + 1), d)
+    owner = np.repeat(np.arange(M), d + 1)
+    key = np.column_stack([dom[owner], np.sort(faces, axis=1)])
+    _, inverse, counts = np.unique(key, axis=0, return_inverse=True,
+                                   return_counts=True)
+    keep = counts[inverse.ravel()] == 1
+    faces, owner = faces[keep], owner[keep]
+    order = np.argsort(dom[owner], kind="stable")
+    per_domain = np.bincount(dom[owner], minlength=int(dom.max()) + 1)
+    return faces[order], owner[order], np.concatenate([[0],
+                                                       np.cumsum(per_domain)])
+
+
+@pytest.mark.parametrize("make_mesh,kinds", [
+    (lambda: generate_cook(8), ("edge", "node")),
+    (lambda: distort_mesh(generate_cook(8), 0.4, seed=7), ("edge", "node")),
+    (lambda: generate_block(3), ("face", "node")),
+])
+def test_domain_facets_equal_unique_oracle(make_mesh, kinds):
+    _, micro = make_setup(make_mesh())
+    for kind in kinds:
+        domains = build_smoothing_domains(micro, kind)
+        pts, cell, ptr = unique_oracle_facets(micro, domains.dom_of_cell)
+        assert np.array_equal(domains.facet_pts, pts)
+        assert np.array_equal(domains.facet_cell, cell)
+        assert np.array_equal(domains.facet_ptr, ptr)
 
 
 def test_domain_facets_trace_known_shape():

@@ -5,14 +5,24 @@ import pytest
 
 from smoothfem.mesh import (
     PrimalMesh,
+    _uniform_draws,
     build_topology,
     distort_mesh,
     generate_annulus,
     generate_block,
     generate_cook,
+    unique_rows,
 )
 
 COOK_AREA = 1440.0  # shoelace area of (0,0), (48,44), (48,60), (0,44)
+MASK64 = 0xFFFFFFFFFFFFFFFF
+
+
+def assert_rows_strictly_increasing(rows):
+    """Each row is lexicographically greater than the one before it."""
+    step = np.diff(rows, axis=0)
+    lead = step[np.arange(len(step)), np.argmax(step != 0, axis=1)]
+    assert np.all(lead > 0)
 
 
 def test_cook_geometry():
@@ -105,6 +115,7 @@ def test_topology_euler_2d():
     counts = np.diff(topo.facet_ptr)
     assert set(counts.tolist()) <= {1, 2}
     assert np.all(counts[topo.boundary_facet_mask] == 1)
+    assert_rows_strictly_increasing(topo.edges)
 
 
 def test_topology_boundary_3d():
@@ -120,6 +131,24 @@ def test_topology_boundary_3d():
     labeled = np.vstack(list(mesh.boundary.values()))
     ids = topo.facet_index(labeled)
     assert np.all(topo.boundary_facet_mask[ids])
+    assert_rows_strictly_increasing(topo.edges)
+    assert_rows_strictly_increasing(topo.facets)
+
+
+@pytest.mark.parametrize("cols", [2, 3, 4])
+@pytest.mark.parametrize("offset", [0, 2 ** 40])
+def test_unique_rows_matches_numpy(cols, offset):
+    """Ids near 2**40 would overflow a 4-column key packed into one int64."""
+    rng = np.random.default_rng(cols)
+    rows = offset + rng.integers(0, 6, size=(500, cols))
+    rows = np.vstack([rows, rows[::7]])
+    for sample in (rows, rows[:1]):
+        got = unique_rows(sample)
+        want = np.unique(sample, axis=0, return_inverse=True,
+                         return_counts=True)
+        assert np.array_equal(got[0], want[0])
+        assert np.array_equal(got[1], want[1].ravel())
+        assert np.array_equal(got[2], want[2])
 
 
 def test_facet_index_roundtrip():
@@ -129,6 +158,29 @@ def test_facet_index_roundtrip():
     np.testing.assert_array_equal(ids, np.arange(topo.n_facets)[::3])
     with pytest.raises(KeyError):
         topo.facet_index(np.array([[0, mesh.n_nodes - 1]]))
+
+
+def splitmix64_loop(seed, count):
+    """Scalar SplitMix64 draws in [-1, 1): state hash(seed) + i for draw i."""
+
+    def step(state):
+        state = (state + 0x9E3779B97F4A7C15) & MASK64
+        z = state
+        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & MASK64
+        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & MASK64
+        return z ^ (z >> 31)
+
+    seed_hash = step(seed & MASK64)
+    return np.array([step((seed_hash + i) & MASK64) / 2.0 ** 63 - 1.0
+                     for i in range(count)])
+
+
+@pytest.mark.parametrize("seed", [0, 1, 7, 15, 2 ** 64 - 1])
+@pytest.mark.parametrize("n_nodes", [9, 1681, 20000])
+def test_distortion_draws_equal_scalar_splitmix(seed, n_nodes):
+    draws = _uniform_draws(seed, (n_nodes, 2))
+    assert draws.shape == (n_nodes, 2)
+    assert np.array_equal(draws.ravel(), splitmix64_loop(seed, 2 * n_nodes))
 
 
 @pytest.mark.parametrize("make", [

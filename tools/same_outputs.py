@@ -10,13 +10,13 @@ seven default scenarios, ``smoothfem run <scenario> --out DIR``, once on
 REV and once on the working tree.  For each scenario it compares the JSON
 file byte for byte, the CSV rows without their timestamp line, the exit
 status, and standard output without its ``wrote ...`` line.  A difference
-is reported with the worst relative drift of a numeric JSON field and its
-path, plus the non-numeric mismatches.  With ``--rtol R`` a scenario also
-passes when its JSON differs only in numeric fields, each within R
-relative; exit status, standard output, CSV rows and every non-numeric
-field (statuses, check verdicts) must still be identical, and the worst
-drift is still printed.  Exit status 0 when all seven scenarios pass, 1
-otherwise.
+is reported with the worst relative drift of a numeric JSON field or CSV
+cell and its path, plus the non-numeric mismatches.  With ``--rtol R`` a
+scenario also passes when its JSON and CSV differ only in numeric fields
+and cells, each within R relative; exit status, standard output, the CSV
+row and cell counts and every non-numeric field or cell (statuses, check
+verdicts) must still be identical, and the worst drift is still printed.
+Exit status 0 when all seven scenarios pass, 1 otherwise.
 """
 
 import argparse
@@ -47,10 +47,20 @@ def run_scenario(tree, scenario, out):
     return proc.returncode, lines
 
 
+def _cell(text):
+    """A CSV cell as a float when it parses as one, else the text itself."""
+    try:
+        return float(text)
+    except ValueError:
+        return text
+
+
 def csv_rows(path):
+    """Cells of each CSV row without the timestamp line (None if missing)."""
     if not path.exists():
         return None
-    return [line for line in path.read_text().splitlines()
+    return [[_cell(text) for text in line.split(",")]
+            for line in path.read_text().splitlines()
             if not line.startswith("# generated")]
 
 
@@ -93,24 +103,32 @@ def compare(scenario, base, head, rtol=0.0):
     if base["stdout"] != head["stdout"]:
         problems.append("standard output differs")
     name = f"{scenario}.csv"
-    if csv_rows(base["out"] / name) != csv_rows(head["out"] / name):
-        problems.append("CSV rows differ")
+    rows = [csv_rows(run["out"] / name) for run in (base, head)]
+    if rows[0] != rows[1]:
+        _judge("CSV rows differ", json_diff(*rows, path=name), rtol,
+               problems, notes)
     paths = [run["out"] / f"{scenario}.json" for run in (base, head)]
     if not all(p.exists() for p in paths):
         problems.append("JSON missing")
         return problems, notes
     raw_a, raw_b = (p.read_bytes() for p in paths)
     if raw_a != raw_b:
-        drift, where, other = json_diff(json.loads(raw_a), json.loads(raw_b))
-        if other or drift > rtol:
-            problems.append("JSON differs")
-        if where is not None:
-            (notes if drift <= rtol else problems).append(
-                f"worst numeric drift {drift:.3g} at {where}")
-        problems += other[:SHOWN]
-        if len(other) > SHOWN:
-            problems.append(f"... {len(other) - SHOWN} more mismatches")
+        _judge("JSON differs", json_diff(json.loads(raw_a), json.loads(raw_b)),
+               rtol, problems, notes)
     return problems, notes
+
+
+def _judge(headline, diff, rtol, problems, notes):
+    """File one ``json_diff`` result under problems or notes."""
+    drift, where, other = diff
+    if other or drift > rtol:
+        problems.append(headline)
+    if where is not None:
+        (notes if drift <= rtol else problems).append(
+            f"worst numeric drift {drift:.3g} at {where}")
+    problems += other[:SHOWN]
+    if len(other) > SHOWN:
+        problems.append(f"... {len(other) - SHOWN} more mismatches")
 
 
 def extract(rev, repo, dest):
@@ -130,7 +148,8 @@ def main(argv=None):
     parser.add_argument("rev", help="git revision to compare against")
     parser.add_argument("--rtol", type=float, default=0.0,
                         help="largest relative drift a numeric JSON field "
-                             "may show (default 0: byte-identical JSON)")
+                             "or CSV cell may show (default 0: "
+                             "byte-identical JSON)")
     args = parser.parse_args(argv)
     repo = Path(subprocess.run(
         ["git", "rev-parse", "--show-toplevel"], check=True,
