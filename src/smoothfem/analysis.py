@@ -12,9 +12,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .assembly import (VOIGT_PAIRS, MaterialParams, canonical_method,
-                       divergence_operator, full_elastic_matrix,
-                       shear_weight_vector, strain_rows)
+from .assembly import (VOIGT_PAIRS, MaterialParams, divergence_operator,
+                       full_elastic_matrix, shear_weight_vector, strain_rows)
 from .basis import bubble_gradient, bubble_value
 from .dualmesh import mesh_size
 from .quadrature import simplex_quadrature
@@ -205,12 +204,9 @@ def error_pressure(disc, p, exact, continuous=False):
     return float(np.sqrt(np.einsum("kq,kq->", w, diff * diff)))
 
 
-_STRESS_KINDS = {"fem-t3": "element", "es-fem": "edge", "ns-fem": "node",
-                 "fs-fem": "face"}
-
-
-def error_energy(disc, method, u, p, exact, mat, bubble="power"):
-    """Energy error norm of one solution; the variant follows the method.
+def error_energy(disc, bundle, u, p, exact):
+    """Energy error norm of one solution of the method assembled in
+    ``bundle``; the variant follows the bundle.
 
     Displacement-only methods measure their domain-averaged stress against
     the exact stress in the full material metric.  The enriched mixed
@@ -223,41 +219,20 @@ def error_energy(disc, method, u, p, exact, mat, bubble="power"):
     Returns (norm, total): sqrt(max(0, total)) and the raw signed total,
     reported so the cross-term sign can be audited.
     """
-    method = canonical_method(method)
-    if method == "mini":
-        return _energy_mini(disc, u, p, exact, mat)
-    if method in ("bes-fem", "bfs-fem"):
-        return _energy_mixed(disc, u, p, exact, mat, bubble)
-    return _energy_stress(disc, method, u, exact, mat)
-
-
-def _strain_defect(disc, kind, G, u, exact):
-    """Exact minus domain-averaged strain at the micro-cell points.
-
-    Returns (X, w, dom, diff): the cached quadrature's points and weights,
-    each micro-cell's domain in ``kind``, and the Voigt defect (M, Q, nv).
-    """
+    if bundle.nodal_pressure:
+        return _energy_mini(disc, bundle, u, p, exact)
+    mat = bundle.mat
+    G = disc.gradient_ops(bundle.kind, bundle.bubble)
     eps_bar = np.stack([R @ u for R in strain_rows(G, disc.dim)], axis=-1)
-    dom = disc.domains(kind).dom_of_cell
+    dom = disc.domains(bundle.kind).dom_of_cell
     X, w, _ = disc.quadrature()
-    return X, w, dom, exact.strain(X) - eps_bar[dom][:, None, :]
+    diff = exact.strain(X) - eps_bar[dom][:, None, :]
+    if not bundle.mixed:
+        C = full_elastic_matrix(mat.lam, mat.mu, disc.dim)
+        total = np.einsum("kq,kqv,vw,kqw->", w, diff, C, diff)
+        return float(np.sqrt(max(0.0, total))), float(total)
 
-
-def _energy_stress(disc, method, u, exact, mat):
-    """Full-metric smoothed-stress defect for displacement-only methods."""
-    kind = _STRESS_KINDS[method]
-    _, w, _, diff = _strain_defect(disc, kind, disc.gradient_ops(kind, None),
-                                   u, exact)
-    C = full_elastic_matrix(mat.lam, mat.mu, disc.dim)
-    total = np.einsum("kq,kqv,vw,kqw->", w, diff, C, diff)
-    return float(np.sqrt(max(0.0, total))), float(total)
-
-
-def _energy_mixed(disc, u, p, exact, mat, bubble):
-    """Shear defect plus pressure-divergence defect on smoothing domains."""
-    kind = disc.smoothing_kind()
-    G = disc.gradient_ops(kind, bubble)
-    X, w, dom, diff = _strain_defect(disc, kind, G, u, exact)
+    # shear defect plus pressure-divergence defect on smoothing domains
     div_bar = divergence_operator(G, disc.dim) @ u
     shear = shear_weight_vector(disc.dim)
     quad = 2.0 * mat.mu * np.einsum("kq,kqv,v->", w, diff * diff, shear)
@@ -268,23 +243,22 @@ def _energy_mixed(disc, u, p, exact, mat, bubble):
     return float(np.sqrt(max(0.0, total))), float(total)
 
 
-def _energy_mini(disc, u, p, exact, mat):
+def _energy_mini(disc, bundle, u, p, exact):
     """Pointwise element-field defect for MINI (P1 + bubble, P1 pressure)."""
-    mesh, dim = disc.mesh, disc.dim
-    dofmap = disc.dofmap(with_bubble=True)
+    mesh, dim, mat = disc.mesh, disc.dim, bundle.mat
     rule = simplex_quadrature(dim, 4)
     corners = mesh.nodes[mesh.elements]
     X = np.einsum("qi,eid->eqd", rule.points, corners)
     w = mesh.element_measures()[:, None] * rule.weights[None, :]
     E, Q = w.shape
 
-    vals = dofmap.reshape(u)
-    grads = disc.frames.grads
+    vals = bundle.dofmap.reshape(u)
+    grads = mesh.grads
     H = np.broadcast_to(
         np.einsum("eir,eic->erc", vals[mesh.elements], grads)[:, None],
         (E, Q, dim, dim)).copy()
     lam = np.broadcast_to(rule.points, (E, Q, dim + 1))
-    gb = bubble_gradient("power", lam, grads)
+    gb = bubble_gradient(bundle.bubble, lam, grads)
     H += vals[mesh.n_nodes:][:, None, :, None] * gb[:, :, None, :]
 
     eps = np.stack([H[..., i, j] + H[..., j, i] if i != j else H[..., i, i]
@@ -318,7 +292,7 @@ def locate_points(disc, X, candidates=None):
     best_lam = np.zeros((S, mesh.dim + 1))
     for lo in range(0, len(cand), 512):
         chunk = cand[lo:lo + 512]
-        lam = disc.frames.barycentric(
+        lam = mesh.barycentric(
             chunk, np.broadcast_to(X, (len(chunk),) + X.shape))
         lmin = lam.min(axis=-1)
         pick = lmin.argmax(axis=0)

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import sparse
 
-from .basis import affine_maps, bubble_gradient, bubble_volume_mean
+from .basis import bubble_gradient, bubble_volume_mean
 from .dualmesh import (
     build_micro_decomposition,
     build_pressure_cells,
@@ -29,9 +29,16 @@ from .dualmesh import (
 )
 from .mesh import build_topology
 from .quadrature import simplex_quadrature
-from .smoothing import ElementFrames, build_smoothed_gradient, facet_normals
+from .smoothing import build_smoothed_gradient, facet_normals
 
-METHODS = ("bes-fem", "bfs-fem", "es-fem", "fs-fem", "ns-fem", "fem-t3", "mini")
+# per method: the dimension it is restricted to (None: 2D and 3D) and the
+# stiffness-domain kind of a displacement baseline (None: a mixed method)
+_METHOD_TABLE = {
+    "bes-fem": (2, None), "bfs-fem": (3, None), "es-fem": (2, "edge"),
+    "fs-fem": (3, "face"), "ns-fem": (None, "node"),
+    "fem-t3": (None, "element"), "mini": (None, None),
+}
+METHODS = tuple(_METHOD_TABLE)
 
 _ALIASES = {
     "bes": "bes-fem", "bfs": "bfs-fem", "es": "es-fem", "fs": "fs-fem",
@@ -131,7 +138,6 @@ class Discretization:
         self.mesh = mesh
         self.topo = build_topology(mesh)
         self.micro = build_micro_decomposition(mesh, self.topo)
-        self.frames = ElementFrames(mesh)
         self.pressure_cells = build_pressure_cells(self.micro)
         self._domains = {}
         self._gradients = {}
@@ -155,9 +161,7 @@ class Discretization:
         key = (kind, bubble)
         if key not in self._gradients:
             self._gradients[key] = build_smoothed_gradient(
-                self.mesh, self.micro, self.domains(kind), bubble=bubble,
-                frames=self.frames,
-            )
+                self.mesh, self.micro, self.domains(kind), bubble=bubble)
         return self._gradients[key]
 
     def overlap(self, kind):
@@ -181,7 +185,7 @@ class Discretization:
             X = np.einsum("qi,kid->kqd", rule.points,
                           micro.points[micro.cells])
             w = micro.measures[:, None] * rule.weights[None, :]
-            lam = self.frames.barycentric(micro.cell_elem, X)
+            lam = self.mesh.barycentric(micro.cell_elem, X)
             for a in (X, w, lam):
                 a.flags.writeable = False
             self._quadrature = (X, w, lam)
@@ -320,7 +324,7 @@ def assemble_plain_B(disc, dofmap, bubble=None):
     """
     mesh, micro = disc.mesh, disc.micro
     dim, N = mesh.dim, mesh.n_nodes
-    grads = disc.frames.grads
+    grads = mesh.grads
     rows, cols, vals = [], [], []
 
     # vertex columns: m(V_i ^ T) * grad, accumulated per micro-cell
@@ -336,7 +340,7 @@ def assemble_plain_B(disc, dofmap, bubble=None):
         rule = simplex_quadrature(dim, dim + 1)
         cpts = micro.points[micro.cells]
         X = np.einsum("qi,kid->kqd", rule.points, cpts)
-        lam_pts = disc.frames.barycentric(t, X)
+        lam_pts = mesh.barycentric(t, X)
         gb = bubble_gradient(bubble, lam_pts, grads[t])  # (M, Q, d)
         mean = np.einsum("q,kqc->kc", rule.weights, gb)
         for c in range(dim):
@@ -360,7 +364,7 @@ def assemble_h1_gram(disc, dofmap, bubble=None):
     """
     mesh = disc.mesh
     dim, N, E = mesh.dim, mesh.n_nodes, mesh.n_elements
-    grads, meas = disc.frames.grads, disc.frames.measures
+    grads, meas = mesh.grads, mesh.element_measures()
     local = np.einsum("t,tid,tjd->tij", meas, grads, grads)
     blocks = [(local, mesh.elements, mesh.elements)]
     if dofmap.with_bubble:
@@ -428,7 +432,7 @@ def assemble_loads(mesh, topo, dofmap, tractions, body_force=None,
                 np.add.at(f, facets[:, l] * dim + c, w * t[:, c])
     if body_force is not None:
         b = np.asarray(body_force, float)
-        _, meas = affine_maps(mesh.nodes, mesh.elements)
+        meas = mesh.element_measures()
         w = meas / (dim + 1)
         for l in range(dim + 1):
             for c in range(dim):
@@ -475,7 +479,9 @@ class OperatorBundle:
     and the pressure mass C (diagonal vector for the smoothed pair, sparse
     for MINI).  Displacement baselines store the full stiffness in A and
     keep node-domain recovery operators in B, C so a pressure field can be
-    reported the same way for every method.
+    reported the same way for every method.  ``kind`` is the domain kind
+    of the stiffness and ``bubble`` the bubble of an enriched dof map
+    (None without one); error norms and post-processing read them here.
     """
 
     method: str
@@ -488,21 +494,29 @@ class OperatorBundle:
     kind: str
     bubble: str = None
 
+    @property
+    def nodal_pressure(self):
+        """True for MINI's continuous P1 pressure; otherwise the pressure
+        holds one constant per node-centered cell."""
+        return self.method == "mini"
+
 
 def assemble_method(disc, method, mat, bubble="power"):
-    """Build the OperatorBundle of any supported method on a Discretization."""
+    """Build the OperatorBundle of any supported method on a Discretization.
+
+    ``bubble`` enriches bes-fem and bfs-fem; MINI always uses the power
+    bubble and the displacement baselines none.
+    """
     method = canonical_method(method)
     dim = disc.dim
-    if method == "bes-fem" and dim != 2:
-        raise ValueError("bes-fem is the 2D method; use bfs-fem in 3D")
-    if method == "bfs-fem" and dim != 3:
-        raise ValueError("bfs-fem is the 3D method; use bes-fem in 2D")
-    if method == "es-fem" and dim != 2:
-        raise ValueError("es-fem smooths over edges, defined in 2D")
-    if method == "fs-fem" and dim != 3:
-        raise ValueError("fs-fem smooths over faces, defined in 3D")
+    only_dim, kind = _METHOD_TABLE[method]
+    if only_dim not in (None, dim):
+        raise ValueError(f"{method} is defined in {only_dim}D only, "
+                         f"not on this {dim}D mesh")
+    if method == "mini":
+        return _assemble_mini(disc, mat)
 
-    if method in ("bes-fem", "bfs-fem"):
+    if kind is None:
         kind = disc.smoothing_kind()
         dofmap = disc.dofmap(with_bubble=True)
         G = disc.gradient_ops(kind, bubble)
@@ -512,11 +526,6 @@ def assemble_method(disc, method, mat, bubble="power"):
         C = assemble_C_bar(disc.pressure_cells)
         return OperatorBundle(method, True, dofmap, mat, A, B, C, kind, bubble)
 
-    if method == "mini":
-        return _assemble_mini(disc, mat)
-
-    kind = {"es-fem": "edge", "fs-fem": "face", "ns-fem": "node",
-            "fem-t3": "element"}[method]
     dofmap = disc.dofmap(with_bubble=False)
     G = disc.gradient_ops(kind, None)
     domains = disc.domains(kind)
@@ -534,7 +543,7 @@ def _assemble_mini(disc, mat):
     mesh = disc.mesh
     dim, N, E = mesh.dim, mesh.n_nodes, mesh.n_elements
     dofmap = disc.dofmap(with_bubble=True)
-    grads, meas = disc.frames.grads, disc.frames.measures
+    grads, meas = mesh.grads, mesh.element_measures()
     rule = simplex_quadrature(dim, 2 * dim)
     Q = len(rule.weights)
     lam = np.broadcast_to(rule.points, (E, Q, dim + 1))

@@ -77,6 +77,7 @@ from .assembly import (
     canonical_method,
     dirichlet_dofs,
 )
+from .basis import BUBBLE_KINDS
 from .hyperelastic import (
     NeoHookeanParams,
     SmoothedHyperProblem,
@@ -131,8 +132,8 @@ class ScenarioConfig:
         self.meshes = tuple(int(n) for n in self.meshes)
         if any(n < 2 for n in self.meshes):
             raise ValueError("mesh resolutions must be integers >= 2")
-        if self.bubble not in ("power", "hat"):
-            raise ValueError("bubble must be 'power' or 'hat'")
+        if self.bubble not in BUBBLE_KINDS:
+            raise ValueError(f"bubble must be one of {BUBBLE_KINDS}")
         if self.young <= 0.0:
             raise ValueError("Young's modulus must be positive")
         if not 0.0 <= self.poisson < 0.5:
@@ -214,18 +215,13 @@ def _mesh_id(n):
     return str(n)
 
 
-def _method_bubble(method, config):
-    """Bubble kind a method was assembled with (MINI is always cubic)."""
-    return "power" if method == "mini" else config.bubble
-
-
 def _solve_linear(disc, method, mat, tractions, bubble):
-    """Assemble, constrain, and solve one method; (solution, dofmap)."""
+    """Assemble, constrain, and solve one method; (solution, bundle)."""
     bundle = assemble_method(disc, method, mat, bubble=bubble)
     f = assemble_loads(disc.mesh, disc.topo, bundle.dofmap, tractions)
     fixed = dirichlet_dofs(disc.mesh, bundle.dofmap)
     sol = solve_bundle(bundle, f, fixed)
-    return sol, bundle.dofmap
+    return sol, bundle
 
 
 def _fail_cell(report, exc, failures):
@@ -236,10 +232,7 @@ def _fail_cell(report, exc, failures):
 
 def format_bound(check):
     """A recorded check's comparison as text, e.g. '0.3 <= 1e-10'."""
-    bound = f"{check['value']:.6g} {check['op']} {check['threshold']:.6g}"
-    if "tol" in check:
-        bound += f" (tol {check['tol']:g})"
-    return bound
+    return f"{check['value']:.6g} {check['op']} {check['threshold']:.6g}"
 
 
 def _fail_check(report, check, failures):
@@ -277,11 +270,8 @@ def _sweep(config, mesh_of, cell, keys=None, row=None):
     return reports, failures, values
 
 
-def _add_check(checks, name, value, op, threshold, source, tol=None):
-    """Record one named check; ``op`` is '>=', '<=', '>', '<' or '~'.
-
-    '~' tests |value - threshold| <= tol * max(1, |threshold|).
-    """
+def _add_check(checks, name, value, op, threshold, source):
+    """Record one named check; ``op`` is '>=', '<=', '>' or '<'."""
     value = float(value)
     if not np.isfinite(value):
         passed = False
@@ -293,15 +283,10 @@ def _add_check(checks, name, value, op, threshold, source, tol=None):
         passed = value > threshold
     elif op == "<":
         passed = value < threshold
-    elif op == "~":
-        passed = abs(value - threshold) <= tol * max(1.0, abs(threshold))
     else:
         raise ValueError(f"unknown comparison {op!r}")
-    entry = {"value": value, "op": op, "threshold": threshold,
-             "passed": bool(passed), "source": source}
-    if tol is not None:
-        entry["tol"] = tol
-    checks[name] = entry
+    checks[name] = {"value": value, "op": op, "threshold": threshold,
+                    "passed": bool(passed), "source": source}
 
 
 def _gate(checks, data, key, name, value, op):
@@ -325,11 +310,11 @@ def _series(store, method, meshes):
 def _tip_cell(config, mat, tractions, point, comp):
     """Sweep cell solving one linear method and reading one displacement."""
     def cell(disc, n, method, report):
-        sol, dofmap = _solve_linear(disc, method, mat, tractions,
-                                    _method_bubble(method, config))
-        report.tip_uy = tip_displacement(disc.mesh, dofmap, sol.u, point,
-                                         comp=comp)
-        report.extra["n_dof"] = dofmap.n_disp
+        sol, bundle = _solve_linear(disc, method, mat, tractions,
+                                    config.bubble)
+        report.tip_uy = tip_displacement(disc.mesh, bundle.dofmap, sol.u,
+                                         point, comp=comp)
+        report.extra["n_dof"] = bundle.dofmap.n_disp
         return report.tip_uy
     return cell
 
@@ -405,10 +390,10 @@ def _cook_profiles(config, mat, failures, summary, checks, data):
     wanted = [m for m in config.methods if m in ("bes-fem", "ns-fem", "mini")]
     for method in wanted:
         try:
-            bubble = _method_bubble(method, config)
-            sol, _ = _solve_linear(disc, method, mat, tractions, bubble)
+            sol, bundle = _solve_linear(disc, method, mat, tractions,
+                                        config.bubble)
             ts, vals = pressure_profile(disc, sol.p, value=PROFILE_LINE_X,
-                                        continuous=(method == "mini"))
+                                        continuous=bundle.nodal_pressure)
             profiles[method] = (ts, vals)
         except Exception as exc:
             failures.append(f"{method}/{mesh_id}")
@@ -462,14 +447,15 @@ def run_pipe(config, data, checks):
     tractions = {"traction": ("pressure", config.load)}
 
     def cell(disc, n, method, report):
-        bubble = _method_bubble(method, config)
-        sol, dofmap = _solve_linear(disc, method, mat, tractions, bubble)
+        sol, bundle = _solve_linear(disc, method, mat, tractions,
+                                    config.bubble)
+        dofmap = bundle.dofmap
         report.err_u = error_displacement(disc, dofmap, sol.u,
-                                          exact.displacement, bubble=bubble)
+                                          exact.displacement,
+                                          bubble=bundle.bubble)
         report.err_p = error_pressure(disc, sol.p, exact.pressure,
-                                      continuous=(method == "mini"))
-        norm, signed = error_energy(disc, method, sol.u, sol.p, exact, mat,
-                                    bubble=bubble)
+                                      continuous=bundle.nodal_pressure)
+        norm, signed = error_energy(disc, bundle, sol.u, sol.p, exact)
         report.err_E = norm
         report.extra["err_E_signed"] = signed
         report.tip_uy = tip_displacement(disc.mesh, dofmap, sol.u,
@@ -754,7 +740,7 @@ def measure_identity_defect(disc):
     """
     micro = disc.micro
     cells = disc.pressure_cells
-    elem = disc.frames.measures
+    elem = disc.mesh.element_measures()
     total = float(elem.sum())
     defects = [abs(float(micro.measures.sum()) - total) / total]
 
@@ -765,7 +751,7 @@ def measure_identity_defect(disc):
     defects.append(float((np.abs(row - cells.measures)
                           / cells.measures).max()))
 
-    kinds = ("edge" if disc.dim == 2 else "face", "node", "element")
+    kinds = (disc.smoothing_kind(), "node", "element")
     for kind in kinds:
         domains = disc.domains(kind)
         O = disc.overlap(kind)
@@ -787,7 +773,7 @@ def smoothing_oracle_defect(disc, rng, domains_per_case=7):
     largest scaled disagreement.
     """
     mesh = disc.mesh
-    kinds = ("edge" if disc.dim == 2 else "face", "node", "element")
+    kinds = (disc.smoothing_kind(), "node", "element")
     worst = 0.0
     for kind in kinds:
         domains = disc.domains(kind)

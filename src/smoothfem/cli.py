@@ -15,7 +15,8 @@ operator property battery and the inf-sup sweep back to back.
 
 Options may also be read from a flat ``key = value`` file through
 ``--config``; command-line flags override file values, which override
-the scenario defaults.  Each scenario accepts only the settings it reads;
+the scenario defaults.  A ``scenario`` line in the file must name the
+scenario being run.  Each scenario accepts only the settings it reads;
 any other option is an error.  :func:`config_to_text` renders a
 configuration in that file format: the scenario and the settings it
 accepts, which :func:`parse_config_text` reads back to an equal
@@ -198,7 +199,10 @@ def _collect_overrides(args):
     if args.config:
         with open(args.config, encoding="utf-8") as fh:
             values = parse_config_text(fh.read())
-        values.pop("scenario", None)
+        scenario = values.pop("scenario", args.scenario)
+        if scenario != args.scenario:
+            raise ValueError(f"{args.config} configures scenario "
+                             f"{scenario!r}, not {args.scenario!r}")
         overrides.update(values)
     for name in OPTIONS:
         value = getattr(args, name, None)

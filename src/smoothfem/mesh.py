@@ -47,6 +47,8 @@ class PrimalMesh:
     nodes : (N, d) float array of vertex coordinates.
     elements : (E, d+1) int array, positively oriented.
     boundary : dict mapping label -> (F, d) int array of facet node tuples.
+    grads : (E, d+1, d) constant gradient of each element's vertex hats,
+        the element frames that every downstream builder reads.
     """
 
     nodes: np.ndarray
@@ -63,7 +65,7 @@ class PrimalMesh:
         for label in self.boundary:
             if label not in BOUNDARY_LABELS:
                 raise ValueError(f"unknown boundary label {label!r}")
-        _, measures = affine_maps(self.nodes, self.elements)
+        self.grads, measures = affine_maps(self.nodes, self.elements)
         bad = np.flatnonzero(measures <= 0.0)
         if bad.size:
             raise ValueError(
@@ -86,6 +88,18 @@ class PrimalMesh:
     def element_measures(self):
         """Areas (2D) or volumes (3D), all positive."""
         return self._measures.copy()
+
+    def barycentric(self, elem_ids, X):
+        """Barycentric coordinates (F, Q, d+1) of points X (F, Q, d) in the
+        elements ``elem_ids`` (F,)."""
+        rel = X - self.nodes[self.elements[elem_ids, 0]][..., None, :]
+        # the vertex-1.. hat gradients are the inverse edge matrix
+        # transposed; a C-ordered copy fixes einsum's summation order
+        inv = np.ascontiguousarray(
+            np.swapaxes(self.grads[elem_ids, 1:, :], 1, 2))
+        lam_rest = np.einsum("fqc,fcd->fqd", rel, inv)
+        lam0 = 1.0 - lam_rest.sum(axis=-1, keepdims=True)
+        return np.concatenate([lam0, lam_rest], axis=-1)
 
     def copy_with_nodes(self, nodes):
         return PrimalMesh(nodes, self.elements.copy(),

@@ -20,7 +20,7 @@ code with the boundary form, and exists to cross-check it.
 import numpy as np
 from scipy.sparse import coo_matrix
 
-from .basis import affine_maps, bubble_gradient, bubble_value
+from .basis import bubble_gradient, bubble_value
 from .quadrature import boundary_quadrature, simplex_quadrature
 
 
@@ -40,26 +40,7 @@ def facet_normals(pts):
     return n / area[:, None], area
 
 
-class ElementFrames:
-    """Cached per-element affine data shared by the smoothing builders."""
-
-    def __init__(self, mesh):
-        self.grads, self.measures = affine_maps(mesh.nodes, mesh.elements)
-        self.origin = mesh.nodes[mesh.elements[:, 0]]
-        # the vertex-1.. hat gradients are the inverse edge matrix transposed;
-        # a C-ordered copy keeps barycentric's einsum summation order
-        self.inv = np.ascontiguousarray(
-            np.swapaxes(self.grads[:, 1:, :], 1, 2))
-
-    def barycentric(self, elem_ids, X):
-        """Barycentric coordinates of X (..., Q, d) in the given elements."""
-        rel = X - self.origin[elem_ids][..., None, :]
-        lam_rest = np.einsum("fqc,fcd->fqd", rel, self.inv[elem_ids])
-        lam0 = 1.0 - lam_rest.sum(axis=-1, keepdims=True)
-        return np.concatenate([lam0, lam_rest], axis=-1)
-
-
-def build_smoothed_gradient(mesh, micro, domains, bubble=None, frames=None):
+def build_smoothed_gradient(mesh, micro, domains, bubble=None):
     """Sparse averaged-gradient operators [G_x, G_y(, G_z)] for a domain set.
 
     Parameters
@@ -70,7 +51,6 @@ def build_smoothed_gradient(mesh, micro, domains, bubble=None, frames=None):
     bubble : None, 'power', or 'hat'
         With a bubble kind, scalar columns are the N mesh vertices followed
         by one bubble per element; otherwise vertices only.
-    frames : ElementFrames, optional precomputed affine cache.
 
     Returns
     -------
@@ -79,7 +59,6 @@ def build_smoothed_gradient(mesh, micro, domains, bubble=None, frames=None):
     dim = mesh.dim
     N, E = mesh.n_nodes, mesh.n_elements
     n_scalar = N + (E if bubble else 0)
-    frames = frames or ElementFrames(mesh)
 
     fpts = micro.points[domains.facet_pts]          # (F, d, dim)
     normals, areas = facet_normals(fpts)
@@ -89,7 +68,7 @@ def build_smoothed_gradient(mesh, micro, domains, bubble=None, frames=None):
     rule = boundary_quadrature("segment" if dim == 2 else "triangle",
                                3 if dim == 2 else 4)
     X = np.einsum("qi,fid->fqd", rule.points, fpts)     # (F, Q, dim)
-    lam = frames.barycentric(felem, X)                  # (F, Q, d+1)
+    lam = mesh.barycentric(felem, X)                    # (F, Q, d+1)
 
     # facet-mean shape values (normals are constant on flat facets)
     hat_mean = np.einsum("q,fqi->fi", rule.weights, lam)
@@ -118,8 +97,7 @@ def build_smoothed_gradient(mesh, micro, domains, bubble=None, frames=None):
     ]
 
 
-def volume_average_gradient(mesh, micro, domains, k, coeffs, bubble=None,
-                            frames=None):
+def volume_average_gradient(mesh, micro, domains, k, coeffs, bubble=None):
     """Average gradient over domain k by volume quadrature (oracle path).
 
     ``coeffs`` is (n_scalar, d) vertex (and bubble) dof values.  Integrates
@@ -130,7 +108,6 @@ def volume_average_gradient(mesh, micro, domains, k, coeffs, bubble=None,
     """
     dim = mesh.dim
     N = mesh.n_nodes
-    frames = frames or ElementFrames(mesh)
     coeffs = np.asarray(coeffs, float)
 
     cells = domains.cells_of(k)
@@ -140,13 +117,13 @@ def volume_average_gradient(mesh, micro, domains, k, coeffs, bubble=None,
 
     # vertex part: hat gradients are constant per element
     U_loc = coeffs[mesh.elements[celem]]            # (C, d+1, d)
-    gl = frames.grads[celem]                        # (C, d+1, d)
+    gl = mesh.grads[celem]                          # (C, d+1, d)
     H = np.einsum("k,kir,kic->rc", cmeas, U_loc, gl)
 
     if bubble:
         rule = simplex_quadrature(dim, 4)
         X = np.einsum("qi,kid->kqd", rule.points, cpts)
-        lam = frames.barycentric(celem, X)          # (C, Q, d+1)
+        lam = mesh.barycentric(celem, X)            # (C, Q, d+1)
         gb = bubble_gradient(bubble, lam, gl)       # (C, Q, d)
         Ub = coeffs[N + celem]                      # (C, d)
         H += np.einsum("k,q,kqc,kr->rc", cmeas, rule.weights, gb, Ub)

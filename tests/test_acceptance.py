@@ -115,7 +115,7 @@ def _bubble_boundary_integral(disc, kind):
     elem = disc.micro.cell_elem[domains.facet_cell]
     rule = boundary_quadrature("segment", 3)
     X = np.einsum("qi,fid->fqd", rule.points, pts)
-    mean = bubble_value("power", disc.frames.barycentric(elem, X)) @ rule.weights
+    mean = bubble_value("power", disc.mesh.barycentric(elem, X)) @ rule.weights
     length = np.linalg.norm(pts[:, 1] - pts[:, 0], axis=1)
     return np.bincount(elem, weights=length * mean,
                        minlength=disc.mesh.n_elements)

@@ -12,7 +12,8 @@ from smoothfem.analysis import (CSV_COLUMNS, ErrorReport, ExactPipeSolution,
                                 reports_to_csv, reports_to_json,
                                 richardson_limit, tip_displacement,
                                 total_variation)
-from smoothfem.assembly import Discretization, MaterialParams, full_elastic_matrix
+from smoothfem.assembly import (Discretization, MaterialParams,
+                               assemble_method, full_elastic_matrix)
 from smoothfem.mesh import generate_annulus, generate_block, generate_cook
 
 
@@ -149,7 +150,9 @@ def test_energy_error_vanishes_on_exact_linear(disc_cook, method):
     dofmap, u = interpolate_linear(disc_cook, fld,
                                    method in ("bes-fem", "mini"))
     p = np.full(disc_cook.mesh.n_nodes, mat.lam * np.trace(fld.A))
-    norm, total = error_energy(disc_cook, method, u, p, fld, mat)
+    norm, total = error_energy(disc_cook,
+                               assemble_method(disc_cook, method, mat), u, p,
+                               fld)
     scale = mat.lam * np.abs(u).max() ** 2
     assert abs(total) < 1e-10 * scale
     assert norm == pytest.approx(np.sqrt(max(0.0, total)))
@@ -163,7 +166,8 @@ def test_energy_error_3d_variants():
     for method in ("fs-fem", "bfs-fem", "mini"):
         dofmap, u = interpolate_linear(disc, fld, method != "fs-fem")
         p = np.full(disc.mesh.n_nodes, mat.lam * np.trace(A))
-        norm, total = error_energy(disc, method, u, p, fld, mat)
+        norm, total = error_energy(disc, assemble_method(disc, method, mat),
+                                   u, p, fld)
         assert abs(total) < 1e-10 * mat.lam * np.abs(u).max() ** 2
 
 
@@ -172,12 +176,13 @@ def test_mini_energy_ignores_smoothing_domains(disc_annulus, monkeypatch):
     fld = LinearField([[0.1, 0.0], [0.0, 0.2]], [0.0, 0.0], mat, 2)
     dofmap, u = interpolate_linear(disc_annulus, fld, with_bubble=True)
     p = np.full(disc_annulus.mesh.n_nodes, mat.lam * 0.3)
+    bundle = assemble_method(disc_annulus, "mini", mat)
 
     def forbidden(kind):
         raise AssertionError("MINI norm must not build smoothing domains")
 
     monkeypatch.setattr(disc_annulus, "domains", forbidden)
-    norm, total = error_energy(disc_annulus, "mini", u, p, fld, mat)
+    norm, total = error_energy(disc_annulus, bundle, u, p, fld)
     assert np.isfinite(norm)
 
 
@@ -200,7 +205,7 @@ def test_microcell_quadrature_built_once(pipe, monkeypatch):
         u = rng.standard_normal(dofmap.n_disp)
         error_displacement(disc, dofmap, u, pipe.displacement)
         error_pressure(disc, p, pipe.pressure)
-        error_energy(disc, method, u, p, pipe, mat)
+        error_energy(disc, assemble_method(disc, method, mat), u, p, pipe)
     assert calls == [(2, 4)]
     X, w, lam = disc.quadrature()
     with pytest.raises(ValueError):
@@ -216,7 +221,9 @@ def test_energy_cross_term_is_signed(disc_cook):
     # constant discrete pressure offset, zero displacement: the defect is
     # (0 - p_h) * (0 - 0) = 0 within domains, so total equals zero
     p = np.full(disc_cook.mesh.n_nodes, 4.0)
-    norm, total = error_energy(disc_cook, "bes-fem", u, p, fld, mat)
+    norm, total = error_energy(disc_cook,
+                               assemble_method(disc_cook, "bes-fem", mat), u,
+                               p, fld)
     assert total == pytest.approx(0.0, abs=1e-14)
     assert norm == 0.0
 

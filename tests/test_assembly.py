@@ -242,12 +242,14 @@ def test_fem_t3_matches_textbook_stiffness():
 
 
 def test_method_dimension_guards():
+    """Each one-dimension method refuses a mesh of the other dimension."""
     disc2 = Discretization(generate_cook(2))
+    disc3 = Discretization(generate_block(2))
     mat = MaterialParams(E=1.0, nu=0.3)
-    with pytest.raises(ValueError):
-        assemble_method(disc2, "bfs-fem", mat)
-    with pytest.raises(ValueError):
-        assemble_method(disc2, "fs-fem", mat)
+    for disc, method in ((disc2, "bfs-fem"), (disc2, "fs-fem"),
+                         (disc3, "bes-fem"), (disc3, "es-fem")):
+        with pytest.raises(ValueError, match=f"{method} is defined in"):
+            assemble_method(disc, method, mat)
 
 
 def test_cook_traction_resultant():

@@ -17,7 +17,6 @@ from smoothfem.quadrature import (
     boundary_quadrature,
     simplex_quadrature,
 )
-from smoothfem.smoothing import ElementFrames
 
 RNG = np.random.default_rng(20240811)
 
@@ -29,18 +28,18 @@ def random_barycentric(rng, dim, n):
 
 
 def one_element(verts):
-    """Frames of a one-element mesh on ``verts``, positively reordered."""
+    """A one-element mesh on ``verts``, positively reordered."""
     verts = np.array(verts, float)
     _, meas = affine_maps(verts, np.arange(len(verts))[None, :])
     if meas[0] < 0:
         verts[[0, 1]] = verts[[1, 0]]
     mesh = PrimalMesh(verts, np.arange(len(verts))[None, :])
-    return mesh.nodes, ElementFrames(mesh)
+    return mesh.nodes, mesh
 
 
-def bary(frames, pts):
+def bary(mesh, pts):
     """(1, P, d+1) barycentric coordinates of points (P, d) in element 0."""
-    return frames.barycentric(np.zeros(1, np.int64), pts[None])
+    return mesh.barycentric(np.zeros(1, np.int64), pts[None])
 
 
 def all_exponents(dim, total):
@@ -107,11 +106,11 @@ def test_affine_maps_reference(dim):
 
 @pytest.mark.parametrize("dim", [2, 3])
 def test_barycentric_roundtrip(dim):
-    verts, frames = one_element(RNG.normal(size=(dim + 1, dim)))
+    verts, mesh = one_element(RNG.normal(size=(dim + 1, dim)))
     lam = random_barycentric(RNG, dim, 40)
     pts = lam @ verts
-    np.testing.assert_allclose(bary(frames, pts)[0], lam, atol=1e-12)
-    np.testing.assert_allclose(frames.grads[0].sum(axis=0), 0.0, atol=1e-12)
+    np.testing.assert_allclose(bary(mesh, pts)[0], lam, atol=1e-12)
+    np.testing.assert_allclose(mesh.grads[0].sum(axis=0), 0.0, atol=1e-12)
 
 
 @given(st.integers(0, 2 ** 32 - 1), st.sampled_from([2, 3]))
@@ -176,37 +175,37 @@ def test_hat_bubble_volume_mean(dim):
     assert bubble_volume_mean("hat", dim) == pytest.approx(1.0 / (dim + 1))
 
 
-def fd_bubble_gradient(kind, frames, pts, h):
+def fd_bubble_gradient(kind, mesh, pts, h):
     """Central differences of the bubble at points (P, d); (P, d)."""
     out = np.empty_like(pts)
     for c in range(pts.shape[1]):
         step = np.zeros(pts.shape[1])
         step[c] = h
-        out[:, c] = (bubble_value(kind, bary(frames, pts + step)[0])
-                     - bubble_value(kind, bary(frames, pts - step)[0])) / (2 * h)
+        out[:, c] = (bubble_value(kind, bary(mesh, pts + step)[0])
+                     - bubble_value(kind, bary(mesh, pts - step)[0])) / (2 * h)
     return out
 
 
 @pytest.mark.parametrize("dim", [2, 3])
 def test_power_bubble_gradient_fd(dim):
-    verts, frames = one_element(RNG.normal(size=(dim + 1, dim)) * 2.0)
+    verts, mesh = one_element(RNG.normal(size=(dim + 1, dim)) * 2.0)
     pts = random_barycentric(RNG, dim, 15) @ verts
-    g = bubble_gradient("power", bary(frames, pts), frames.grads[:1])[0]
-    fd = fd_bubble_gradient("power", frames, pts, 1e-6)
+    g = bubble_gradient("power", bary(mesh, pts), mesh.grads[:1])[0]
+    fd = fd_bubble_gradient("power", mesh, pts, 1e-6)
     assert g == pytest.approx(fd, rel=5e-6, abs=5e-6)
 
 
 @pytest.mark.parametrize("dim", [2, 3])
 def test_hat_bubble_gradient_fd(dim):
     """FD check at points safely inside one cone of the hat bubble."""
-    verts, frames = one_element(np.vstack([np.zeros(dim), np.eye(dim)]) * 1.7)
+    verts, mesh = one_element(np.vstack([np.zeros(dim), np.eye(dim)]) * 1.7)
     # the minimum coordinate must be unique and stay unique under perturbation
     rng = np.random.default_rng(7)
     lam = rng.dirichlet(np.ones(dim + 1), size=40)
     lam = lam[np.min(np.abs(np.diff(np.sort(lam, axis=1), axis=1)), axis=1) > 1e-3]
     pts = (lam @ verts)[:10]
-    g = bubble_gradient("hat", bary(frames, pts), frames.grads[:1])[0]
-    fd = fd_bubble_gradient("hat", frames, pts, 1e-7)
+    g = bubble_gradient("hat", bary(mesh, pts), mesh.grads[:1])[0]
+    fd = fd_bubble_gradient("hat", mesh, pts, 1e-7)
     assert g == pytest.approx(fd, rel=1e-4, abs=1e-4)
 
 

@@ -238,6 +238,38 @@ def test_cli_precedence_cli_over_file_over_defaults(tmp_path):
     assert effective["young"] == 250.0         # default preserved
 
 
+def test_cli_config_file_scenario_must_match(tmp_path, capsys):
+    cfg_file = tmp_path / "infsup.cfg"
+    cfg_file.write_text("scenario = infsup\nmethods = es-fem\n"
+                        "meshes = 2,3\n")
+    assert main(["run", "pipe", "--config", str(cfg_file)]) == 2
+    assert "'infsup'" in capsys.readouterr().err
+    # a file naming the command's own scenario still applies
+    out = tmp_path / "out"
+    assert main(["run", "infsup", "--config", str(cfg_file),
+                 "--out", str(out)]) != 2
+    _, summary = reports_from_json((out / "infsup.json").read_text())
+    assert summary["config"]["methods"] == ["es-fem"]
+    assert summary["config"]["meshes"] == [2, 3]
+
+
+def test_pipe_mini_ignores_the_bubble_setting():
+    """MINI always carries the power bubble; the setting only reaches the
+    enriched smoothed method."""
+    rows = {}
+    for bubble in ("power", "hat"):
+        reports, _ = run_scenario(make_config(
+            "pipe", methods=("bes-fem", "mini"), meshes=(2, 4),
+            bubble=bubble))
+        rows[bubble] = {(r.method, r.mesh_id): (r.err_u, r.err_p, r.err_E)
+                        for r in reports}
+    for mesh_id in ("2", "4"):
+        assert rows["power"][("mini", mesh_id)] == rows["hat"][("mini",
+                                                                mesh_id)]
+        assert rows["power"][("bes-fem", mesh_id)] != rows["hat"][(
+            "bes-fem", mesh_id)]
+
+
 def test_cli_rejects_bad_values(tmp_path, capsys):
     assert main(["run", "cook", "--nu", "0.7"]) == 2
     assert "Poisson" in capsys.readouterr().err
@@ -466,3 +498,13 @@ def test_same_outputs_compares_csv_cells_within_rtol(tmp_path):
         assert problems[0] == "CSV rows differ"
     assert "s.csv[1][2]: 'ok' != 'failed'" in tool.compare(
         "s", *runs(failed), rtol=1e-12)[0]
+
+
+def test_same_outputs_counts_source_lines(tmp_path):
+    tool = _load_repo_module("tools/same_outputs.py")
+    package = tmp_path / "src" / "smoothfem"
+    package.mkdir(parents=True)
+    (package / "a.py").write_text("import numpy\n\nX = 1\n")
+    (package / "b.py").write_text("Y = 2\n")
+    (package / "notes.txt").write_text("not counted\n")
+    assert tool.source_lines(tmp_path) == 4

@@ -16,7 +16,9 @@ scenario also passes when its JSON and CSV differ only in numeric fields
 and cells, each within R relative; exit status, standard output, the CSV
 row and cell counts and every non-numeric field or cell (statuses, check
 verdicts) must still be identical, and the worst drift is still printed.
-Exit status 0 when all seven scenarios pass, 1 otherwise.
+Last it prints the ``src/smoothfem/*.py`` line count of REV and of the
+working tree, so a refactor's size and its identity gate come from one
+command.  Exit status 0 when all seven scenarios pass, 1 otherwise.
 """
 
 import argparse
@@ -131,6 +133,12 @@ def _judge(headline, diff, rtol, problems, notes):
         problems.append(f"... {len(other) - SHOWN} more mismatches")
 
 
+def source_lines(tree):
+    """``wc -l`` total of the package sources ``src/smoothfem/*.py``."""
+    return sum(path.read_bytes().count(b"\n")
+               for path in (tree / "src" / "smoothfem").glob("*.py"))
+
+
 def extract(rev, repo, dest):
     """Unpack the committed tree of ``rev`` into ``dest``."""
     archive = dest.with_suffix(".tar")
@@ -173,6 +181,8 @@ def main(argv=None):
             for line in problems + notes:
                 print(f"  {line}")
             same += not problems
+        print(f"src/smoothfem/*.py: {source_lines(trees['base'])} lines at "
+              f"{args.rev}, {source_lines(repo)} in the working tree")
         print(f"{same} of {len(SCENARIOS)} scenarios match {args.rev}")
     return 0 if same == len(SCENARIOS) else 1
 
