@@ -159,22 +159,21 @@ def characteristic_h(disc):
     return mesh_size(disc.micro, [disc.domains(kind), disc.domains("node")])
 
 
-def displacement_values(disc, dofmap, u, lam, elem, bubble="power"):
+def displacement_values(disc, dofmap, u, lam, elem):
     """Evaluate a discrete displacement at batched barycentric points.
 
     ``lam`` is (..., Q, d+1) in the elements listed by ``elem`` (...,);
-    returns (..., Q, d).  The bubble kind matters only when the dof map
-    carries bubbles.
+    returns (..., Q, d).  Bubbles of the dof map's kind are included.
     """
     vals = dofmap.reshape(u)
     out = np.einsum("kqi,kid->kqd", lam, vals[disc.mesh.elements[elem]])
-    if dofmap.with_bubble:
-        bv = bubble_value(bubble, lam)
+    if dofmap.bubble:
+        bv = bubble_value(dofmap.bubble, lam)
         out = out + bv[..., None] * vals[disc.mesh.n_nodes + elem][:, None, :]
     return out
 
 
-def error_displacement(disc, dofmap, u, exact, bubble="power"):
+def error_displacement(disc, dofmap, u, exact):
     """L2 norm of u_h - u for a callable exact field.
 
     Integrates with a degree-4 rule on every micro-cell; the micro-cells
@@ -183,7 +182,7 @@ def error_displacement(disc, dofmap, u, exact, bubble="power"):
     """
     X, w, lam = disc.quadrature()
     elem = disc.micro.cell_elem
-    diff = displacement_values(disc, dofmap, u, lam, elem, bubble) - exact(X)
+    diff = displacement_values(disc, dofmap, u, lam, elem) - exact(X)
     return float(np.sqrt(np.einsum("kq,kqd,kqd->", w, diff, diff)))
 
 
@@ -222,8 +221,8 @@ def error_energy(disc, bundle, u, p, exact):
     if bundle.nodal_pressure:
         return _energy_mini(disc, bundle, u, p, exact)
     mat = bundle.mat
-    G = disc.gradient_ops(bundle.kind, bundle.bubble)
-    eps_bar = np.stack([R @ u for R in strain_rows(G, disc.dim)], axis=-1)
+    G = disc.gradient_ops(bundle.kind, bundle.dofmap.bubble)
+    eps_bar = np.stack([R @ u for R in strain_rows(G)], axis=-1)
     dom = disc.domains(bundle.kind).dom_of_cell
     X, w, _ = disc.quadrature()
     diff = exact.strain(X) - eps_bar[dom][:, None, :]
@@ -233,7 +232,7 @@ def error_energy(disc, bundle, u, p, exact):
         return float(np.sqrt(max(0.0, total))), float(total)
 
     # shear defect plus pressure-divergence defect on smoothing domains
-    div_bar = divergence_operator(G, disc.dim) @ u
+    div_bar = divergence_operator(G) @ u
     shear = shear_weight_vector(disc.dim)
     quad = 2.0 * mat.mu * np.einsum("kq,kqv,v->", w, diff * diff, shear)
     p = np.asarray(p, float)
@@ -258,7 +257,7 @@ def _energy_mini(disc, bundle, u, p, exact):
         np.einsum("eir,eic->erc", vals[mesh.elements], grads)[:, None],
         (E, Q, dim, dim)).copy()
     lam = np.broadcast_to(rule.points, (E, Q, dim + 1))
-    gb = bubble_gradient(bundle.bubble, lam, grads)
+    gb = bubble_gradient(bundle.dofmap.bubble, lam, grads)
     H += vals[mesh.n_nodes:][:, None, :, None] * gb[:, :, None, :]
 
     eps = np.stack([H[..., i, j] + H[..., j, i] if i != j else H[..., i, i]

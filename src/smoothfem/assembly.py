@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import sparse
 
-from .basis import bubble_gradient, bubble_volume_mean
+from .basis import bubble_gradient, bubble_volume_mean, check_bubble_kind
 from .dualmesh import (
     build_micro_decomposition,
     build_pressure_cells,
@@ -102,17 +102,22 @@ class DofMap:
 
     Scalar function j is mesh vertex j for j < n_nodes and the interior
     bubble of element j - n_nodes otherwise; displacement dof (j, c) sits at
-    index j * dim + c.  Bubble dofs are never constrained.
+    index j * dim + c.  ``bubble`` is the bubble kind ('power' or 'hat'),
+    or None for the plain P1 space.  Bubble dofs are never constrained.
     """
 
     n_nodes: int
     n_elements: int
     dim: int
-    with_bubble: bool
+    bubble: str
+
+    def __post_init__(self):
+        if self.bubble is not None:
+            check_bubble_kind(self.bubble)
 
     @property
     def n_scalar(self):
-        return self.n_nodes + (self.n_elements if self.with_bubble else 0)
+        return self.n_nodes + (self.n_elements if self.bubble else 0)
 
     @property
     def n_disp(self):
@@ -191,9 +196,9 @@ class Discretization:
             self._quadrature = (X, w, lam)
         return self._quadrature
 
-    def dofmap(self, with_bubble):
+    def dofmap(self, bubble=None):
         return DofMap(self.mesh.n_nodes, self.mesh.n_elements, self.dim,
-                      with_bubble)
+                      bubble)
 
 
 # Voigt order of the engineering strain: row v holds (i, j), the normal
@@ -256,8 +261,9 @@ def _component_columns(G, dim, c):
                              shape=(G.shape[0], G.shape[1] * dim))
 
 
-def strain_rows(G_list, dim):
+def strain_rows(G_list):
     """Voigt strain operators, one (K x n_disp) matrix per engineering row."""
+    dim = len(G_list)
     rows = []
     for i, j in VOIGT_PAIRS[dim]:
         row = _component_columns(G_list[j], dim, i)
@@ -267,19 +273,21 @@ def strain_rows(G_list, dim):
     return rows
 
 
-def divergence_operator(G_list, dim):
+def divergence_operator(G_list):
     """Sparse (K x n_disp) smoothed divergence."""
+    dim = len(G_list)
     out = _component_columns(G_list[0], dim, 0)
     for c in range(1, dim):
         out = out + _component_columns(G_list[c], dim, c)
     return out.tocsr()
 
 
-def assemble_A_bar(G_list, domains, mu, dim):
-    """Smoothed shear stiffness 2 mu sum_k m_k eps_k : eps_k."""
-    rows = strain_rows(G_list, dim)
-    weights = shear_weight_vector(dim)
-    m = domains.measures
+def assemble_A_bar(disc, kind, bubble, mu):
+    """Smoothed shear stiffness 2 mu sum_k m_k eps_k : eps_k over the
+    ``kind`` domains of ``disc``, on the space enriched by ``bubble``."""
+    rows = strain_rows(disc.gradient_ops(kind, bubble))
+    weights = shear_weight_vector(disc.dim)
+    m = disc.domains(kind).measures
     A = None
     for Bv, w in zip(rows, weights):
         scaled = sparse.diags(2.0 * mu * w * m) @ Bv
@@ -288,24 +296,20 @@ def assemble_A_bar(G_list, domains, mu, dim):
     return A.tocsr()
 
 
-def assemble_lambda_stiffness(G_list, domains, lam, dim):
+def assemble_lambda_stiffness(disc, kind, bubble, lam):
     """Volumetric part lam sum_k m_k div_k div_k (displacement baselines)."""
-    Div = divergence_operator(G_list, dim)
-    return (Div.T @ (sparse.diags(lam * domains.measures) @ Div)).tocsr()
+    Div = divergence_operator(disc.gradient_ops(kind, bubble))
+    measures = disc.domains(kind).measures
+    return (Div.T @ (sparse.diags(lam * measures) @ Div)).tocsr()
 
 
-def assemble_B_bar(G_list, domains, overlap, dim):
+def assemble_B_bar(disc, kind, bubble=None):
     """Pressure coupling: rows are pressure cells, columns displacement dofs.
 
     B[i, :] = sum_k m(V_i ^ Omega_k) * (smoothed divergence row of k).
     """
-    Div = divergence_operator(G_list, dim)
-    return (overlap @ Div).tocsr()
-
-
-def assemble_C_bar(pressure_cells):
-    """Diagonal pressure mass: the cell measures."""
-    return pressure_cells.measures.copy()
+    Div = divergence_operator(disc.gradient_ops(kind, bubble))
+    return (disc.overlap(kind) @ Div).tocsr()
 
 
 def assemble_condensed(A, B, C_diag, lam):
@@ -314,7 +318,7 @@ def assemble_condensed(A, B, C_diag, lam):
     return (A + B.T @ (W @ B)).tocsr()
 
 
-def assemble_plain_B(disc, dofmap, bubble=None):
+def assemble_plain_B(disc, dofmap):
     """Element-wise divergence coupling, the volume-integral counterpart of
     the smoothed B: B[i, (j,c)] = int_{V_i} d phi_j / d x_c.
 
@@ -336,12 +340,12 @@ def assemble_plain_B(disc, dofmap, bubble=None):
             cols.append(mesh.elements[t, l] * dim + c)
             vals.append(micro.measures * grads[t, l, c])
 
-    if bubble:
+    if dofmap.bubble:
         rule = simplex_quadrature(dim, dim + 1)
         cpts = micro.points[micro.cells]
         X = np.einsum("qi,kid->kqd", rule.points, cpts)
         lam_pts = mesh.barycentric(t, X)
-        gb = bubble_gradient(bubble, lam_pts, grads[t])  # (M, Q, d)
+        gb = bubble_gradient(dofmap.bubble, lam_pts, grads[t])  # (M, Q, d)
         mean = np.einsum("q,kqc->kc", rule.weights, gb)
         for c in range(dim):
             rows.append(i)
@@ -355,7 +359,7 @@ def assemble_plain_B(disc, dofmap, bubble=None):
     return B.tocsr()
 
 
-def assemble_h1_gram(disc, dofmap, bubble=None):
+def assemble_h1_gram(disc, dofmap):
     """H1-seminorm Gram matrix of the displacement space.
 
     Vertex-vertex entries are the P1 stiffness; bubble-bubble entries are
@@ -367,11 +371,8 @@ def assemble_h1_gram(disc, dofmap, bubble=None):
     grads, meas = mesh.grads, mesh.element_measures()
     local = np.einsum("t,tid,tjd->tij", meas, grads, grads)
     blocks = [(local, mesh.elements, mesh.elements)]
-    if dofmap.with_bubble:
-        if bubble is None:
-            raise ValueError(
-                "bubble kind required for an enriched gram matrix")
-        if bubble == "hat":
+    if dofmap.bubble:
+        if dofmap.bubble == "hat":
             diag = (dim + 1) * meas * np.einsum("tid,tid->t", grads, grads)
         else:
             rule = simplex_quadrature(dim, 2 * dim)
@@ -406,8 +407,7 @@ def _facet_geometry(mesh, topo, facets):
     return normal, meas, elems
 
 
-def assemble_loads(mesh, topo, dofmap, tractions, body_force=None,
-                   bubble="power"):
+def assemble_loads(mesh, topo, dofmap, tractions, body_force=None):
     """External load vector from facet tractions and a constant body force.
 
     ``tractions`` maps boundary labels to either a constant traction vector
@@ -437,8 +437,8 @@ def assemble_loads(mesh, topo, dofmap, tractions, body_force=None,
         for l in range(dim + 1):
             for c in range(dim):
                 np.add.at(f, mesh.elements[:, l] * dim + c, w * b[c])
-        if dofmap.with_bubble:
-            wb = meas * bubble_volume_mean(bubble, dim)
+        if dofmap.bubble:
+            wb = meas * bubble_volume_mean(dofmap.bubble, dim)
             for c in range(dim):
                 start = mesh.n_nodes * dim + c
                 f[start::dim][: mesh.n_elements] += wb * b[c]
@@ -480,19 +480,22 @@ class OperatorBundle:
     for MINI).  Displacement baselines store the full stiffness in A and
     keep node-domain recovery operators in B, C so a pressure field can be
     reported the same way for every method.  ``kind`` is the domain kind
-    of the stiffness and ``bubble`` the bubble of an enriched dof map
-    (None without one); error norms and post-processing read them here.
+    of the stiffness and ``dofmap.bubble`` the enrichment; error norms and
+    post-processing read them here.
     """
 
     method: str
-    mixed: bool
     dofmap: DofMap
     mat: MaterialParams
     A: sparse.csr_matrix
     B: sparse.csr_matrix
     C: object
     kind: str
-    bubble: str = None
+
+    @property
+    def mixed(self):
+        """True for a saddle method: one with no baseline stiffness kind."""
+        return _METHOD_TABLE[self.method][1] is None
 
     @property
     def nodal_pressure(self):
@@ -516,33 +519,25 @@ def assemble_method(disc, method, mat, bubble="power"):
     if method == "mini":
         return _assemble_mini(disc, mat)
 
+    C = disc.pressure_cells.measures.copy()
     if kind is None:
         kind = disc.smoothing_kind()
-        dofmap = disc.dofmap(with_bubble=True)
-        G = disc.gradient_ops(kind, bubble)
-        domains = disc.domains(kind)
-        A = assemble_A_bar(G, domains, mat.mu, dim)
-        B = assemble_B_bar(G, domains, disc.overlap(kind), dim)
-        C = assemble_C_bar(disc.pressure_cells)
-        return OperatorBundle(method, True, dofmap, mat, A, B, C, kind, bubble)
+        A = assemble_A_bar(disc, kind, bubble, mat.mu)
+        B = assemble_B_bar(disc, kind, bubble)
+        return OperatorBundle(method, disc.dofmap(bubble), mat, A, B, C, kind)
 
-    dofmap = disc.dofmap(with_bubble=False)
-    G = disc.gradient_ops(kind, None)
-    domains = disc.domains(kind)
-    A = assemble_A_bar(G, domains, mat.mu, dim) \
-        + assemble_lambda_stiffness(G, domains, mat.lam, dim)
+    A = assemble_A_bar(disc, kind, None, mat.mu) \
+        + assemble_lambda_stiffness(disc, kind, None, mat.lam)
     # node-domain recovery operators give every baseline a reportable pressure
-    Gn = disc.gradient_ops("node", None)
-    Bn = assemble_B_bar(Gn, disc.domains("node"), disc.overlap("node"), dim)
-    C = assemble_C_bar(disc.pressure_cells)
-    return OperatorBundle(method, False, dofmap, mat, A.tocsr(), Bn, C, kind)
+    B = assemble_B_bar(disc, "node")
+    return OperatorBundle(method, disc.dofmap(), mat, A.tocsr(), B, C, kind)
 
 
 def _assemble_mini(disc, mat):
     """Classical MINI: P1 + power bubble velocity, continuous P1 pressure."""
     mesh = disc.mesh
     dim, N, E = mesh.dim, mesh.n_nodes, mesh.n_elements
-    dofmap = disc.dofmap(with_bubble=True)
+    dofmap = disc.dofmap("power")
     grads, meas = mesh.grads, mesh.element_measures()
     rule = simplex_quadrature(dim, 2 * dim)
     Q = len(rule.weights)
@@ -567,5 +562,4 @@ def _assemble_mini(disc, mat):
                          loc_dofs)], (N, dofmap.n_disp))
     M_loc = np.einsum("tqi,tqj,q,t->tij", lam, lam, rule.weights, meas)
     C = scatter_blocks([(M_loc, mesh.elements, mesh.elements)], (N, N))
-    return OperatorBundle("mini", True, dofmap, mat, A, B, C, "element",
-                          "power")
+    return OperatorBundle("mini", dofmap, mat, A, B, C, "element")

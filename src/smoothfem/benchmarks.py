@@ -45,6 +45,7 @@ and an error note, and the summary lists it under ``failures``.
 """
 
 import json
+import operator
 from collections import namedtuple
 from dataclasses import asdict, dataclass, fields
 from importlib import resources
@@ -69,7 +70,6 @@ from .assembly import (
     Discretization,
     MaterialParams,
     assemble_B_bar,
-    assemble_C_bar,
     assemble_h1_gram,
     assemble_loads,
     assemble_method,
@@ -270,21 +270,14 @@ def _sweep(config, mesh_of, cell, keys=None, row=None):
     return reports, failures, values
 
 
+_COMPARISONS = {">=": operator.ge, "<=": operator.le, ">": operator.gt,
+                "<": operator.lt}
+
+
 def _add_check(checks, name, value, op, threshold, source):
     """Record one named check; ``op`` is '>=', '<=', '>' or '<'."""
     value = float(value)
-    if not np.isfinite(value):
-        passed = False
-    elif op == ">=":
-        passed = value >= threshold
-    elif op == "<=":
-        passed = value <= threshold
-    elif op == ">":
-        passed = value > threshold
-    elif op == "<":
-        passed = value < threshold
-    else:
-        raise ValueError(f"unknown comparison {op!r}")
+    passed = np.isfinite(value) and _COMPARISONS[op](value, threshold)
     checks[name] = {"value": value, "op": op, "threshold": threshold,
                     "passed": bool(passed), "source": source}
 
@@ -451,8 +444,7 @@ def run_pipe(config, data, checks):
                                     config.bubble)
         dofmap = bundle.dofmap
         report.err_u = error_displacement(disc, dofmap, sol.u,
-                                          exact.displacement,
-                                          bubble=bundle.bubble)
+                                          exact.displacement)
         report.err_p = error_pressure(disc, sol.p, exact.pressure,
                                       continuous=bundle.nodal_pressure)
         norm, signed = error_energy(disc, bundle, sol.u, sol.p, exact)
@@ -595,13 +587,6 @@ def run_cook_neohookean(config, data, checks):
 # inf-sup scenario
 # ----------------------------------------------------------------------
 
-def _smoothed_B(disc, bubble):
-    """The enriched method's smoothed pressure coupling on ``disc``."""
-    kind = disc.smoothing_kind()
-    return assemble_B_bar(disc.gradient_ops(kind, bubble), disc.domains(kind),
-                          disc.overlap(kind), disc.dim)
-
-
 def infsup_operators(disc, method, bubble="power"):
     """The ``infsup_measure`` arguments of one pairing on one membrane.
 
@@ -610,18 +595,16 @@ def infsup_operators(disc, method, bubble="power"):
     vertex columns, pairing the unenriched space with those pressures.
     Returns (G, B, C, fixed, n_disp).
     """
-    B = _smoothed_B(disc, bubble)
-    if method == "bes-fem":
-        dofmap = disc.dofmap(True)
-        G = assemble_h1_gram(disc, dofmap, bubble=bubble)
-    elif method == "es-fem":
-        dofmap = disc.dofmap(False)
-        G = assemble_h1_gram(disc, dofmap, bubble=None)
-        B = B.tocsr()[:, :dofmap.n_disp]
-    else:
+    if method not in ("bes-fem", "es-fem"):
         raise ValueError(f"no inf-sup pairing for {method!r}")
+    dofmap = disc.dofmap(bubble if method == "bes-fem" else None)
+    B = assemble_B_bar(disc, disc.smoothing_kind(), bubble)
+    if method == "es-fem":
+        B = B[:, :dofmap.n_disp]
+    G = assemble_h1_gram(disc, dofmap)
     fixed = dirichlet_dofs(disc.mesh, dofmap)
-    return G, B, assemble_C_bar(disc.pressure_cells), fixed, dofmap.n_disp
+    C = disc.pressure_cells.measures.copy()
+    return G, B, C, fixed, dofmap.n_disp
 
 
 def infsup_pair(disc, method, bubble="power"):
@@ -675,14 +658,13 @@ def property_meshes():
 
 def coupling_operators(disc, bubble):
     """Smoothed and element-wise pressure couplings on one mesh."""
-    dofmap = disc.dofmap(with_bubble=bool(bubble))
-    B_plain = assemble_plain_B(disc, dofmap, bubble=bubble)
-    return _smoothed_B(disc, bubble), B_plain, dofmap
+    return (assemble_B_bar(disc, disc.smoothing_kind(), bubble),
+            assemble_plain_B(disc, disc.dofmap(bubble)))
 
 
 def vertex_column_defect(disc, bubble):
     """Largest relative disagreement on the vertex columns."""
-    B_bar, B_plain, _ = coupling_operators(disc, bubble)
+    B_bar, B_plain = coupling_operators(disc, bubble)
     nv = disc.mesh.n_nodes * disc.dim
     D = np.abs((B_bar[:, :nv] - B_plain[:, :nv]).toarray())
     scale = np.abs(B_plain[:, :nv].toarray()).max()
@@ -696,7 +678,7 @@ def bubble_ratio_stats(disc, bubble):
     and the scaled leakage onto entries that vanish in the element-wise
     operator.
     """
-    B_bar, B_plain, _ = coupling_operators(disc, bubble)
+    B_bar, B_plain = coupling_operators(disc, bubble)
     nv = disc.mesh.n_nodes * disc.dim
     S = B_bar[:, nv:].toarray()
     P = B_plain[:, nv:].toarray()

@@ -89,10 +89,6 @@ class SmoothingDomainSet:
     facet_cell: np.ndarray      # (F,) owning micro-cell
     facet_ptr: np.ndarray       # CSR over domains into facet rows
 
-    @property
-    def n_facets(self):
-        return len(self.facet_pts)
-
     def cells_of(self, k):
         return self.cell_ids[self.cell_ptr[k]:self.cell_ptr[k + 1]]
 

@@ -122,8 +122,7 @@ class SmoothedHyperProblem:
     def __init__(self, disc, params, bubble="power"):
         self.disc = disc
         self.params = params
-        self.bubble = bubble
-        self.dofmap = disc.dofmap(True)
+        self.dofmap = disc.dofmap(bubble)
         kind = disc.smoothing_kind()
         domains = disc.domains(kind)
         self.measures = domains.measures

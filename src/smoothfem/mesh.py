@@ -286,8 +286,7 @@ def generate_annulus(resolution, inner=1.0, outer=2.0):
 _KUHN_PERMS = ((0, 1, 2), (1, 2, 0), (2, 0, 1), (0, 2, 1), (2, 1, 0), (1, 0, 2))
 
 
-def generate_block(resolution, size=(50.0, 50.0, 50.0), patch=None,
-                   pattern="uniform"):
+def generate_block(resolution, size=(50.0, 50.0, 50.0), pattern="uniform"):
     """Quarter block, clamped base, pressure patch on top near the corner.
 
     The box [0,sx]x[0,sy]x[0,sz] starts from a grid of resolution
@@ -304,20 +303,12 @@ def generate_block(resolution, size=(50.0, 50.0, 50.0), patch=None,
     facets whose vertices lie exactly on the patch boundary.
 
     Labels: z=0 clamped, x=0 roller-x, y=0 roller-y, top facets inside
-    [0,px]x[0,py] traction, rest free.  ``patch=None`` marks exactly the
-    corner grid cell (so the default 50-cube at resolution 5 gets the
-    10x10 patch); an explicit patch must sit on grid lines.
+    the corner grid cell [0,px]x[0,py] traction (so the default 50-cube at
+    resolution 5 gets the 10x10 patch), rest free.
     """
     nx, ny, nz = _triple(resolution)
     sx, sy, sz = size
-    px, py = (sx / nx, sy / ny) if patch is None else patch
-    for name, extent, cells, edge in (("x", sx, nx, px), ("y", sy, ny, py)):
-        ratio = edge / (extent / cells)
-        if abs(ratio - round(ratio)) > 1e-9 or not 0 < edge <= extent:
-            raise ValueError(
-                f"patch edge {edge} along {name} must sit on grid lines "
-                f"(cell size {extent / cells})"
-            )
+    px, py = sx / nx, sy / ny
     node_id = lambda i, j, k: (k * (ny + 1) + j) * (nx + 1) + i
     nodes = np.empty(((nx + 1) * (ny + 1) * (nz + 1), 3))
     for k in range(nz + 1):

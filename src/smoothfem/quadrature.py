@@ -27,10 +27,6 @@ class QuadratureRule:
     weights: np.ndarray    # (Q,), sum = 1
     degree: int            # declared polynomial exactness
 
-    @property
-    def dim(self):
-        return self.points.shape[1] - 1
-
 
 def _gauss01(n):
     """Gauss-Legendre nodes/weights on [0, 1] (weights sum to 1)."""

@@ -63,9 +63,9 @@ class LinearField:
         return np.full(X.shape[:-1], self.mat.lam * np.trace(self.A))
 
 
-def interpolate_linear(disc, field, with_bubble):
+def interpolate_linear(disc, field, bubble):
     """Nodal interpolant of an affine field; bubble dofs stay zero."""
-    dofmap = disc.dofmap(with_bubble)
+    dofmap = disc.dofmap(bubble)
     vals = np.zeros((dofmap.n_scalar, disc.dim))
     vals[:disc.mesh.n_nodes] = field.displacement(disc.mesh.nodes)
     return dofmap, vals.ravel()
@@ -113,14 +113,14 @@ def test_pipe_cartesian_consistency(pipe):
 def test_displacement_error_vanishes_on_interpolant(disc_cook):
     mat = MaterialParams(250.0, 0.3)
     fld = LinearField([[0.2, -0.4], [0.7, 0.1]], [0.3, -0.2], mat, 2)
-    dofmap, u = interpolate_linear(disc_cook, fld, with_bubble=True)
+    dofmap, u = interpolate_linear(disc_cook, fld, bubble="power")
     err = error_displacement(disc_cook, dofmap, u, fld.displacement)
     assert err < 1e-13 * np.abs(u).max()
 
 
 def test_displacement_error_homogeneous(disc_cook):
     rng = np.random.default_rng(3)
-    dofmap = disc_cook.dofmap(True)
+    dofmap = disc_cook.dofmap("power")
     u = rng.standard_normal(dofmap.n_disp)
     zero = lambda X: np.zeros_like(X)
     base = error_displacement(disc_cook, dofmap, u, zero)
@@ -147,8 +147,8 @@ def test_pressure_error_constant_and_linear(disc_cook):
 def test_energy_error_vanishes_on_exact_linear(disc_cook, method):
     mat = MaterialParams(250.0, 0.4999)
     fld = LinearField([[0.3, 0.2], [-0.1, 0.5]], [0.0, 0.0], mat, 2)
-    dofmap, u = interpolate_linear(disc_cook, fld,
-                                   method in ("bes-fem", "mini"))
+    dofmap, u = interpolate_linear(
+        disc_cook, fld, "power" if method in ("bes-fem", "mini") else None)
     p = np.full(disc_cook.mesh.n_nodes, mat.lam * np.trace(fld.A))
     norm, total = error_energy(disc_cook,
                                assemble_method(disc_cook, method, mat), u, p,
@@ -164,7 +164,8 @@ def test_energy_error_3d_variants():
     A = np.array([[0.3, 0.2, 0.0], [-0.1, 0.5, 0.1], [0.2, 0.0, -0.4]])
     fld = LinearField(A, np.zeros(3), mat, 3)
     for method in ("fs-fem", "bfs-fem", "mini"):
-        dofmap, u = interpolate_linear(disc, fld, method != "fs-fem")
+        dofmap, u = interpolate_linear(
+            disc, fld, None if method == "fs-fem" else "power")
         p = np.full(disc.mesh.n_nodes, mat.lam * np.trace(A))
         norm, total = error_energy(disc, assemble_method(disc, method, mat),
                                    u, p, fld)
@@ -174,7 +175,7 @@ def test_energy_error_3d_variants():
 def test_mini_energy_ignores_smoothing_domains(disc_annulus, monkeypatch):
     mat = MaterialParams(21000.0, 0.3)
     fld = LinearField([[0.1, 0.0], [0.0, 0.2]], [0.0, 0.0], mat, 2)
-    dofmap, u = interpolate_linear(disc_annulus, fld, with_bubble=True)
+    dofmap, u = interpolate_linear(disc_annulus, fld, bubble="power")
     p = np.full(disc_annulus.mesh.n_nodes, mat.lam * 0.3)
     bundle = assemble_method(disc_annulus, "mini", mat)
 
@@ -200,8 +201,8 @@ def test_microcell_quadrature_built_once(pipe, monkeypatch):
     mat = pipe.material
     rng = np.random.default_rng(5)
     p = rng.standard_normal(disc.mesh.n_nodes)
-    for method, with_bubble in (("bes-fem", True), ("ns-fem", False)):
-        dofmap = disc.dofmap(with_bubble)
+    for method, bubble in (("bes-fem", "power"), ("ns-fem", None)):
+        dofmap = disc.dofmap(bubble)
         u = rng.standard_normal(dofmap.n_disp)
         error_displacement(disc, dofmap, u, pipe.displacement)
         error_pressure(disc, p, pipe.pressure)
@@ -216,7 +217,7 @@ def test_energy_cross_term_is_signed(disc_cook):
     """The reported total keeps the sign of the pressure cross-term."""
     mat = MaterialParams(250.0, 0.4999)
     fld = LinearField([[0.0, 0.0], [0.0, 0.0]], [0.0, 0.0], mat, 2)
-    dofmap = disc_cook.dofmap(True)
+    dofmap = disc_cook.dofmap("power")
     u = np.zeros(dofmap.n_disp)
     # constant discrete pressure offset, zero displacement: the defect is
     # (0 - p_h) * (0 - 0) = 0 within domains, so total equals zero
@@ -288,7 +289,7 @@ def test_characteristic_h_decreases(disc_annulus):
 
 def test_tip_displacement_reads_nearest_node(disc_cook):
     mesh = disc_cook.mesh
-    dofmap = disc_cook.dofmap(False)
+    dofmap = disc_cook.dofmap()
     u = np.arange(dofmap.n_disp, dtype=float)
     node = int(np.argmin(((mesh.nodes - [48.0, 60.0]) ** 2).sum(1)))
     assert tip_displacement(mesh, dofmap, u, (48.0, 60.0)) == u[2 * node + 1]

@@ -13,13 +13,12 @@ from scipy import sparse
 from smoothfem.assembly import (
     VOIGT_PAIRS,
     Discretization,
+    DofMap,
     MaterialParams,
-    assemble_B_bar,
     assemble_condensed,
     assemble_loads,
     assemble_h1_gram,
     assemble_method,
-    assemble_plain_B,
     canonical_method,
     dirichlet_dofs,
     divergence_operator,
@@ -27,6 +26,8 @@ from smoothfem.assembly import (
     strain_matrix,
     strain_rows,
 )
+from smoothfem.basis import bubble_gradient
+from smoothfem.benchmarks import coupling_operators
 from smoothfem.hyperelastic import NeoHookeanParams, SmoothedHyperProblem
 from smoothfem.mesh import (
     PrimalMesh,
@@ -49,15 +50,6 @@ def disc_3d():
     return Discretization(
         distort_mesh(generate_block(2, size=(1.0, 1.1, 0.9)), 0.25, seed=22)
     )
-
-
-def coupling_pair(disc, bubble):
-    kind = disc.smoothing_kind()
-    dofmap = disc.dofmap(with_bubble=bool(bubble))
-    G = disc.gradient_ops(kind, bubble)
-    B_bar = assemble_B_bar(G, disc.domains(kind), disc.overlap(kind), disc.dim)
-    B_plain = assemble_plain_B(disc, dofmap, bubble=bubble)
-    return B_bar, B_plain, dofmap
 
 
 def test_material_params():
@@ -92,7 +84,7 @@ def test_canonical_method():
 def test_vertex_columns_match_plain_divergence(which, bubble, disc_2d, disc_3d):
     """The smoothed coupling equals the element-wise one on vertex columns."""
     disc = disc_2d if which == "2d" else disc_3d
-    B_bar, B_plain, dofmap = coupling_pair(disc, bubble)
+    B_bar, B_plain = coupling_operators(disc, bubble)
     nv = disc.mesh.n_nodes * disc.dim
     D = (B_bar[:, :nv] - B_plain[:, :nv]).toarray()
     scale = np.abs(B_plain[:, :nv].toarray()).max()
@@ -110,7 +102,7 @@ def test_bubble_columns_2d_power_ratio(disc_2d):
     ∫_[vertex,c] b dγ = (16/11) ∫_[midpoint,c] b dγ (e.g. √2/6 vs 11√2/96
     on the median through the origin).
     """
-    B_bar, B_plain, dofmap = coupling_pair(disc_2d, "power")
+    B_bar, B_plain = coupling_operators(disc_2d, "power")
     nv = disc_2d.mesh.n_nodes * 2
     S = B_bar[:, nv:].toarray()
     P = B_plain[:, nv:].toarray()
@@ -132,15 +124,15 @@ def test_bubble_coupling_reference_triangle_closed_form():
     nodes = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
     mesh = PrimalMesh(nodes, np.array([[0, 1, 2]]), {})
     disc = Discretization(mesh)
-    B_bar, B_plain, dofmap = coupling_pair(disc, "power")
-    col_y = dofmap.n_nodes * dofmap.dim + 1  # bubble of element 0, y
+    B_bar, B_plain = coupling_operators(disc, "power")
+    col_y = mesh.n_nodes * 2 + 1  # bubble of element 0, y
     assert B_plain[0, col_y] == pytest.approx(11.0 / 32.0, rel=1e-13)
     assert B_bar[0, col_y] == pytest.approx(0.25, rel=1e-13)
 
 
 def test_bubble_columns_2d_hat_ratio(disc_2d):
     """Hat-bubble columns coincide exactly with the element-wise coupling."""
-    B_bar, B_plain, dofmap = coupling_pair(disc_2d, "hat")
+    B_bar, B_plain = coupling_operators(disc_2d, "hat")
     nv = disc_2d.mesh.n_nodes * 2
     S = B_bar[:, nv:].toarray()
     P = B_plain[:, nv:].toarray()
@@ -156,7 +148,7 @@ def test_bubble_columns_3d_single_constant(bubble, expected, disc_3d):
     plain corner entry of ∂_z b integrates to 191/2430 and the smoothed
     one to 13/270 (symbolic integration over the micro-cells).
     """
-    B_bar, B_plain, dofmap = coupling_pair(disc_3d, bubble)
+    B_bar, B_plain = coupling_operators(disc_3d, bubble)
     nv = disc_3d.mesh.n_nodes * 3
     S = B_bar[:, nv:].toarray()
     P = B_plain[:, nv:].toarray()
@@ -184,7 +176,7 @@ def test_strain_rows_equal_kron_expansion(which, disc_2d, disc_3d):
     for c in range(1, dim):
         div = div + kron(G[c], c)
     expected.append(div)
-    got = strain_rows(G, dim) + [divergence_operator(G, dim)]
+    got = strain_rows(G) + [divergence_operator(G)]
     for mine, ref in zip(got, expected, strict=True):
         for name in ("data", "indices", "indptr"):
             np.testing.assert_array_equal(getattr(mine, name),
@@ -204,7 +196,7 @@ def test_dense_and_sparse_strain_builders_agree(which, disc_2d, disc_3d):
         np.testing.assert_array_equal(g.indices, G[0].indices)
     problem = SmoothedHyperProblem(disc, NeoHookeanParams(0.6, 10.0))
     u = RNG.standard_normal(problem.dofmap.n_disp)
-    eps_sparse = np.stack([R @ u for R in strain_rows(G, dim)], axis=-1)
+    eps_sparse = np.stack([R @ u for R in strain_rows(G)], axis=-1)
     scale = np.abs(eps_sparse).max()
     covered = 0
     for rows, _, grad, dofs in problem._groups:
@@ -255,7 +247,7 @@ def test_method_dimension_guards():
 def test_cook_traction_resultant():
     mesh = generate_cook(4)
     disc = Discretization(mesh)
-    dofmap = disc.dofmap(with_bubble=True)
+    dofmap = disc.dofmap("power")
     f = assemble_loads(mesh, disc.topo, dofmap, {"traction": (0.0, 100.0)})
     fx = f[0::2].sum()
     fy = f[1::2].sum()
@@ -269,7 +261,7 @@ def test_annulus_pressure_resultant():
     """The quarter-arc pressure resultant telescopes to p*(a, a) exactly."""
     mesh = generate_annulus((4, 8))
     disc = Discretization(mesh)
-    dofmap = disc.dofmap(with_bubble=False)
+    dofmap = disc.dofmap()
     f = assemble_loads(mesh, disc.topo, dofmap, {"traction": ("pressure", 8.0)})
     assert f[0::2].sum() == pytest.approx(8.0, rel=1e-12)
     assert f[1::2].sum() == pytest.approx(8.0, rel=1e-12)
@@ -278,7 +270,7 @@ def test_annulus_pressure_resultant():
 def test_block_patch_resultant():
     mesh = generate_block(5)
     disc = Discretization(mesh)
-    dofmap = disc.dofmap(with_bubble=False)
+    dofmap = disc.dofmap()
     f = assemble_loads(mesh, disc.topo, dofmap, {"traction": ("pressure", 250.0)})
     assert f[2::3].sum() == pytest.approx(-250.0 * 100.0, rel=1e-12)
     assert f[0::3].sum() == pytest.approx(0.0, abs=1e-9)
@@ -287,14 +279,36 @@ def test_block_patch_resultant():
 def test_body_force_total():
     mesh = generate_cook(3)
     disc = Discretization(mesh)
-    dofmap = disc.dofmap(with_bubble=False)
+    dofmap = disc.dofmap()
     f = assemble_loads(mesh, disc.topo, dofmap, {}, body_force=(0.0, -2.0))
     assert f[1::2].sum() == pytest.approx(-2.0 * 1440.0, rel=1e-12)
 
 
+@pytest.mark.parametrize("bubble,mean", [("hat", 1.0 / 3.0),
+                                         ("power", 9.0 / 20.0)])
+def test_body_force_bubble_load_follows_the_dofmap(bubble, mean):
+    """Each bubble dof carries the element integral of the dof map's own
+    bubble: measure/3 for the hat cone, 9/20 x measure for the power one."""
+    mesh = generate_cook(2)
+    disc = Discretization(mesh)
+    bundle = assemble_method(disc, "bes-fem", MaterialParams(E=1.0, nu=0.3),
+                             bubble=bubble)
+    f = assemble_loads(mesh, disc.topo, bundle.dofmap, {},
+                       body_force=(0.0, 1.0))
+    bub = bundle.dofmap.reshape(f)[mesh.n_nodes:]
+    np.testing.assert_allclose(bub[:, 1], mean * mesh.element_measures(),
+                               rtol=1e-14)
+    assert np.all(bub[:, 0] == 0.0)
+
+
+def test_dofmap_rejects_unknown_bubble():
+    with pytest.raises(ValueError, match="unknown bubble kind"):
+        DofMap(3, 1, 2, bubble="cubic")
+
+
 def test_dirichlet_dofs_labels():
     mesh = generate_annulus((3, 4))
-    dofmap = Discretization(mesh).dofmap(with_bubble=True)
+    dofmap = Discretization(mesh).dofmap("power")
     fixed = dirichlet_dofs(mesh, dofmap)
     xs = mesh.nodes[fixed // 2, 0]
     ys = mesh.nodes[fixed // 2, 1]
@@ -308,8 +322,8 @@ def test_dirichlet_dofs_labels():
 def test_h1_gram_vertex_block(disc_2d):
     """The vertex block is the scalar P1 stiffness, expanded per component."""
     mesh = disc_2d.mesh
-    dofmap = disc_2d.dofmap(with_bubble=True)
-    G = assemble_h1_gram(disc_2d, dofmap, bubble="power").toarray()
+    dofmap = disc_2d.dofmap("power")
+    G = assemble_h1_gram(disc_2d, dofmap).toarray()
     from smoothfem.basis import affine_maps
 
     grads, meas = affine_maps(mesh.nodes, mesh.elements)
@@ -327,6 +341,26 @@ def test_h1_gram_vertex_block(disc_2d):
     bub = G[2 * N:, : 2 * N]
     assert np.abs(bub).max() < 1e-12
     assert np.all(np.diag(G[2 * N:, 2 * N:]) > 0.0)
+
+
+@pytest.mark.parametrize("which,bubble", [("2d", "hat"), ("3d", "hat"),
+                                          ("2d", "power")])
+def test_h1_gram_bubble_diagonal_matches_quadrature(which, bubble, disc_2d,
+                                                    disc_3d):
+    """The bubble diagonal is int |grad b|^2 over each element, here summed
+    from the degree-4 micro-cell rule, which is exact for the piecewise
+    constant hat gradients and for the quartic 2D power integrand."""
+    disc = disc_2d if which == "2d" else disc_3d
+    mesh, dim = disc.mesh, disc.dim
+    dofmap = disc.dofmap(bubble)
+    diag = assemble_h1_gram(disc, dofmap).diagonal()[mesh.n_nodes * dim:]
+    _, w, lam = disc.quadrature()
+    elem = disc.micro.cell_elem
+    gb = bubble_gradient(bubble, lam, mesh.grads[elem])
+    expected = np.bincount(elem, np.einsum("kq,kqd,kqd->k", w, gb, gb),
+                           minlength=mesh.n_elements)
+    for c in range(dim):
+        np.testing.assert_allclose(diag[c::dim], expected, rtol=1e-12)
 
 
 def test_smoothed_stiffness_is_symmetric_psd(disc_2d):

@@ -12,6 +12,7 @@ import pytest
 import smoothfem
 import smoothfem.assembly as assembly
 import smoothfem.benchmarks as benchmarks
+import smoothfem.cli as cli
 from smoothfem.analysis import reports_from_json
 from smoothfem.benchmarks import SCENARIOS, make_config, run_scenario
 from smoothfem.cli import (config_to_text, format_checks, format_table, main,
@@ -324,6 +325,28 @@ def test_cli_reports_failed_property_bound(monkeypatch, capsys, tmp_path):
     failed = [r for r in reports if r.extra["status"] != "ok"]
     assert [(r.mesh_id, r.extra["error"]) for r in failed] == [
         ("vertex-columns", reason)]
+
+
+def test_cli_check_runs_lemma_checks_then_infsup(monkeypatch, tmp_path):
+    """``smoothfem check`` runs the property battery, then the inf-sup
+    sweep, forwards --out to both and fails when either run fails."""
+    calls, outcome = [], {}
+
+    def execute(config, stream):
+        calls.append((config.scenario, config.out))
+        return outcome[config.scenario]
+
+    monkeypatch.setattr(cli, "_execute", execute)
+    outcome.update({"lemma-checks": True, "infsup": True})
+    assert main(["check", "--out", str(tmp_path)]) == 0
+    assert calls == [("lemma-checks", str(tmp_path)),
+                     ("infsup", str(tmp_path))]
+    for failing in ("lemma-checks", "infsup"):
+        calls.clear()
+        outcome.update({"lemma-checks": True, "infsup": True})
+        outcome[failing] = False
+        assert main(["check"]) == 1
+        assert calls == [("lemma-checks", ""), ("infsup", "")]
 
 
 def test_format_table_and_checks():

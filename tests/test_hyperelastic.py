@@ -138,10 +138,8 @@ def test_zero_state_matches_linear_stiffness(disc):
     R, K, _ = problem.residual_tangent(np.zeros(problem.dofmap.n_disp))
     assert np.abs(R).max() == 0.0
 
-    G = disc.gradient_ops("edge", "power")
-    domains = disc.domains("edge")
-    K_lin = (assemble_A_bar(G, domains, PARAMS.mu, 2)
-             + assemble_lambda_stiffness(G, domains, PARAMS.lam, 2))
+    K_lin = (assemble_A_bar(disc, "edge", "power", PARAMS.mu)
+             + assemble_lambda_stiffness(disc, "edge", "power", PARAMS.lam))
     diff = (K - K_lin).tocoo()
     scale = np.abs(K_lin.data).max()
     top = np.abs(diff.data).max() if diff.nnz else 0.0
@@ -151,7 +149,7 @@ def test_zero_state_matches_linear_stiffness(disc):
 def test_rigid_rotation_gives_zero_residual(disc):
     th = 0.7
     Q = np.array([[np.cos(th), -np.sin(th)], [np.sin(th), np.cos(th)]])
-    dofmap = disc.dofmap(True)
+    dofmap = disc.dofmap("power")
     vals = np.zeros((dofmap.n_scalar, 2))
     vals[:disc.mesh.n_nodes] = disc.mesh.nodes @ (Q - np.eye(2)).T
     problem = SmoothedHyperProblem(disc, PARAMS)

@@ -110,7 +110,7 @@ def test_constant_field_has_zero_gradient():
 def voigt_strain(G_list, U, k):
     """Smoothed Voigt strain of domain k through the strain_rows operators."""
     u = U.ravel()                       # interleaved (scalar, component) dofs
-    return np.array([(R @ u)[k] for R in strain_rows(G_list, U.shape[1])])
+    return np.array([(R @ u)[k] for R in strain_rows(G_list)])
 
 
 def test_strain_block_matches_operators():

@@ -81,7 +81,7 @@ def test_patch_test_linear_field(method, bubble, split):
     expected = mesh.nodes @ A.T + b
     scale = np.abs(expected).max()
     np.testing.assert_allclose(U[: mesh.n_nodes], expected, atol=1e-10 * scale)
-    if bundle.dofmap.with_bubble:
+    if bundle.dofmap.bubble:
         assert np.abs(U[mesh.n_nodes:]).max() < 1e-10 * scale
     # the recovered pressure is lam tr(A) everywhere
     p_exact = mat.lam * np.trace(A)
@@ -282,7 +282,7 @@ def test_infsup_smoke():
         disc = Discretization(generate_cook(n))
         mat = MaterialParams(E=250.0, nu=0.4999)
         bundle = assemble_method(disc, "bes-fem", mat)
-        G = assemble_h1_gram(disc, bundle.dofmap, bubble="power")
+        G = assemble_h1_gram(disc, bundle.dofmap)
         fixed = dirichlet_dofs(disc.mesh, bundle.dofmap)
         beta, eigs = infsup_measure(G, bundle.B, bundle.C, fixed,
                                     bundle.dofmap.n_disp)
