@@ -521,6 +521,7 @@ def assemble_method(disc, method, mat, bubble="power"):
 
     C = disc.pressure_cells.measures.copy()
     if kind is None:
+        check_bubble_kind(bubble)
         kind = disc.smoothing_kind()
         A = assemble_A_bar(disc, kind, bubble, mat.mu)
         B = assemble_B_bar(disc, kind, bubble)

@@ -110,16 +110,6 @@ class PressureCellSet:
         )
         return mat.tocsr()
 
-    def overlap_with_elements(self, micro, n_elements):
-        """Sparse (N, E) matrix of intersection measures m(V_i ^ T)."""
-        from scipy.sparse import coo_matrix
-
-        mat = coo_matrix(
-            (micro.measures, (micro.cell_node, micro.cell_elem)),
-            shape=(self.n_cells, n_elements),
-        )
-        return mat.tocsr()
-
 
 def build_micro_decomposition(mesh, topo):
     """Split every element into 6 (2D) or 24 (3D) keyed micro-simplices."""

@@ -17,6 +17,7 @@ from scipy import sparse
 from scipy.sparse import linalg as spla
 
 from .assembly import VOIGT_PAIRS, dof_indices, free_dofs, strain_matrix
+from .basis import check_bubble_kind
 
 
 @dataclass(frozen=True)
@@ -120,6 +121,7 @@ class SmoothedHyperProblem:
     """
 
     def __init__(self, disc, params, bubble="power"):
+        check_bubble_kind(bubble)
         self.disc = disc
         self.params = params
         self.dofmap = disc.dofmap(bubble)

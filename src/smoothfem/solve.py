@@ -22,10 +22,12 @@ ordering with partial pivoting: refinement stops at a 1e-15 residual of an
 ill-conditioned K, so their outputs carry ordering-dependent rounding (1e-8
 relative in the ns-fem pressure error on the pipe).
 
-``infsup_measure`` forms no dense matrix: ARPACK finds the low end of the
-pressure spectrum by shift-invert.  Its Gram factor keeps COLAMD, and its
-shifted saddle [[G, B'], [B, sigma C]] with sigma < 0 is again symmetric
-quasi-definite and factors with ``SQD_OPTIONS``.
+``infsup_measure`` forms no dense matrix and factors one matrix: ARPACK
+finds the low end of the pressure spectrum by shift-invert.  The spectrum
+it searches lies in [0, d] for every pairing (the bound at
+``INFSUP_SHIFT``), so a fixed shift and zero threshold serve every mesh.
+The shifted saddle [[G, B'], [B, sigma C]] with sigma < 0 is again
+symmetric quasi-definite and factors with ``SQD_OPTIONS``.
 """
 
 from dataclasses import dataclass, field
@@ -209,43 +211,40 @@ def solve_bundle(bundle, f, fixed, values=None):
     return SolutionField(bundle.method, u, p, info)
 
 
-def infsup_measure(G_gram, B, C_diag, fixed, n_disp, zero_tol=1e-10):
+# The spectrum of T (see infsup_measure) lies in [0, d] for every pairing.
+# Row i of B is sum_k m(V_i ^ O_k) times the mean divergence of u over the
+# smoothing domain O_k.  Jensen's inequality, once over the overlaps of each
+# cell V_i and once inside each domain, gives |C^-1/2 B u|^2 <= |div u|^2,
+# and |div u|^2 <= d |u|_1^2.  So this shift lies just below the spectrum,
+# and this threshold separates its zero modes, on every pairing and mesh.
+INFSUP_SHIFT = -1e-3
+INFSUP_ZERO = 1e-10
+
+
+def infsup_measure(G_gram, B, C_diag, fixed, n_disp):
     """Numerical inf-sup constant of a displacement/pressure pairing.
 
     beta is the square root of the smallest nonzero eigenvalue of
     S = B G^{-1} B^T measured against the pressure mass C, over the
     constrained displacement space; G must be the H1-seminorm Gram matrix
-    of the displacement space.  ARPACK works on T = W S W, W = C^{-1/2},
-    without forming it: T v is one solve with the sparse factor of G, and
-    (T - sigma I)^{-1} one solve with [[G, B^T], [B, sigma C]], whose
-    pressure block is -(S - sigma C)^{-1}.  An eigenvalue below
-    ``zero_tol`` times the largest counts as zero.  Returns beta and the
-    computed low end of the spectrum of T.
+    of the displacement space (Chapelle & Bathe, Comput. Struct. 47, 1993).
+    The eigenvalues of T = W S W, W = C^{-1/2}, lie in [0, d].  ARPACK
+    finds the largest eigenvalues nu of (T - sigma I)^{-1}, one solve with
+    [[G, B^T], [B, sigma C]] each, whose pressure block is
+    -(S - sigma C)^{-1}; lambda = sigma + 1/nu.  An eigenvalue below
+    ``INFSUP_ZERO`` counts as zero.  Returns beta and the computed low end
+    of the spectrum of T.
     """
     free = free_dofs(n_disp, fixed)
     G_red = G_gram.tocsr()[free][:, free]
     B_red = B.tocsr()[:, free]
-    n_p = B_red.shape[0]
-    w = 1.0 / np.sqrt(C_diag)
-    lu = _factorize(G_red)
-    T = spla.LinearOperator(
-        (n_p, n_p), dtype=float,
-        matvec=lambda v: w * (B_red @ lu.solve(B_red.T @ (w * v.ravel()))))
-    # a fixed start vector: ARPACK's default draws from a state that every
-    # earlier eigsh call in the process advances
-    v0 = np.random.default_rng(0).uniform(-1.0, 1.0, n_p)
-    lam_max = 0.0
-    if B_red.count_nonzero():
-        lam_max = spla.eigsh(T, k=1, which="LA", tol=1e-6, v0=v0,
-                             return_eigenvectors=False)[0]
-    if lam_max <= 0.0:
+    if B_red.count_nonzero() == 0:
         raise RuntimeError(_DEGENERATE_MSG)
-    # below the nonnegative spectrum, and close to its low end
-    sigma = -1e-3 * lam_max
+    n_p = B_red.shape[0]
     saddle = _factorize(sparse.bmat(
-        [[G_red, B_red.T], [B_red, sparse.diags(sigma * C_diag)]]),
+        [[G_red, B_red.T], [B_red, sparse.diags(INFSUP_SHIFT * C_diag)]]),
         **SQD_OPTIONS)
-    sqrt_c = 1.0 / w
+    sqrt_c = np.sqrt(C_diag)
     n_free = len(free)
 
     def shift_invert(r):
@@ -253,11 +252,15 @@ def infsup_measure(G_gram, B, C_diag, fixed, n_disp, zero_tol=1e-10):
         return -sqrt_c * saddle.solve(rhs)[n_free:]
 
     OPinv = spla.LinearOperator((n_p, n_p), matvec=shift_invert, dtype=float)
+    # a fixed start vector: ARPACK's default draws from a state that every
+    # earlier eigsh call in the process advances
+    v0 = np.random.default_rng(0).uniform(-1.0, 1.0, n_p)
     k = min(6, n_p - 1)
     while True:
-        low = np.sort(spla.eigsh(T, k, sigma=sigma, OPinv=OPinv, v0=v0,
-                                 return_eigenvectors=False))
-        nonzero = low[low > zero_tol * lam_max]
+        nu = spla.eigsh(OPinv, k, which="LA", v0=v0,
+                        return_eigenvectors=False)
+        low = np.sort(INFSUP_SHIFT + 1.0 / nu)
+        nonzero = low[low > INFSUP_ZERO]
         if len(nonzero):
             return float(np.sqrt(nonzero[0])), low
         if k == n_p - 1:

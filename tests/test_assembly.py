@@ -306,6 +306,17 @@ def test_dofmap_rejects_unknown_bubble():
         DofMap(3, 1, 2, bubble="cubic")
 
 
+@pytest.mark.parametrize("method", ["bes-fem", "bfs-fem"])
+def test_enriched_methods_reject_a_missing_bubble(method):
+    """Without a bubble kind the enriched pair would be the unenriched one
+    under the bubble method's name."""
+    mesh = generate_cook(2) if method == "bes-fem" else generate_block(2)
+    disc = Discretization(mesh)
+    with pytest.raises(ValueError, match="unknown bubble kind None"):
+        assemble_method(disc, method, MaterialParams(E=1.0, nu=0.3),
+                        bubble=None)
+
+
 def test_dirichlet_dofs_labels():
     mesh = generate_annulus((3, 4))
     dofmap = Discretization(mesh).dofmap("power")

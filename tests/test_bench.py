@@ -459,6 +459,23 @@ def test_perfbench_tracer_sees_the_newton_seams():
     assert 0 < factorizations == factorize_spans
 
 
+def test_perfbench_tracer_sees_the_infsup_seams():
+    """The tracer still sees the inf-sup layer, and every pairing costs
+    one factorization through the module-global ``spla`` seam."""
+    spans = _load_repo_module("perfbench/spans.py")
+    tracer = spans.Tracer("infsup-tiny")
+    restore = spans.install(tracer)
+    try:
+        with tracer.span(spans.ROOT):
+            reports, _ = run_scenario(make_config("infsup", meshes=(2, 3)))
+    finally:
+        restore()
+    assert len(reports) == 4
+    assert tracer.check_nesting() == []
+    assert "solve.infsup" in {span[0] for span in tracer.spans}
+    assert tracer.counts["solve.factorizations"] == len(reports)
+
+
 def test_same_outputs_tolerates_only_numeric_drift(tmp_path):
     tool = _load_repo_module("tools/same_outputs.py")
     base = {"beta": 0.125, "status": "ok",

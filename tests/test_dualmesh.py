@@ -145,7 +145,8 @@ def test_overlap_matrices_are_consistent(make):
     np.testing.assert_allclose(
         np.asarray(overlap.sum(axis=0)).ravel(), domains.measures, rtol=1e-12
     )
-    per_elem = cells.overlap_with_elements(micro, mesh.n_elements)
+    per_elem = cells.overlap_with_domains(
+        micro, build_smoothing_domains(micro, "element"))
     np.testing.assert_allclose(
         np.asarray(per_elem.sum(axis=0)).ravel(), mesh.element_measures(),
         rtol=1e-12,

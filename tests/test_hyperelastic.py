@@ -262,6 +262,12 @@ def test_gather_rejects_components_with_different_structure(disc):
         problem._gather_groups(G)
 
 
+def test_problem_rejects_a_missing_bubble(disc):
+    """The Newton problem lives on the enriched space only."""
+    with pytest.raises(ValueError, match="unknown bubble kind None"):
+        SmoothedHyperProblem(disc, PARAMS, bubble=None)
+
+
 def einsum_reference(problem, u):
     """Force, tangent and noise bound as per-domain einsums summed with
     np.add.at and scatter_blocks, with the stress from pk2_stress."""

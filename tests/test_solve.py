@@ -9,6 +9,7 @@ import smoothfem.solve as solve
 from smoothfem.assembly import (
     Discretization,
     MaterialParams,
+    assemble_B_bar,
     assemble_condensed,
     assemble_h1_gram,
     assemble_loads,
@@ -291,15 +292,20 @@ def test_infsup_smoke():
     assert betas[4] > 0.3 * betas[2]
 
 
-def dense_infsup(G_gram, B, C_diag, fixed, n_disp, zero_tol=1e-10):
-    """Reference inf-sup constant: every eigenvalue of the dense
-    C^{-1/2} B G^{-1} B^T C^{-1/2} by ``eigvalsh``."""
+def dense_spectrum(G_gram, B, C_diag, fixed, n_disp):
+    """Every eigenvalue of the dense C^{-1/2} B G^{-1} B^T C^{-1/2} by
+    ``eigvalsh``, ascending."""
     free = np.setdiff1d(np.arange(n_disp), fixed)
     G_red = G_gram.tocsr()[free][:, free].tocsc()
     B_red = B.tocsr()[:, free]
     S = B_red @ spla.splu(G_red).solve(B_red.toarray().T)
     w = 1.0 / np.sqrt(C_diag)
-    eigs = np.linalg.eigvalsh(0.5 * (S + S.T) * w[None, :] * w[:, None])
+    return np.linalg.eigvalsh(0.5 * (S + S.T) * w[None, :] * w[:, None])
+
+
+def dense_infsup(G_gram, B, C_diag, fixed, n_disp, zero_tol=1e-10):
+    """Reference inf-sup constant from the dense spectrum."""
+    eigs = dense_spectrum(G_gram, B, C_diag, fixed, n_disp)
     return float(np.sqrt(eigs[eigs > zero_tol * eigs.max()][0]))
 
 
@@ -317,6 +323,42 @@ def test_infsup_matches_dense_oracle(method, distort):
         ops = cook_infsup_operators(n, method, distort)
         beta, _ = infsup_measure(*ops)
         assert beta == pytest.approx(dense_infsup(*ops), rel=1e-10)
+
+
+def _assert_spectrum_within_the_bound(ops, dim):
+    eigs = dense_spectrum(*ops)
+    assert eigs[0] > -solve.INFSUP_ZERO
+    assert eigs[-1] <= dim
+
+
+@pytest.mark.parametrize("distort", [0.0, 0.4])
+@pytest.mark.parametrize("method, bubble", [("bes-fem", "power"),
+                                            ("bes-fem", "hat"),
+                                            ("es-fem", "power")])
+def test_infsup_spectrum_lies_in_zero_to_dim_2d(method, bubble, distort):
+    """The fixed shift and zero threshold of ``infsup_measure`` rest on
+    the spectrum of C^-1/2 B G^-1 B' C^-1/2 lying in [0, d]."""
+    for n in (2, 4, 8):
+        mesh = generate_cook(n)
+        if distort:
+            mesh = distort_mesh(mesh, distort, seed=3)
+        ops = infsup_operators(Discretization(mesh), method, bubble)
+        _assert_spectrum_within_the_bound(ops, 2)
+
+
+@pytest.mark.parametrize("bubble", ["power", "hat"])
+@pytest.mark.parametrize("pattern", ["uniform", "unstructured"])
+def test_infsup_spectrum_lies_in_zero_to_dim_3d(pattern, bubble):
+    """The same bound for the 3D face pairing on block-2 and on the
+    unstructured block-3."""
+    disc = Discretization(generate_block(2 if pattern == "uniform" else 3,
+                                         pattern=pattern))
+    dofmap = disc.dofmap(bubble)
+    ops = (assemble_h1_gram(disc, dofmap),
+           assemble_B_bar(disc, "face", bubble),
+           disc.pressure_cells.measures.copy(),
+           dirichlet_dofs(disc.mesh, dofmap), dofmap.n_disp)
+    _assert_spectrum_within_the_bound(ops, 3)
 
 
 def test_infsup_skips_more_zero_modes_than_one_batch():
