@@ -3,8 +3,9 @@
 The error norms mirror how each method represents its solution: smoothed
 methods are measured through their domain-averaged strains, mixed methods
 additionally through their cell-constant pressure, and MINI through its
-pointwise element fields.  All integrals run over the micro-cell partition
-(or the elements themselves for MINI) with a degree-4 simplex rule.
+pointwise element fields.  Integrals use a degree-4 rule on the micro-cell
+partition, except MINI's energy norm, which uses the degree-2d element
+rule of MINI's stiffness (``assembly.element_gradients``).
 """
 
 import json
@@ -12,11 +13,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .assembly import (VOIGT_PAIRS, MaterialParams, divergence_operator,
-                       full_elastic_matrix, shear_weight_vector, strain_rows)
-from .basis import bubble_gradient, bubble_value
+from .assembly import (MaterialParams, divergence_operator,
+                       element_gradients, full_elastic_matrix,
+                       shear_weight_vector, strain_matrix, strain_rows)
+from .basis import bubble_value
 from .dualmesh import mesh_size
-from .quadrature import simplex_quadrature
 
 
 @dataclass(frozen=True)
@@ -243,25 +244,17 @@ def error_energy(disc, bundle, u, p, exact):
 
 
 def _energy_mini(disc, bundle, u, p, exact):
-    """Pointwise element-field defect for MINI (P1 + bubble, P1 pressure)."""
+    """Pointwise element-field defect for MINI (P1 + bubble, P1 pressure)
+    on the element rule and gradient table of MINI's stiffness."""
     mesh, dim, mat = disc.mesh, disc.dim, bundle.mat
-    rule = simplex_quadrature(dim, 4)
-    corners = mesh.nodes[mesh.elements]
-    X = np.einsum("qi,eid->eqd", rule.points, corners)
+    rule, table = element_gradients(mesh)
+    X = np.einsum("qi,eid->eqd", rule.points, mesh.nodes[mesh.elements])
     w = mesh.element_measures()[:, None] * rule.weights[None, :]
-    E, Q = w.shape
 
-    vals = bundle.dofmap.reshape(u)
-    grads = mesh.grads
-    H = np.broadcast_to(
-        np.einsum("eir,eic->erc", vals[mesh.elements], grads)[:, None],
-        (E, Q, dim, dim)).copy()
-    lam = np.broadcast_to(rule.points, (E, Q, dim + 1))
-    gb = bubble_gradient(bundle.dofmap.bubble, lam, grads)
-    H += vals[mesh.n_nodes:][:, None, :, None] * gb[:, :, None, :]
-
-    eps = np.stack([H[..., i, j] + H[..., j, i] if i != j else H[..., i, i]
-                    for i, j in VOIGT_PAIRS[dim]], axis=-1)
+    vals = bundle.dofmap.reshape(u)      # local order: hats, then bubble
+    local = np.concatenate([vals[mesh.elements], vals[mesh.n_nodes:, None]],
+                           axis=1).reshape(len(w), -1)
+    eps = np.einsum("eqvp,ep->eqv", strain_matrix(table), local)
 
     diff = exact.strain(X) - eps
     shear = shear_weight_vector(dim)
@@ -269,7 +262,7 @@ def _energy_mini(disc, bundle, u, p, exact):
     p = np.asarray(p, float)
     ph = np.einsum("qi,ei->eq", rule.points, p[mesh.elements])
     pdiff = exact.pressure(X) - ph
-    ddiff = exact.divergence(X) - np.trace(H, axis1=-2, axis2=-1)
+    ddiff = exact.divergence(X) - eps[..., :dim].sum(axis=-1)
     total = quad + np.einsum("eq,eq,eq->", w, pdiff, ddiff)
     return float(np.sqrt(max(0.0, total))), float(total)
 

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import sparse
 
-from .basis import bubble_gradient, bubble_volume_mean, check_bubble_kind
+from .basis import bubble_gradient, check_bubble_kind
 from .dualmesh import (
     build_micro_decomposition,
     build_pressure_cells,
@@ -255,6 +255,22 @@ def strain_matrix(grad, F=None):
     return B.reshape(grad.shape[:-2] + (len(pairs), -1))
 
 
+def element_gradients(mesh):
+    """(rule, table): the degree-2d element rule and the (E, Q, d+2, d)
+    gradients of each element's d+1 hats, then its power bubble, at the
+    rule's points.  The rule integrates every product of two table entries
+    exactly, so MINI's stiffness, its energy norm and the H1 Gram share it.
+    """
+    dim, E = mesh.dim, mesh.n_elements
+    rule = simplex_quadrature(dim, 2 * dim)
+    lam = np.broadcast_to(rule.points, (E,) + rule.points.shape)
+    gb = bubble_gradient("power", lam, mesh.grads)       # (E, Q, d)
+    table = np.concatenate(
+        [np.broadcast_to(mesh.grads[:, None], gb.shape[:2] + (dim + 1, dim)),
+         gb[:, :, None]], axis=2)
+    return rule, table
+
+
 def _component_columns(G, dim, c):
     """G with scalar column j moved to displacement column j * dim + c."""
     return sparse.csr_matrix((G.data, G.indices * dim + c, G.indptr),
@@ -323,8 +339,8 @@ def assemble_plain_B(disc, dofmap):
     the smoothed B: B[i, (j,c)] = int_{V_i} d phi_j / d x_c.
 
     Vertex gradients are constant per element, so those entries are exact
-    intersection measures times gradients; bubble entries use volume
-    quadrature of degree d+1 over the micro-cells.
+    intersection measures times gradients; bubble entries use the degree-4
+    micro-cell rule of ``disc.quadrature()``.
     """
     mesh, micro = disc.mesh, disc.micro
     dim, N = mesh.dim, mesh.n_nodes
@@ -341,10 +357,8 @@ def assemble_plain_B(disc, dofmap):
             vals.append(micro.measures * grads[t, l, c])
 
     if dofmap.bubble:
-        rule = simplex_quadrature(dim, dim + 1)
-        cpts = micro.points[micro.cells]
-        X = np.einsum("qi,kid->kqd", rule.points, cpts)
-        lam_pts = mesh.barycentric(t, X)
+        rule = simplex_quadrature(dim, 4)
+        lam_pts = disc.quadrature()[2]
         gb = bubble_gradient(dofmap.bubble, lam_pts, grads[t])  # (M, Q, d)
         mean = np.einsum("q,kqc->kc", rule.weights, gb)
         for c in range(dim):
@@ -375,10 +389,9 @@ def assemble_h1_gram(disc, dofmap):
         if dofmap.bubble == "hat":
             diag = (dim + 1) * meas * np.einsum("tid,tid->t", grads, grads)
         else:
-            rule = simplex_quadrature(dim, 2 * dim)
-            lam = np.broadcast_to(rule.points, (E,) + rule.points.shape)
-            gb = bubble_gradient("power", lam, grads)
-            diag = meas * np.einsum("q,tqd,tqd->t", rule.weights, gb, gb)
+            rule, table = element_gradients(mesh)
+            diag = meas * np.einsum("q,tqd,tqd->t", rule.weights,
+                                    table[:, :, -1], table[:, :, -1])
         bub = (N + np.arange(E))[:, None]
         blocks.append((diag[:, None, None], bub, bub))
     # the same scalar blocks on every displacement component
@@ -407,8 +420,8 @@ def _facet_geometry(mesh, topo, facets):
     return normal, meas, elems
 
 
-def assemble_loads(mesh, topo, dofmap, tractions, body_force=None):
-    """External load vector from facet tractions and a constant body force.
+def assemble_loads(mesh, topo, dofmap, tractions):
+    """External load vector from facet tractions.
 
     ``tractions`` maps boundary labels to either a constant traction vector
     or ``("pressure", p)`` for a load of magnitude p along the inward facet
@@ -430,34 +443,20 @@ def assemble_loads(mesh, topo, dofmap, tractions, body_force=None):
         for l in range(dim):
             for c in range(dim):
                 np.add.at(f, facets[:, l] * dim + c, w * t[:, c])
-    if body_force is not None:
-        b = np.asarray(body_force, float)
-        meas = mesh.element_measures()
-        w = meas / (dim + 1)
-        for l in range(dim + 1):
-            for c in range(dim):
-                np.add.at(f, mesh.elements[:, l] * dim + c, w * b[c])
-        if dofmap.bubble:
-            wb = meas * bubble_volume_mean(dofmap.bubble, dim)
-            for c in range(dim):
-                start = mesh.n_nodes * dim + c
-                f[start::dim][: mesh.n_elements] += wb * b[c]
     return f
 
 
 def dirichlet_dofs(mesh, dofmap):
     """Constrained displacement dofs from the boundary labels (all zero)."""
-    fixed = set()
+    fixed = [np.zeros(0, np.int64)]
     comp_map = {"clamped": tuple(range(mesh.dim)), "roller-x": (0,),
                 "roller-y": (1,)}
     for label, comps in comp_map.items():
         facets = mesh.boundary.get(label)
-        if facets is None:
-            continue
-        for node in np.unique(facets):
-            for c in comps:
-                fixed.add(int(node) * mesh.dim + c)
-    return np.asarray(sorted(fixed), dtype=np.int64)
+        if facets is not None:
+            nodes = np.unique(facets)
+            fixed += [dofmap.vertex_dof(nodes, c) for c in comps]
+    return np.unique(np.concatenate(fixed)).astype(np.int64)
 
 
 def free_dofs(n, fixed):
@@ -539,16 +538,9 @@ def _assemble_mini(disc, mat):
     mesh = disc.mesh
     dim, N, E = mesh.dim, mesh.n_nodes, mesh.n_elements
     dofmap = disc.dofmap("power")
-    grads, meas = mesh.grads, mesh.element_measures()
-    rule = simplex_quadrature(dim, 2 * dim)
-    Q = len(rule.weights)
-    lam = np.broadcast_to(rule.points, (E, Q, dim + 1))
-    gb = bubble_gradient("power", lam, grads)      # (E, Q, d)
-
-    # gradient table per element/point/local function: hats, then bubble
-    gradtab = np.concatenate(
-        [np.broadcast_to(grads[:, None], (E, Q, dim + 1, dim)),
-         gb[:, :, None]], axis=2)
+    meas = mesh.element_measures()
+    rule, gradtab = element_gradients(mesh)
+    lam = np.broadcast_to(rule.points, gradtab.shape[:2] + (dim + 1,))
     Bq = strain_matrix(gradtab)
     Dw = 2.0 * mat.mu * shear_weight_vector(dim)
     A_loc = np.einsum("tqvp,v,tqvr,q,t->tpr", Bq, Dw, Bq, rule.weights, meas)

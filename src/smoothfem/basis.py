@@ -102,19 +102,3 @@ def bubble_gradient(kind, lam, lam_grads):
     imin = np.argmin(lam, axis=-1)                              # (C, Q)
     C = lam.shape[0]
     return (dim + 1) * lam_grads[np.arange(C)[:, None], imin, :]
-
-
-def bubble_volume_mean(kind, dim):
-    """Measure-normalized integral of the bubble over the element.
-
-    Closed forms: power bubble 9/20 (2D) and 32/105 (3D); hat bubble is a
-    cone of unit height over the element, hence 1/(d+1).
-    """
-    check_bubble_kind(kind)
-    if kind == "hat":
-        return 1.0 / (dim + 1)
-    if dim == 2:
-        return 9.0 / 20.0
-    if dim == 3:
-        return 32.0 / 105.0
-    raise ValueError(f"unsupported dimension {dim}")

@@ -31,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .basis import affine_maps
-from .mesh import element_facets, unique_rows
+from .mesh import csr_groups, element_facets, unique_rows
 
 _TRI_DIRECTED = ((1, 2), (2, 0), (0, 1))
 _TET_EDGE_INDEX = {(0, 1): 0, (0, 2): 1, (0, 3): 2, (1, 2): 3, (1, 3): 4, (2, 3): 5}
@@ -195,14 +195,6 @@ def _finalize_micro(mesh, points, cells, c_elem, c_node, c_edge, c_face, N):
     )
 
 
-def _csr_groups(keys, n_groups):
-    """CSR (ptr, ids) grouping item indices by integer key."""
-    order = np.argsort(keys, kind="stable")
-    counts = np.bincount(keys, minlength=n_groups)
-    ptr = np.concatenate([[0], np.cumsum(counts)])
-    return ptr, order
-
-
 def build_smoothing_domains(micro, kind):
     """Group micro-cells into domains of one kind and trace their boundaries.
 
@@ -227,7 +219,7 @@ def build_smoothing_domains(micro, kind):
     n_domains = int(dom.max()) + 1
     measures = np.bincount(dom, weights=micro.measures, minlength=n_domains)
 
-    cell_ptr, cell_ids = _csr_groups(dom, n_domains)
+    cell_ptr, cell_ids = csr_groups(dom, n_domains)
 
     # all micro-cell facets with outward orientation
     pattern = element_facets(micro.dim)
@@ -239,7 +231,7 @@ def build_smoothing_domains(micro, kind):
     keep = counts[inverse] == 1
     faces, owner = faces[keep], owner[keep]
     fdom = dom[owner]
-    facet_ptr, order = _csr_groups(fdom, n_domains)
+    facet_ptr, order = csr_groups(fdom, n_domains)
     return SmoothingDomainSet(
         kind=kind, n_domains=n_domains, dom_of_cell=dom, measures=measures,
         cell_ptr=cell_ptr, cell_ids=cell_ids,

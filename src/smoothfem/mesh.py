@@ -175,6 +175,14 @@ def unique_rows(rows):
     return ordered[starts], inverse, counts
 
 
+def csr_groups(keys, n_groups):
+    """CSR (ptr, ids) grouping item indices by integer key."""
+    order = np.argsort(keys, kind="stable")
+    counts = np.bincount(keys, minlength=n_groups)
+    ptr = np.concatenate([[0], np.cumsum(counts)])
+    return ptr, order
+
+
 def build_topology(mesh):
     """Enumerate unique edges and facets and their element incidences."""
     elems = mesh.elements
@@ -192,13 +200,9 @@ def build_topology(mesh):
         facets, facet_inv, _ = unique_rows(facet_rows)
         elem_facets = facet_inv.reshape(len(elems), 4)
 
-    flat = elem_facets.ravel()
-    owners = np.repeat(np.arange(len(elems)), dim + 1)
-    order = np.argsort(flat, kind="stable")
-    counts = np.bincount(flat, minlength=len(facets))
-    facet_ptr = np.concatenate([[0], np.cumsum(counts)])
-    facet_elems = owners[order]
-    boundary_mask = counts == 1
+    facet_ptr, order = csr_groups(elem_facets.ravel(), len(facets))
+    facet_elems = order // (dim + 1)
+    boundary_mask = np.diff(facet_ptr) == 1
     return Topology(edges, elem_edges, facets, elem_facets,
                     facet_ptr, facet_elems, boundary_mask)
 

@@ -13,8 +13,10 @@ from smoothfem.analysis import (CSV_COLUMNS, ErrorReport, ExactPipeSolution,
                                 richardson_limit, tip_displacement,
                                 total_variation)
 from smoothfem.assembly import (Discretization, MaterialParams,
-                               assemble_method, full_elastic_matrix)
-from smoothfem.mesh import generate_annulus, generate_block, generate_cook
+                               assemble_method, element_gradients,
+                               full_elastic_matrix)
+from smoothfem.mesh import (distort_mesh, generate_annulus, generate_block,
+                            generate_cook)
 
 
 @pytest.fixture(scope="module")
@@ -185,6 +187,45 @@ def test_mini_energy_ignores_smoothing_domains(disc_annulus, monkeypatch):
     monkeypatch.setattr(disc_annulus, "domains", forbidden)
     norm, total = error_energy(disc_annulus, bundle, u, p, fld)
     assert np.isfinite(norm)
+
+
+class ZeroField:
+    """The zero exact solution: no strain, pressure or divergence."""
+
+    def __init__(self, dim):
+        self.nv = 3 if dim == 2 else 6
+
+    def strain(self, X):
+        return np.zeros(X.shape[:-1] + (self.nv,))
+
+    def pressure(self, X):
+        return np.zeros(X.shape[:-1])
+
+    divergence = pressure
+
+
+@pytest.mark.parametrize("mesh", [
+    generate_annulus(3),
+    distort_mesh(generate_block(2), 0.3, seed=2),
+], ids=["annulus-3", "block-2-distorted"])
+def test_mini_energy_of_a_discrete_field_is_its_stiffness_form(mesh):
+    """Against the zero field with p = 0, MINI's signed energy total of any
+    discrete displacement is u . A u: the norm and the stiffness integrate
+    the same gradient table with the same element rule."""
+    disc = Discretization(mesh)
+    bundle = assemble_method(disc, "mini", MaterialParams(21000.0, 0.3))
+    u = np.random.default_rng(7).standard_normal(bundle.dofmap.n_disp)
+    norm, total = error_energy(disc, bundle, u,
+                               np.zeros(mesh.n_nodes), ZeroField(disc.dim))
+    assert total == pytest.approx(u @ bundle.A @ u, rel=1e-12)
+    assert norm == pytest.approx(np.sqrt(total), rel=1e-15)
+
+    # the bubble gradient integrates to zero over every element
+    rule, table = element_gradients(mesh)
+    assert table.shape == (mesh.n_elements, len(rule.weights),
+                           disc.dim + 2, disc.dim)
+    mean = np.einsum("q,eqd->ed", rule.weights, table[:, :, -1])
+    assert np.abs(mean).max() < 1e-12 * np.abs(table).max()
 
 
 def test_microcell_quadrature_built_once(pipe, monkeypatch):

@@ -276,31 +276,6 @@ def test_block_patch_resultant():
     assert f[0::3].sum() == pytest.approx(0.0, abs=1e-9)
 
 
-def test_body_force_total():
-    mesh = generate_cook(3)
-    disc = Discretization(mesh)
-    dofmap = disc.dofmap()
-    f = assemble_loads(mesh, disc.topo, dofmap, {}, body_force=(0.0, -2.0))
-    assert f[1::2].sum() == pytest.approx(-2.0 * 1440.0, rel=1e-12)
-
-
-@pytest.mark.parametrize("bubble,mean", [("hat", 1.0 / 3.0),
-                                         ("power", 9.0 / 20.0)])
-def test_body_force_bubble_load_follows_the_dofmap(bubble, mean):
-    """Each bubble dof carries the element integral of the dof map's own
-    bubble: measure/3 for the hat cone, 9/20 x measure for the power one."""
-    mesh = generate_cook(2)
-    disc = Discretization(mesh)
-    bundle = assemble_method(disc, "bes-fem", MaterialParams(E=1.0, nu=0.3),
-                             bubble=bubble)
-    f = assemble_loads(mesh, disc.topo, bundle.dofmap, {},
-                       body_force=(0.0, 1.0))
-    bub = bundle.dofmap.reshape(f)[mesh.n_nodes:]
-    np.testing.assert_allclose(bub[:, 1], mean * mesh.element_measures(),
-                               rtol=1e-14)
-    assert np.all(bub[:, 0] == 0.0)
-
-
 def test_dofmap_rejects_unknown_bubble():
     with pytest.raises(ValueError, match="unknown bubble kind"):
         DofMap(3, 1, 2, bubble="cubic")
@@ -328,6 +303,28 @@ def test_dirichlet_dofs_labels():
     assert np.all((np.abs(xs) < 1e-12) | (comps == 1))
     assert np.all((np.abs(ys) < 1e-12) | (comps == 0))
     assert fixed.max() < mesh.n_nodes * 2
+
+
+@pytest.mark.parametrize("mesh", [generate_annulus((3, 4)), generate_cook(3),
+                                  generate_block(2)])
+def test_dirichlet_dofs_match_a_node_loop(mesh):
+    """The constrained dofs are the sorted int64 vertex dofs of each
+    constrained label's nodes, and none once no label is constrained."""
+    dofmap = Discretization(mesh).dofmap("power")
+    comps = {"clamped": range(mesh.dim), "roller-x": (0,), "roller-y": (1,)}
+    expected = sorted({int(node) * mesh.dim + c
+                       for label, cs in comps.items()
+                       for node in np.unique(mesh.boundary.get(label, []))
+                       for c in cs})
+    fixed = dirichlet_dofs(mesh, dofmap)
+    assert fixed.dtype == np.int64
+    np.testing.assert_array_equal(fixed, expected)
+
+    free = PrimalMesh(mesh.nodes, mesh.elements,
+                      {k: v for k, v in mesh.boundary.items()
+                       if k not in comps})
+    none = dirichlet_dofs(free, dofmap)
+    assert none.dtype == np.int64 and none.shape == (0,)
 
 
 def test_h1_gram_vertex_block(disc_2d):

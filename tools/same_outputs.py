@@ -16,6 +16,8 @@ scenario also passes when its JSON and CSV differ only in numeric fields
 and cells, each within R relative; exit status, standard output, the CSV
 row and cell counts and every non-numeric field or cell (statuses, check
 verdicts) must still be identical, and the worst drift is still printed.
+Each scenario's line ends with its wall time on REV and on the working
+tree; each is a single run, so read it as a rough cost, not a benchmark.
 Last it prints the ``src/smoothfem/*.py`` line count of REV and of the
 working tree, so a refactor's size and its identity gate come from one
 command.  Exit status 0 when all seven scenarios pass, 1 otherwise.
@@ -29,6 +31,7 @@ import subprocess
 import sys
 import tarfile
 import tempfile
+import time
 from pathlib import Path
 
 SCENARIOS = ("cook", "cook-distorted", "pipe", "block3d", "cook-neohookean",
@@ -39,14 +42,17 @@ SHOWN = 5    # non-numeric mismatches printed per scenario
 
 
 def run_scenario(tree, scenario, out):
-    """(exit status, stdout without the 'wrote' line) of one run."""
+    """(exit status, stdout without the 'wrote' line, wall seconds) of one
+    run."""
     env = dict(os.environ, PYTHONPATH=str(tree / "src"))
+    start = time.perf_counter()
     proc = subprocess.run(
         [sys.executable, "-c", RUN, "run", scenario, "--out", str(out)],
         cwd=tree, env=env, capture_output=True, text=True)
+    wall = time.perf_counter() - start
     lines = [line for line in proc.stdout.splitlines()
              if not line.startswith("wrote ")]
-    return proc.returncode, lines
+    return proc.returncode, lines, wall
 
 
 def _cell(text):
@@ -171,13 +177,16 @@ def main(argv=None):
             runs = {}
             for side, tree in trees.items():
                 out = tmp / "out" / side
-                status, stdout = run_scenario(tree, scenario, out)
-                runs[side] = {"status": status, "stdout": stdout, "out": out}
+                status, stdout, wall = run_scenario(tree, scenario, out)
+                runs[side] = {"status": status, "stdout": stdout, "out": out,
+                              "wall": wall}
             problems, notes = compare(scenario, runs["base"], runs["head"],
                                       args.rtol)
             verdict = ("DIFFERS" if problems else
                        f"within rtol {args.rtol:g}" if notes else "identical")
-            print(f"{scenario}: {verdict}")
+            print(f"{scenario}: {verdict} (single run: "
+                  f"{runs['base']['wall']:.2f} s at {args.rev}, "
+                  f"{runs['head']['wall']:.2f} s in the working tree)")
             for line in problems + notes:
                 print(f"  {line}")
             same += not problems
