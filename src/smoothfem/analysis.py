@@ -5,7 +5,7 @@ methods are measured through their domain-averaged strains, mixed methods
 additionally through their cell-constant pressure, and MINI through its
 pointwise element fields.  Integrals use a degree-4 rule on the micro-cell
 partition, except MINI's energy norm, which uses the degree-2d element
-rule of MINI's stiffness (``assembly.element_gradients``).
+rule of MINI's stiffness (``Discretization.element_gradients``).
 """
 
 import json
@@ -14,8 +14,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .assembly import (MaterialParams, divergence_operator,
-                       element_gradients, full_elastic_matrix,
-                       shear_weight_vector, strain_matrix, strain_rows)
+                       full_elastic_matrix, shear_weight_vector,
+                       strain_matrix, strain_rows)
 from .basis import bubble_value
 from .dualmesh import mesh_size
 
@@ -181,7 +181,7 @@ def error_displacement(disc, dofmap, u, exact):
     partition each element, so piecewise-linear bubbles are integrated
     exactly.
     """
-    X, w, lam = disc.quadrature()
+    _, X, w, lam = disc.quadrature()
     elem = disc.micro.cell_elem
     diff = displacement_values(disc, dofmap, u, lam, elem) - exact(X)
     return float(np.sqrt(np.einsum("kq,kqd,kqd->", w, diff, diff)))
@@ -193,7 +193,7 @@ def error_pressure(disc, p, exact, continuous=False):
     ``p`` holds one value per mesh vertex: cell constants by default, or a
     continuous P1 field (MINI) with ``continuous=True``.
     """
-    X, w, lam = disc.quadrature()
+    _, X, w, lam = disc.quadrature()
     p = np.asarray(p, float)
     if continuous:
         elem = disc.micro.cell_elem
@@ -225,7 +225,7 @@ def error_energy(disc, bundle, u, p, exact):
     G = disc.gradient_ops(bundle.kind, bundle.dofmap.bubble)
     eps_bar = np.stack([R @ u for R in strain_rows(G)], axis=-1)
     dom = disc.domains(bundle.kind).dom_of_cell
-    X, w, _ = disc.quadrature()
+    _, X, w, _ = disc.quadrature()
     diff = exact.strain(X) - eps_bar[dom][:, None, :]
     if not bundle.mixed:
         C = full_elastic_matrix(mat.lam, mat.mu, disc.dim)
@@ -247,7 +247,7 @@ def _energy_mini(disc, bundle, u, p, exact):
     """Pointwise element-field defect for MINI (P1 + bubble, P1 pressure)
     on the element rule and gradient table of MINI's stiffness."""
     mesh, dim, mat = disc.mesh, disc.dim, bundle.mat
-    rule, table = element_gradients(mesh)
+    rule, table = disc.element_gradients()
     X = np.einsum("qi,eid->eqd", rule.points, mesh.nodes[mesh.elements])
     w = mesh.element_measures()[:, None] * rule.weights[None, :]
 

@@ -132,8 +132,8 @@ class DofMap:
 
 
 class Discretization:
-    """Cached geometric products of one mesh: topology, micro-cells, domains
-    and the micro-cell quadrature.
+    """Cached geometric products of one mesh: topology, micro-cells, domains,
+    the micro-cell quadrature and the element gradient table.
 
     Everything downstream (operators, error norms, benchmarks) pulls from
     here so the expensive pieces are built once per mesh.
@@ -148,6 +148,7 @@ class Discretization:
         self._gradients = {}
         self._overlaps = {}
         self._quadrature = None
+        self._element_gradients = None
 
     @property
     def dim(self):
@@ -179,10 +180,10 @@ class Discretization:
     def quadrature(self):
         """Degree-4 volume rule over every micro-cell, built once.
 
-        Returns read-only (X, w, lam): physical points (M, Q, d), weights
-        (M, Q) that already include the micro-cell measures, and
-        barycentric coordinates (M, Q, d+1) in each micro-cell's element
-        ``micro.cell_elem``.
+        Returns (rule, X, w, lam): the reference rule, then read-only
+        physical points (M, Q, d), weights (M, Q) that already include the
+        micro-cell measures, and barycentric coordinates (M, Q, d+1) in
+        each micro-cell's element ``micro.cell_elem``.
         """
         if self._quadrature is None:
             micro = self.micro
@@ -193,8 +194,29 @@ class Discretization:
             lam = self.mesh.barycentric(micro.cell_elem, X)
             for a in (X, w, lam):
                 a.flags.writeable = False
-            self._quadrature = (X, w, lam)
+            self._quadrature = (rule, X, w, lam)
         return self._quadrature
+
+    def element_gradients(self):
+        """(rule, table): the degree-2d element rule and the read-only
+        (E, Q, d+2, d) gradients of each element's d+1 hats, then its power
+        bubble, at the rule's points, built once.  The rule integrates every
+        product of two table entries exactly, so MINI's stiffness, its
+        energy norm and the H1 Gram share it.
+        """
+        if self._element_gradients is None:
+            mesh, dim = self.mesh, self.dim
+            rule = simplex_quadrature(dim, 2 * dim)
+            lam = np.broadcast_to(rule.points,
+                                  (mesh.n_elements,) + rule.points.shape)
+            gb = bubble_gradient("power", lam, mesh.grads)      # (E, Q, d)
+            table = np.concatenate(
+                [np.broadcast_to(mesh.grads[:, None],
+                                 gb.shape[:2] + (dim + 1, dim)),
+                 gb[:, :, None]], axis=2)
+            table.flags.writeable = False
+            self._element_gradients = (rule, table)
+        return self._element_gradients
 
     def dofmap(self, bubble=None):
         return DofMap(self.mesh.n_nodes, self.mesh.n_elements, self.dim,
@@ -253,22 +275,6 @@ def strain_matrix(grad, F=None):
             if i != j:
                 B[..., v, :, :] += grad[..., :, i, None] * F[..., None, :, j]
     return B.reshape(grad.shape[:-2] + (len(pairs), -1))
-
-
-def element_gradients(mesh):
-    """(rule, table): the degree-2d element rule and the (E, Q, d+2, d)
-    gradients of each element's d+1 hats, then its power bubble, at the
-    rule's points.  The rule integrates every product of two table entries
-    exactly, so MINI's stiffness, its energy norm and the H1 Gram share it.
-    """
-    dim, E = mesh.dim, mesh.n_elements
-    rule = simplex_quadrature(dim, 2 * dim)
-    lam = np.broadcast_to(rule.points, (E,) + rule.points.shape)
-    gb = bubble_gradient("power", lam, mesh.grads)       # (E, Q, d)
-    table = np.concatenate(
-        [np.broadcast_to(mesh.grads[:, None], gb.shape[:2] + (dim + 1, dim)),
-         gb[:, :, None]], axis=2)
-    return rule, table
 
 
 def _component_columns(G, dim, c):
@@ -357,8 +363,7 @@ def assemble_plain_B(disc, dofmap):
             vals.append(micro.measures * grads[t, l, c])
 
     if dofmap.bubble:
-        rule = simplex_quadrature(dim, 4)
-        lam_pts = disc.quadrature()[2]
+        rule, _, _, lam_pts = disc.quadrature()
         gb = bubble_gradient(dofmap.bubble, lam_pts, grads[t])  # (M, Q, d)
         mean = np.einsum("q,kqc->kc", rule.weights, gb)
         for c in range(dim):
@@ -389,7 +394,7 @@ def assemble_h1_gram(disc, dofmap):
         if dofmap.bubble == "hat":
             diag = (dim + 1) * meas * np.einsum("tid,tid->t", grads, grads)
         else:
-            rule, table = element_gradients(mesh)
+            rule, table = disc.element_gradients()
             diag = meas * np.einsum("q,tqd,tqd->t", rule.weights,
                                     table[:, :, -1], table[:, :, -1])
         bub = (N + np.arange(E))[:, None]
@@ -539,7 +544,7 @@ def _assemble_mini(disc, mat):
     dim, N, E = mesh.dim, mesh.n_nodes, mesh.n_elements
     dofmap = disc.dofmap("power")
     meas = mesh.element_measures()
-    rule, gradtab = element_gradients(mesh)
+    rule, gradtab = disc.element_gradients()
     lam = np.broadcast_to(rule.points, gradtab.shape[:2] + (dim + 1,))
     Bq = strain_matrix(gradtab)
     Dw = 2.0 * mat.mu * shear_weight_vector(dim)

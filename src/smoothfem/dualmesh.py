@@ -1,10 +1,11 @@
 """Micro-cell decomposition, smoothing domains, and pressure cells.
 
 Every element is split into equal-measure micro-simplices keyed by the
-entities they touch.  In 2D each triangle yields 6 micro-triangles
-(vertex, edge midpoint, centroid), one per (edge, endpoint) pair; in 3D
-each tetrahedron yields 24 micro-tetrahedra (vertex, edge midpoint, face
-centroid, element centroid), one per (face, edge-of-face, endpoint) triple.
+entities they touch: the chains (vertex, edge midpoint, [face centroid,]
+centroid), one per (facet, edge of the facet, endpoint), 6 per triangle
+and 24 per tetrahedron.  One table of the reference element's chains,
+derived from ``mesh.LOCAL_EDGES`` and ``mesh.LOCAL_FACETS``, gives them
+for every element in 2D and 3D.
 All the domain systems used by the solvers are unions of these micro-cells:
 
 * edge-based smoothing domains (2D): micro-cells sharing a mesh edge,
@@ -31,11 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .basis import affine_maps
-from .mesh import csr_groups, element_facets, unique_rows
-
-_TRI_DIRECTED = ((1, 2), (2, 0), (0, 1))
-_TET_EDGE_INDEX = {(0, 1): 0, (0, 2): 1, (0, 3): 2, (1, 2): 3, (1, 3): 4, (2, 3): 5}
-_TET_FACES = ((1, 2, 3), (0, 3, 2), (0, 1, 3), (0, 2, 1))
+from .mesh import LOCAL_EDGES, LOCAL_FACETS, csr_groups, unique_rows
 
 DOMAIN_KINDS = ("edge", "face", "node", "element")
 
@@ -49,8 +46,8 @@ class MicroCellDecomposition:
     points : (P, d) coordinates of all symbolic points; the first
         ``n_mesh_nodes`` rows are the mesh vertices themselves.
     cells : (M, d+1) point ids, positively oriented.
-    cell_elem, cell_node, cell_edge : (M,) entity keys of each micro-cell.
-    cell_face : (M,) face keys (3D) or None.
+    cell_elem, cell_node, cell_facet : (M,) element, mesh-vertex and
+        mesh-facet (edge in 2D, face in 3D) keys of each micro-cell.
     measures : (M,) micro-cell measures (m(T)/6 in 2D, m(T)/24 in 3D).
     """
 
@@ -60,8 +57,7 @@ class MicroCellDecomposition:
     cells: np.ndarray
     cell_elem: np.ndarray
     cell_node: np.ndarray
-    cell_edge: np.ndarray
-    cell_face: np.ndarray
+    cell_facet: np.ndarray
     measures: np.ndarray
 
     @property
@@ -111,87 +107,71 @@ class PressureCellSet:
         return mat.tocsr()
 
 
+def _chain_points(nodes, entities, elements):
+    """The vertices, the centroid of every row of each entity table, then
+    the element centroids: the points that micro-cell chains join."""
+    return np.vstack([nodes, *(nodes[rows].mean(axis=1) for rows in entities),
+                      nodes[elements].mean(axis=1)])
+
+
+def _micro_slots(dim):
+    """The reference element's micro-cells: (S, d+1) local point ids, in
+    the order of ``_chain_points``, and the (S,) local facet of each.
+
+    Chains run per local facet, per edge of the facet (in 2D the facet
+    itself, in 3D its edges in cyclic order) and per endpoint.  The
+    endpoint whose chain is positively oriented comes first; the other
+    swaps its 2nd and 3rd points.
+    """
+    edges, facets = LOCAL_EDGES[dim], LOCAL_FACETS[dim]
+    corners = np.vstack([np.zeros(dim), np.eye(dim)])
+    # the entities strictly between vertex and element: edges, [facets]
+    ref = _chain_points(corners, (edges, facets)[:dim - 1],
+                        np.arange(dim + 1)[None])
+    mid = {frozenset(e): dim + 1 + i for i, e in enumerate(edges.tolist())}
+    slots, slot_facet = [], []
+    for f, verts in enumerate(facets.tolist()):
+        pairs = [verts] if dim == 2 else zip(verts, verts[1:] + verts[:1])
+        centre = [] if dim == 2 else [dim + 1 + len(edges) + f]
+        for a, b in pairs:
+            chains = [[v, mid[frozenset((a, b))], *centre, len(ref) - 1]
+                      for v in (a, b)]
+            if np.linalg.det(ref[chains[0][1:]] - ref[chains[0][0]]) < 0.0:
+                chains.reverse()
+            chains[1][1], chains[1][2] = chains[1][2], chains[1][1]
+            slots += chains
+            slot_facet += [f, f]
+    return np.array(slots), np.array(slot_facet)
+
+
 def build_micro_decomposition(mesh, topo):
-    """Split every element into 6 (2D) or 24 (3D) keyed micro-simplices."""
-    if mesh.dim == 2:
-        return _micro_2d(mesh, topo)
-    return _micro_3d(mesh, topo)
+    """Split every element into 6 (2D) or 24 (3D) keyed micro-simplices.
 
-
-def _micro_2d(mesh, topo):
-    N, E, NE = mesh.n_nodes, mesh.n_elements, topo.n_edges
-    nodes, elems = mesh.nodes, mesh.elements
-    points = np.vstack([
-        nodes,
-        0.5 * (nodes[topo.edges[:, 0]] + nodes[topo.edges[:, 1]]),
-        nodes[elems].mean(axis=1),
-    ])
-    mid_id = N + topo.elem_edges              # (E, 3) midpoint ids per local edge
-    cen_id = N + NE + np.arange(E)
-
-    cells, c_elem, c_node, c_edge = [], [], [], []
-    for l, (a, b) in enumerate(_TRI_DIRECTED):
-        va, vb, m = elems[:, a], elems[:, b], mid_id[:, l]
-        # tail endpoint: (v_a, m, c) is CCW; head endpoint: (v_b, c, m)
-        cells.append(np.column_stack([va, m, cen_id]))
-        c_node.append(va)
-        cells.append(np.column_stack([vb, cen_id, m]))
-        c_node.append(vb)
-        for _ in range(2):
-            c_elem.append(np.arange(E))
-            c_edge.append(topo.elem_edges[:, l])
-    return _finalize_micro(mesh, points, cells, c_elem, c_node, c_edge, None, N)
-
-
-def _micro_3d(mesh, topo):
-    N, E = mesh.n_nodes, mesh.n_elements
-    NE, NF = topo.n_edges, topo.n_facets
-    nodes, elems = mesh.nodes, mesh.elements
-    points = np.vstack([
-        nodes,
-        0.5 * (nodes[topo.edges[:, 0]] + nodes[topo.edges[:, 1]]),
-        nodes[topo.facets].mean(axis=1),
-        nodes[elems].mean(axis=1),
-    ])
-    mid_id = N + topo.elem_edges               # (E, 6)
-    fc_id = N + NE + topo.elem_facets          # (E, 4)
-    cen_id = N + NE + NF + np.arange(E)
-
-    cells, c_elem, c_node, c_edge, c_face = [], [], [], [], []
-    for fi, face in enumerate(_TET_FACES):
-        g = fc_id[:, fi]
-        face_edges = ((face[0], face[1]), (face[1], face[2]), (face[2], face[0]))
-        for a, b in face_edges:
-            le = _TET_EDGE_INDEX[(min(a, b), max(a, b))]
-            va, vb, m = elems[:, a], elems[:, b], mid_id[:, le]
-            # head endpoint of the outward-directed face edge: (v_b, m, g, c)
-            # is positive; tail endpoint needs one swap: (v_a, g, m, c)
-            cells.append(np.column_stack([vb, m, g, cen_id]))
-            c_node.append(vb)
-            cells.append(np.column_stack([va, g, m, cen_id]))
-            c_node.append(va)
-            for _ in range(2):
-                c_elem.append(np.arange(E))
-                c_edge.append(topo.elem_edges[:, le])
-                c_face.append(topo.elem_facets[:, fi])
-    return _finalize_micro(mesh, points, cells, c_elem, c_node, c_edge, c_face, N)
-
-
-def _finalize_micro(mesh, points, cells, c_elem, c_node, c_edge, c_face, N):
-    cells = np.ascontiguousarray(np.vstack(cells), dtype=np.int64)
-    cell_elem = np.concatenate([np.asarray(a, np.int64) for a in c_elem])
-    cell_node = np.concatenate([np.asarray(a, np.int64) for a in c_node])
-    cell_edge = np.concatenate([np.asarray(a, np.int64) for a in c_edge])
-    cell_face = (np.concatenate([np.asarray(a, np.int64) for a in c_face])
-                 if c_face is not None else None)
+    One fancy index of each element's local point ids takes every
+    ``_micro_slots`` cell.  Cells are slot-major (every element's first
+    slot, then every element's second, ...), which fixes the order of
+    every sum over micro-cells.
+    """
+    N, E, dim = mesh.n_nodes, mesh.n_elements, mesh.dim
+    entities = (topo.edges, topo.facets)[:dim - 1]
+    points = _chain_points(mesh.nodes, entities, mesh.elements)
+    # each block of points starts after the rows of the blocks before it
+    start = np.cumsum([N] + [len(rows) for rows in entities])
+    ids = (topo.elem_edges, topo.elem_facets)[:dim - 1]
+    local = np.column_stack([mesh.elements, *map(np.add, start, ids),
+                             start[-1] + np.arange(E)])
+    slots, slot_facet = _micro_slots(dim)
+    cells = local[:, slots].swapaxes(0, 1).reshape(-1, dim + 1)
     _, measures = affine_maps(points, cells)
     if np.any(measures <= 0.0):
         bad = int(np.flatnonzero(measures <= 0.0)[0])
         raise RuntimeError(f"micro-cell {bad} has non-positive measure")
     return MicroCellDecomposition(
-        dim=mesh.dim, n_mesh_nodes=N, points=points, cells=cells,
-        cell_elem=cell_elem, cell_node=cell_node, cell_edge=cell_edge,
-        cell_face=cell_face, measures=measures,
+        dim=dim, n_mesh_nodes=N, points=points, cells=cells,
+        cell_elem=np.tile(np.arange(E, dtype=np.int64), len(slots)),
+        cell_node=np.ascontiguousarray(cells[:, 0]),
+        cell_facet=topo.elem_facets[:, slot_facet].T.ravel(),
+        measures=measures,
     )
 
 
@@ -204,27 +184,19 @@ def build_smoothing_domains(micro, kind):
     """
     if kind not in DOMAIN_KINDS:
         raise ValueError(f"unknown domain kind {kind!r}; expected {DOMAIN_KINDS}")
-    if kind == "edge":
-        if micro.dim != 2:
-            raise ValueError("edge-based domains are used in 2D")
-        dom = micro.cell_edge
-    elif kind == "face":
-        if micro.dim != 3:
-            raise ValueError("face-based domains are used in 3D")
-        dom = micro.cell_face
-    elif kind == "node":
-        dom = micro.cell_node
-    else:
-        dom = micro.cell_elem
+    used_in = {"edge": 2, "face": 3}.get(kind, micro.dim)
+    if used_in != micro.dim:
+        raise ValueError(f"{kind}-based domains are used in {used_in}D")
+    dom = {"node": micro.cell_node,
+           "element": micro.cell_elem}.get(kind, micro.cell_facet)
     n_domains = int(dom.max()) + 1
     measures = np.bincount(dom, weights=micro.measures, minlength=n_domains)
 
     cell_ptr, cell_ids = csr_groups(dom, n_domains)
 
     # all micro-cell facets with outward orientation
-    pattern = element_facets(micro.dim)
     M, d = micro.n_cells, micro.dim
-    faces = micro.cells[:, pattern].reshape(M * (d + 1), d)
+    faces = micro.cells[:, LOCAL_FACETS[d]].reshape(M * (d + 1), d)
     owner = np.repeat(np.arange(M), d + 1)
     key = np.column_stack([dom[owner], np.sort(faces, axis=1)])
     _, inverse, counts = unique_rows(key)

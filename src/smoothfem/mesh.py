@@ -26,16 +26,12 @@ from .basis import affine_maps
 
 BOUNDARY_LABELS = ("clamped", "roller-x", "roller-y", "traction", "free")
 
-_TRI_FACETS = np.array([(1, 2), (2, 0), (0, 1)])
-_TET_FACETS = np.array([(1, 2, 3), (0, 3, 2), (0, 1, 3), (0, 2, 1)])
-
-
-def element_facets(dim):
-    """Local facet connectivity, facet i opposite vertex i, outward oriented."""
-    return _TRI_FACETS if dim == 2 else _TET_FACETS
-
-_TRI_EDGES = np.array([(1, 2), (2, 0), (0, 1)])
-_TET_EDGES = np.array([(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)])
+# the reference simplex: local facet i is opposite vertex i and outward
+# oriented, and in 2D local edge i is facet i
+LOCAL_FACETS = {2: np.array([(1, 2), (2, 0), (0, 1)]),
+                3: np.array([(1, 2, 3), (0, 3, 2), (0, 1, 3), (0, 2, 1)])}
+LOCAL_EDGES = {2: LOCAL_FACETS[2],
+               3: np.array([(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)])}
 
 
 @dataclass
@@ -183,23 +179,19 @@ def csr_groups(keys, n_groups):
     return ptr, order
 
 
+def _local_entities(elems, table):
+    """Unique sorted node tuples of one local table and each element's ids."""
+    rows = np.sort(elems[:, table].reshape(-1, table.shape[1]), axis=1)
+    unique, inverse, _ = unique_rows(rows)
+    return unique, inverse.reshape(len(elems), len(table))
+
+
 def build_topology(mesh):
     """Enumerate unique edges and facets and their element incidences."""
-    elems = mesh.elements
-    dim = mesh.dim
-    local_edges = _TRI_EDGES if dim == 2 else _TET_EDGES
-    edge_rows = np.sort(elems[:, local_edges].reshape(-1, 2), axis=1)
-    edges, edge_inv, _ = unique_rows(edge_rows)
-    elem_edges = edge_inv.reshape(len(elems), len(local_edges))
-
-    if dim == 2:
-        # local edge i is already the facet opposite vertex i
-        facets, elem_facets = edges, elem_edges
-    else:
-        facet_rows = np.sort(elems[:, _TET_FACETS].reshape(-1, 3), axis=1)
-        facets, facet_inv, _ = unique_rows(facet_rows)
-        elem_facets = facet_inv.reshape(len(elems), 4)
-
+    elems, dim = mesh.elements, mesh.dim
+    edges, elem_edges = _local_entities(elems, LOCAL_EDGES[dim])
+    facets, elem_facets = ((edges, elem_edges) if dim == 2 else
+                           _local_entities(elems, LOCAL_FACETS[dim]))
     facet_ptr, order = csr_groups(elem_facets.ravel(), len(facets))
     facet_elems = order // (dim + 1)
     boundary_mask = np.diff(facet_ptr) == 1

@@ -13,8 +13,8 @@ from smoothfem.analysis import (CSV_COLUMNS, ErrorReport, ExactPipeSolution,
                                 richardson_limit, tip_displacement,
                                 total_variation)
 from smoothfem.assembly import (Discretization, MaterialParams,
-                               assemble_method, element_gradients,
-                               full_elastic_matrix)
+                               assemble_h1_gram, assemble_method,
+                               assemble_plain_B, full_elastic_matrix)
 from smoothfem.mesh import (distort_mesh, generate_annulus, generate_block,
                             generate_cook)
 
@@ -221,7 +221,7 @@ def test_mini_energy_of_a_discrete_field_is_its_stiffness_form(mesh):
     assert norm == pytest.approx(np.sqrt(total), rel=1e-15)
 
     # the bubble gradient integrates to zero over every element
-    rule, table = element_gradients(mesh)
+    rule, table = disc.element_gradients()
     assert table.shape == (mesh.n_elements, len(rule.weights),
                            disc.dim + 2, disc.dim)
     mean = np.einsum("q,eqd->ed", rule.weights, table[:, :, -1])
@@ -249,9 +249,28 @@ def test_microcell_quadrature_built_once(pipe, monkeypatch):
         error_pressure(disc, p, pipe.pressure)
         error_energy(disc, assemble_method(disc, method, mat), u, p, pipe)
     assert calls == [(2, 4)]
-    X, w, lam = disc.quadrature()
+    _, X, w, lam = disc.quadrature()
     with pytest.raises(ValueError):
         X[0, 0, 0] = 0.0
+
+    # in 3D, MINI's operators, energy norm and power Gram share one element
+    # table, and the norms and the element-wise coupling one micro-cell rule
+    calls.clear()
+    disc = Discretization(generate_block(2))
+    mat = MaterialParams(21000.0, 0.3)
+    field = LinearField(rng.standard_normal((3, 3)), np.zeros(3), mat, 3)
+    p = rng.standard_normal(disc.mesh.n_nodes)
+    for method in ("bfs-fem", "mini"):
+        bundle = assemble_method(disc, method, mat)
+        u = rng.standard_normal(bundle.dofmap.n_disp)
+        error_displacement(disc, bundle.dofmap, u, field.displacement)
+        error_pressure(disc, p, field.pressure)
+        error_energy(disc, bundle, u, p, field)
+        assemble_plain_B(disc, bundle.dofmap)
+        assemble_h1_gram(disc, bundle.dofmap)
+    assert sorted(calls) == [(3, 4), (3, 6)]
+    with pytest.raises(ValueError):
+        disc.element_gradients()[1][0, 0, 0, 0] = 0.0
 
 
 def test_energy_cross_term_is_signed(disc_cook):

@@ -362,7 +362,7 @@ def test_h1_gram_bubble_diagonal_matches_quadrature(which, bubble, disc_2d,
     mesh, dim = disc.mesh, disc.dim
     dofmap = disc.dofmap(bubble)
     diag = assemble_h1_gram(disc, dofmap).diagonal()[mesh.n_nodes * dim:]
-    _, w, lam = disc.quadrature()
+    _, _, w, lam = disc.quadrature()
     elem = disc.micro.cell_elem
     gb = bubble_gradient(bubble, lam, mesh.grads[elem])
     expected = np.bincount(elem, np.einsum("kq,kqd,kqd->k", w, gb, gb),

@@ -3,6 +3,7 @@
 import importlib.util
 import json
 import math
+import re
 import time
 from pathlib import Path
 
@@ -64,6 +65,8 @@ def test_make_config_overrides_and_none_passthrough():
     ({"methods": ("bes-fem", "bes")}, "repeated methods"),
     ({"meshes": (16, 1)}, ">= 2"),
     ({"kappa": (10.0,)}, "kappa"),
+    ({"meshes": (2.5, 4.9)}, "mesh resolution 2.5 is not an integer"),
+    ({"seed": 1.5}, "seed 1.5 is not an integer"),
 ])
 def test_config_validation_cook(kwargs, match):
     with pytest.raises(ValueError, match=match):
@@ -89,6 +92,12 @@ def test_config_validation_scenario_specific():
             make_config(scenario, distort=0.4)
     with pytest.raises(ValueError, match="kappa"):
         make_config("pipe", kappa=(1.95,))
+    with pytest.raises(ValueError, match="mesh resolution 2.5 is not"):
+        make_config("pipe", meshes=(2.5, 4.9))
+    with pytest.raises(ValueError, match="load step count 2.5 is not"):
+        make_config("cook-neohookean", steps=2.5)
+    with pytest.raises(ValueError, match="seed 1.5 is not"):
+        make_config("infsup", seed=1.5)
     with pytest.raises(ValueError, match="does not read mu"):
         make_config("pipe", meshes=(2, 3), methods=("bes-fem",), seed=7,
                     mu=5.0, steps=3, pattern="uniform")
@@ -548,3 +557,13 @@ def test_same_outputs_counts_source_lines(tmp_path):
     (package / "b.py").write_text("Y = 2\n")
     (package / "notes.txt").write_text("not counted\n")
     assert tool.source_lines(tmp_path) == 4
+
+
+def test_readme_states_the_package_line_count():
+    """README's size line is the count that tools/same_outputs.py prints."""
+    tool = _load_repo_module("tools/same_outputs.py")
+    root = Path(__file__).resolve().parents[1]
+    stated = re.search(r"The package is ([\d,]+) source lines",
+                       (root / "README.md").read_text())
+    assert stated is not None
+    assert int(stated.group(1).replace(",", "")) == tool.source_lines(root)

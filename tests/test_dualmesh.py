@@ -15,10 +15,11 @@ from smoothfem.dualmesh import (
     domain_diameters,
     mesh_size,
 )
+from smoothfem.basis import affine_maps
 from smoothfem.mesh import (
+    LOCAL_FACETS,
     build_topology,
     distort_mesh,
-    element_facets,
     generate_annulus,
     generate_block,
     generate_cook,
@@ -59,6 +60,100 @@ def test_micro_measures_equal_split(make):
     np.testing.assert_allclose(total, elem_meas, rtol=1e-12)
 
 
+# the loops the table-driven builder replaced, kept as its oracle
+_TRI_DIRECTED = ((1, 2), (2, 0), (0, 1))
+_TET_EDGE_INDEX = {(0, 1): 0, (0, 2): 1, (0, 3): 2, (1, 2): 3, (1, 3): 4,
+                   (2, 3): 5}
+_TET_FACES = ((1, 2, 3), (0, 3, 2), (0, 1, 3), (0, 2, 1))
+
+
+def loop_micro_2d(mesh, topo):
+    N, E, NE = mesh.n_nodes, mesh.n_elements, topo.n_edges
+    nodes, elems = mesh.nodes, mesh.elements
+    points = np.vstack([
+        nodes,
+        0.5 * (nodes[topo.edges[:, 0]] + nodes[topo.edges[:, 1]]),
+        nodes[elems].mean(axis=1),
+    ])
+    mid_id = N + topo.elem_edges
+    cen_id = N + NE + np.arange(E)
+    cells, c_elem, c_node, c_edge = [], [], [], []
+    for l, (a, b) in enumerate(_TRI_DIRECTED):
+        va, vb, m = elems[:, a], elems[:, b], mid_id[:, l]
+        # tail endpoint: (v_a, m, c) is CCW; head endpoint: (v_b, c, m)
+        cells.append(np.column_stack([va, m, cen_id]))
+        c_node.append(va)
+        cells.append(np.column_stack([vb, cen_id, m]))
+        c_node.append(vb)
+        for _ in range(2):
+            c_elem.append(np.arange(E))
+            c_edge.append(topo.elem_edges[:, l])
+    return points, cells, c_elem, c_node, c_edge
+
+
+def loop_micro_3d(mesh, topo):
+    N, E = mesh.n_nodes, mesh.n_elements
+    NE, NF = topo.n_edges, topo.n_facets
+    nodes, elems = mesh.nodes, mesh.elements
+    points = np.vstack([
+        nodes,
+        0.5 * (nodes[topo.edges[:, 0]] + nodes[topo.edges[:, 1]]),
+        nodes[topo.facets].mean(axis=1),
+        nodes[elems].mean(axis=1),
+    ])
+    mid_id = N + topo.elem_edges
+    fc_id = N + NE + topo.elem_facets
+    cen_id = N + NE + NF + np.arange(E)
+    cells, c_elem, c_node, c_face = [], [], [], []
+    for fi, face in enumerate(_TET_FACES):
+        g = fc_id[:, fi]
+        face_edges = ((face[0], face[1]), (face[1], face[2]),
+                      (face[2], face[0]))
+        for a, b in face_edges:
+            le = _TET_EDGE_INDEX[(min(a, b), max(a, b))]
+            va, vb, m = elems[:, a], elems[:, b], mid_id[:, le]
+            # head endpoint of the outward-directed face edge: (v_b, m, g, c)
+            # is positive; tail endpoint needs one swap: (v_a, g, m, c)
+            cells.append(np.column_stack([vb, m, g, cen_id]))
+            c_node.append(vb)
+            cells.append(np.column_stack([va, g, m, cen_id]))
+            c_node.append(va)
+            for _ in range(2):
+                c_elem.append(np.arange(E))
+                c_face.append(topo.elem_facets[:, fi])
+    return points, cells, c_elem, c_node, c_face
+
+
+@pytest.mark.parametrize("make", [
+    lambda: generate_cook(8),
+    lambda: distort_mesh(generate_cook(9), 0.4, seed=3),
+    lambda: generate_annulus((5, 7)),
+    lambda: generate_block(3, pattern="uniform"),
+    lambda: generate_block(3, pattern="unstructured"),
+    lambda: distort_mesh(generate_block(3, pattern="uniform"), 0.3, seed=2),
+], ids=["cook", "cook-distorted", "annulus", "block-uniform",
+        "block-unstructured", "block-distorted"])
+def test_micro_decomposition_equals_loop_oracle(make):
+    """The slot table repeats the per-facet loops array for array: the same
+    points, cells in the same slot-major order, keys and measures."""
+    mesh = make()
+    topo, micro = make_setup(mesh)
+    loop = loop_micro_2d if mesh.dim == 2 else loop_micro_3d
+    points, cells, c_elem, c_node, c_facet = loop(mesh, topo)
+    cells = np.ascontiguousarray(np.vstack(cells), dtype=np.int64)
+    expected = {
+        "points": points, "cells": cells,
+        "cell_elem": np.concatenate(c_elem).astype(np.int64),
+        "cell_node": np.concatenate(c_node).astype(np.int64),
+        "cell_facet": np.concatenate(c_facet).astype(np.int64),
+        "measures": affine_maps(points, cells)[1],
+    }
+    for name, want in expected.items():
+        got = getattr(micro, name)
+        assert got.dtype == want.dtype, name
+        assert np.array_equal(got, want), name
+
+
 @pytest.mark.parametrize("make", MESHES_2D)
 def test_edge_domain_measures(make):
     mesh = make()
@@ -67,7 +162,7 @@ def test_edge_domain_measures(make):
     elem_meas = mesh.element_measures()
     # m(domain ^ T) = m(T)/3 for every incident pair
     pair = {}
-    for m, e, t in zip(micro.measures, micro.cell_edge, micro.cell_elem):
+    for m, e, t in zip(micro.measures, micro.cell_facet, micro.cell_elem):
         pair[(e, t)] = pair.get((e, t), 0.0) + m
     for (e, t), val in pair.items():
         assert val == pytest.approx(elem_meas[t] / 3.0, rel=1e-12)
@@ -86,7 +181,7 @@ def test_face_domain_measures(make):
     domains = build_smoothing_domains(micro, "face")
     elem_meas = mesh.element_measures()
     pair = {}
-    for m, f, t in zip(micro.measures, micro.cell_face, micro.cell_elem):
+    for m, f, t in zip(micro.measures, micro.cell_facet, micro.cell_elem):
         pair[(f, t)] = pair.get((f, t), 0.0) + m
     for (f, t), val in pair.items():
         assert val == pytest.approx(elem_meas[t] / 4.0, rel=1e-12)
@@ -119,7 +214,7 @@ def test_triple_overlap_measures(make):
     """m(V_i ^ T ^ domain_k) = m(T)/6 (2D edge) or m(T)/12 (3D face)."""
     mesh = make()
     topo, micro = make_setup(mesh)
-    dom_key = micro.cell_edge if mesh.dim == 2 else micro.cell_face
+    dom_key = micro.cell_facet
     elem_meas = mesh.element_measures()
     per = 6.0 if mesh.dim == 2 else 12.0
     triple = {}
@@ -181,7 +276,7 @@ def test_domain_boundaries_close(make, kind):
 def unique_oracle_facets(micro, dom):
     """(facet_pts, facet_cell, facet_ptr) cancelled by np.unique(axis=0)."""
     M, d = micro.n_cells, micro.dim
-    faces = micro.cells[:, element_facets(d)].reshape(M * (d + 1), d)
+    faces = micro.cells[:, LOCAL_FACETS[d]].reshape(M * (d + 1), d)
     owner = np.repeat(np.arange(M), d + 1)
     key = np.column_stack([dom[owner], np.sort(faces, axis=1)])
     _, inverse, counts = np.unique(key, axis=0, return_inverse=True,
