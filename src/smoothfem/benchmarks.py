@@ -45,7 +45,6 @@ and an error note, and the summary lists it under ``failures``.
 """
 
 import json
-import numbers
 import operator
 from collections import namedtuple
 from dataclasses import asdict, dataclass, fields
@@ -84,7 +83,8 @@ from .hyperelastic import (
     SmoothedHyperProblem,
     newton_load_stepping,
 )
-from .mesh import distort_mesh, generate_annulus, generate_block, generate_cook
+from .mesh import (distort_mesh, generate_annulus, generate_block,
+                   generate_cook, whole)
 from .smoothing import volume_average_gradient
 from .solve import infsup_measure, solve_bundle, solve_condensed_split
 
@@ -130,7 +130,7 @@ class ScenarioConfig:
             raise ValueError(f"unknown scenario {self.scenario!r}; "
                              f"choose from {', '.join(SCENARIOS)}")
         self.methods = tuple(canonical_method(m) for m in self.methods)
-        self.meshes = tuple(_whole(n, "mesh resolution") for n in self.meshes)
+        self.meshes = tuple(whole(n, "mesh resolution") for n in self.meshes)
         if any(n < 2 for n in self.meshes):
             raise ValueError("mesh resolutions must be integers >= 2")
         if self.bubble not in BUBBLE_KINDS:
@@ -149,8 +149,8 @@ class ScenarioConfig:
             values = getattr(self, name)
             if len(set(values)) != len(values):
                 raise ValueError(f"repeated {name} values in {values}")
-        self.steps = _whole(self.steps, "load step count")
-        self.seed = _whole(self.seed, "seed")
+        self.steps = whole(self.steps, "load step count")
+        self.seed = whole(self.seed, "seed")
         if self.steps < 1:
             raise ValueError("need at least one load step")
         if not 0.0 <= self.distort < 1.0:
@@ -171,13 +171,6 @@ class ScenarioConfig:
                                  f"read {f.name}; leave it at {f.default!r}")
             if f.name in spec.settings and value == ():
                 raise ValueError(f"need at least one value of {f.name}")
-
-
-def _whole(value, what):
-    """``value`` as an int; raises ValueError unless it is a whole number."""
-    if not (isinstance(value, numbers.Real) and float(value).is_integer()):
-        raise ValueError(f"{what} {value!r} is not an integer")
-    return int(value)
 
 
 def accepted_settings(scenario):

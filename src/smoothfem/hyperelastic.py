@@ -113,8 +113,8 @@ class DeformationState:
 class SmoothedHyperProblem:
     """Total-Lagrangian neo-Hookean problem on the enriched smoothed basis.
 
-    Wraps one Discretization: domain gradients are gathered once into dense
-    per-domain blocks (grouped by support size), so each Newton step is a
+    Wraps one Discretization: domain gradients are gathered once into one
+    dense (domains x largest support) layout, so each Newton state is one
     batched stress/tangent evaluation, one ``np.bincount`` of the local
     blocks into the tangent's CSC sparsity pattern (built on first use and
     shared by every later tangent) and one sparse factorization.
@@ -130,8 +130,8 @@ class SmoothedHyperProblem:
         self.measures = domains.measures
         self.n_domains = domains.n_domains
         self._groups = self._gather_groups(disc.gradient_ops(kind, bubble))
-        self._dofs = np.concatenate([dofs.ravel()
-                                     for *_, dofs in self._groups])
+        (_, self._cols, self._grad, self._dofs), = self._groups
+        self._last = None    # (u, (R, K, noise)) of the latest evaluation
 
     def _gather_groups(self, G):
         # build_smoothed_gradient fills every G_c from one coordinate list,
@@ -143,25 +143,28 @@ class SmoothedHyperProblem:
                 raise ValueError(
                     f"gradient component {c} does not share the CSR "
                     "structure (indptr, indices) of component 0")
-        dim = self.disc.dim
-        counts = np.diff(G[0].indptr)
-        groups = []
-        for n in np.unique(counts):
-            rows = np.flatnonzero(counts == n)
-            pos = G[0].indptr[rows][:, None] + np.arange(n)
-            cols = G[0].indices[pos]
-            grad = np.stack([g.data[pos] for g in G], axis=-1)
-            groups.append((rows, cols, grad, dof_indices(cols, dim)))
-        return groups
+        indptr = G[0].indptr
+        counts = np.diff(indptr)
+        # one padded group: a row with fewer functions repeats its first
+        # column with a zero gradient, so every padded term is an exact
+        # zero added to an entry the row already has
+        slot = np.arange(counts.max())
+        real = slot < counts[:, None]
+        pos = indptr[:-1, None] + np.where(real, slot, 0)
+        cols = G[0].indices[pos]
+        grad = np.stack([np.where(real, g.data[pos], 0.0) for g in G],
+                        axis=-1)
+        return [(np.arange(len(counts)), cols, grad,
+                 dof_indices(cols, self.disc.dim))]
 
     @cached_property
     def _pattern(self):
         """CSC structure (indptr, indices) of the n x n tangent, and the
-        data position of every local block entry in group order."""
+        data position of every local block entry in layout order."""
         n = self.dofmap.n_disp
+        dofs = self._dofs
         # block entry (t, x, y) sits at row dofs[t, x], column dofs[t, y]
-        keys = np.concatenate([(dofs[:, None, :] * n + dofs[:, :, None])
-                               .ravel() for *_, dofs in self._groups])
+        keys = (dofs[:, None, :] * n + dofs[:, :, None]).ravel()
         cells, positions = np.unique(keys, return_inverse=True)
         # the index type scipy would pick, so no matrix built on the
         # pattern copies it
@@ -172,14 +175,13 @@ class SmoothedHyperProblem:
 
     def state(self, u):
         """Smoothed F, C, J on every domain for a displacement vector."""
-        dim = self.disc.dim
-        vals = np.asarray(u, float).reshape(-1, dim)
-        F = np.zeros((self.n_domains, dim, dim))
-        for rows, cols, grad, _ in self._groups:
-            H = np.einsum("tar,tac->trc", vals[cols], grad)
-            F[rows] = H + np.eye(dim)
-        C = np.einsum("tri,trj->tij", F, F)
-        return DeformationState(np.asarray(u, float), F, C, np.linalg.det(F))
+        u = np.asarray(u, float)
+        vals = u.reshape(-1, self.disc.dim)
+        # F = I + sum_a u(a) (x) grad N_a over each domain's functions
+        F = vals[self._cols].transpose(0, 2, 1) @ self._grad
+        F += np.eye(self.disc.dim)
+        C = F.transpose(0, 2, 1) @ F
+        return DeformationState(u, F, C, np.linalg.det(F))
 
     def energy(self, u):
         """Total strain energy of the smoothed deformation."""
@@ -202,7 +204,14 @@ class SmoothedHyperProblem:
         the bound contracts those magnitudes through |Bn| exactly like the
         force itself.  Raises _Inverted when any smoothing domain reaches
         J <= 0.
+
+        The latest evaluation is kept: a call with exactly the same u (the
+        first Newton iterate of a load step starts at the last converged
+        one) returns the same R, K and noise, whose arrays are read-only.
         """
+        u = np.asarray(u, float)
+        if self._last is not None and np.array_equal(self._last[0], u):
+            return self._last[1]
         dim = self.disc.dim
         state = self.state(u)
         if state.J.min() <= 0.0:
@@ -215,30 +224,31 @@ class SmoothedHyperProblem:
         S = m[:, None, None] * (mu * (np.eye(dim) - Ci)
                                 + (lam * lnJ)[:, None, None] * Ci)
         pi, pj = np.array(VOIGT_PAIRS[dim]).T
-        Sv = S[:, None, pi, pj]
         M = m[:, None, None] * _voigt_tangent(Ci, lnJ, self.params)
         s_scale = (m * (mu + abs(lam) * (1.0 + np.abs(lnJ)))
                    * np.linalg.norm(Ci, axis=(1, 2)))
-        forces, bounds, blocks = [], [], []
-        for rows, _, grad, _ in self._groups:
-            Bn = strain_matrix(grad, state.F[rows])
-            forces.append((Sv[rows] @ Bn).ravel())
-            bounds.append((s_scale[rows, None]
-                           * np.abs(Bn).sum(axis=1)).ravel())
-            K_loc = Bn.transpose(0, 2, 1) @ (M[rows] @ Bn)
-            A = grad @ S[rows] @ grad.transpose(0, 2, 1)
-            # the geometric term A (x) I on the interleaved dofs
-            K5 = K_loc.reshape(len(rows), A.shape[1], dim, A.shape[1], dim)
-            for k in range(dim):
-                K5[:, :, k, :, k] += A
-            blocks.append(K_loc.ravel())
+        grad = self._grad
+        Bn = strain_matrix(grad, state.F)
+        force = S[:, None, pi, pj] @ Bn
+        bound = s_scale[:, None] * np.abs(Bn).sum(axis=1)
+        K_loc = Bn.transpose(0, 2, 1) @ (M @ Bn)
+        A = grad @ S @ grad.transpose(0, 2, 1)
+        # the geometric term A (x) I on the interleaved dofs
+        K5 = K_loc.reshape(len(A), A.shape[1], dim, A.shape[1], dim)
+        for k in range(dim):
+            K5[:, :, k, :, k] += A
 
         n = self.dofmap.n_disp
         indptr, indices, positions = self._pattern
-        R = np.bincount(self._dofs, np.concatenate(forces), n)
-        noise = np.bincount(self._dofs, np.concatenate(bounds), n)
-        data = np.bincount(positions, np.concatenate(blocks), indices.size)
-        return R, sparse.csc_matrix((data, indices, indptr), (n, n)), noise
+        dofs = self._dofs.ravel()
+        R = np.bincount(dofs, force.ravel(), n)
+        noise = np.bincount(dofs, bound.ravel(), n)
+        data = np.bincount(positions, K_loc.ravel(), indices.size)
+        for array in (R, noise, data):
+            array.flags.writeable = False
+        result = R, sparse.csc_matrix((data, indices, indptr), (n, n)), noise
+        self._last = (u.copy(), result)
+        return result
 
 
 def _free_block(indptr, indices, free):
@@ -273,7 +283,7 @@ _NOISE_FACTOR = 16.0
 
 
 def _newton(problem, u0, load, free, block, tol, max_iter):
-    keep, block_indptr, block_indices = block
+    keep, A = block
     u = u0.copy()
     scale = np.linalg.norm(load[free]) or 1.0
     residuals = []
@@ -293,8 +303,7 @@ def _newton(problem, u0, load, free, block, tol, max_iter):
         if rn <= tol or rabs <= floor:
             return u, {"iterations": it, "residuals": residuals,
                        "floor_limited": rn > tol}
-        A = sparse.csc_matrix((K.data[keep], block_indices, block_indptr),
-                              (len(free), len(free)))
+        A.data = K.data[keep]
         try:
             du = spla.splu(A).solve(-r[free])
         except RuntimeError:   # exactly singular tangent
@@ -321,7 +330,11 @@ def newton_load_stepping(problem, f_ext, fixed, steps=10, tol=1e-9,
     f_ext = np.asarray(f_ext, float)
     free = free_dofs(problem.dofmap.n_disp, fixed)
     indptr, indices, _ = problem._pattern
-    block = _free_block(indptr, indices, free)
+    keep, block_indptr, block_indices = _free_block(indptr, indices, free)
+    # the free-free tangent, built once; each iteration sets its data
+    block = keep, sparse.csc_matrix(
+        (np.zeros(len(keep)), block_indices, block_indptr),
+        (len(free), len(free)))
 
     u = np.zeros(problem.dofmap.n_disp)
     history = []

@@ -18,6 +18,7 @@ a quarter pipe annulus, a quarter 3D block) with these labels attached, so
 downstream code never re-derives boundary semantics from coordinates.
 """
 
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -227,7 +228,7 @@ def generate_cook(resolution):
     Corners (0,0), (48,44), (48,60), (0,44); ``resolution`` is n or (nx, ny)
     quads per side, each split into two triangles.
     """
-    nx, ny = _pair(resolution)
+    nx, ny = _sides(resolution, 2)
     node_id = lambda i, j: j * (nx + 1) + i
     nodes = np.empty(((nx + 1) * (ny + 1), 2))
     for j in range(ny + 1):
@@ -255,7 +256,7 @@ def generate_annulus(resolution, inner=1.0, outer=2.0):
     the pressurized ``traction`` boundary, the outer arc is free, y = 0 gets
     ``roller-y`` and x = 0 gets ``roller-x``.
     """
-    nr, nt = _pair(resolution, second=lambda n: 2 * n)
+    nr, nt = _sides(resolution, 2, derive=lambda n: 2 * n)
     if inner <= 0 or outer <= inner:
         raise ValueError("need 0 < inner < outer")
     node_id = lambda i, j: j * (nr + 1) + i
@@ -302,7 +303,7 @@ def generate_block(resolution, size=(50.0, 50.0, 50.0), pattern="uniform"):
     the corner grid cell [0,px]x[0,py] traction (so the default 50-cube at
     resolution 5 gets the 10x10 patch), rest free.
     """
-    nx, ny, nz = _triple(resolution)
+    nx, ny, nz = _sides(resolution, 3)
     sx, sy, sz = size
     px, py = sx / nx, sy / ny
     node_id = lambda i, j, k: (k * (ny + 1) + j) * (nx + 1) + i
@@ -456,26 +457,25 @@ def _perm_sign(perm):
     return sign
 
 
-def _pair(resolution, second=None):
-    if np.isscalar(resolution):
-        n = int(resolution)
-        pair = (n, second(n) if second else n)
-    else:
-        pair = tuple(int(v) for v in resolution)
-    if len(pair) != 2 or min(pair) < 2:
-        raise ValueError("resolution must be >= 2 per side")
-    return pair
+def whole(value, what):
+    """``value`` as an int; raises ValueError unless it is a whole number."""
+    if not (isinstance(value, numbers.Real) and float(value).is_integer()):
+        raise ValueError(f"{what} {value!r} is not an integer")
+    return int(value)
 
 
-def _triple(resolution):
+def _sides(resolution, dim, derive=None):
+    """Cells per side of a structured mesh: ``dim`` whole numbers of at
+    least 2, from a sequence or one n (then every side, or ``derive(n)``
+    for the second of two)."""
     if np.isscalar(resolution):
-        n = int(resolution)
-        triple = (n, n, n)
+        n = whole(resolution, "resolution")
+        sides = (n, derive(n)) if derive else (n,) * dim
     else:
-        triple = tuple(int(v) for v in resolution)
-    if len(triple) != 3 or min(triple) < 2:
+        sides = tuple(whole(v, "resolution") for v in resolution)
+    if len(sides) != dim or min(sides) < 2:
         raise ValueError("resolution must be >= 2 per side")
-    return triple
+    return sides
 
 
 # ----------------------------------------------------------------------

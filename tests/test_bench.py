@@ -450,7 +450,11 @@ def test_perfbench_tracer_sees_the_newton_seams():
     finally:
         restore()
     assert len(reports) == 2
+    assert [r.extra["status"] for r in reports] == ["ok", "ok"]
     assert tracer.check_nesting() == []
+    # the load-step wrapper unpacks what _newton returns on every step
+    assert tracer.counts["hyperelastic.newton_iterations"] == sum(
+        r.extra["newton_iterations"] for r in reports)
 
     def inside_newton(parent):
         while parent >= 0:
@@ -567,3 +571,24 @@ def test_readme_states_the_package_line_count():
                        (root / "README.md").read_text())
     assert stated is not None
     assert int(stated.group(1).replace(",", "")) == tool.source_lines(root)
+
+
+def test_ab_pairs_summarizes_paired_samples():
+    tool = _load_repo_module("tools/ab_pairs.py")
+    base = [2.0, 2.1, 1.9, 2.2, 2.0, 2.05, 1.95, 2.1, 2.0, 2.15]
+    head = [1.7, 1.8, 1.75, 1.8, 2.1, 1.7, 1.72, 1.78, 1.74, 1.76]
+    summary = tool.summarize(base, head, "lower")
+    assert summary["wins"] == 9 and summary["pairs"] == 10
+    assert summary["base"] == pytest.approx((2.0, 2.025, 2.1))
+    assert summary["head"][1] == pytest.approx(1.755)
+    assert summary["clear"]
+    # higher-is-better flips every pair; a tie is no win
+    flipped = tool.summarize(base, head, "higher")
+    assert flipped["wins"] == 1 and not flipped["clear"]
+    assert tool.summarize([1.0, 1.0], [1.0, 0.5], "lower")["wins"] == 1
+    # nine wins but a median gain inside the base quartiles is not clear
+    near = [b - 0.01 for b in base[:9]] + [3.0]
+    close = tool.summarize(base, near, "lower")
+    assert close["wins"] == 9 and not close["clear"]
+    line = tool.report_line("wall_s", "s", summary)
+    assert "tree wins 9/10: clear change" in line

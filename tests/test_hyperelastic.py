@@ -7,13 +7,14 @@ import scipy.sparse as sp
 import smoothfem.hyperelastic as hyperelastic
 from smoothfem.assembly import (VOIGT_PAIRS, Discretization, assemble_A_bar,
                                 assemble_lambda_stiffness, assemble_loads,
-                                dirichlet_dofs, free_dofs, scatter_blocks,
-                                strain_matrix)
+                                dirichlet_dofs, dof_indices, free_dofs,
+                                scatter_blocks, strain_matrix)
+from smoothfem.benchmarks import make_config, run_scenario
 from smoothfem.hyperelastic import (DeformationState, NeoHookeanParams,
                                     SmoothedHyperProblem, material_tangent,
                                     newton_load_stepping, pk2_stress,
                                     strain_energy)
-from smoothfem.mesh import generate_cook
+from smoothfem.mesh import distort_mesh, generate_annulus, generate_cook
 
 PARAMS = NeoHookeanParams(mu=0.6, kappa=1.95)
 
@@ -349,3 +350,125 @@ def test_tangent_pattern_and_free_block_are_built_once(disc, monkeypatch):
     _, history = newton_load_stepping(problem, f, fixed, steps=2)
     assert sum(rec["iterations"] for rec in history) > 1
     assert len(builds) == 1
+
+
+def grouped_reference(problem, u):
+    """Force, tangent and noise bound with the domains grouped by support
+    size, one batched evaluation per group of domains that carry equally
+    many scalar functions, and the kinematics as einsums."""
+    disc, params = problem.disc, problem.params
+    dim, n = disc.dim, problem.dofmap.n_disp
+    G = disc.gradient_ops(disc.smoothing_kind(), problem.dofmap.bubble)
+    counts = np.diff(G[0].indptr)
+    groups = []
+    for size in np.unique(counts):
+        rows = np.flatnonzero(counts == size)
+        pos = G[0].indptr[rows][:, None] + np.arange(size)
+        cols = G[0].indices[pos]
+        grad = np.stack([g.data[pos] for g in G], axis=-1)
+        groups.append((rows, cols, grad, dof_indices(cols, dim)))
+    vals = u.reshape(-1, dim)
+    F = np.zeros((problem.n_domains, dim, dim))
+    for rows, cols, grad, _ in groups:
+        F[rows] = np.einsum("tar,tac->trc", vals[cols], grad) + np.eye(dim)
+    C = np.einsum("tri,trj->tij", F, F)
+    m, mu, lam = problem.measures, params.mu, params.lam
+    Ci, lnJ = np.linalg.inv(C), 0.5 * np.log(np.linalg.det(C))
+    S = m[:, None, None] * (mu * (np.eye(dim) - Ci)
+                            + (lam * lnJ)[:, None, None] * Ci)
+    pi, pj = np.array(VOIGT_PAIRS[dim]).T
+    M = m[:, None, None] * hyperelastic._voigt_tangent(Ci, lnJ, params)
+    s_scale = (m * (mu + abs(lam) * (1.0 + np.abs(lnJ)))
+               * np.linalg.norm(Ci, axis=(1, 2)))
+    forces, bounds, blocks, keys = [], [], [], []
+    for rows, _, grad, dofs in groups:
+        Bn = strain_matrix(grad, F[rows])
+        forces.append((S[rows][:, None, pi, pj] @ Bn).ravel())
+        bounds.append((s_scale[rows, None] * np.abs(Bn).sum(axis=1)).ravel())
+        K_loc = Bn.transpose(0, 2, 1) @ (M[rows] @ Bn)
+        A = grad @ S[rows] @ grad.transpose(0, 2, 1)
+        K5 = K_loc.reshape(len(rows), A.shape[1], dim, A.shape[1], dim)
+        for k in range(dim):
+            K5[:, :, k, :, k] += A
+        blocks.append(K_loc.ravel())
+        keys.append((dofs[:, None, :] * n + dofs[:, :, None]).ravel())
+    dofs = np.concatenate([d.ravel() for *_, d in groups])
+    cells, positions = np.unique(np.concatenate(keys), return_inverse=True)
+    K = sp.csc_matrix((np.bincount(positions, np.concatenate(blocks)),
+                       cells % n, np.searchsorted(cells // n,
+                                                  np.arange(n + 1))),
+                      (n, n))
+    return (np.bincount(dofs, np.concatenate(forces), n), K,
+            np.bincount(dofs, np.concatenate(bounds), n))
+
+
+@pytest.mark.parametrize("kappa", [1.95, 1e4])
+@pytest.mark.parametrize("mesh", [
+    distort_mesh(generate_cook(3), 0.4, seed=3), generate_annulus(3)],
+    ids=["cook-3-distorted", "annulus-3"])
+def test_padded_layout_matches_the_support_size_groups(mesh, kappa):
+    """One padded evaluation gives the grouped R, K and noise to rounding:
+    the padded slots add exact zeros, only the sums run in another order."""
+    problem = SmoothedHyperProblem(Discretization(mesh),
+                                   NeoHookeanParams(0.6, kappa))
+    (_, cols, grad, _), = problem._groups
+    padded = grad.shape[1] - np.count_nonzero(np.abs(grad).sum(-1), axis=1)
+    assert padded.max() > 0 and padded.min() == 0
+    u = 1e-2 * np.random.default_rng(17).standard_normal(
+        problem.dofmap.n_disp)
+    R, K, noise = problem.residual_tangent(u)
+    R_ref, K_ref, noise_ref = grouped_reference(problem, u)
+    np.testing.assert_array_equal(K.indptr, K_ref.indptr)
+    np.testing.assert_array_equal(K.indices, K_ref.indices)
+    assert (np.abs(K.data - K_ref.data).max()
+            <= 1e-14 * np.abs(K_ref.data).max())
+    assert np.abs(noise - noise_ref).max() <= 1e-14 * noise_ref.max()
+    # R cancels terms as large as the noise bound (here |R| is 1e-3 to
+    # 4e-2 of it), so its rounding is measured on that scale, per dof
+    assert np.all(np.abs(R - R_ref) <= np.finfo(float).eps * noise_ref)
+
+
+def test_repeated_state_reuses_its_evaluation(disc):
+    problem = SmoothedHyperProblem(disc, PARAMS)
+    u = 1e-3 * np.random.default_rng(4).standard_normal(
+        problem.dofmap.n_disp)
+    first = problem.residual_tangent(u)
+    u_before = u.copy()
+    u[0] += 1.0     # the cache keeps its own copy of the state
+    again = problem.residual_tangent(u_before)
+    assert all(a is b for a, b in zip(first, again))
+    R, K, noise = first
+    for array in (R, K.data, noise):
+        with pytest.raises(ValueError, match="read-only"):
+            array[0] = 1.0
+    moved = problem.residual_tangent(u)
+    assert moved[0] is not R
+    assert problem.residual_tangent(u_before)[0] is not R
+
+
+def test_newton_evaluates_each_state_once(monkeypatch):
+    """Each later load step starts from the last converged evaluation, so a
+    run evaluates (iterations + cells) states; residual_tangent is still
+    called (iterations + load steps) times."""
+    calls, evaluations = [], []
+    residual_tangent = SmoothedHyperProblem.residual_tangent
+    voigt_tangent = hyperelastic._voigt_tangent
+
+    def called(self, u):
+        calls.append(1)
+        return residual_tangent(self, u)
+
+    def evaluated(*args):
+        evaluations.append(1)
+        return voigt_tangent(*args)
+
+    monkeypatch.setattr(SmoothedHyperProblem, "residual_tangent", called)
+    monkeypatch.setattr(hyperelastic, "_voigt_tangent", evaluated)
+    reports, _ = run_scenario(make_config(
+        "cook-neohookean", meshes=(2, 3), kappa=(1.95, 100.0), steps=3))
+    assert [r.extra["status"] for r in reports] == ["ok"] * 4
+    iterations = sum(r.extra["newton_iterations"] for r in reports)
+    steps = sum(r.extra["load_steps"] for r in reports)
+    assert steps == 12 and iterations > steps
+    assert len(calls) == iterations + steps
+    assert len(evaluations) == iterations + len(reports)

@@ -95,6 +95,31 @@ def test_dispatcher():
     assert generate_block(2).n_elements == 48
 
 
+@pytest.mark.parametrize("generate, resolution, elements", [
+    (generate_cook, 2.0, 8), (generate_cook, (3, 2.0), 12),
+    (generate_annulus, 2, 16), (generate_annulus, (2.0, 3), 12),
+    (generate_block, 2.0, 48), (generate_block, (2, 3, 2.0), 72),
+    (generate_cook, np.int64(2), 8)])
+def test_whole_resolutions_are_accepted(generate, resolution, elements):
+    assert generate(resolution).n_elements == elements
+
+
+@pytest.mark.parametrize("generate, resolution, message", [
+    (generate_cook, 2.5, "resolution 2.5 is not an integer"),
+    (generate_cook, (2, 3.5), "resolution 3.5 is not an integer"),
+    (generate_annulus, 2.9, "resolution 2.9 is not an integer"),
+    (generate_annulus, (2.5, 4), "resolution 2.5 is not an integer"),
+    (generate_block, (2.9, 2, 2), "resolution 2.9 is not an integer"),
+    (generate_block, "3", "resolution '3' is not an integer"),
+    (generate_cook, 1, "resolution must be >= 2 per side"),
+    (generate_annulus, (2, 3, 4), "resolution must be >= 2 per side"),
+    (generate_block, (2, 2), "resolution must be >= 2 per side")])
+def test_non_integral_resolutions_are_rejected(generate, resolution, message):
+    """A resolution is never truncated: 2.5 cells per side is an error."""
+    with pytest.raises(ValueError, match=message):
+        generate(resolution)
+
+
 def test_inverted_element_rejected():
     nodes = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
     with pytest.raises(ValueError, match="non-positive"):

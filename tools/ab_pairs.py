@@ -1,0 +1,121 @@
+#!/usr/bin/env python3
+"""Compare a revision and the working tree on one benchmark workload.
+
+Usage (from anywhere inside the repository)::
+
+    python3 tools/ab_pairs.py REV --workload W [--pairs 10] [--seconds 42]
+
+Extracts REV with ``git archive`` (the helper of ``same_outputs.py``) into
+a temporary directory.  It then runs ``perfbench/run.py --workload W --seed
+N --seconds S --trace 0`` PAIRS times on REV and on the working tree.  The
+runs alternate, and the side that goes first alternates from pair to
+pair, so a slow drift of the host hits both sides alike.  Pair N uses
+seed N on both sides.  For every end-to-end metric that ``BENCHMARK.json``
+declares, it prints the median and quartiles of each side and the number
+of pairs the working tree won.  A metric counts as a clear change when the
+working tree wins at least nine pairs in ten and its median is better by
+more than REV's interquartile range.  Exit status 0 when every run is
+correct, 1 otherwise.
+"""
+
+import argparse
+import json
+import statistics
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+sys.path.insert(0, str(Path(__file__).resolve().parent))
+from same_outputs import extract  # noqa: E402
+
+
+def run_workload(tree, workload, seed, seconds):
+    """The result object a benchmark run prints last, or None."""
+    proc = subprocess.run(
+        [sys.executable, "perfbench/run.py", "--workload", workload,
+         "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"],
+        cwd=tree, capture_output=True, text=True)
+    lines = proc.stdout.strip().splitlines()
+    try:
+        result = json.loads(lines[-1])
+    except (IndexError, ValueError):
+        return None
+    return result if proc.returncode == 0 else dict(result, correct=False)
+
+
+def quartiles(samples):
+    """(first quartile, median, third quartile) of a sample list."""
+    if len(samples) < 2:
+        return samples[0], samples[0], samples[0]
+    q1, q2, q3 = statistics.quantiles(samples, n=4, method="inclusive")
+    return q1, q2, q3
+
+
+def summarize(base, head, better):
+    """Medians, quartiles and wins of paired samples of one metric.
+
+    ``base[i]`` and ``head[i]`` come from pair i; ``better`` is "lower" or
+    "higher".  The head wins a pair when it is strictly better there.
+    """
+    sign = 1.0 if better == "lower" else -1.0
+    wins = sum(sign * (h - b) < 0.0 for b, h in zip(base, head))
+    bq, hq = quartiles(base), quartiles(head)
+    gain = sign * (bq[1] - hq[1])
+    return {"base": bq, "head": hq, "wins": wins, "pairs": len(base),
+            "clear": 10 * wins >= 9 * len(base) and gain > bq[2] - bq[0]}
+
+
+def report_line(name, unit, summary):
+    b, h = summary["base"], summary["head"]
+    verdict = "clear change" if summary["clear"] else "no clear change"
+    return (f"{name:12s} rev {b[1]:.4g} [{b[0]:.4g}, {b[2]:.4g}] {unit}  "
+            f"tree {h[1]:.4g} [{h[0]:.4g}, {h[2]:.4g}] {unit}  "
+            f"tree wins {summary['wins']}/{summary['pairs']}: {verdict}")
+
+
+def main(argv=None):
+    parser = argparse.ArgumentParser(
+        description="Alternate benchmark runs of a revision and the working "
+                    "tree and compare their end-to-end metrics.")
+    parser.add_argument("rev", help="git revision to compare against")
+    parser.add_argument("--workload", required=True)
+    parser.add_argument("--pairs", type=int, default=10)
+    parser.add_argument("--seconds", type=int, default=42)
+    args = parser.parse_args(argv)
+    if args.pairs < 1:
+        parser.error("--pairs must be at least 1")
+    repo = Path(subprocess.run(
+        ["git", "rev-parse", "--show-toplevel"], check=True,
+        capture_output=True, text=True).stdout.strip())
+    metrics = json.loads((repo / "BENCHMARK.json").read_text())["end_to_end"]
+    results = {"base": [], "head": []}
+    with tempfile.TemporaryDirectory(prefix="ab-pairs-") as tmp:
+        trees = {"base": Path(tmp) / "rev", "head": repo}
+        extract(args.rev, repo, trees["base"])
+        for pair in range(args.pairs):
+            order = ("base", "head") if pair % 2 == 0 else ("head", "base")
+            for side in order:
+                result = run_workload(trees[side], args.workload, pair + 1,
+                                      args.seconds)
+                results[side].append(result)
+                state = ("no result" if result is None else
+                         "correct" if result["correct"] else "INCORRECT")
+                print(f"pair {pair + 1} {'rev' if side == 'base' else 'tree'}"
+                      f": {state}", flush=True)
+    correct = all(r is not None and r["correct"]
+                  for side in results.values() for r in side)
+    if correct:
+        for metric in metrics:
+            name = metric["name"]
+            base, head = ([r["metrics"][name]["value"] for r in results[side]]
+                          for side in ("base", "head"))
+            print(report_line(name, metric["unit"],
+                              summarize(base, head, metric["better"])))
+    else:
+        print("some runs were incorrect or gave no result; no comparison")
+    return 0 if correct else 1
+
+
+if __name__ == "__main__":
+    sys.exit(main())
