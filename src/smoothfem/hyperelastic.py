@@ -18,6 +18,7 @@ from scipy.sparse import linalg as spla
 
 from .assembly import VOIGT_PAIRS, dof_indices, free_dofs, strain_matrix
 from .basis import check_bubble_kind
+from .mesh import whole
 
 
 @dataclass(frozen=True)
@@ -36,9 +37,34 @@ class NeoHookeanParams:
         return self.kappa - 2.0 * self.mu / 3.0
 
 
-def _log_J(C):
-    """ln J = (1/2) ln det C for batched C; 2x2 input is plane strain."""
-    return 0.5 * np.log(np.linalg.det(C))
+def _energy(C, lnJ, params):
+    """psi = (lam/2) (ln J)^2 - mu ln J + (mu/2) (tr C - 3); a 2x2 C is the
+    in-plane block of a plane-strain C (C_33 = 1)."""
+    trC = np.trace(C, axis1=-2, axis2=-1) + (3 - C.shape[-1])
+    return (0.5 * params.lam * lnJ ** 2 - params.mu * lnJ
+            + 0.5 * params.mu * (trC - 3.0))
+
+
+def _stress(Ci, lnJ, params):
+    """S = mu (I - C^-1) + lam ln J C^-1 from C^-1 and ln J."""
+    return (params.mu * (np.eye(Ci.shape[-1]) - Ci)
+            + params.lam * lnJ[..., None, None] * Ci)
+
+
+def _tangent(Ci, lnJ, params):
+    """CC_ijkl = lam Ci_ij Ci_kl + (mu - lam ln J)(Ci_ik Ci_jl + Ci_il Ci_jk)
+    from C^-1 and ln J, with full d^4 components."""
+    g = (params.mu - params.lam * lnJ)[..., None, None, None, None]
+    outer = Ci[..., :, :, None, None] * Ci[..., None, None, :, :]
+    sym = (Ci[..., :, None, :, None] * Ci[..., None, :, None, :]
+           + Ci[..., :, None, None, :] * Ci[..., None, :, :, None])
+    return params.lam * outer + g * sym
+
+
+def _metric(C):
+    """(C^-1, ln J = (1/2) ln det C) of batched C."""
+    C = np.asarray(C, float)
+    return np.linalg.inv(C), 0.5 * np.log(np.linalg.det(C))
 
 
 def strain_energy(C, params):
@@ -48,11 +74,7 @@ def strain_energy(C, params):
     treated as the in-plane block of a plane-strain C (C_33 = 1).
     """
     C = np.asarray(C, float)
-    d = C.shape[-1]
-    lnJ = _log_J(C)
-    trC = np.trace(C, axis1=-2, axis2=-1) + (3 - d)
-    return (0.5 * params.lam * lnJ ** 2 - params.mu * lnJ
-            + 0.5 * params.mu * (trC - 3.0))
+    return _energy(C, _metric(C)[1], params)
 
 
 def pk2_stress(C, params):
@@ -61,11 +83,7 @@ def pk2_stress(C, params):
     Batched over leading axes; a 2x2 input returns the in-plane block of
     the plane-strain stress.
     """
-    C = np.asarray(C, float)
-    d = C.shape[-1]
-    Ci = np.linalg.inv(C)
-    lnJ = _log_J(C)[..., None, None]
-    return params.mu * (np.eye(d) - Ci) + params.lam * lnJ * Ci
+    return _stress(*_metric(C), params)
 
 
 def material_tangent(C, params):
@@ -74,40 +92,11 @@ def material_tangent(C, params):
     CC_ijkl = lam Ci_ij Ci_kl + (mu - lam ln J)(Ci_ik Ci_jl + Ci_il Ci_jk),
     returned with full d^4 components, batched over leading axes.
     """
-    C = np.asarray(C, float)
-    Ci = np.linalg.inv(C)
-    g = (params.mu - params.lam * _log_J(C))[..., None, None, None, None]
-    outer = Ci[..., :, :, None, None] * Ci[..., None, None, :, :]
-    sym = (Ci[..., :, None, :, None] * Ci[..., None, :, None, :]
-           + Ci[..., :, None, None, :] * Ci[..., None, :, :, None])
-    return params.lam * outer + g * sym
-
-
-def _voigt_tangent(Ci, lnJ, params):
-    """Tangent as a Voigt matrix (nv, nv) matching engineering strain rows,
-    from the inverse metric C^-1 and ln J of each domain."""
-    pi, pj = np.array(VOIGT_PAIRS[Ci.shape[-1]]).T
-    g = params.mu - params.lam * lnJ
-    CiV = Ci[:, pi, pj]
-    term = params.lam * CiV[:, :, None] * CiV[:, None, :]
-    term += g[:, None, None] * (
-        Ci[:, pi[:, None], pi[None, :]] * Ci[:, pj[:, None], pj[None, :]]
-        + Ci[:, pi[:, None], pj[None, :]] * Ci[:, pj[:, None], pi[None, :]])
-    return term
+    return _tangent(*_metric(C), params)
 
 
 class _Inverted(Exception):
     """A smoothing domain reached J <= 0; the load step must shrink."""
-
-
-@dataclass
-class DeformationState:
-    """Per-domain smoothed kinematics of one displacement vector."""
-
-    u: np.ndarray
-    F: np.ndarray        # (K, d, d)
-    C: np.ndarray        # (K, d, d)
-    J: np.ndarray        # (K,)
 
 
 class SmoothedHyperProblem:
@@ -129,11 +118,14 @@ class SmoothedHyperProblem:
         domains = disc.domains(kind)
         self.measures = domains.measures
         self.n_domains = domains.n_domains
-        self._groups = self._gather_groups(disc.gradient_ops(kind, bubble))
-        (_, self._cols, self._grad, self._dofs), = self._groups
+        self._cols, self._grad, self._dofs = self._layout(
+            disc.gradient_ops(kind, bubble))
         self._last = None    # (u, (R, K, noise)) of the latest evaluation
 
-    def _gather_groups(self, G):
+    def _layout(self, G):
+        """(cols, grad, dofs): each domain's scalar functions, their
+        gradients and their interleaved dofs, padded to the largest
+        support."""
         # build_smoothed_gradient fills every G_c from one coordinate list,
         # so all components are read through G[0]'s structure
         for c, g in enumerate(G[1:], 1):
@@ -145,17 +137,16 @@ class SmoothedHyperProblem:
                     "structure (indptr, indices) of component 0")
         indptr = G[0].indptr
         counts = np.diff(indptr)
-        # one padded group: a row with fewer functions repeats its first
-        # column with a zero gradient, so every padded term is an exact
-        # zero added to an entry the row already has
+        # a row with fewer functions repeats its first column with a zero
+        # gradient, so every padded term is an exact zero added to an
+        # entry the row already has
         slot = np.arange(counts.max())
         real = slot < counts[:, None]
         pos = indptr[:-1, None] + np.where(real, slot, 0)
         cols = G[0].indices[pos]
         grad = np.stack([np.where(real, g.data[pos], 0.0) for g in G],
                         axis=-1)
-        return [(np.arange(len(counts)), cols, grad,
-                 dof_indices(cols, self.disc.dim))]
+        return cols, grad, dof_indices(cols, self.disc.dim)
 
     @cached_property
     def _pattern(self):
@@ -174,21 +165,23 @@ class SmoothedHyperProblem:
         return indptr, (cells % n).astype(itype), positions
 
     def state(self, u):
-        """Smoothed F, C, J on every domain for a displacement vector."""
-        u = np.asarray(u, float)
-        vals = u.reshape(-1, self.disc.dim)
+        """Smoothed (F, C, ln J) on every domain for a displacement vector.
+
+        Raises _Inverted when any smoothing domain reaches J <= 0.
+        """
+        vals = np.asarray(u, float).reshape(-1, self.disc.dim)
         # F = I + sum_a u(a) (x) grad N_a over each domain's functions
         F = vals[self._cols].transpose(0, 2, 1) @ self._grad
         F += np.eye(self.disc.dim)
-        C = F.transpose(0, 2, 1) @ F
-        return DeformationState(u, F, C, np.linalg.det(F))
+        J = np.linalg.det(F)
+        if J.min() <= 0.0:
+            raise _Inverted("deformation inverted on a smoothing domain")
+        return F, F.transpose(0, 2, 1) @ F, np.log(J)
 
     def energy(self, u):
         """Total strain energy of the smoothed deformation."""
-        state = self.state(u)
-        if state.J.min() <= 0.0:
-            raise _Inverted("deformation inverted on a smoothing domain")
-        return float(self.measures @ strain_energy(state.C, self.params))
+        _, C, lnJ = self.state(u)
+        return float(self.measures @ _energy(C, lnJ, self.params))
 
     def residual_tangent(self, u):
         """Internal force vector, consistent tangent and a roundoff bound.
@@ -213,22 +206,19 @@ class SmoothedHyperProblem:
         if self._last is not None and np.array_equal(self._last[0], u):
             return self._last[1]
         dim = self.disc.dim
-        state = self.state(u)
-        if state.J.min() <= 0.0:
-            raise _Inverted("deformation inverted on a smoothing domain")
+        F, C, lnJ = self.state(u)
         mu, lam = self.params.mu, self.params.lam
         m = self.measures
-        Ci, lnJ = np.linalg.inv(state.C), _log_J(state.C)
-        # the pk2_stress formula on this one inverse; stress, tangent and
-        # noise scale are integrated over each domain here, once
-        S = m[:, None, None] * (mu * (np.eye(dim) - Ci)
-                                + (lam * lnJ)[:, None, None] * Ci)
+        Ci = np.linalg.inv(C)
         pi, pj = np.array(VOIGT_PAIRS[dim]).T
-        M = m[:, None, None] * _voigt_tangent(Ci, lnJ, self.params)
+        # stress, Voigt tangent and noise scale integrated over each domain
+        S = m[:, None, None] * _stress(Ci, lnJ, self.params)
+        M = m[:, None, None] * _tangent(Ci, lnJ, self.params)[
+            :, pi[:, None], pj[:, None], pi, pj]
         s_scale = (m * (mu + abs(lam) * (1.0 + np.abs(lnJ)))
                    * np.linalg.norm(Ci, axis=(1, 2)))
         grad = self._grad
-        Bn = strain_matrix(grad, state.F)
+        Bn = strain_matrix(grad, F)
         force = S[:, None, pi, pj] @ Bn
         bound = s_scale[:, None] * np.abs(Bn).sum(axis=1)
         K_loc = Bn.transpose(0, 2, 1) @ (M @ Bn)
@@ -325,7 +315,7 @@ def newton_load_stepping(problem, f_ext, fixed, steps=10, tol=1e-9,
     ``max_halvings`` times overall; running out raises RuntimeError with
     the last residual trail.
     """
-    if steps < 1:
+    if whole(steps, "load step count") < 1:
         raise ValueError("need at least one load step")
     f_ext = np.asarray(f_ext, float)
     free = free_dofs(problem.dofmap.n_disp, fixed)

@@ -514,6 +514,7 @@ def distort_mesh(mesh, density, seed=0):
     """
     if not 0.0 <= density < 1.0:
         raise ValueError("density must be in [0, 1)")
+    seed = whole(seed, "seed")
     if density == 0.0:
         return mesh.copy_with_nodes(mesh.nodes.copy())
     dim = mesh.dim

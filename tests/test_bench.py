@@ -553,6 +553,13 @@ def test_same_outputs_compares_csv_cells_within_rtol(tmp_path):
         "s", *runs(failed), rtol=1e-12)[0]
 
 
+def test_same_outputs_gates_every_scenario():
+    """The identity gate runs exactly the package's scenarios, so a new
+    scenario cannot escape it."""
+    tool = _load_repo_module("tools/same_outputs.py")
+    assert tool.SCENARIOS == SCENARIOS
+
+
 def test_same_outputs_counts_source_lines(tmp_path):
     tool = _load_repo_module("tools/same_outputs.py")
     package = tmp_path / "src" / "smoothfem"

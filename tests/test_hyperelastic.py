@@ -10,11 +10,11 @@ from smoothfem.assembly import (VOIGT_PAIRS, Discretization, assemble_A_bar,
                                 dirichlet_dofs, dof_indices, free_dofs,
                                 scatter_blocks, strain_matrix)
 from smoothfem.benchmarks import make_config, run_scenario
-from smoothfem.hyperelastic import (DeformationState, NeoHookeanParams,
-                                    SmoothedHyperProblem, material_tangent,
-                                    newton_load_stepping, pk2_stress,
-                                    strain_energy)
-from smoothfem.mesh import distort_mesh, generate_annulus, generate_cook
+from smoothfem.hyperelastic import (NeoHookeanParams, SmoothedHyperProblem,
+                                    material_tangent, newton_load_stepping,
+                                    pk2_stress, strain_energy)
+from smoothfem.mesh import (distort_mesh, generate_annulus, generate_block,
+                            generate_cook)
 
 PARAMS = NeoHookeanParams(mu=0.6, kappa=1.95)
 
@@ -34,9 +34,30 @@ def sym_unit(d, i, j):
     return P
 
 
+def voigt_tangent(Ci, lnJ, params):
+    """The tangent as a Voigt matrix (nv, nv) on engineering strain rows,
+    written out per pair of Voigt rows: an oracle for the entries Newton
+    reads from the d^4 tangent."""
+    pi, pj = np.array(VOIGT_PAIRS[Ci.shape[-1]]).T
+    g = params.mu - params.lam * lnJ
+    CiV = Ci[:, pi, pj]
+    term = params.lam * CiV[:, :, None] * CiV[:, None, :]
+    term += g[:, None, None] * (
+        Ci[:, pi[:, None], pi[None, :]] * Ci[:, pj[:, None], pj[None, :]]
+        + Ci[:, pi[:, None], pj[None, :]] * Ci[:, pj[:, None], pi[None, :]])
+    return term
+
+
 @pytest.fixture(scope="module")
 def disc():
     return Discretization(generate_cook(2))
+
+
+@pytest.fixture(scope="module")
+def disc_3d():
+    """A distorted block-2: face domains, six Voigt rows."""
+    return Discretization(distort_mesh(
+        generate_block(2, size=(1.0, 1.0, 1.0)), 0.3, seed=5))
 
 
 def test_params_lambda():
@@ -118,6 +139,22 @@ def test_tangent_reference_and_symmetry():
         np.testing.assert_allclose(CC, CC.transpose(1, 0, 2, 3), atol=1e-13)
 
 
+@pytest.mark.parametrize("d", [2, 3])
+def test_gathered_tangent_matches_the_voigt_oracle(d):
+    """The Voigt entries Newton gathers from the d^4 tangent equal the
+    per-pair Voigt formula."""
+    rng = np.random.default_rng(60 + d)
+    C = np.stack([random_spd(rng, d) for _ in range(50)])
+    Ci = np.linalg.inv(C)
+    lnJ = 0.5 * np.log(np.linalg.det(C))
+    pi, pj = np.array(VOIGT_PAIRS[d]).T
+    M = hyperelastic._tangent(Ci, lnJ, PARAMS)[
+        :, pi[:, None], pj[:, None], pi, pj]
+    M_ref = voigt_tangent(Ci, lnJ, PARAMS)
+    assert M.shape == (50, 3 * d - 3, 3 * d - 3)
+    assert np.abs(M - M_ref).max() <= 1e-14 * np.abs(M_ref).max()
+
+
 def test_tangent_matches_stress_derivative():
     rng = np.random.default_rng(77)
     h = 1e-6
@@ -134,17 +171,26 @@ def test_tangent_matches_stress_derivative():
                 assert np.abs(col - CC[:, :, k, l]).max() <= 1e-5 * scale
 
 
-def test_zero_state_matches_linear_stiffness(disc):
+def check_zero_state_matches_linear_stiffness(disc):
     problem = SmoothedHyperProblem(disc, PARAMS)
     R, K, _ = problem.residual_tangent(np.zeros(problem.dofmap.n_disp))
     assert np.abs(R).max() == 0.0
 
-    K_lin = (assemble_A_bar(disc, "edge", "power", PARAMS.mu)
-             + assemble_lambda_stiffness(disc, "edge", "power", PARAMS.lam))
+    kind = disc.smoothing_kind()
+    K_lin = (assemble_A_bar(disc, kind, "power", PARAMS.mu)
+             + assemble_lambda_stiffness(disc, kind, "power", PARAMS.lam))
     diff = (K - K_lin).tocoo()
     scale = np.abs(K_lin.data).max()
     top = np.abs(diff.data).max() if diff.nnz else 0.0
     assert top <= 1e-10 * scale
+
+
+def test_zero_state_matches_linear_stiffness(disc):
+    check_zero_state_matches_linear_stiffness(disc)
+
+
+def test_zero_state_matches_linear_stiffness_3d(disc_3d):
+    check_zero_state_matches_linear_stiffness(disc_3d)
 
 
 def test_rigid_rotation_gives_zero_residual(disc):
@@ -155,8 +201,8 @@ def test_rigid_rotation_gives_zero_residual(disc):
     vals[:disc.mesh.n_nodes] = disc.mesh.nodes @ (Q - np.eye(2)).T
     problem = SmoothedHyperProblem(disc, PARAMS)
     R, _, _ = problem.residual_tangent(vals.ravel())
-    state = problem.state(vals.ravel())
-    np.testing.assert_allclose(state.J, 1.0, rtol=1e-12)
+    _, _, lnJ = problem.state(vals.ravel())
+    np.testing.assert_allclose(lnJ, 0.0, atol=1e-12)
     assert np.abs(R).max() <= 1e-10 * PARAMS.mu
 
 
@@ -164,16 +210,30 @@ def test_state_reports_domain_kinematics(disc):
     problem = SmoothedHyperProblem(disc, PARAMS)
     rng = np.random.default_rng(2)
     u = 1e-3 * rng.standard_normal(problem.dofmap.n_disp)
-    state = problem.state(u)
-    assert isinstance(state, DeformationState)
-    assert state.F.shape == (problem.n_domains, 2, 2)
-    np.testing.assert_allclose(
-        state.C, np.einsum("tri,trj->tij", state.F, state.F), atol=1e-15)
-    np.testing.assert_allclose(state.J, np.linalg.det(state.F), atol=1e-15)
-    assert state.J.min() > 0.9
+    F, C, lnJ = problem.state(u)
+    assert F.shape == (problem.n_domains, 2, 2)
+    np.testing.assert_allclose(C, np.einsum("tri,trj->tij", F, F),
+                               atol=1e-15)
+    np.testing.assert_allclose(lnJ, np.log(np.linalg.det(F)), atol=1e-15)
+    assert lnJ.min() > np.log(0.9)
 
 
-def test_global_tangent_matches_fd_residual(disc):
+def test_state_raises_on_an_inverted_domain(disc):
+    """An inverted domain stops the evaluation in state(), before any
+    logarithm or inverse is taken."""
+    problem = SmoothedHyperProblem(disc, PARAMS)
+    dofmap = problem.dofmap
+    vals = np.zeros((dofmap.n_scalar, 2))
+    # u_x = -2 x reflects x -> (-x, y): F = diag(-1, 1), J = -1
+    vals[:disc.mesh.n_nodes, 0] = -2.0 * disc.mesh.nodes[:, 0]
+    u = vals.ravel()
+    for evaluate in (problem.state, problem.energy,
+                     problem.residual_tangent):
+        with pytest.raises(hyperelastic._Inverted, match="inverted"):
+            evaluate(u)
+
+
+def check_tangent_matches_fd_residual(disc):
     problem = SmoothedHyperProblem(disc, PARAMS)
     rng = np.random.default_rng(13)
     u = 1e-2 * rng.standard_normal(problem.dofmap.n_disp)
@@ -190,6 +250,31 @@ def test_global_tangent_matches_fd_residual(disc):
         assert np.abs(col - dense).max() <= 1e-5 * scale
 
 
+def test_global_tangent_matches_fd_residual(disc):
+    check_tangent_matches_fd_residual(disc)
+
+
+def test_global_tangent_matches_fd_residual_3d(disc_3d):
+    check_tangent_matches_fd_residual(disc_3d)
+
+
+@pytest.mark.parametrize("which", ["2d", "3d"])
+def test_residual_matches_fd_energy(which, disc, disc_3d):
+    """R is the gradient of the energy the scenario reports: R . d equals
+    a central difference of problem.energy along random directions."""
+    disc = disc if which == "2d" else disc_3d
+    problem = SmoothedHyperProblem(disc, PARAMS)
+    rng = np.random.default_rng(23)
+    n = problem.dofmap.n_disp
+    u = 1e-2 * rng.standard_normal(n)
+    R, _, _ = problem.residual_tangent(u)
+    h = 1e-6
+    for _ in range(4):
+        d = rng.standard_normal(n)
+        fd = (problem.energy(u + h * d) - problem.energy(u - h * d)) / (2 * h)
+        assert abs(fd - R @ d) <= 1e-6 * abs(R @ d)
+
+
 def test_zero_load_converges_immediately(disc):
     problem = SmoothedHyperProblem(disc, PARAMS)
     fixed = dirichlet_dofs(disc.mesh, problem.dofmap)
@@ -197,6 +282,19 @@ def test_zero_load_converges_immediately(disc):
     u, history = newton_load_stepping(problem, f, fixed, steps=2)
     assert np.abs(u).max() == 0.0
     assert all(rec["iterations"] == 0 for rec in history)
+
+
+def test_load_stepping_rejects_a_non_integral_step_count(disc):
+    """steps=2.5 raises instead of ramping the load 0.4, 0.8, 1.0; a
+    whole-number float is that many steps."""
+    problem = SmoothedHyperProblem(disc, PARAMS)
+    fixed = dirichlet_dofs(disc.mesh, problem.dofmap)
+    f = np.zeros(problem.dofmap.n_disp)
+    with pytest.raises(ValueError,
+                       match="load step count 2.5 is not an integer"):
+        newton_load_stepping(problem, f, fixed, steps=2.5)
+    _, history = newton_load_stepping(problem, f, fixed, steps=2.0)
+    assert [rec["load"] for rec in history] == [0.5, 1.0]
 
 
 def test_cook_shear_converges(disc):
@@ -256,11 +354,11 @@ def test_singular_tangent_halves_the_step(disc, monkeypatch):
 def test_gather_rejects_components_with_different_structure(disc):
     problem = SmoothedHyperProblem(disc, PARAMS)
     G = [g.copy() for g in disc.gradient_ops("edge", "power")]
-    problem._gather_groups(G)   # the shared structure gathers
+    problem._layout(G)   # the shared structure gathers
     G[1].data[G[1].indptr[1]] = 0.0
     G[1].eliminate_zeros()
     with pytest.raises(ValueError, match="component 1 does not share"):
-        problem._gather_groups(G)
+        problem._layout(G)
 
 
 def test_problem_rejects_a_missing_bubble(disc):
@@ -271,31 +369,26 @@ def test_problem_rejects_a_missing_bubble(disc):
 
 def einsum_reference(problem, u):
     """Force, tangent and noise bound as per-domain einsums summed with
-    np.add.at and scatter_blocks, with the stress from pk2_stress."""
+    np.add.at and scatter_blocks, from the state's ln J = ln det F, the
+    law's stress and the Voigt oracle's tangent."""
     dim, params = problem.disc.dim, problem.params
-    state = problem.state(u)
-    Ci = np.linalg.inv(state.C)
-    lnJ = 0.5 * np.log(np.linalg.det(state.C))
-    S = pk2_stress(state.C, params)
+    F, C, lnJ = problem.state(u)
+    Ci = np.linalg.inv(C)
+    S = hyperelastic._stress(Ci, lnJ, params)
     pi, pj = np.array(VOIGT_PAIRS[dim]).T
-    M = hyperelastic._voigt_tangent(Ci, lnJ, params)
+    M = voigt_tangent(Ci, lnJ, params)
     s_scale = ((params.mu + abs(params.lam) * (1.0 + np.abs(lnJ)))
                * np.linalg.norm(Ci, axis=(1, 2)))
     n = problem.dofmap.n_disp
-    R, noise, blocks = np.zeros(n), np.zeros(n), []
-    for rows, _, grad, dofs in problem._groups:
-        m = problem.measures[rows]
-        Bn = strain_matrix(grad, state.F[rows])
-        np.add.at(R, dofs,
-                  np.einsum("t,tvx,tv->tx", m, Bn, S[rows][:, pi, pj]))
-        np.add.at(noise, dofs,
-                  np.einsum("t,tvx->tx", m * s_scale[rows], np.abs(Bn)))
-        K_loc = np.einsum("t,tvx,tvw,twy->txy", m, Bn, M[rows], Bn)
-        A = np.einsum("t,tai,tij,tbj->tab", m, grad, S[rows], grad)
-        K_loc += np.einsum("tab,kl->takbl", A, np.eye(dim)).reshape(
-            K_loc.shape)
-        blocks.append((K_loc, dofs, dofs))
-    return R, scatter_blocks(blocks, (n, n)), noise
+    R, noise = np.zeros(n), np.zeros(n)
+    m, grad, dofs = problem.measures, problem._grad, problem._dofs
+    Bn = strain_matrix(grad, F)
+    np.add.at(R, dofs, np.einsum("t,tvx,tv->tx", m, Bn, S[:, pi, pj]))
+    np.add.at(noise, dofs, np.einsum("t,tvx->tx", m * s_scale, np.abs(Bn)))
+    K_loc = np.einsum("t,tvx,tvw,twy->txy", m, Bn, M, Bn)
+    A = np.einsum("t,tai,tij,tbj->tab", m, grad, S, grad)
+    K_loc += np.einsum("tab,kl->takbl", A, np.eye(dim)).reshape(K_loc.shape)
+    return R, scatter_blocks([(K_loc, dofs, dofs)], (n, n)), noise
 
 
 @pytest.mark.parametrize("kappa", [1.95, 1e4])
@@ -373,11 +466,11 @@ def grouped_reference(problem, u):
         F[rows] = np.einsum("tar,tac->trc", vals[cols], grad) + np.eye(dim)
     C = np.einsum("tri,trj->tij", F, F)
     m, mu, lam = problem.measures, params.mu, params.lam
-    Ci, lnJ = np.linalg.inv(C), 0.5 * np.log(np.linalg.det(C))
+    Ci, lnJ = np.linalg.inv(C), np.log(np.linalg.det(F))
     S = m[:, None, None] * (mu * (np.eye(dim) - Ci)
                             + (lam * lnJ)[:, None, None] * Ci)
     pi, pj = np.array(VOIGT_PAIRS[dim]).T
-    M = m[:, None, None] * hyperelastic._voigt_tangent(Ci, lnJ, params)
+    M = m[:, None, None] * voigt_tangent(Ci, lnJ, params)
     s_scale = (m * (mu + abs(lam) * (1.0 + np.abs(lnJ)))
                * np.linalg.norm(Ci, axis=(1, 2)))
     forces, bounds, blocks, keys = [], [], [], []
@@ -411,7 +504,7 @@ def test_padded_layout_matches_the_support_size_groups(mesh, kappa):
     the padded slots add exact zeros, only the sums run in another order."""
     problem = SmoothedHyperProblem(Discretization(mesh),
                                    NeoHookeanParams(0.6, kappa))
-    (_, cols, grad, _), = problem._groups
+    grad = problem._grad
     padded = grad.shape[1] - np.count_nonzero(np.abs(grad).sum(-1), axis=1)
     assert padded.max() > 0 and padded.min() == 0
     u = 1e-2 * np.random.default_rng(17).standard_normal(
@@ -452,7 +545,7 @@ def test_newton_evaluates_each_state_once(monkeypatch):
     called (iterations + load steps) times."""
     calls, evaluations = [], []
     residual_tangent = SmoothedHyperProblem.residual_tangent
-    voigt_tangent = hyperelastic._voigt_tangent
+    tangent = hyperelastic._tangent
 
     def called(self, u):
         calls.append(1)
@@ -460,10 +553,10 @@ def test_newton_evaluates_each_state_once(monkeypatch):
 
     def evaluated(*args):
         evaluations.append(1)
-        return voigt_tangent(*args)
+        return tangent(*args)
 
     monkeypatch.setattr(SmoothedHyperProblem, "residual_tangent", called)
-    monkeypatch.setattr(hyperelastic, "_voigt_tangent", evaluated)
+    monkeypatch.setattr(hyperelastic, "_tangent", evaluated)
     reports, _ = run_scenario(make_config(
         "cook-neohookean", meshes=(2, 3), kappa=(1.95, 100.0), steps=3))
     assert [r.extra["status"] for r in reports] == ["ok"] * 4

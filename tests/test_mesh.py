@@ -237,3 +237,14 @@ def test_distortion_density_zero_is_identity():
     mesh = generate_annulus((3, 4))
     out = distort_mesh(mesh, 0.0, seed=5)
     np.testing.assert_array_equal(out.nodes, mesh.nodes)
+
+
+def test_distortion_rejects_a_non_integral_seed():
+    """A fractional seed raises instead of truncating to its integer part;
+    a whole-number float is that integer."""
+    mesh = generate_cook(4)
+    for density in (0.3, 0.0):
+        with pytest.raises(ValueError, match="seed 2.5 is not an integer"):
+            distort_mesh(mesh, density, seed=2.5)
+    np.testing.assert_array_equal(distort_mesh(mesh, 0.3, seed=2.0).nodes,
+                                  distort_mesh(mesh, 0.3, seed=2).nodes)
