@@ -157,7 +157,8 @@ class ExactPipeSolution:
 def characteristic_h(disc):
     """Mesh size: largest cell radius over smoothing and node-cell meshes."""
     kind = disc.smoothing_kind()
-    return mesh_size(disc.micro, [disc.domains(kind), disc.domains("node")])
+    return mesh_size(disc.micro, [disc.domains(kind).dom_of_cell,
+                                  disc.micro.cell_node])
 
 
 def displacement_values(disc, dofmap, u, lam, elem):

@@ -219,25 +219,25 @@ def build_pressure_cells(micro):
     return PressureCellSet(n_cells=n, measures=measures)
 
 
-def domain_diameters(micro, domains):
+def domain_diameters(micro, dom):
     """Half of the largest vertex distance within each domain.
 
-    The distinct (domain, vertex) pairs come from one sort of int64 keys
-    and a mask of adjacent differences; domains with equal vertex counts
-    are then measured together over their vertex pairs, in chunks that
-    bound the difference array.  Each squared distance is summed as in a
-    per-domain loop, so the values are exact repeats of it.
+    ``dom`` holds each micro-cell's domain (``dom_of_cell``; the node
+    domains need not be built: theirs is ``micro.cell_node``).  The
+    distinct (domain, vertex) pairs come from one sort of int64 keys and a
+    mask of adjacent differences; domains with equal vertex counts are then
+    measured together over their vertex pairs, in chunks that bound the
+    difference array.  Each squared distance is summed as in a per-domain
+    loop, so the values are exact repeats of it.
     """
+    n_domains = int(dom.max()) + 1
     n_pts = np.int64(len(micro.points))
-    dom = np.repeat(np.arange(domains.n_domains, dtype=np.int64),
-                    np.diff(domains.cell_ptr))
-    verts = micro.cells[domains.cell_ids]
-    keys = np.sort((dom[:, None] * n_pts + verts).ravel())
+    keys = np.sort((dom[:, None] * n_pts + micro.cells).ravel())
     keys = keys[np.diff(keys, prepend=-1) != 0]
     dom_of, vert = np.divmod(keys, n_pts)
-    ptr = np.searchsorted(dom_of, np.arange(domains.n_domains + 1))
+    ptr = np.searchsorted(dom_of, np.arange(n_domains + 1))
     sizes = np.diff(ptr)
-    out = np.empty(domains.n_domains)
+    out = np.empty(n_domains)
     for n in np.unique(sizes):
         rows = np.flatnonzero(sizes == n)
         i, j = np.triu_indices(n, 1)
@@ -249,9 +249,8 @@ def domain_diameters(micro, domains):
     return out
 
 
-def mesh_size(micro, domain_sets):
-    """Characteristic h: the largest cell radius over the given domain sets."""
-    h = 0.0
-    for ds in domain_sets:
-        h = max(h, float(domain_diameters(micro, ds).max()))
-    return h
+def mesh_size(micro, domain_keys):
+    """Characteristic h: the largest cell radius over domain systems given
+    by their micro-cell domain keys (see ``domain_diameters``)."""
+    return max(float(domain_diameters(micro, dom).max())
+               for dom in domain_keys)

@@ -16,7 +16,6 @@ from math import factorial
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
-from scipy.special import roots_jacobi
 
 
 @dataclass(frozen=True)
@@ -40,6 +39,8 @@ def _jacobi01(n, alpha):
     Returned weights satisfy sum_i w_i g(u_i) = integral_0^1 (1-u)^alpha g(u) du
     for polynomials g of degree <= 2n-1.
     """
+    from scipy.special import roots_jacobi
+
     x, w = roots_jacobi(n, alpha, 0.0)
     return (x + 1.0) / 2.0, w / 2.0 ** (alpha + 1)
 

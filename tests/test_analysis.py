@@ -15,6 +15,7 @@ from smoothfem.analysis import (CSV_COLUMNS, ErrorReport, ExactPipeSolution,
 from smoothfem.assembly import (Discretization, MaterialParams,
                                assemble_h1_gram, assemble_method,
                                assemble_plain_B, full_elastic_matrix)
+from smoothfem.dualmesh import domain_diameters
 from smoothfem.mesh import (distort_mesh, generate_annulus, generate_block,
                             generate_cook)
 
@@ -345,6 +346,21 @@ def test_richardson_limit_geometric_series():
 def test_characteristic_h_decreases(disc_annulus):
     fine = Discretization(generate_annulus(8))
     assert characteristic_h(fine) < characteristic_h(disc_annulus)
+
+
+@pytest.mark.parametrize("make_mesh", [
+    lambda: distort_mesh(generate_cook(6), 0.4, seed=3),
+    lambda: generate_block(2),
+])
+def test_characteristic_h_builds_no_node_domains(make_mesh):
+    """h reads the node cells' micro-cell keys, so only the smoothing
+    domains are built, and it equals the largest radius of both systems."""
+    disc = Discretization(make_mesh())
+    h = characteristic_h(disc)
+    assert list(disc._domains) == [disc.smoothing_kind()]
+    radii = [domain_diameters(disc.micro, disc.domains(kind).dom_of_cell)
+             for kind in (disc.smoothing_kind(), "node")]
+    assert h == max(float(r.max()) for r in radii)
 
 
 def test_tip_displacement_reads_nearest_node(disc_cook):

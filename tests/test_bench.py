@@ -599,3 +599,26 @@ def test_ab_pairs_summarizes_paired_samples():
     assert close["wins"] == 9 and not close["clear"]
     line = tool.report_line("wall_s", "s", summary)
     assert "tree wins 9/10: clear change" in line
+
+
+def test_ab_pairs_quartiles_and_the_clear_change_rule():
+    tool = _load_repo_module("tools/ab_pairs.py")
+    assert tool.quartiles([3.0]) == (3.0, 3.0, 3.0)
+    assert tool.quartiles([5.0, 1.0, 4.0, 2.0, 3.0]) == pytest.approx(
+        (2.0, 3.0, 4.0))
+    # one pair: its sample is every quartile, so any win is clear
+    one = tool.summarize([2.0], [1.5], "lower")
+    assert one["wins"] == 1 and one["pairs"] == 1 and one["clear"]
+    assert not tool.summarize([2.0], [2.0], "lower")["clear"]
+    # a higher-is-better metric that rises in every pair
+    base = [float(v) for v in range(10, 20)]
+    up = [b + 10.0 for b in base]
+    higher = tool.summarize(base, up, "higher")
+    assert higher["wins"] == 10 and higher["clear"]
+    lower = tool.summarize(base, up, "lower")
+    assert lower["wins"] == 0 and not lower["clear"]
+    # a large median gain in only eight pairs of ten is not clear
+    eight = [b - 10.0 for b in base[:8]] + [b + 1.0 for b in base[8:]]
+    summary = tool.summarize(base, eight, "lower")
+    assert summary["wins"] == 8 and not summary["clear"]
+    assert "no clear change" in tool.report_line("wall_s", "s", summary)

@@ -333,8 +333,8 @@ def test_mesh_size_decreases_with_refinement():
         mesh = generate_cook(n)
         topo, micro = make_setup(mesh)
         domains = build_smoothing_domains(micro, "edge")
-        nodes = build_smoothing_domains(micro, "node")
-        sizes.append(mesh_size(micro, [domains, nodes]))
+        sizes.append(mesh_size(micro, [domains.dom_of_cell,
+                                       micro.cell_node]))
     assert sizes[0] > sizes[1] > sizes[2]
     assert sizes[1] / sizes[2] == pytest.approx(2.0, rel=0.1)
 
@@ -343,7 +343,7 @@ def test_domain_diameters_positive():
     mesh = generate_block(2, size=(1.0, 1.0, 1.0))
     topo, micro = make_setup(mesh)
     domains = build_smoothing_domains(micro, "face")
-    d = domain_diameters(micro, domains)
+    d = domain_diameters(micro, domains.dom_of_cell)
     assert np.all(d > 0.0)
 
 
@@ -368,5 +368,5 @@ def test_domain_diameters_equal_loop(make_mesh, kinds):
     _, micro = make_setup(make_mesh())
     for kind in kinds:
         domains = build_smoothing_domains(micro, kind)
-        assert np.array_equal(domain_diameters(micro, domains),
+        assert np.array_equal(domain_diameters(micro, domains.dom_of_cell),
                               loop_diameters(micro, domains))

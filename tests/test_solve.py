@@ -303,12 +303,6 @@ def dense_spectrum(G_gram, B, C_diag, fixed, n_disp):
     return np.linalg.eigvalsh(0.5 * (S + S.T) * w[None, :] * w[:, None])
 
 
-def dense_infsup(G_gram, B, C_diag, fixed, n_disp, zero_tol=1e-10):
-    """Reference inf-sup constant from the dense spectrum."""
-    eigs = dense_spectrum(G_gram, B, C_diag, fixed, n_disp)
-    return float(np.sqrt(eigs[eigs > zero_tol * eigs.max()][0]))
-
-
 def cook_infsup_operators(n, method, distort=0.0):
     mesh = generate_cook(n)
     if distort:
@@ -316,13 +310,100 @@ def cook_infsup_operators(n, method, distort=0.0):
     return infsup_operators(Discretization(mesh), method)
 
 
+def block_infsup_operators(pattern, bubble):
+    """The ``infsup_measure`` arguments of the 3D face pairing on block-2
+    (uniform) or the unstructured block-3."""
+    disc = Discretization(generate_block(2 if pattern == "uniform" else 3,
+                                         pattern=pattern))
+    dofmap = disc.dofmap(bubble)
+    return (assemble_h1_gram(disc, dofmap),
+            assemble_B_bar(disc, "face", bubble),
+            disc.pressure_cells.measures.copy(),
+            dirichlet_dofs(disc.mesh, dofmap), dofmap.n_disp)
+
+
+def _assert_matches_dense_oracle(ops):
+    """beta and the whole returned low end against ``eigvalsh``.
+
+    The nonzero values are the lowest nonzero eigenvalues.  A multiple zero
+    may show fewer times than its multiplicity (es-fem on the distorted
+    cook-16 shows its double zero once), so the zeros are only bounded.
+    """
+    beta, low = infsup_measure(*ops)
+    eigs = dense_spectrum(*ops)
+    nonzero = eigs[eigs > 1e-10 * eigs.max()]
+    assert beta == pytest.approx(np.sqrt(nonzero[0]), rel=1e-10)
+    zero = low <= solve.INFSUP_ZERO
+    assert low[zero] == pytest.approx(0.0, abs=1e-10)
+    assert zero.sum() <= len(eigs) - len(nonzero)
+    assert low[~zero] == pytest.approx(nonzero[:len(low) - zero.sum()],
+                                       abs=1e-10)
+
+
 @pytest.mark.parametrize("distort", [0.0, 0.4])
 @pytest.mark.parametrize("method", ["bes-fem", "es-fem"])
 def test_infsup_matches_dense_oracle(method, distort):
     for n in (2, 4, 8, 16):
-        ops = cook_infsup_operators(n, method, distort)
-        beta, _ = infsup_measure(*ops)
-        assert beta == pytest.approx(dense_infsup(*ops), rel=1e-10)
+        _assert_matches_dense_oracle(cook_infsup_operators(n, method, distort))
+
+
+@pytest.mark.parametrize("distort", [0.0, 0.4])
+def test_infsup_matches_dense_oracle_with_the_hat_bubble(distort):
+    for n in (2, 4, 8):
+        mesh = generate_cook(n)
+        if distort:
+            mesh = distort_mesh(mesh, distort, seed=3)
+        _assert_matches_dense_oracle(
+            infsup_operators(Discretization(mesh), "bes-fem", "hat"))
+
+
+@pytest.mark.parametrize("bubble", ["power", "hat"])
+def test_infsup_matches_dense_oracle_3d(bubble):
+    _assert_matches_dense_oracle(block_infsup_operators("uniform", bubble))
+
+
+def test_infsup_condenses_a_vertex_whose_neighbours_are_all_fixed():
+    """The condensation reads only the structure of G: with the whole
+    boundary of cook-2 clamped, the one interior vertex of the unenriched
+    space has a diagonal-only Gram row, and every free dof is condensed."""
+    disc = Discretization(generate_cook(2))
+    G, B, C, _, n_disp = infsup_operators(disc, "es-fem")
+    nodes = np.unique(np.concatenate(list(disc.mesh.boundary.values())))
+    fixed = np.sort(np.concatenate([2 * nodes, 2 * nodes + 1]))
+    assert len(fixed) == n_disp - 2
+    _assert_matches_dense_oracle((G, B, C, fixed, n_disp))
+
+
+@pytest.mark.parametrize("method, bubble, dim", [("bes-fem", "power", 2),
+                                                 ("bes-fem", "hat", 2),
+                                                 ("es-fem", "power", 2),
+                                                 ("bes-fem", "power", 3)])
+def test_infsup_factors_the_free_vertex_dofs_and_the_pressures(
+        method, bubble, dim, monkeypatch):
+    """Every bubble is condensed into the pressure block, so the factored
+    saddle has one row per free vertex dof and per pressure cell; the
+    unenriched pairing (no bubbles) keeps its order."""
+    orders = []
+    factorize = solve._factorize
+
+    def recording(M, **options):
+        orders.append(M.shape[0])
+        return factorize(M, **options)
+
+    monkeypatch.setattr(solve, "_factorize", recording)
+    if dim == 2:
+        mesh = distort_mesh(generate_cook(8), 0.4, seed=3)
+        ops = infsup_operators(Discretization(mesh), method, bubble)
+    else:
+        mesh = generate_block(2)
+        ops = block_infsup_operators("uniform", bubble)
+    _, B, _, fixed, n_disp = ops
+    infsup_measure(*ops)
+    n_vertex = mesh.n_nodes * dim
+    free_vertex = len(np.setdiff1d(np.arange(n_vertex), fixed))
+    assert orders == [free_vertex + B.shape[0]]
+    if method == "es-fem":
+        assert n_disp == n_vertex
 
 
 def _assert_spectrum_within_the_bound(ops, dim):
@@ -351,18 +432,12 @@ def test_infsup_spectrum_lies_in_zero_to_dim_2d(method, bubble, distort):
 def test_infsup_spectrum_lies_in_zero_to_dim_3d(pattern, bubble):
     """The same bound for the 3D face pairing on block-2 and on the
     unstructured block-3."""
-    disc = Discretization(generate_block(2 if pattern == "uniform" else 3,
-                                         pattern=pattern))
-    dofmap = disc.dofmap(bubble)
-    ops = (assemble_h1_gram(disc, dofmap),
-           assemble_B_bar(disc, "face", bubble),
-           disc.pressure_cells.measures.copy(),
-           dirichlet_dofs(disc.mesh, dofmap), dofmap.n_disp)
-    _assert_spectrum_within_the_bound(ops, 3)
+    _assert_spectrum_within_the_bound(
+        block_infsup_operators(pattern, bubble), 3)
 
 
 def test_infsup_skips_more_zero_modes_than_one_batch():
-    """Eight zero pressure rows outnumber the six eigenvalues of a first
+    """Eight zero pressure rows outnumber the three eigenvalues of a first
     batch, so the measure has to widen its search to find beta."""
     G, B, C, fixed, n_disp = cook_infsup_operators(4, "bes-fem")
     B_pad = sparse.vstack([B, sparse.csr_matrix((8, B.shape[1]))])
