@@ -25,7 +25,7 @@ from .dualmesh import (
     build_smoothing_domains,
     mesh_size,
 )
-from .quadrature import QuadratureRule, boundary_quadrature, simplex_quadrature
+from .quadrature import QuadratureRule, simplex_quadrature
 from .basis import bubble_value, bubble_gradient
 from .smoothing import build_smoothed_gradient, volume_average_gradient
 from .assembly import (
@@ -87,7 +87,6 @@ __all__ = [
     "build_smoothing_domains",
     "mesh_size",
     "QuadratureRule",
-    "boundary_quadrature",
     "simplex_quadrature",
     "bubble_value",
     "bubble_gradient",

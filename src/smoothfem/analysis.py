@@ -235,13 +235,8 @@ def error_energy(disc, bundle, u, p, exact):
 
     # shear defect plus pressure-divergence defect on smoothing domains
     div_bar = divergence_operator(G) @ u
-    shear = shear_weight_vector(disc.dim)
-    quad = 2.0 * mat.mu * np.einsum("kq,kqv,v->", w, diff * diff, shear)
-    p = np.asarray(p, float)
-    pdiff = exact.pressure(X) - p[disc.micro.cell_node][:, None]
-    ddiff = exact.divergence(X) - div_bar[dom][:, None]
-    total = quad + np.einsum("kq,kq,kq->", w, pdiff, ddiff)
-    return float(np.sqrt(max(0.0, total))), float(total)
+    ph = np.asarray(p, float)[disc.micro.cell_node][:, None]
+    return _mixed_energy(w, X, diff, ph, div_bar[dom][:, None], exact, mat.mu)
 
 
 def _energy_mini(disc, bundle, u, p, exact):
@@ -257,14 +252,22 @@ def _energy_mini(disc, bundle, u, p, exact):
                            axis=1).reshape(len(w), -1)
     eps = np.einsum("eqvp,ep->eqv", strain_matrix(table), local)
 
-    diff = exact.strain(X) - eps
-    shear = shear_weight_vector(dim)
-    quad = 2.0 * mat.mu * np.einsum("eq,eqv,v->", w, diff * diff, shear)
-    p = np.asarray(p, float)
-    ph = np.einsum("qi,ei->eq", rule.points, p[mesh.elements])
+    ph = np.einsum("qi,ei->eq", rule.points,
+                   np.asarray(p, float)[mesh.elements])
+    return _mixed_energy(w, X, exact.strain(X) - eps, ph,
+                         eps[..., :dim].sum(axis=-1), exact, mat.mu)
+
+
+def _mixed_energy(w, X, diff, ph, div, exact, mu):
+    """(norm, total) of a mixed method's energy defect at weighted points
+    ``w`` (K, Q), ``X`` (K, Q, d): 2 mu times the shear part of the strain
+    defect ``diff`` (K, Q, V), plus the product of the pressure and
+    divergence defects of the discrete ``ph`` and ``div``."""
+    shear = shear_weight_vector(X.shape[-1])
+    quad = 2.0 * mu * np.einsum("kq,kqv,v->", w, diff * diff, shear)
     pdiff = exact.pressure(X) - ph
-    ddiff = exact.divergence(X) - eps[..., :dim].sum(axis=-1)
-    total = quad + np.einsum("eq,eq,eq->", w, pdiff, ddiff)
+    ddiff = exact.divergence(X) - div
+    total = quad + np.einsum("kq,kq,kq->", w, pdiff, ddiff)
     return float(np.sqrt(max(0.0, total))), float(total)
 
 

@@ -1,12 +1,12 @@
-"""Linear (hat) shape functions and interior bubble functions on simplices.
+"""Interior bubble functions on simplices.
 
 The displacement space on each d-simplex is spanned by the d+1 vertex hat
 functions plus one interior bubble that vanishes on the whole element
 boundary.  Two bubble variants are supported:
 
 ``power``
-    The polynomial bubble ``prod_i (d+1) lambda_i`` (quadratic in 2D,
-    cubic in 3D), scaled to equal 1 at the centroid.
+    The polynomial bubble ``prod_i (d+1) lambda_i`` (cubic in 2D,
+    quartic in 3D), scaled to equal 1 at the centroid.
 
 ``hat``
     The piecewise-linear pyramid ``(d+1) min_i lambda_i``: the hat function
@@ -15,7 +15,7 @@ boundary.  Two bubble variants are supported:
     constant on each sub-simplex and undefined on the internal interfaces.
 
 Barycentric coordinates are used everywhere; geometry enters only through
-the constant hat gradients of the element.
+the constant hat gradients of the element, ``PrimalMesh.grads``.
 """
 
 import numpy as np
@@ -26,42 +26,6 @@ BUBBLE_KINDS = ("power", "hat")
 def check_bubble_kind(kind):
     if kind not in BUBBLE_KINDS:
         raise ValueError(f"unknown bubble kind {kind!r}; expected one of {BUBBLE_KINDS}")
-
-
-def affine_maps(nodes, elements):
-    """Per-element affine geometry: hat gradients and measures.
-
-    Parameters
-    ----------
-    nodes : (N, d) float array
-    elements : (E, d+1) int array
-
-    Returns
-    -------
-    grads : (E, d+1, d) array
-        Constant gradient of each vertex hat function.
-    measures : (E,) array
-        Signed measures (positive for correctly oriented elements).
-    """
-    nodes = np.asarray(nodes, float)
-    elements = np.asarray(elements)
-    dim = nodes.shape[1]
-    verts = nodes[elements]                       # (E, d+1, d)
-    edges = verts[:, 1:, :] - verts[:, :1, :]      # (E, d, d) rows: v_i - v_0
-    det = np.linalg.det(edges)
-    measures = det / _factorial(dim)
-    inv = np.linalg.inv(edges)                    # columns are grad lambda_i, i>=1
-    grads = np.empty((len(elements), dim + 1, dim))
-    grads[:, 1:, :] = np.swapaxes(inv, 1, 2)
-    grads[:, 0, :] = -grads[:, 1:, :].sum(axis=1)
-    return grads, measures
-
-
-def _factorial(d):
-    out = 1
-    for k in range(2, d + 1):
-        out *= k
-    return out
 
 
 def bubble_value(kind, bary):

@@ -31,8 +31,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .basis import affine_maps
-from .mesh import LOCAL_EDGES, LOCAL_FACETS, csr_groups, unique_rows
+from .mesh import (LOCAL_EDGES, LOCAL_FACETS, csr_groups, simplex_measures,
+                   unique_rows)
 
 DOMAIN_KINDS = ("edge", "face", "node", "element")
 
@@ -162,7 +162,7 @@ def build_micro_decomposition(mesh, topo):
                              start[-1] + np.arange(E)])
     slots, slot_facet = _micro_slots(dim)
     cells = local[:, slots].swapaxes(0, 1).reshape(-1, dim + 1)
-    _, measures = affine_maps(points, cells)
+    measures = simplex_measures(points, cells)
     if np.any(measures <= 0.0):
         bad = int(np.flatnonzero(measures <= 0.0)[0])
         raise RuntimeError(f"micro-cell {bad} has non-positive measure")

@@ -20,10 +20,9 @@ downstream code never re-derives boundary semantics from coordinates.
 
 import numbers
 from dataclasses import dataclass, field
+from math import factorial
 
 import numpy as np
-
-from .basis import affine_maps
 
 BOUNDARY_LABELS = ("clamped", "roller-x", "roller-y", "traction", "free")
 
@@ -42,7 +41,7 @@ class PrimalMesh:
     Attributes
     ----------
     nodes : (N, d) float array of vertex coordinates.
-    elements : (E, d+1) int array, positively oriented.
+    elements : (E, d+1) int array of node ids, positively oriented.
     boundary : dict mapping label -> (F, d) int array of facet node tuples.
     grads : (E, d+1, d) constant gradient of each element's vertex hats,
         the element frames that every downstream builder reads.
@@ -62,12 +61,24 @@ class PrimalMesh:
         for label in self.boundary:
             if label not in BOUNDARY_LABELS:
                 raise ValueError(f"unknown boundary label {label!r}")
-        self.grads, measures = affine_maps(self.nodes, self.elements)
+        if self.elements.ndim != 2 or self.elements.shape[1] != self.dim + 1:
+            raise ValueError(f"elements have shape {self.elements.shape}; "
+                             f"expected (E, {self.dim + 1})")
+        for what, ids in [("element", self.elements), *self.boundary.items()]:
+            if ids.size and (ids.min() < 0 or ids.max() >= self.n_nodes):
+                raise ValueError(f"{what} vertex ids must lie in "
+                                 f"[0, {self.n_nodes})")
+        edges = _edge_matrices(self.nodes, self.elements)
+        measures = _signed_measures(edges)
         bad = np.flatnonzero(measures <= 0.0)
         if bad.size:
             raise ValueError(
                 f"element {bad[0]} has non-positive measure {measures[bad[0]]:.3e}"
             )
+        # the inverse edge matrix's columns are the vertex-1.. hat gradients
+        self.grads = np.empty((self.n_elements, self.dim + 1, self.dim))
+        self.grads[:, 1:, :] = np.swapaxes(np.linalg.inv(edges), 1, 2)
+        self.grads[:, 0, :] = -self.grads[:, 1:, :].sum(axis=1)
         self._measures = measures
 
     @property
@@ -101,6 +112,23 @@ class PrimalMesh:
     def copy_with_nodes(self, nodes):
         return PrimalMesh(nodes, self.elements.copy(),
                           {k: v.copy() for k, v in self.boundary.items()})
+
+
+def _edge_matrices(points, cells):
+    """(C, d, d) edge matrices of simplices: row i is v_(i+1) - v_0."""
+    verts = np.asarray(points, float)[cells]
+    return verts[:, 1:, :] - verts[:, :1, :]
+
+
+def _signed_measures(edges):
+    return np.linalg.det(edges) / factorial(edges.shape[-1])
+
+
+def simplex_measures(points, cells):
+    """Signed measures det(v_1 - v_0, ..., v_d - v_0) / d! of the simplices
+    ``cells`` (C, d+1) over ``points`` (P, d): positive where a cell is
+    positively oriented."""
+    return _signed_measures(_edge_matrices(points, cells))
 
 
 @dataclass
@@ -410,10 +438,7 @@ def _delaunay_tets(pts, h):
     from scipy.spatial import Delaunay
 
     el = Delaunay(pts).simplices.astype(np.int64)
-    v6 = np.einsum("ij,ij->i",
-                   np.cross(pts[el[:, 1]] - pts[el[:, 0]],
-                            pts[el[:, 2]] - pts[el[:, 0]]),
-                   pts[el[:, 3]] - pts[el[:, 0]])
+    v6 = 6 * simplex_measures(pts, el)
     flip = v6 < 0
     el[flip] = el[flip][:, [0, 1, 3, 2]]
     if np.any(np.abs(v6) <= 6e-9 * h ** 3):
@@ -544,8 +569,7 @@ def distort_mesh(mesh, density, seed=0):
     interior_set = set(interior.tolist())
     for _ in range(10):
         nodes = mesh.nodes + factor[:, None] * shift
-        _, measures = affine_maps(nodes, mesh.elements)
-        bad = np.flatnonzero(measures <= 0.0)
+        bad = np.flatnonzero(simplex_measures(nodes, mesh.elements) <= 0.0)
         if bad.size == 0:
             return mesh.copy_with_nodes(nodes)
         for e in bad:

@@ -1,4 +1,4 @@
-"""Quadrature rules on reference simplices and boundary facets.
+"""Quadrature rules on reference simplices.
 
 All rules are stored in barycentric form: ``points`` has one row per
 quadrature node with d+1 barycentric coordinates, and ``weights`` sums to 1.
@@ -8,7 +8,8 @@ The integral of ``f`` over a physical simplex ``T`` is then
 
 Low degrees use classical symmetric rules; arbitrary degrees fall back to a
 collapsed-coordinate Gauss-Jacobi product rule, which is polynomially exact
-and works in any dimension.
+and works in any dimension.  Facet integrals use the rule of the
+(d-1)-simplex: segments in 2D, triangles in 3D.
 """
 
 from dataclasses import dataclass
@@ -136,32 +137,6 @@ def simplex_quadrature(dim, degree):
     else:
         raise ValueError(f"unsupported dimension {dim}")
     return QuadratureRule(np.asarray(pts, float), np.asarray(w, float), degree)
-
-
-def boundary_quadrature(facet, required_degree):
-    """Rule for smoothing-boundary facets: segments (2D) or triangles (3D).
-
-    Segments use Gauss-Legendre with the minimal point count for the
-    requested degree; triangle facets use the degree-4 six-point symmetric
-    rule up to quartics (the highest degree any bubble trace reaches) and a
-    collapsed product rule beyond.
-    """
-    if required_degree < 1:
-        raise ValueError("required_degree must be >= 1")
-    if facet == "segment":
-        n = required_degree // 2 + 1
-        u, w = _gauss01(n)
-        return QuadratureRule(np.column_stack([1.0 - u, u]), w, 2 * n - 1)
-    if facet == "triangle":
-        if required_degree <= 2:
-            pts, w = _TRI_DEG2
-            return QuadratureRule(pts, w, 2)
-        if required_degree <= 4:
-            pts, w = _TRI_DEG4
-            return QuadratureRule(pts, w, 4)
-        pts, w = _collapsed_rule(2, required_degree)
-        return QuadratureRule(pts, w, required_degree)
-    raise ValueError(f"unknown facet kind {facet!r}")
 
 
 def barycentric_monomial_integral(dim, exponents):

@@ -21,7 +21,7 @@ import numpy as np
 from scipy.sparse import coo_matrix
 
 from .basis import bubble_gradient, bubble_value
-from .quadrature import boundary_quadrature, simplex_quadrature
+from .quadrature import simplex_quadrature
 
 
 def facet_normals(pts):
@@ -55,6 +55,11 @@ def build_smoothed_gradient(mesh, micro, domains, bubble=None):
     Returns
     -------
     list of d csr_matrix, each (n_domains, N [+ E]).
+
+    Facet means come from ``simplex_quadrature(d - 1, d + 1)``, the
+    reference rule of the (d-1)-simplex: degree d+1 is the degree of the
+    power bubble's trace, and the hat bubble is linear on every facet
+    because micro-cells never straddle its interfaces.
     """
     dim = mesh.dim
     N, E = mesh.n_nodes, mesh.n_elements
@@ -65,8 +70,7 @@ def build_smoothed_gradient(mesh, micro, domains, bubble=None):
     felem = micro.cell_elem[domains.facet_cell]     # (F,)
     fdom = np.repeat(np.arange(domains.n_domains), np.diff(domains.facet_ptr))
 
-    rule = boundary_quadrature("segment" if dim == 2 else "triangle",
-                               3 if dim == 2 else 4)
+    rule = simplex_quadrature(dim - 1, dim + 1)
     X = np.einsum("qi,fid->fqd", rule.points, fpts)     # (F, Q, dim)
     lam = mesh.barycentric(felem, X)                    # (F, Q, d+1)
 

@@ -26,7 +26,7 @@ from smoothfem.hyperelastic import (NeoHookeanParams, SmoothedHyperProblem,
                                     strain_energy)
 from smoothfem.mesh import (distort_mesh, generate_annulus, generate_block,
                             generate_cook)
-from smoothfem.quadrature import boundary_quadrature
+from smoothfem.quadrature import simplex_quadrature
 
 
 def _verdict(num, name, passed, detail):
@@ -113,7 +113,7 @@ def _bubble_boundary_integral(disc, kind):
     domains = disc.domains(kind)
     pts = disc.micro.points[domains.facet_pts]          # (F, 2, 2)
     elem = disc.micro.cell_elem[domains.facet_cell]
-    rule = boundary_quadrature("segment", 3)
+    rule = simplex_quadrature(1, 3)
     X = np.einsum("qi,fid->fqd", rule.points, pts)
     mean = bubble_value("power", disc.mesh.barycentric(elem, X)) @ rule.weights
     length = np.linalg.norm(pts[:, 1] - pts[:, 0], axis=1)

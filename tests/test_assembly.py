@@ -217,9 +217,7 @@ def test_fem_t3_matches_textbook_stiffness():
     bundle = assemble_method(disc, "fem-t3", mat)
     K = bundle.A.toarray()
 
-    from smoothfem.basis import affine_maps
-
-    grads, meas = affine_maps(nodes, mesh.elements)
+    grads, meas = mesh.grads, mesh.element_measures()
     B = np.zeros((3, 6))
     for j in range(3):
         B[0, 2 * j] = grads[0, j, 0]
@@ -330,9 +328,7 @@ def test_h1_gram_vertex_block(disc_2d):
     mesh = disc_2d.mesh
     dofmap = disc_2d.dofmap("power")
     G = assemble_h1_gram(disc_2d, dofmap).toarray()
-    from smoothfem.basis import affine_maps
-
-    grads, meas = affine_maps(mesh.nodes, mesh.elements)
+    grads, meas = mesh.grads, mesh.element_measures()
     N = mesh.n_nodes
     K = np.zeros((N, N))
     for t in range(mesh.n_elements):

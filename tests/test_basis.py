@@ -5,15 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from smoothfem.basis import (
-    affine_maps,
-    bubble_gradient,
-    bubble_value,
-)
-from smoothfem.mesh import PrimalMesh
+from smoothfem.basis import bubble_gradient, bubble_value
+from smoothfem.mesh import PrimalMesh, simplex_measures
 from smoothfem.quadrature import (
     barycentric_monomial_integral,
-    boundary_quadrature,
     simplex_quadrature,
 )
 
@@ -29,8 +24,7 @@ def random_barycentric(rng, dim, n):
 def one_element(verts):
     """A one-element mesh on ``verts``, positively reordered."""
     verts = np.array(verts, float)
-    _, meas = affine_maps(verts, np.arange(len(verts))[None, :])
-    if meas[0] < 0:
+    if simplex_measures(verts, np.arange(len(verts))[None, :])[0] < 0:
         verts[[0, 1]] = verts[[1, 0]]
     mesh = PrimalMesh(verts, np.arange(len(verts))[None, :])
     return mesh.nodes, mesh
@@ -67,22 +61,6 @@ def test_simplex_quadrature_exactness(dim, degree):
             assert approx == pytest.approx(exact, rel=1e-12, abs=1e-15), expo
 
 
-@pytest.mark.parametrize("facet,degree", [("segment", 1), ("segment", 3),
-                                          ("triangle", 2), ("triangle", 4),
-                                          ("triangle", 6)])
-def test_boundary_quadrature_exactness(facet, degree):
-    dim = 1 if facet == "segment" else 2
-    rule = boundary_quadrature(facet, degree)
-    assert rule.degree >= degree
-    for total in range(degree + 1):
-        for expo in all_exponents(dim, total):
-            approx = np.sum(
-                rule.weights * np.prod(rule.points ** np.asarray(expo), axis=1)
-            )
-            exact = barycentric_monomial_integral(dim, expo)
-            assert approx == pytest.approx(exact, rel=1e-12, abs=1e-15)
-
-
 def test_monomial_integral_basics():
     # area-normalized integrals on the triangle: classical values
     assert barycentric_monomial_integral(2, (1, 0, 0)) == pytest.approx(1 / 3)
@@ -96,11 +74,13 @@ def test_monomial_integral_basics():
 
 @pytest.mark.parametrize("dim", [2, 3])
 def test_affine_maps_reference(dim):
+    """A PrimalMesh on the reference simplex has its hat gradients and
+    measure."""
     verts = np.vstack([np.zeros(dim), np.eye(dim)])
-    grads, meas = affine_maps(verts, np.arange(dim + 1)[None, :])
-    assert meas[0] == pytest.approx({2: 0.5, 3: 1 / 6}[dim])
-    np.testing.assert_allclose(grads[0, 0], -np.ones(dim))
-    np.testing.assert_allclose(grads[0, 1:], np.eye(dim), atol=1e-15)
+    mesh = PrimalMesh(verts, np.arange(dim + 1)[None, :])
+    assert mesh.element_measures()[0] == pytest.approx({2: 0.5, 3: 1 / 6}[dim])
+    np.testing.assert_allclose(mesh.grads[0, 0], -np.ones(dim))
+    np.testing.assert_allclose(mesh.grads[0, 1:], np.eye(dim), atol=1e-15)
 
 
 @pytest.mark.parametrize("dim", [2, 3])

@@ -15,7 +15,6 @@ from smoothfem.dualmesh import (
     domain_diameters,
     mesh_size,
 )
-from smoothfem.basis import affine_maps
 from smoothfem.mesh import (
     LOCAL_FACETS,
     build_topology,
@@ -23,6 +22,7 @@ from smoothfem.mesh import (
     generate_annulus,
     generate_block,
     generate_cook,
+    simplex_measures,
 )
 
 
@@ -146,12 +146,27 @@ def test_micro_decomposition_equals_loop_oracle(make):
         "cell_elem": np.concatenate(c_elem).astype(np.int64),
         "cell_node": np.concatenate(c_node).astype(np.int64),
         "cell_facet": np.concatenate(c_facet).astype(np.int64),
-        "measures": affine_maps(points, cells)[1],
+        "measures": simplex_measures(points, cells),
     }
     for name, want in expected.items():
         got = getattr(micro, name)
         assert got.dtype == want.dtype, name
         assert np.array_equal(got, want), name
+
+
+@pytest.mark.parametrize("make", [MESHES_2D[2], MESHES_3D[0]],
+                         ids=["2d", "3d"])
+def test_micro_decomposition_inverts_no_matrix(make, monkeypatch):
+    """Micro-cell measures come from determinants alone."""
+    mesh = make()
+    topo = build_topology(mesh)
+    inv = np.linalg.inv
+    calls = []
+    monkeypatch.setattr(np.linalg, "inv",
+                        lambda a: calls.append(a.shape) or inv(a))
+    micro = build_micro_decomposition(mesh, topo)
+    assert calls == []
+    assert np.all(micro.measures > 0.0)
 
 
 @pytest.mark.parametrize("make", MESHES_2D)

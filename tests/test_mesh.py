@@ -3,14 +3,17 @@
 import numpy as np
 import pytest
 
+from smoothfem import mesh as mesh_module
 from smoothfem.mesh import (
     PrimalMesh,
+    _delaunay_tets,
     _uniform_draws,
     build_topology,
     distort_mesh,
     generate_annulus,
     generate_block,
     generate_cook,
+    simplex_measures,
     unique_rows,
 )
 
@@ -132,6 +135,79 @@ def test_unknown_boundary_label_rejected():
         PrimalMesh(nodes, np.array([[0, 1, 2]]), {"glued": [[0, 1]]})
 
 
+UNIT_SQUARE = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
+
+
+@pytest.mark.parametrize("elements, boundary, message", [
+    ([[1, 2, -1]], {}, r"element vertex ids must lie in \[0, 4\)"),
+    ([[0, 1, 2, 3]], {}, r"shape \(1, 4\); expected \(E, 3\)"),
+    ([[0, 1, 4]], {}, r"element vertex ids must lie in \[0, 4\)"),
+    ([[0, 1, 2]], {"free": [[2, -1]]}, r"free vertex ids must lie in"),
+    ([[0, 1, 2]], {"clamped": [[0, 4]]}, r"clamped vertex ids must lie in"),
+], ids=["negative", "too-wide", "past-the-end", "negative-facet",
+        "past-the-end-facet"])
+def test_out_of_range_vertex_ids_rejected(elements, boundary, message):
+    """Every element row has d+1 ids and every id names a node: a negative
+    id would otherwise wrap to another node for the geometry only."""
+    with pytest.raises(ValueError, match=message):
+        PrimalMesh(UNIT_SQUARE, elements, boundary)
+
+
+@pytest.mark.parametrize("make", [
+    lambda: distort_mesh(generate_cook(5), 0.4, seed=3),
+    lambda: distort_mesh(generate_block(2), 0.3, seed=2),
+])
+def test_simplex_measures_are_the_signed_element_measures(make):
+    mesh = make()
+    measures = simplex_measures(mesh.nodes, mesh.elements)
+    assert np.array_equal(measures, mesh.element_measures())
+    reflected = mesh.elements[:, [*range(mesh.dim - 1), mesh.dim, mesh.dim - 1]]
+    np.testing.assert_allclose(simplex_measures(mesh.nodes, reflected),
+                               -measures, rtol=1e-13)
+
+
+def cross_product_tets(pts, h):
+    """The orientation rule of ``_delaunay_tets`` before it read
+    ``simplex_measures``: the triple product of the edge vectors."""
+    from scipy.spatial import Delaunay
+
+    el = Delaunay(pts).simplices.astype(np.int64)
+    v6 = np.einsum("ij,ij->i",
+                   np.cross(pts[el[:, 1]] - pts[el[:, 0]],
+                            pts[el[:, 2]] - pts[el[:, 0]]),
+                   pts[el[:, 3]] - pts[el[:, 0]])
+    flip = v6 < 0
+    el[flip] = el[flip][:, [0, 1, 3, 2]]
+    if np.any(np.abs(v6) <= 6e-9 * h ** 3):
+        raise ValueError("degenerate tetrahedra")
+    return el
+
+
+@pytest.mark.parametrize("n", range(3, 9))
+def test_delaunay_orientation_matches_cross_product_oracle(n, monkeypatch):
+    """On every point set the unstructured block triangulates, the signed
+    measures orient and reject exactly the cells the triple product did."""
+    seen = []
+
+    def record(pts, h):
+        seen.append((pts, h))
+        return _delaunay_tets(pts, h)
+
+    monkeypatch.setattr(mesh_module, "_delaunay_tets", record)
+    generate_block(n, pattern="unstructured")
+    assert seen
+    for pts, h in seen:
+        outcomes = []
+        for build in (_delaunay_tets, cross_product_tets):
+            try:
+                outcomes.append(build(pts, h))
+            except ValueError:
+                outcomes.append(None)
+        got, want = outcomes
+        assert (got is None) == (want is None)
+        assert want is None or np.array_equal(got, want)
+
+
 def test_topology_euler_2d():
     mesh = generate_cook(5)
     topo = build_topology(mesh)
@@ -248,3 +324,20 @@ def test_distortion_rejects_a_non_integral_seed():
             distort_mesh(mesh, density, seed=2.5)
     np.testing.assert_array_equal(distort_mesh(mesh, 0.3, seed=2.0).nodes,
                                   distort_mesh(mesh, 0.3, seed=2).nodes)
+
+
+def test_distortion_inverts_only_the_returned_mesh(monkeypatch):
+    """The halving loop checks signed measures alone; the one batched
+    inverse is the returned mesh's hat gradients."""
+    mesh = generate_cook(8)
+    calls = []
+    inv = np.linalg.inv
+
+    def counting(a):
+        calls.append(a.shape)
+        return inv(a)
+
+    monkeypatch.setattr(np.linalg, "inv", counting)
+    out = distort_mesh(mesh, 0.45, seed=11)
+    assert calls == [(mesh.n_elements, 2, 2)]
+    assert np.max(np.abs(out.nodes - mesh.nodes)) > 1e-6
