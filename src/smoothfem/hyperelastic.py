@@ -242,21 +242,29 @@ class SmoothedHyperProblem:
 
 
 def _free_block(indptr, indices, free):
-    """The free-free block of a square CSC pattern, as a map on its data.
+    """The free-free block of a square CSC pattern in a band order.
 
-    Returns (keep, block_indptr, block_indices): for any K on the pattern,
-    K[free][:, free] for ascending ``free`` is the CSC matrix with data
-    K.data[keep] and the returned structure.
+    Returns (order, keep, A): ``order`` is ``free`` in the reverse
+    Cuthill-McKee order of the block's symmetric pattern, and for any K on
+    the pattern, K[order][:, order] is the CSC matrix A (sorted indices)
+    with data K.data[keep].  A is built with zero data.
     """
+    from scipy.sparse.csgraph import reverse_cuthill_mckee
+
     local = np.full(len(indptr) - 1, -1)
     local[free] = np.arange(len(free))
     rows = local[indices]
     cols = np.repeat(local, np.diff(indptr))
     keep = np.flatnonzero((rows >= 0) & (cols >= 0))
-    block_indptr = np.zeros(len(free) + 1, indptr.dtype)
-    np.cumsum(np.bincount(cols[keep], minlength=len(free)),
-              out=block_indptr[1:])
-    return keep, block_indptr, rows[keep].astype(indices.dtype)
+    # the block carries each entry's position in K.data, plus one, as data
+    shape = (len(free), len(free))
+    B = sparse.csc_matrix((keep + 1.0, (rows[keep], cols[keep])), shape)
+    perm = reverse_cuthill_mckee(B, symmetric_mode=True)
+    A = B[perm][:, perm].tocsc()
+    A.sort_indices()
+    keep = A.data.astype(keep.dtype) - 1
+    A.data = np.zeros(len(keep))
+    return free[perm], keep, A
 
 
 class _StepFailure(Exception):
@@ -272,8 +280,15 @@ class _StepFailure(Exception):
 _NOISE_FACTOR = 16.0
 
 
+# SuperLU options of the Newton tangent: the free block is already in a
+# band order (_free_block), NATURAL factors it inside that envelope, and a
+# diagonal pivot is kept while it is at least a tenth of its column's
+# largest entry.  The block can be indefinite, so pivoting stays.
+TANGENT_OPTIONS = {"permc_spec": "NATURAL", "diag_pivot_thresh": 0.1}
+
+
 def _newton(problem, u0, load, free, block, tol, max_iter):
-    keep, A = block
+    order, keep, A = block
     u = u0.copy()
     scale = np.linalg.norm(load[free]) or 1.0
     residuals = []
@@ -295,12 +310,12 @@ def _newton(problem, u0, load, free, block, tol, max_iter):
                        "floor_limited": rn > tol}
         A.data = K.data[keep]
         try:
-            du = spla.splu(A).solve(-r[free])
+            du = spla.splu(A, **TANGENT_OPTIONS).solve(-r[order])
         except RuntimeError:   # exactly singular tangent
             raise _StepFailure(residuals)
         if not np.all(np.isfinite(du)):
             raise _StepFailure(residuals)
-        u[free] += du
+        u[order] += du
     raise _StepFailure(residuals)
 
 
@@ -314,17 +329,20 @@ def newton_load_stepping(problem, f_ext, fixed, steps=10, tol=1e-9,
     domain or an exactly singular tangent) is retried at half width, up to
     ``max_halvings`` times overall; running out raises RuntimeError with
     the last residual trail.
+
+    The free-free block of the tangent is laid out once per call, in the
+    reverse Cuthill-McKee order of its pattern (``_free_block``); each
+    iteration sets its data, factors it with ``TANGENT_OPTIONS`` and
+    gathers the residual and scatters the update through that order.  The
+    convergence test reads the free residual in the ascending dof order.
     """
     if whole(steps, "load step count") < 1:
         raise ValueError("need at least one load step")
     f_ext = np.asarray(f_ext, float)
     free = free_dofs(problem.dofmap.n_disp, fixed)
-    indptr, indices, _ = problem._pattern
-    keep, block_indptr, block_indices = _free_block(indptr, indices, free)
-    # the free-free tangent, built once; each iteration sets its data
-    block = keep, sparse.csc_matrix(
-        (np.zeros(len(keep)), block_indices, block_indptr),
-        (len(free), len(free)))
+    # the free-free tangent in its factor order, built once; each
+    # iteration sets its data
+    block = _free_block(*problem._pattern[:2], free)
 
     u = np.zeros(problem.dofmap.n_disp)
     history = []

@@ -553,6 +553,59 @@ def test_same_outputs_compares_csv_cells_within_rtol(tmp_path):
         "s", *runs(failed), rtol=1e-12)[0]
 
 
+def test_same_outputs_tells_rounding_from_noise_at_the_solution_scale(
+        tmp_path):
+    """Two pipe rows from a 1e-14 operator change (mesh 32, |tip_uy| about
+    7.6e-4): bes-fem's err_u moves 3.6e-11 relative but only 5.7e-15 of
+    the solution, ns-fem's moves 7.2e-9 of it.  Both fail --rtol 1e-12;
+    only the scaled drift tells the rounding from the lambda-noise."""
+    tool = _load_repo_module("tools/same_outputs.py")
+    tip = 7.6e-4
+
+    def row(method, err_u, step, tip_uy=tip):
+        return ({"method": method, "mesh_id": "32", "err_u": err_u,
+                 "err_p": 0.25, "err_E": float("nan"), "tip_uy": tip_uy},
+                {"method": method, "mesh_id": "32", "err_u": err_u + step,
+                 "err_p": 0.25, "err_E": float("nan"), "tip_uy": tip_uy})
+
+    bes = row("bes-fem", 1.2e-7, 5.7e-15 * tip)
+    ns = row("ns-fem", 6.4e-7, 7.2e-9 * tip)
+    untipped = row("mini", 1.2e-7, 5.7e-15 * tip, tip_uy=float("nan"))
+    base = {"reports": [bes[0], ns[0], untipped[0]]}
+    head = {"reports": [bes[1], ns[1], untipped[1]]}
+    moved = tool.scaled_drifts(base, head)
+    assert [(label, name, scale) for label, name, _, _, scale in moved] == [
+        ("bes-fem 32", "err_u", "|tip_uy|"),
+        ("ns-fem 32", "err_u", "|tip_uy|"),
+        ("mini 32", "err_u", "largest |tip_uy| of the rows")]
+    eps = tool.EPS
+    (_, _, bes_rel, bes_scaled, _), (_, _, ns_rel, ns_scaled, _) = moved[:2]
+    assert bes_rel > 1e-11 and ns_rel > 1e-6
+    assert bes_scaled == pytest.approx(5.7e-15, rel=1e-6)
+    assert ns_scaled == pytest.approx(7.2e-9, rel=1e-6)
+    assert bes_scaled <= tool.FLAG_EPS * eps < ns_scaled
+    # no row has a tip: the field's own size, so the relative drift
+    bare = [{k: v for k, v in r.items() if k != "tip_uy"}
+            for r in (bes[0], bes[1])]
+    [(_, _, rel, scaled, scale)] = tool.scaled_drifts(
+        {"reports": bare[:1]}, {"reports": bare[1:]})
+    assert scaled == rel and scale == "|err_u| itself"
+
+    sides = []
+    for side, doc in (("base", base), ("head", head)):
+        out = tmp_path / side
+        out.mkdir()
+        (out / "pipe.json").write_text(json.dumps(doc))
+        sides.append({"status": 0, "stdout": [], "out": out})
+    problems, notes = tool.compare("pipe", *sides, rtol=1e-12)
+    # the verdict still follows --rtol alone
+    assert problems[0] == "JSON differs"
+    assert tool.compare("pipe", *sides, rtol=1e-5)[0] == []
+    flagged = [line for line in notes if line.endswith("FLAGGED")]
+    assert len(flagged) == 1 and "ns-fem 32 err_u" in flagged[0]
+    assert any("bes-fem 32 err_u" in line for line in notes)
+
+
 def test_same_outputs_gates_every_scenario():
     """The identity gate runs exactly the package's scenarios, so a new
     scenario cannot escape it."""

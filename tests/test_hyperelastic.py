@@ -3,6 +3,8 @@
 import numpy as np
 import pytest
 import scipy.sparse as sp
+import scipy.sparse.csgraph as csgraph
+import scipy.sparse.linalg as spla
 
 import smoothfem.hyperelastic as hyperelastic
 from smoothfem.assembly import (VOIGT_PAIRS, Discretization, assemble_A_bar,
@@ -330,11 +332,11 @@ def test_singular_tangent_halves_the_step(disc, monkeypatch):
     calls = []
 
     class FirstSingular:
-        def splu(self, A):
+        def splu(self, A, **options):
             calls.append(A.shape)
             if len(calls) == 1:
                 raise RuntimeError("Factor is exactly singular")
-            return spla.splu(A)
+            return spla.splu(A, **options)
 
         def __getattr__(self, name):
             return getattr(spla, name)
@@ -411,12 +413,22 @@ def test_tangent_matches_einsum_scatter_oracle(kappa):
 
     free = free_dofs(problem.dofmap.n_disp,
                      dirichlet_dofs(disc.mesh, problem.dofmap))
-    keep, indptr, indices = hyperelastic._free_block(K.indptr, K.indices,
-                                                     free)
-    block = sp.csc_matrix((K.data[keep], indices, indptr),
-                          (len(free), len(free)))
+    order, keep, block = hyperelastic._free_block(K.indptr, K.indices, free)
+    # order is free in a permutation perm of the block
+    perm = np.searchsorted(free, order)
+    np.testing.assert_array_equal(np.sort(perm), np.arange(len(free)))
+    np.testing.assert_array_equal(free[perm], order)
+    assert not block.data.any()
+    block.data = K.data[keep]
+    assert block.format == "csc" and block.has_sorted_indices
+    K_free = K.tocsr()[free][:, free]
     np.testing.assert_array_equal(block.toarray(),
-                                  K.tocsr()[free][:, free].toarray())
+                                  K_free[perm][:, perm].toarray())
+    # the band order narrows the block's envelope
+    rows, cols = block.nonzero()
+    natural_rows, natural_cols = K_free.nonzero()
+    assert (np.abs(rows - cols).max()
+            < np.abs(natural_rows - natural_cols).max())
 
 
 def test_tangent_pattern_and_free_block_are_built_once(disc, monkeypatch):
@@ -429,20 +441,91 @@ def test_tangent_pattern_and_free_block_are_built_once(disc, monkeypatch):
     # the csc constructor re-slices indices; both views share one array
     assert K1.indices.base is K2.indices.base is problem._pattern[1]
 
-    builds = []
+    builds, orders = [], []
     build = hyperelastic._free_block
+    rcm = csgraph.reverse_cuthill_mckee
 
     def counted(*args):
         builds.append(args)
         return build(*args)
 
+    def ordered(*args, **kwargs):
+        orders.append(args)
+        return rcm(*args, **kwargs)
+
     monkeypatch.setattr(hyperelastic, "_free_block", counted)
+    monkeypatch.setattr(csgraph, "reverse_cuthill_mckee", ordered)
     fixed = dirichlet_dofs(disc.mesh, problem.dofmap)
     f = assemble_loads(disc.mesh, disc.topo, problem.dofmap,
                        {"traction": (0.0, 1.0 / 16.0)})
     _, history = newton_load_stepping(problem, f, fixed, steps=2)
     assert sum(rec["iterations"] for rec in history) > 1
-    assert len(builds) == 1
+    assert len(builds) == len(orders) == 1
+
+
+@pytest.mark.parametrize("kappa", [1.95, 1e4])
+def test_newton_direction_matches_a_direct_solve(kappa):
+    """The band-ordered, threshold-pivoted factor gives the Newton update
+    of the free-free system in the ascending dof order."""
+    disc = Discretization(generate_cook(4))
+    problem = SmoothedHyperProblem(disc, NeoHookeanParams(0.6, kappa))
+    n = problem.dofmap.n_disp
+    fixed = dirichlet_dofs(disc.mesh, problem.dofmap)
+    free = free_dofs(n, fixed)
+    load = assemble_loads(disc.mesh, disc.topo, problem.dofmap,
+                          {"traction": (0.0, 1.0 / 16.0)})
+    u0 = np.zeros(n)
+    u0[free] = 1e-2 * np.random.default_rng(23).standard_normal(len(free))
+    states = []
+    evaluate = problem.residual_tangent
+
+    def recorded(u):
+        states.append(u.copy())
+        return evaluate(u)
+
+    problem.residual_tangent = recorded
+    block = hyperelastic._free_block(*problem._pattern[:2], free)
+    # two iterations evaluate u0 and u0 + du, then fail at tol 0
+    with pytest.raises(hyperelastic._StepFailure):
+        hyperelastic._newton(problem, u0, load, free, block, 0.0, 2)
+    assert len(states) == 2 and np.array_equal(states[0], u0)
+    du = states[1] - u0
+    assert not du[fixed].any()
+    R, K, _ = evaluate(u0)
+    K_free, b = K.tocsr()[free][:, free].tocsc(), load[free] - R[free]
+    x = du[free]
+    # backward stable: the update solves a system within rounding of K
+    eps = np.finfo(float).eps
+    assert (np.linalg.norm(K_free @ x - b)
+            <= eps * (spla.norm(K_free) * np.linalg.norm(x)
+                      + np.linalg.norm(b)))
+    # so it meets COLAMD's solve to 1e-12, or to eps * cond(K) where the
+    # conditioning (9e5 at kappa 1e4) allows either solve no closer
+    ref = spla.spsolve(K_free, b)
+    rtol = max(1e-12, eps * np.linalg.cond(K_free.toarray()))
+    assert np.linalg.norm(x - ref) <= rtol * np.linalg.norm(ref)
+
+
+# per-step Newton iterations of the Cook membrane under the scenario's unit
+# load in two steps; a halved step shows as more records
+PINNED_ITERATIONS = {
+    (2, 1.95): [5, 4],
+    (2, 1e4): [6, 6, 6, 6],
+    (3, 1.95): [5, 5],
+    (3, 1e4): [6, 6, 5, 5, 5, 5, 5, 6, 5, 5, 5, 4, 4, 4],
+}
+
+
+@pytest.mark.parametrize("mesh, kappa", list(PINNED_ITERATIONS))
+def test_newton_iterations_per_step_are_pinned(mesh, kappa):
+    disc = Discretization(generate_cook(mesh))
+    problem = SmoothedHyperProblem(disc, NeoHookeanParams(0.6, kappa))
+    f = assemble_loads(disc.mesh, disc.topo, problem.dofmap,
+                       {"traction": (0.0, 1.0 / 16.0)})
+    _, history = newton_load_stepping(
+        problem, f, dirichlet_dofs(disc.mesh, problem.dofmap), steps=2)
+    assert ([rec["iterations"] for rec in history]
+            == PINNED_ITERATIONS[mesh, kappa])
 
 
 def grouped_reference(problem, u):

@@ -16,6 +16,13 @@ scenario also passes when its JSON and CSV differ only in numeric fields
 and cells, each within R relative; exit status, standard output, the CSV
 row and cell counts and every non-numeric field or cell (statuses, check
 verdicts) must still be identical, and the worst drift is still printed.
+For every report row whose ``err_u``, ``err_p`` or ``err_E`` moved, it also
+prints each moved field's relative drift next to its drift at the solution
+scale: the absolute drift divided by the row's |``tip_uy``|, in machine
+epsilons.  A small error norm amplifies a change of the solution, so only
+the scaled drift tells rounding from a real move; rows above ``FLAG_EPS``
+epsilons are flagged.  These lines are information: they change neither
+the verdict nor the exit status.
 Each scenario's line ends with its wall time on REV and on the working
 tree; each is a single run, so read it as a rough cost, not a benchmark.
 Last it prints the ``src/smoothfem/*.py`` line count of REV and of the
@@ -39,6 +46,12 @@ SCENARIOS = ("cook", "cook-distorted", "pipe", "block3d", "cook-neohookean",
 RUN = ("import sys; from smoothfem.cli import main; "
        "sys.exit(main(sys.argv[1:]))")
 SHOWN = 5    # non-numeric mismatches printed per scenario
+ERROR_FIELDS = ("err_u", "err_p", "err_E")
+# a drift at the solution scale above this many machine epsilons is more
+# than the rounding of a refined solve (bes-fem's pipe rows move by at most
+# 26 epsilons under a 1e-14 operator change)
+FLAG_EPS = 100
+EPS = sys.float_info.epsilon
 
 
 def run_scenario(tree, scenario, out):
@@ -99,6 +112,58 @@ def json_diff(a, b, path="$"):
     return worst, where, other
 
 
+def _scale(x):
+    """|x| when it can scale a drift (a finite nonzero number), else None."""
+    return abs(x) if _number(x) and math.isfinite(x) and x != 0 else None
+
+
+def scaled_drifts(a, b):
+    """(row, field, relative drift, scaled drift, scale name) of each moved
+    error field of two report documents with the same rows.
+
+    The scaled drift is the absolute drift over the row's |``tip_uy``|.  A
+    row without a usable ``tip_uy`` takes the largest |``tip_uy``| of the
+    document's rows, and the field's own size (so its relative drift) when
+    no row has one.
+    """
+    rows = [d.get("reports") if isinstance(d, dict) else None for d in (a, b)]
+    if not (all(isinstance(r, list) for r in rows)
+            and len(rows[0]) == len(rows[1])):
+        return []
+    tips = [_scale(r.get("tip_uy")) for r in rows[0]]
+    largest = max((t for t in tips if t is not None), default=None)
+    moved = []
+    for ra, rb in zip(*rows):
+        label = f"{ra.get('method')} {ra.get('mesh_id')}"
+        tip = max(_scale(ra.get("tip_uy")) or 0, _scale(rb.get("tip_uy")) or 0)
+        for name in ERROR_FIELDS:
+            drift, _, _ = json_diff(ra.get(name), rb.get(name))
+            if drift == 0.0:
+                continue
+            step = abs(ra[name] - rb[name])
+            if tip:
+                scaled, scale = step / tip, "|tip_uy|"
+            elif largest is not None:
+                scaled, scale = step / largest, "largest |tip_uy| of the rows"
+            else:
+                scaled, scale = drift, f"|{name}| itself"
+            moved.append((label, name, drift, scaled, scale))
+    return moved
+
+
+def _scaled_notes(moved):
+    """Report lines of ``scaled_drifts``, flagging drifts above FLAG_EPS."""
+    if not moved:
+        return []
+    lines = [f"moved error fields: relative drift, and drift at the solution "
+             f"scale in machine epsilons (flagged above {FLAG_EPS})"]
+    for label, name, drift, scaled, scale in moved:
+        flag = "  FLAGGED" if not scaled <= FLAG_EPS * EPS else ""
+        lines.append(f"  {label} {name}: {drift:.2g} relative, {scaled:.2g} "
+                     f"= {scaled / EPS:.3g} eps of {scale}{flag}")
+    return lines
+
+
 def compare(scenario, base, head, rtol=0.0):
     """(problems, notes) describing how two runs of one scenario differ.
 
@@ -121,8 +186,9 @@ def compare(scenario, base, head, rtol=0.0):
         return problems, notes
     raw_a, raw_b = (p.read_bytes() for p in paths)
     if raw_a != raw_b:
-        _judge("JSON differs", json_diff(json.loads(raw_a), json.loads(raw_b)),
-               rtol, problems, notes)
+        docs = json.loads(raw_a), json.loads(raw_b)
+        _judge("JSON differs", json_diff(*docs), rtol, problems, notes)
+        notes += _scaled_notes(scaled_drifts(*docs))
     return problems, notes
 
 
