@@ -137,6 +137,8 @@ class ScenarioConfig:
             raise ValueError(f"bubble must be one of {BUBBLE_KINDS}")
         if self.young <= 0.0:
             raise ValueError("Young's modulus must be positive")
+        if self.load == 0.0:
+            raise ValueError("load must be nonzero")
         if not 0.0 <= self.poisson < 0.5:
             raise ValueError("Poisson ratio must lie in [0, 0.5)")
         if self.mu <= 0.0:
@@ -253,18 +255,25 @@ def _sweep(config, mesh_of, cell, keys=None, row=None):
     configured methods unless ``keys`` is given) and returns the value the
     scenario's derived quantities read.  ``row(n, key)`` gives the report's
     (method, mesh_id), by default (key, n).  A cell that raises is reported
-    as failed and stores no value.
+    as failed and stores no value; a mesh that cannot be built or
+    discretized fails each of its cells (h NaN, no elements).
 
     Returns (reports, failures, values) with values keyed by (key, n).
     """
     reports, failures, values = [], [], {}
     for n in config.meshes:
-        disc = Discretization(mesh_of(n))
-        h = characteristic_h(disc)
+        try:
+            disc = Discretization(mesh_of(n))
+            h, n_elements, mesh_error = (characteristic_h(disc),
+                                         disc.mesh.n_elements, None)
+        except Exception as exc:
+            h, n_elements, mesh_error = float("nan"), 0, exc
         for key in config.methods if keys is None else keys:
             method, mesh_id = row(n, key) if row else (key, _mesh_id(n))
-            report = ErrorReport(method, mesh_id, h, disc.mesh.n_elements)
+            report = ErrorReport(method, mesh_id, h, n_elements)
             try:
+                if mesh_error is not None:
+                    raise mesh_error
                 values[(key, n)] = cell(disc, n, key, report)
                 report.extra["status"] = "ok"
             except Exception as exc:
@@ -467,11 +476,12 @@ def run_pipe(config, data, checks):
         if len(cells) < 3:
             continue
         hs = [c[0] for c in cells]
-        summary["rates"][method] = {
-            "u": fit_rate(hs, [c[1] for c in cells]),
-            "p": fit_rate(hs, [c[2] for c in cells]),
-            "E": fit_rate(hs, [c[3] for c in cells]),
-        }
+        rates = summary["rates"][method] = {}
+        for i, norm in enumerate("upE", start=1):
+            errs = [c[i] for c in cells]
+            # a norm with a zero error (every err_p at nu = 0) has no rate
+            rates[norm] = (fit_rate(hs, errs) if all(e > 0.0 for e in errs)
+                           else float("nan"))
     if "bes-fem" in summary["rates"]:
         rates = summary["rates"]["bes-fem"]
         _gate(checks, data, "rate_u_min", "rate-u", rates["u"], ">=")
@@ -487,10 +497,13 @@ def run_pipe(config, data, checks):
             if cell_errors is None:
                 continue
             for i in (1, 2, 3):
-                margins.append((cell_errors[i] - bes[i]) / cell_errors[i])
+                margins.append((cell_errors[i] - bes[i]) / cell_errors[i]
+                               if cell_errors[i] != 0.0 else float("nan"))
     if margins and "ordering" in data:
-        summary["ordering_margin"] = min(margins)
-        _gate(checks, data, "ordering", "error-ordering", min(margins), ">")
+        # unlike min(), np.min is NaN wherever in the list a NaN sits
+        margin = float(np.min(margins))
+        summary["ordering_margin"] = margin
+        _gate(checks, data, "ordering", "error-ordering", margin, ">")
     return reports, failures, summary
 
 

@@ -232,18 +232,24 @@ def build_topology(mesh):
 # benchmark geometries
 # ----------------------------------------------------------------------
 
-def _grid_triangles(nx, ny, node_id):
-    """Split each grid quad into two triangles (CCW for increasing x, y)."""
-    tris = []
-    for j in range(ny):
-        for i in range(nx):
-            n00 = node_id(i, j)
-            n10 = node_id(i + 1, j)
-            n01 = node_id(i, j + 1)
-            n11 = node_id(i + 1, j + 1)
-            tris.append((n00, n10, n11))
-            tris.append((n00, n11, n01))
-    return np.asarray(tris, np.int64)
+def _grid(sides):
+    """Nodes of a structured grid with ``sides`` cells per axis.
+
+    Returns ``(index, ids)``: ``index`` (N, d) holds the integer
+    coordinates of the nodes, numbered with the first axis fastest, and
+    ``ids[i, j(, k)]`` is the id of node (i, j(, k)).
+    """
+    shape = tuple(n + 1 for n in sides)
+    ids = np.arange(np.prod(shape)).reshape(shape[::-1]).T
+    index = np.indices(shape).reshape(len(shape), -1, order="F").T
+    return index, ids
+
+
+def _grid_triangles(ids):
+    """Two CCW triangles per grid quad, the quads in node order."""
+    q = ids.T
+    n00, n10, n01, n11 = q[:-1, :-1], q[:-1, 1:], q[1:, :-1], q[1:, 1:]
+    return np.stack([n00, n10, n11, n00, n11, n01], axis=-1).reshape(-1, 3)
 
 
 def _line_facets(indices):
@@ -257,24 +263,15 @@ def generate_cook(resolution):
     quads per side, each split into two triangles.
     """
     nx, ny = _sides(resolution, 2)
-    node_id = lambda i, j: j * (nx + 1) + i
-    nodes = np.empty(((nx + 1) * (ny + 1), 2))
-    for j in range(ny + 1):
-        eta = j / ny
-        for i in range(nx + 1):
-            xi = i / nx
-            nodes[node_id(i, j)] = (48.0 * xi, 44.0 * xi + eta * (44.0 - 28.0 * xi))
-    elements = _grid_triangles(nx, ny, node_id)
-    left = np.array([node_id(0, j) for j in range(ny + 1)])
-    right = np.array([node_id(nx, j) for j in range(ny + 1)])
-    bottom = np.array([node_id(i, 0) for i in range(nx + 1)])
-    top = np.array([node_id(i, ny) for i in range(nx + 1)])
+    index, ids = _grid((nx, ny))
+    xi, eta = index[:, 0] / nx, index[:, 1] / ny
+    nodes = np.column_stack([48.0 * xi, 44.0 * xi + eta * (44.0 - 28.0 * xi)])
     boundary = {
-        "clamped": _line_facets(left),
-        "traction": _line_facets(right),
-        "free": np.vstack([_line_facets(bottom), _line_facets(top)]),
+        "clamped": _line_facets(ids[0]),
+        "traction": _line_facets(ids[-1]),
+        "free": np.vstack([_line_facets(ids[:, 0]), _line_facets(ids[:, -1])]),
     }
-    return PrimalMesh(nodes, elements, boundary)
+    return PrimalMesh(nodes, _grid_triangles(ids), boundary)
 
 
 def generate_annulus(resolution, inner=1.0, outer=2.0):
@@ -287,28 +284,28 @@ def generate_annulus(resolution, inner=1.0, outer=2.0):
     nr, nt = _sides(resolution, 2, derive=lambda n: 2 * n)
     if inner <= 0 or outer <= inner:
         raise ValueError("need 0 < inner < outer")
-    node_id = lambda i, j: j * (nr + 1) + i
-    nodes = np.empty(((nr + 1) * (nt + 1), 2))
-    for j in range(nt + 1):
-        th = 0.5 * np.pi * j / nt
-        for i in range(nr + 1):
-            r = inner + (outer - inner) * i / nr
-            nodes[node_id(i, j)] = (r * np.cos(th), r * np.sin(th))
-    elements = _grid_triangles(nr, nt, node_id)
-    inner_arc = np.array([node_id(0, j) for j in range(nt + 1)])
-    outer_arc = np.array([node_id(nr, j) for j in range(nt + 1)])
-    bottom = np.array([node_id(i, 0) for i in range(nr + 1)])
-    left = np.array([node_id(i, nt) for i in range(nr + 1)])
+    index, ids = _grid((nr, nt))
+    r = inner + (outer - inner) * index[:, 0] / nr
+    th = 0.5 * np.pi * index[:, 1] / nt
+    nodes = np.column_stack([r * np.cos(th), r * np.sin(th)])
     boundary = {
-        "traction": _line_facets(inner_arc),
-        "free": _line_facets(outer_arc),
-        "roller-y": _line_facets(bottom),
-        "roller-x": _line_facets(left),
+        "traction": _line_facets(ids[0]),
+        "free": _line_facets(ids[-1]),
+        "roller-y": _line_facets(ids[:, 0]),
+        "roller-x": _line_facets(ids[:, -1]),
     }
-    return PrimalMesh(nodes, elements, boundary)
+    return PrimalMesh(nodes, _grid_triangles(ids), boundary)
 
 
-_KUHN_PERMS = ((0, 1, 2), (1, 2, 0), (2, 0, 1), (0, 2, 1), (2, 1, 0), (1, 0, 2))
+# Kuhn's six tetrahedra of the unit cell (IBM J. Res. Dev. 4, 1960) as
+# (6, 4, 3) corner offsets: row m walks from (0,0,0) to (1,1,1) along the
+# axes in the m-th order, and an odd order's last two corners swap so that
+# every tetrahedron is positive
+_KUHN_STEPS = np.eye(3, dtype=np.int64)[
+    [(0, 1, 2), (1, 2, 0), (2, 0, 1), (0, 2, 1), (2, 1, 0), (1, 0, 2)]]
+_KUHN_PATHS = np.pad(np.cumsum(_KUHN_STEPS, axis=1), ((0, 0), (1, 0), (0, 0)))
+_KUHN_TABLE = np.where(np.linalg.det(_KUHN_STEPS)[:, None, None] < 0,
+                       _KUHN_PATHS[:, [0, 1, 3, 2]], _KUHN_PATHS)
 
 
 def generate_block(resolution, size=(50.0, 50.0, 50.0), pattern="uniform"):
@@ -331,37 +328,23 @@ def generate_block(resolution, size=(50.0, 50.0, 50.0), pattern="uniform"):
     the corner grid cell [0,px]x[0,py] traction (so the default 50-cube at
     resolution 5 gets the 10x10 patch), rest free.
     """
-    nx, ny, nz = _sides(resolution, 3)
+    nx, ny, nz = sides = _sides(resolution, 3)
     sx, sy, sz = size
     px, py = sx / nx, sy / ny
-    node_id = lambda i, j, k: (k * (ny + 1) + j) * (nx + 1) + i
-    nodes = np.empty(((nx + 1) * (ny + 1) * (nz + 1), 3))
-    for k in range(nz + 1):
-        for j in range(ny + 1):
-            for i in range(nx + 1):
-                nodes[node_id(i, j, k)] = (sx * i / nx, sy * j / ny, sz * k / nz)
+    index, ids = _grid(sides)
+    # (size * i) / n per axis: size * (i / n) would round differently
+    nodes = np.asarray(size) * index / sides
     if pattern == "uniform":
-        tets = []
-        basis_vecs = np.eye(3, dtype=int)
-        for k in range(nz):
-            for j in range(ny):
-                for i in range(nx):
-                    base = np.array([i, j, k])
-                    for perm in _KUHN_PERMS:
-                        path = [base.copy()]
-                        for axis in perm:
-                            path.append(path[-1] + basis_vecs[axis])
-                        ids = [node_id(*p) for p in path]
-                        if _perm_sign(perm) < 0:
-                            ids[2], ids[3] = ids[3], ids[2]
-                        tets.append(ids)
-        elements = np.asarray(tets, np.int64)
+        # the cells are the nodes below the far planes, in node order
+        cells = index[np.all(index < sides, axis=1)]
+        corners = cells[:, None, None, :] + _KUHN_TABLE
+        elements = ids[tuple(np.moveaxis(corners, -1, 0))].reshape(-1, 4)
     elif pattern == "unstructured":
         h = min(sx / nx, sy / ny, sz / nz)
         # symmetric grids can relax back onto co-spherical point sets that
         # triangulate degenerately; step the seed until the guard passes
         for attempt in range(8):
-            pts = _relaxed_block_points(nodes, (sx, sy, sz), (px, py), h,
+            pts = _relaxed_block_points(nodes, size, (px, py), h,
                                         seed=_BLOCK_SEED + attempt)
             try:
                 elements = _delaunay_tets(pts, h)
@@ -375,7 +358,7 @@ def generate_block(resolution, size=(50.0, 50.0, 50.0), pattern="uniform"):
                 "resolution; use a finer grid or the uniform pattern")
     else:
         raise ValueError(f"unknown block pattern {pattern!r}")
-    boundary = _classify_block_facets(nodes, elements, (sx, sy, sz), (px, py))
+    boundary = _classify_block_facets(nodes, elements, size, (px, py))
     return PrimalMesh(nodes, elements, boundary)
 
 
@@ -385,6 +368,9 @@ _BLOCK_JITTER = 0.25
 _BLOCK_SWEEPS = 4
 _BLOCK_RELAX = 0.6
 _BLOCK_SEED = 1
+
+# the 12 ordered vertex pairs (a, b), a != b, of a tetrahedron
+_PAIR_A, _PAIR_B = np.nonzero(~np.eye(4, dtype=bool))
 
 
 def _relaxed_block_points(nodes, size, patch, h, seed=_BLOCK_SEED):
@@ -396,34 +382,24 @@ def _relaxed_block_points(nodes, size, patch, h, seed=_BLOCK_SEED):
     """
     from scipy.spatial import Delaunay
 
-    sx, sy, sz = size
     px, py = patch
-    pts = nodes.copy()
-    x, y, z = pts[:, 0], pts[:, 1], pts[:, 2]
-    tol = 1e-9 * max(sx, sy, sz)
-    on = lambda v, c: np.abs(v - c) < tol
-    freedom = np.ones(pts.shape)
-    freedom[on(x, 0.0) | on(x, sx), 0] = 0.0
-    freedom[on(y, 0.0) | on(y, sy), 1] = 0.0
-    freedom[on(z, 0.0) | on(z, sz), 2] = 0.0
-    n_planes = ((on(x, 0.0) | on(x, sx)).astype(int)
-                + (on(y, 0.0) | on(y, sy)).astype(int)
-                + (on(z, 0.0) | on(z, sz)).astype(int))
-    freedom[n_planes >= 2] = 0.0
+    tol = 1e-9 * max(size)
+    # a node moves only along the axes whose outer planes do not hold it
+    wall = (np.abs(nodes) < tol) | (np.abs(nodes - size) < tol)
+    freedom = np.where(wall, 0.0, 1.0)
+    freedom[wall.sum(axis=1) >= 2] = 0.0
+    on = lambda c, v: np.abs(nodes[:, c] - v) < tol
     for cx, cy in ((0.0, 0.0), (px, 0.0), (0.0, py), (px, py)):
-        freedom[on(x, cx) & on(y, cy) & on(z, sz)] = 0.0
+        freedom[on(0, cx) & on(1, cy) & on(2, size[2])] = 0.0
     rng = np.random.default_rng(seed)
-    pts = pts + freedom * rng.uniform(-_BLOCK_JITTER * h, _BLOCK_JITTER * h,
-                                      pts.shape)
+    pts = nodes + freedom * rng.uniform(-_BLOCK_JITTER * h, _BLOCK_JITTER * h,
+                                        nodes.shape)
     for _ in range(_BLOCK_SWEEPS):
         el = Delaunay(pts).simplices
+        # ufunc.at adds in index order, so each node's sum runs pair by pair
         acc = np.zeros_like(pts)
-        cnt = np.zeros(len(pts))
-        for a in range(4):
-            for b in range(4):
-                if a != b:
-                    np.add.at(acc, el[:, a], pts[el[:, b]])
-                    np.add.at(cnt, el[:, a], 1.0)
+        np.add.at(acc, el[:, _PAIR_A].T, pts[el[:, _PAIR_B].T])
+        cnt = np.bincount(el[:, _PAIR_A].ravel(), minlength=len(pts))
         target = acc / np.maximum(cnt, 1.0)[:, None]
         pts = pts + freedom * (target - pts) * _BLOCK_RELAX
     return pts
@@ -447,39 +423,23 @@ def _delaunay_tets(pts, h):
 
 
 def _classify_block_facets(nodes, elements, size, patch):
-    """Label the boundary facets of a block mesh by their plane."""
-    sx, sy, sz = size
-    px, py = patch
-    mesh = PrimalMesh(nodes, elements, {})
-    topo = build_topology(mesh)
+    """Label the boundary facets of a block mesh by their plane.
+
+    The first plane that holds a facet names it, in ``BOUNDARY_LABELS``
+    order: z = 0, x = 0, y = 0, the loaded patch of z = sz; ``free``
+    otherwise.
+    """
+    (px, py), sz = patch, size[2]
+    topo = build_topology(PrimalMesh(nodes, elements, {}))
     bfacets = topo.facets[topo.boundary_facet_mask]
-    coords = nodes[bfacets]       # (F, 3, 3)
-    tol = 1e-9 * max(sx, sy, sz)
-    groups = {label: [] for label in ("clamped", "roller-x", "roller-y",
-                                      "traction", "free")}
-    for facet, xyz in zip(bfacets, coords):
-        if np.all(np.abs(xyz[:, 2]) < tol):
-            groups["clamped"].append(facet)
-        elif np.all(np.abs(xyz[:, 0]) < tol):
-            groups["roller-x"].append(facet)
-        elif np.all(np.abs(xyz[:, 1]) < tol):
-            groups["roller-y"].append(facet)
-        elif (np.all(np.abs(xyz[:, 2] - sz) < tol)
-              and np.all(xyz[:, 0] <= px + tol) and np.all(xyz[:, 1] <= py + tol)):
-            groups["traction"].append(facet)
-        else:
-            groups["free"].append(facet)
-    return {k: np.asarray(v, np.int64) for k, v in groups.items() if v}
-
-
-def _perm_sign(perm):
-    sign = 1
-    perm = list(perm)
-    for i in range(len(perm)):
-        for j in range(i + 1, len(perm)):
-            if perm[i] > perm[j]:
-                sign = -sign
-    return sign
+    x, y, z = np.moveaxis(nodes[bfacets], -1, 0)      # (F, 3) each
+    tol = 1e-9 * max(size)
+    on = lambda v, c: np.all(np.abs(v - c) < tol, axis=1)
+    patch_top = on(z, sz) & np.all((x <= px + tol) & (y <= py + tol), axis=1)
+    label = np.select([on(z, 0.0), on(x, 0.0), on(y, 0.0), patch_top],
+                      range(4), default=4)
+    return {name: bfacets[label == n]
+            for n, name in enumerate(BOUNDARY_LABELS) if np.any(label == n)}
 
 
 def whole(value, what):
@@ -544,38 +504,30 @@ def distort_mesh(mesh, density, seed=0):
         return mesh.copy_with_nodes(mesh.nodes.copy())
     dim = mesh.dim
     topo = build_topology(mesh)
-    interior = np.setdiff1d(np.arange(mesh.n_nodes), topo.boundary_nodes())
+    interior = ~np.isin(np.arange(mesh.n_nodes), topo.boundary_nodes())
 
-    # incident-edge coordinate spacings
-    edge_vec = np.abs(mesh.nodes[topo.edges[:, 0]] - mesh.nodes[topo.edges[:, 1]])
-    edge_len = np.linalg.norm(mesh.nodes[topo.edges[:, 0]]
-                              - mesh.nodes[topo.edges[:, 1]], axis=1)
-    scale = edge_len.max()
+    # incident-edge coordinate spacings; a minimum is exact in any order
+    # (values fill the index shape: numpy 2.4 misreads broadcast 1-D ones)
+    diff = mesh.nodes[topo.edges[:, 0]] - mesh.nodes[topo.edges[:, 1]]
+    edge_vec, edge_len = np.abs(diff), np.linalg.norm(diff, axis=1)
+    vals = np.where(edge_vec > 1e-12 * edge_len.max(), edge_vec, np.inf)
     spacing = np.full((mesh.n_nodes, dim), np.inf)
-    for a in range(2):
-        ends = topo.edges[:, a]
-        for c in range(dim):
-            vals = np.where(edge_vec[:, c] > 1e-12 * scale, edge_vec[:, c], np.inf)
-            np.minimum.at(spacing[:, c], ends, vals)
+    np.minimum.at(spacing, topo.edges.T, np.stack([vals, vals]))
     fallback = np.full(mesh.n_nodes, np.inf)
-    for a in range(2):
-        np.minimum.at(fallback, topo.edges[:, a], edge_len)
+    np.minimum.at(fallback, topo.edges.T, np.stack([edge_len, edge_len]))
     spacing = np.where(np.isfinite(spacing), spacing, fallback[:, None])
 
     r = _uniform_draws(seed, (mesh.n_nodes, dim))
-    shift = np.zeros((mesh.n_nodes, dim))
-    shift[interior] = density * r[interior] * spacing[interior]
+    shift = np.where(interior[:, None], density * r * spacing, 0.0)
     factor = np.ones(mesh.n_nodes)
-    interior_set = set(interior.tolist())
     for _ in range(10):
         nodes = mesh.nodes + factor[:, None] * shift
         bad = np.flatnonzero(simplex_measures(nodes, mesh.elements) <= 0.0)
         if bad.size == 0:
             return mesh.copy_with_nodes(nodes)
-        for e in bad:
-            for n in mesh.elements[e]:
-                if n in interior_set:
-                    factor[n] *= 0.5
+        # a node of several bad elements halves once per element
+        touched = mesh.elements[bad].ravel()
+        np.multiply.at(factor, touched[interior[touched]], 0.5)
     raise RuntimeError(
         f"mesh distortion failed near node {int(mesh.elements[bad[0]][0])}: "
         "element inversion persisted after 10 reduction rounds"

@@ -4,6 +4,7 @@ import importlib.util
 import json
 import math
 import re
+import subprocess
 import time
 from pathlib import Path
 
@@ -334,6 +335,55 @@ def test_cli_reports_failed_property_bound(monkeypatch, capsys, tmp_path):
     failed = [r for r in reports if r.extra["status"] != "ok"]
     assert [(r.mesh_id, r.extra["error"]) for r in failed] == [
         ("vertex-columns", reason)]
+
+
+def test_a_mesh_that_cannot_be_built_fails_only_its_cells(tmp_path):
+    """The unstructured block has no valid mesh 2; its cells are reported
+    as failed and mesh 3 still runs."""
+    code = main(["run", "block3d", "--meshes", "2,3", "--methods",
+                 "bfs-fem,fs-fem", "--out", str(tmp_path)])
+    assert code == 1
+    reports, summary = reports_from_json(
+        (tmp_path / "block3d.json").read_text())
+    assert summary["failures"] == ["bfs-fem/2", "fs-fem/2"]
+    for report in reports:
+        if report.mesh_id == "2":
+            assert report.extra["status"] == "failed"
+            assert "stayed degenerate" in report.extra["error"]
+            assert np.isnan(report.h) and report.n_elements == 0
+        else:
+            assert report.extra["status"] == "ok"
+            assert np.isfinite(report.tip_uy) and report.n_elements > 0
+    assert len(reports) == 4
+
+
+def test_a_zero_load_is_rejected(capsys):
+    """At zero load every solution is zero and no check means anything."""
+    with pytest.raises(ValueError, match="load must be nonzero"):
+        make_config("pipe", load=0.0)
+    assert main(["run", "cook", "--load", "0", "--meshes", "2,3,4"]) == 2
+    assert "load must be nonzero" in capsys.readouterr().err
+    assert make_config("cook", load=-100.0).load == -100.0
+
+
+def test_pipe_at_zero_poisson_ratio_fails_its_pressure_checks(tmp_path):
+    """With lambda = 0 every pressure error is exactly zero: the pressure
+    rate and the error ordering read NaN and fail, and the run completes."""
+    code = main(["run", "pipe", "--nu", "0", "--meshes", "2,3,4",
+                 "--out", str(tmp_path)])
+    assert code == 1
+    reports, summary = reports_from_json((tmp_path / "pipe.json").read_text())
+    assert len(reports) == 9 and not summary["failures"]
+    assert all(r.err_p == 0.0 for r in reports)
+    for rates in summary["rates"].values():
+        assert math.isnan(rates["p"])
+        assert rates["u"] > 1.0 and rates["E"] > 0.5
+    assert math.isnan(summary["ordering_margin"])
+    checks = summary["checks"]
+    assert checks["rate-u"]["passed"]
+    for name in ("rate-p", "error-ordering"):
+        assert math.isnan(checks[name]["value"])
+        assert not checks[name]["passed"]
 
 
 def test_cli_check_runs_lemma_checks_then_infsup(monkeypatch, tmp_path):
@@ -675,3 +725,29 @@ def test_ab_pairs_quartiles_and_the_clear_change_rule():
     summary = tool.summarize(base, eight, "lower")
     assert summary["wins"] == 8 and not summary["clear"]
     assert "no clear change" in tool.report_line("wall_s", "s", summary)
+
+
+def test_ab_pairs_copies_the_working_tree_as_git_sees_it(tmp_path):
+    """The working-tree side is a copy of what git sees: tracked files
+    with their uncommitted edits and untracked files, but neither ignored
+    files nor tracked files deleted from the tree."""
+    tool = _load_repo_module("tools/ab_pairs.py")
+    repo = tmp_path / "repo"
+    (repo / "pkg").mkdir(parents=True)
+    (repo / ".gitignore").write_text("*.log\n")
+    (repo / "pkg" / "a.py").write_text("A = 1\n")
+    (repo / "gone.txt").write_text("deleted below\n")
+    git = ["git", "-C", str(repo), "-c", "user.name=test",
+           "-c", "user.email=test@example.invalid"]
+    for args in (["init", "-q"], ["add", "-A"], ["commit", "-q", "-m", "x"]):
+        subprocess.run(git + args, check=True, capture_output=True)
+    (repo / "pkg" / "a.py").write_text("A = 2\n")
+    (repo / "pkg" / "new.py").write_text("B = 3\n")
+    (repo / "pkg" / "run.log").write_text("ignored\n")
+    (repo / "gone.txt").unlink()
+    copy = tmp_path / "copy"
+    tool.copy_worktree(repo, copy)
+    copied = sorted(str(f.relative_to(copy)) for f in copy.rglob("*")
+                    if f.is_file())
+    assert copied == [".gitignore", "pkg/a.py", "pkg/new.py"]
+    assert (copy / "pkg" / "a.py").read_text() == "A = 2\n"

@@ -1,5 +1,7 @@
 """Tests for benchmark mesh generators, topology, and distortion."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -341,3 +343,154 @@ def test_distortion_inverts_only_the_returned_mesh(monkeypatch):
     out = distort_mesh(mesh, 0.45, seed=11)
     assert calls == [(mesh.n_elements, 2, 2)]
     assert np.max(np.abs(out.nodes - mesh.nodes)) > 1e-6
+
+
+def test_kuhn_table_is_the_six_monotone_paths_oriented_by_parity():
+    """Row m of the table is the path through the unit cell along the axes
+    in the m-th order, with its last two corners swapped for an odd order;
+    the six tetrahedra are positive and fill the cell."""
+    orders = [(0, 1, 2), (1, 2, 0), (2, 0, 1), (0, 2, 1), (2, 1, 0),
+              (1, 0, 2)]
+    for row, order in zip(mesh_module._KUHN_TABLE, orders):
+        path = [np.zeros(3, int)]
+        for axis in order:
+            path.append(path[-1] + np.eye(3, dtype=int)[axis])
+        inversions = sum(order[i] > order[j]
+                         for i in range(3) for j in range(i + 1, 3))
+        if inversions % 2:
+            path[2], path[3] = path[3], path[2]
+        np.testing.assert_array_equal(row, path)
+    cells = np.arange(24).reshape(6, 4)
+    volumes = simplex_measures(mesh_module._KUHN_TABLE.reshape(-1, 3), cells)
+    np.testing.assert_allclose(volumes, 1.0 / 6.0, rtol=1e-15)
+
+def _array_digest(a):
+    """First 16 hex digits of the sha256 of an array's dtype, shape and
+    bytes."""
+    h = hashlib.sha256(f"{a.dtype.str}{a.shape}".encode())
+    h.update(np.ascontiguousarray(a).tobytes())
+    return h.hexdigest()[:16]
+
+
+# digests of nodes, elements and each boundary group, in label order, of a
+# fixed list of generator and distortion calls
+MESH_DIGESTS = {
+    "cook-2": (lambda: generate_cook(2), {
+        "nodes": "fc8474b6acbb3028",
+        "elements": "5cf4f236fdafc947",
+        "clamped": "f944f4c12b68d62e",
+        "traction": "8288f91e87e0662c",
+        "free": "db99f656ca87ffc6",
+    }),
+    "cook-3x5": (lambda: generate_cook((3, 5)), {
+        "nodes": "b25c23bf2bc323f5",
+        "elements": "9df96b18e361b039",
+        "clamped": "c897ec40a83d66bc",
+        "traction": "7fdefeef6741c111",
+        "free": "820ba8431cb34d21",
+    }),
+    "cook-16": (lambda: generate_cook(16), {
+        "nodes": "3d74a25cb2032612",
+        "elements": "b715c319bbe415d0",
+        "clamped": "e77363bfdf02e37f",
+        "traction": "bdde696468e62bc4",
+        "free": "f1d5d2f54a37c986",
+    }),
+    "annulus-3": (lambda: generate_annulus(3), {
+        "nodes": "8854b67a74060893",
+        "elements": "85f96f3bb2ff321c",
+        "traction": "7f1a03f80f9f4d9f",
+        "free": "eee46752e653ae34",
+        "roller-y": "a540fa78920d52ea",
+        "roller-x": "b2968699a7a7a802",
+    }),
+    "annulus-4x8": (lambda: generate_annulus((4, 8)), {
+        "nodes": "c0bbb3923f8c3769",
+        "elements": "8ff4cd347ce80511",
+        "traction": "e340190b5ff291be",
+        "free": "838d72252b1d22fb",
+        "roller-y": "a530168773f55c8a",
+        "roller-x": "1d08f71f438ce086",
+    }),
+    "block-2": (lambda: generate_block(2), {
+        "nodes": "b4561454ef36bd31",
+        "elements": "a02a842a08e2e3f2",
+        "clamped": "e8fce106523dac05",
+        "roller-x": "c13daa2bf672f459",
+        "roller-y": "7d25e5c68fa8cb2d",
+        "traction": "b293111cfa42a6ed",
+        "free": "691868141472bf31",
+    }),
+    "block-3": (lambda: generate_block(3), {
+        "nodes": "ffde047f153a0dc3",
+        "elements": "79f8fc7f08d0ea9d",
+        "clamped": "b80b094370df4520",
+        "roller-x": "1e8f62218d78c16a",
+        "roller-y": "2e1efbc5f64e79ef",
+        "traction": "a179739533f0929f",
+        "free": "c02b2e6cccd7abce",
+    }),
+    "block-2x3x2-unit": (lambda: generate_block((2, 3, 2), size=(1, 1, 1)), {
+        "nodes": "07013c0746d50513",
+        "elements": "27dabbb91d6508f0",
+        "clamped": "4663211ae0411ce6",
+        "roller-x": "a964f95db28ff9c9",
+        "roller-y": "a5d4056fde8c48ab",
+        "traction": "89cff9061740ad2d",
+        "free": "18d48f570a36d166",
+    }),
+    "block-4-unstructured": (lambda: generate_block(4, pattern="unstructured"), {
+        "nodes": "c2ffc1b4a250d87e",
+        "elements": "06ba18295c1cefa9",
+        "clamped": "c413af0a458a9e72",
+        "roller-x": "e1fa918a44ea734c",
+        "roller-y": "dbc704c7c722b931",
+        "traction": "731743de30edba18",
+        "free": "f9951b3d71207b8b",
+    }),
+    "distorted-cook-8": (lambda: distort_mesh(generate_cook(8), 0.45, seed=11), {
+        "nodes": "161400654236f5e1",
+        "elements": "c65593e02c93397b",
+        "clamped": "4dc1d69ad0f0e9b8",
+        "traction": "c170bf506e401ca6",
+        "free": "1b24a9a363eeed24",
+    }),
+    "distorted-annulus-4x8": (lambda: distort_mesh(generate_annulus((4, 8)), 0.4,
+                                           seed=11), {
+        "nodes": "4f1bdab93be930ea",
+        "elements": "8ff4cd347ce80511",
+        "traction": "e340190b5ff291be",
+        "free": "838d72252b1d22fb",
+        "roller-y": "a530168773f55c8a",
+        "roller-x": "1d08f71f438ce086",
+    }),
+    "distorted-block-3-unit": (lambda: distort_mesh(
+        generate_block(3, size=(1, 1, 1)), 0.4, seed=11), {
+        "nodes": "c92495a7529188b4",
+        "elements": "79f8fc7f08d0ea9d",
+        "clamped": "b80b094370df4520",
+        "roller-x": "1e8f62218d78c16a",
+        "roller-y": "2e1efbc5f64e79ef",
+        "traction": "a179739533f0929f",
+        "free": "c02b2e6cccd7abce",
+    }),
+}
+
+
+@pytest.mark.parametrize("name", MESH_DIGESTS)
+def test_meshes_keep_their_numbering_and_bits(name):
+    """Every node coordinate, element and boundary facet keeps its exact
+    value and position, and the boundary groups keep their order.
+
+    The annulus digests depend on how numpy's ``cos``/``sin`` round and
+    the unstructured block's on scipy's Delaunay (Qhull) output, so
+    another numpy or scipy build may change them (recorded with numpy 2.4
+    and scipy 1.17 on x86-64 Linux).  ``distorted-cook-8`` runs the
+    halving loop of ``distort_mesh``.
+    """
+    make, expected = MESH_DIGESTS[name]
+    mesh = make()
+    got = {"nodes": _array_digest(mesh.nodes),
+           "elements": _array_digest(mesh.elements),
+           **{k: _array_digest(v) for k, v in mesh.boundary.items()}}
+    assert list(got.items()) == list(expected.items())

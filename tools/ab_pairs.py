@@ -5,21 +5,24 @@ Usage (from anywhere inside the repository)::
 
     python3 tools/ab_pairs.py REV --workload W [--pairs 10] [--seconds 42]
 
-Extracts REV with ``git archive`` (the helper of ``same_outputs.py``) into
-a temporary directory.  It then runs ``perfbench/run.py --workload W --seed
-N --seconds S --trace 0`` PAIRS times on REV and on the working tree.  The
-runs alternate, and the side that goes first alternates from pair to
-pair, so a slow drift of the host hits both sides alike.  Pair N uses
-seed N on both sides.  For every end-to-end metric that ``BENCHMARK.json``
-declares, it prints the median and quartiles of each side and the number
-of pairs the working tree won.  A metric counts as a clear change when the
-working tree wins at least nine pairs in ten and its median is better by
-more than REV's interquartile range.  Exit status 0 when every run is
-correct, 1 otherwise.
+Extracts REV with ``git archive`` (the helper of ``same_outputs.py``) and
+copies the working tree's files (tracked, or untracked and not ignored)
+into sibling directories of one temporary directory, so neither side runs
+from a location the other does not share. It then runs ``perfbench/run.py
+--workload W --seed N --seconds S --trace 0`` PAIRS times on REV and on the
+working tree. The runs alternate, and the side that goes first alternates
+from pair to pair, so a slow drift of the host hits both sides alike. Pair
+N uses seed N on both sides. For every end-to-end metric that
+``BENCHMARK.json`` declares, it prints the median and quartiles of each
+side and the number of pairs the working tree won. A metric counts as a
+clear change when the working tree wins at least nine pairs in ten and its
+median is better by more than REV's interquartile range. Exit status 0 when
+every run is correct, 1 otherwise.
 """
 
 import argparse
 import json
+import shutil
 import statistics
 import subprocess
 import sys
@@ -28,6 +31,20 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent))
 from same_outputs import extract  # noqa: E402
+
+
+def copy_worktree(repo, dest):
+    """Copy the working tree's files, uncommitted edits included, into
+    ``dest``: what git tracks, and untracked files it does not ignore."""
+    listed = subprocess.run(
+        ["git", "-C", str(repo), "ls-files", "-z", "--cached", "--others",
+         "--exclude-standard"], check=True, capture_output=True).stdout
+    for name in listed.decode().split("\0"):
+        source = Path(repo) / name
+        # a tracked file deleted in the working tree is not part of it
+        if name and source.is_file():
+            (dest / name).parent.mkdir(parents=True, exist_ok=True)
+            shutil.copy2(source, dest / name)
 
 
 def run_workload(tree, workload, seed, seconds):
@@ -91,8 +108,9 @@ def main(argv=None):
     metrics = json.loads((repo / "BENCHMARK.json").read_text())["end_to_end"]
     results = {"base": [], "head": []}
     with tempfile.TemporaryDirectory(prefix="ab-pairs-") as tmp:
-        trees = {"base": Path(tmp) / "rev", "head": repo}
+        trees = {"base": Path(tmp) / "rev", "head": Path(tmp) / "tree"}
         extract(args.rev, repo, trees["base"])
+        copy_worktree(repo, trees["head"])
         for pair in range(args.pairs):
             order = ("base", "head") if pair % 2 == 0 else ("head", "base")
             for side in order:
