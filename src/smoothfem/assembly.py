@@ -66,6 +66,8 @@ class MaterialParams:
     def __post_init__(self):
         if self.E <= 0.0:
             raise ValueError("Young's modulus must be positive")
+        if not np.isfinite(self.E):
+            raise ValueError("Young's modulus must be finite")
         if not 0.0 <= self.nu < 0.5:
             raise ValueError("Poisson ratio must lie in [0, 0.5)")
 

@@ -146,6 +146,9 @@ class ScenarioConfig:
         self.kappa = tuple(float(k) for k in self.kappa)
         if any(k <= 0.0 for k in self.kappa):
             raise ValueError("bulk moduli must be positive")
+        for name in ("young", "load", "mu", "kappa"):
+            if not np.isfinite(getattr(self, name)).all():
+                raise ValueError(f"{name} must be finite")
         # the sweep keys results by value, so a repeat would overwrite its twin
         for name in ("methods", "meshes", "kappa"):
             values = getattr(self, name)

@@ -31,8 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .mesh import (LOCAL_EDGES, LOCAL_FACETS, csr_groups, simplex_measures,
-                   unique_rows)
+from .mesh import LOCAL_EDGES, LOCAL_FACETS, simplex_measures, unique_rows
 
 DOMAIN_KINDS = ("edge", "face", "node", "element")
 
@@ -69,24 +68,17 @@ class MicroCellDecomposition:
 class SmoothingDomainSet:
     """Micro-cell domains of one kind with their boundary facets.
 
-    Facets are stored globally, grouped by domain: domain k owns
-    ``facet_pts[facet_ptr[k]:facet_ptr[k+1]]``.  Each facet keeps the
-    outward orientation inherited from its owning micro-cell, and
-    ``facet_cell`` records that owner (for element lookups).
+    Domain k is the set of micro-cells whose ``dom_of_cell`` is k.  The
+    boundary facets are stored globally in domain order (a facet's domain
+    is ``dom_of_cell[facet_cell]``); each keeps the outward orientation of
+    ``facet_cell``, its owning micro-cell.
     """
 
-    kind: str
     n_domains: int
     dom_of_cell: np.ndarray     # (M,) domain id of each micro-cell
     measures: np.ndarray        # (K,) domain measures
-    cell_ptr: np.ndarray        # CSR over domains into cell_ids
-    cell_ids: np.ndarray
     facet_pts: np.ndarray       # (F, d) point ids, outward oriented
     facet_cell: np.ndarray      # (F,) owning micro-cell
-    facet_ptr: np.ndarray       # CSR over domains into facet rows
-
-    def cells_of(self, k):
-        return self.cell_ids[self.cell_ptr[k]:self.cell_ptr[k + 1]]
 
 
 @dataclass
@@ -192,8 +184,6 @@ def build_smoothing_domains(micro, kind):
     n_domains = int(dom.max()) + 1
     measures = np.bincount(dom, weights=micro.measures, minlength=n_domains)
 
-    cell_ptr, cell_ids = csr_groups(dom, n_domains)
-
     # all micro-cell facets with outward orientation
     M, d = micro.n_cells, micro.dim
     faces = micro.cells[:, LOCAL_FACETS[d]].reshape(M * (d + 1), d)
@@ -202,13 +192,10 @@ def build_smoothing_domains(micro, kind):
     _, inverse, counts = unique_rows(key)
     keep = counts[inverse] == 1
     faces, owner = faces[keep], owner[keep]
-    fdom = dom[owner]
-    facet_ptr, order = csr_groups(fdom, n_domains)
+    order = np.argsort(dom[owner], kind="stable")
     return SmoothingDomainSet(
-        kind=kind, n_domains=n_domains, dom_of_cell=dom, measures=measures,
-        cell_ptr=cell_ptr, cell_ids=cell_ids,
-        facet_pts=np.ascontiguousarray(faces[order]),
-        facet_cell=owner[order], facet_ptr=facet_ptr,
+        n_domains=n_domains, dom_of_cell=dom, measures=measures,
+        facet_pts=np.ascontiguousarray(faces[order]), facet_cell=owner[order],
     )
 
 

@@ -31,6 +31,8 @@ class NeoHookeanParams:
     def __post_init__(self):
         if self.mu <= 0.0 or self.kappa <= 0.0:
             raise ValueError("neo-Hookean moduli must be positive")
+        if not np.isfinite([self.mu, self.kappa]).all():
+            raise ValueError("neo-Hookean moduli must be finite")
 
     @property
     def lam(self):

@@ -6,13 +6,15 @@ The integral of ``f`` over a physical simplex ``T`` is then
 
     integral = m(T) * sum_q w_q * f(x_q),   x_q = points[q] @ vertices.
 
-Low degrees use classical symmetric rules; arbitrary degrees fall back to a
-collapsed-coordinate Gauss-Jacobi product rule, which is polynomially exact
-and works in any dimension.  Facet integrals use the rule of the
-(d-1)-simplex: segments in 2D, triangles in 3D.
+Triangle rules up to degree 4 use the classical symmetric 6-point rule;
+every other request takes one collapsed-coordinate Gauss-Jacobi product
+rule (Karniadakis & Sherwin, *Spectral/hp Element Methods*, 2nd ed.), which
+is polynomially exact in every dimension.  Facet integrals use the rule of
+the (d-1)-simplex: segments in 2D, triangles in 3D.
 """
 
 from dataclasses import dataclass
+from functools import reduce
 from math import factorial
 
 import numpy as np
@@ -47,42 +49,25 @@ def _jacobi01(n, alpha):
 
 
 def _collapsed_rule(dim, degree):
-    """Gauss-Jacobi product rule on the unit simplex, exact to ``degree``."""
+    """Gauss-Jacobi product rule on the unit simplex, exact to ``degree``.
+
+    Coordinate k is u_k (1 - u_0) ... (1 - u_(k-1)), so the Jacobian is
+    prod_k (1 - u_k)^(dim-1-k): axis k takes the Gauss-Jacobi rule of that
+    weight, and the last axis plain Gauss-Legendre.
+    """
     n = degree // 2 + 1
-    if dim == 1:
-        u, w = _gauss01(n)
-        pts = np.column_stack([1.0 - u, u])
-        return pts, w / w.sum()
-    if dim == 2:
-        # x = s, y = t (1 - s); jacobian (1 - s)
-        s, ws = _jacobi01(n, 1.0)
-        t, wt = _gauss01(n)
-        S, T = np.meshgrid(s, t, indexing="ij")
-        x = S.ravel()
-        y = (T * (1.0 - S)).ravel()
-        w = np.outer(ws, wt).ravel()
-        pts = np.column_stack([1.0 - x - y, x, y])
-        return pts, w / w.sum()
-    if dim == 3:
-        # x = s, y = t (1-s), z = r (1-s)(1-t); jacobian (1-s)^2 (1-t)
-        s, ws = _jacobi01(n, 2.0)
-        t, wt = _jacobi01(n, 1.0)
-        r, wr = _gauss01(n)
-        S, T, R = np.meshgrid(s, t, r, indexing="ij")
-        x = S.ravel()
-        y = (T * (1.0 - S)).ravel()
-        z = (R * (1.0 - S) * (1.0 - T)).ravel()
-        w = np.einsum("i,j,k->ijk", ws, wt, wr).ravel()
-        pts = np.column_stack([1.0 - x - y - z, x, y, z])
-        return pts, w / w.sum()
-    raise ValueError(f"unsupported dimension {dim}")
+    nodes, weights = zip(*[_jacobi01(n, dim - 1 - k) for k in range(dim - 1)],
+                         _gauss01(n))
+    grids = np.meshgrid(*nodes, indexing="ij")
+    coords = []
+    for k, u in enumerate(grids):
+        for v in grids[:k]:
+            u = u * (1.0 - v)
+        coords.append(u.ravel())
+    first = reduce(np.subtract, coords, 1.0)
+    w = reduce(np.multiply.outer, weights).ravel()
+    return np.column_stack([first, *coords]), w / w.sum()
 
-
-# classical symmetric triangle rules (barycentric, weights sum to 1)
-_TRI_DEG2 = (
-    np.array([[2 / 3, 1 / 6, 1 / 6], [1 / 6, 2 / 3, 1 / 6], [1 / 6, 1 / 6, 2 / 3]]),
-    np.array([1 / 3, 1 / 3, 1 / 3]),
-)
 
 _TRI6_A1, _TRI6_B1, _TRI6_W1 = 0.108103018168070, 0.445948490915965, 0.223381589678011
 _TRI6_A2, _TRI6_B2, _TRI6_W2 = 0.816847572980459, 0.091576213509771, 0.109951743655322
@@ -100,42 +85,18 @@ _TRI_DEG4 = (
     np.array([_TRI6_W1] * 3 + [_TRI6_W2] * 3),
 )
 
-_TET_A = 0.5854101966249685  # (5 + 3 sqrt 5) / 20
-_TET_B = 0.1381966011250105  # (5 - sqrt 5) / 20
-_TET_DEG2 = (
-    np.array(
-        [
-            [_TET_A, _TET_B, _TET_B, _TET_B],
-            [_TET_B, _TET_A, _TET_B, _TET_B],
-            [_TET_B, _TET_B, _TET_A, _TET_B],
-            [_TET_B, _TET_B, _TET_B, _TET_A],
-        ]
-    ),
-    np.array([0.25, 0.25, 0.25, 0.25]),
-)
-
 
 def simplex_quadrature(dim, degree):
     """Volume rule on the reference d-simplex, exact to ``degree``."""
     if degree < 0:
         raise ValueError("degree must be nonnegative")
-    degree = max(degree, 1)
-    if dim == 1:
-        pts, w = _collapsed_rule(1, degree)
-    elif dim == 2:
-        if degree <= 2:
-            pts, w = _TRI_DEG2
-        elif degree <= 4:
-            pts, w = _TRI_DEG4
-        else:
-            pts, w = _collapsed_rule(2, degree)
-    elif dim == 3:
-        if degree <= 2:
-            pts, w = _TET_DEG2
-        else:
-            pts, w = _collapsed_rule(3, degree)
-    else:
+    if dim not in (1, 2, 3):
         raise ValueError(f"unsupported dimension {dim}")
+    degree = max(degree, 1)
+    if dim == 2 and degree <= 4:
+        pts, w = _TRI_DEG4
+    else:
+        pts, w = _collapsed_rule(dim, degree)
     return QuadratureRule(np.asarray(pts, float), np.asarray(w, float), degree)
 
 

@@ -68,7 +68,7 @@ def build_smoothed_gradient(mesh, micro, domains, bubble=None):
     fpts = micro.points[domains.facet_pts]          # (F, d, dim)
     normals, areas = facet_normals(fpts)
     felem = micro.cell_elem[domains.facet_cell]     # (F,)
-    fdom = np.repeat(np.arange(domains.n_domains), np.diff(domains.facet_ptr))
+    fdom = domains.dom_of_cell[domains.facet_cell]
 
     rule = simplex_quadrature(dim - 1, dim + 1)
     X = np.einsum("qi,fid->fqd", rule.points, fpts)     # (F, Q, dim)
@@ -114,7 +114,7 @@ def volume_average_gradient(mesh, micro, domains, k, coeffs, bubble=None):
     N = mesh.n_nodes
     coeffs = np.asarray(coeffs, float)
 
-    cells = domains.cells_of(k)
+    cells = np.flatnonzero(domains.dom_of_cell == k)
     cpts = micro.points[micro.cells[cells]]         # (C, d+1, dim)
     celem = micro.cell_elem[cells]
     cmeas = micro.measures[cells]

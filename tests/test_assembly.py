@@ -62,6 +62,12 @@ def test_material_params():
         MaterialParams(E=1.0, nu=0.5)
 
 
+@pytest.mark.parametrize("E", [np.nan, np.inf])
+def test_material_params_reject_non_finite_modulus(E):
+    with pytest.raises(ValueError, match="finite"):
+        MaterialParams(E=E, nu=0.3)
+
+
 def test_full_elastic_matrix():
     C2 = full_elastic_matrix(2.0, 3.0, 2)
     np.testing.assert_allclose(

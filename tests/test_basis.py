@@ -1,5 +1,7 @@
 """Tests for quadrature rules and simplex shape functions."""
 
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -59,6 +61,39 @@ def test_simplex_quadrature_exactness(dim, degree):
             )
             exact = barycentric_monomial_integral(dim, expo)
             assert approx == pytest.approx(exact, rel=1e-12, abs=1e-15), expo
+
+
+# sha256 of points.tobytes() and weights.tobytes() of every rule the
+# package requests: facets (d - 1, d + 1), micro-cells (d, 4) and the
+# enriched elements (d, 2d)
+REQUESTED_RULE_DIGESTS = {
+    (1, 3): ("47ebe49e6878d536102a1d85c5cf2520838c20d6a17eabec4fc08c00b3d24bc5",
+             "606e5166986dd9f186277d16e3d18bae3887a944a829487b59fd8672bbb20251"),
+    (2, 3): ("9ef47effb6a5fd4fb122b26f2b03a36b8d770e9afedb376739a14a1d23cc0e0e",
+             "a37b751d4da1568c1a96adde2b13fbc328b77fb39b716331a96d8e2b7ec31041"),
+    (2, 4): ("9ef47effb6a5fd4fb122b26f2b03a36b8d770e9afedb376739a14a1d23cc0e0e",
+             "a37b751d4da1568c1a96adde2b13fbc328b77fb39b716331a96d8e2b7ec31041"),
+    (3, 4): ("55ac61ccb90d2a4d5bf418c15408fb0162a075af66c196081c4b2eeebb31cdb8",
+             "919436d9b7349f7c45c706022902076ca9f0562f2695396c883cf3f994b73330"),
+    (3, 6): ("b939792e3ab57f42c870ab54514feff8af6b6c46d46e1a09bd2444e4d233f594",
+             "d80c0529bc3455d4133e7ac6efaeb6dcfc528ec9be79d47aa396689405522a29"),
+}
+
+
+@pytest.mark.parametrize("dim,degree", sorted(REQUESTED_RULE_DIGESTS))
+def test_requested_rules_keep_their_bits(dim, degree):
+    """The requested rules are bit-for-bit the ones every scenario output
+    was recorded with.
+
+    The collapsed rules come from ``numpy``'s ``leggauss`` and ``scipy``'s
+    ``roots_jacobi``, so these digests hold for the builds they were
+    recorded with (NumPy 2.4, SciPy 1.17, x86-64); another build may round
+    a node differently and need them recorded again.
+    """
+    rule = simplex_quadrature(dim, degree)
+    digests = tuple(hashlib.sha256(a.tobytes()).hexdigest()
+                    for a in (rule.points, rule.weights))
+    assert digests == REQUESTED_RULE_DIGESTS[dim, degree]
 
 
 def test_monomial_integral_basics():

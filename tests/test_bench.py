@@ -15,7 +15,7 @@ import smoothfem
 import smoothfem.assembly as assembly
 import smoothfem.benchmarks as benchmarks
 import smoothfem.cli as cli
-from smoothfem.analysis import reports_from_json
+from smoothfem.analysis import reports_from_json, reports_to_json
 from smoothfem.benchmarks import SCENARIOS, make_config, run_scenario
 from smoothfem.cli import (config_to_text, format_checks, format_table, main,
                            parse_config_text)
@@ -357,6 +357,23 @@ def test_a_mesh_that_cannot_be_built_fails_only_its_cells(tmp_path):
     assert len(reports) == 4
 
 
+def test_distorted_infsup_is_a_function_of_its_seed():
+    """The membranes of a distorted inf-sup run are drawn from the seed:
+    every cell solves, a seed repeats its output byte for byte, and another
+    seed moves some beta."""
+    def run(seed):
+        reports, summary = run_scenario(make_config(
+            "infsup", meshes=(2, 3, 4), distort=0.4, seed=seed))
+        assert [r.extra["status"] for r in reports] == ["ok"] * len(reports)
+        assert all(np.isfinite(r.extra["beta"]) for r in reports)
+        return reports_to_json(reports, summary), summary["betas"]
+
+    first, betas = run(1)
+    again, _ = run(1)
+    assert first == again
+    assert run(2)[1] != betas
+
+
 def test_a_zero_load_is_rejected(capsys):
     """At zero load every solution is zero and no check means anything."""
     with pytest.raises(ValueError, match="load must be nonzero"):
@@ -364,6 +381,27 @@ def test_a_zero_load_is_rejected(capsys):
     assert main(["run", "cook", "--load", "0", "--meshes", "2,3,4"]) == 2
     assert "load must be nonzero" in capsys.readouterr().err
     assert make_config("cook", load=-100.0).load == -100.0
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+@pytest.mark.parametrize("scenario, name", [
+    ("cook", "young"), ("cook", "load"), ("pipe", "young"), ("block3d", "load"),
+    ("cook-neohookean", "load"), ("cook-neohookean", "mu"),
+    ("cook-neohookean", "kappa"),
+])
+def test_non_finite_settings_are_rejected(scenario, name, bad):
+    """A NaN or infinite modulus or load is named, not left to fail every
+    cell as a singular system."""
+    value = (1.95, bad) if name == "kappa" else bad
+    with pytest.raises(ValueError, match=f"{name} must be finite"):
+        make_config(scenario, **{name: value})
+
+
+def test_cli_names_a_non_finite_setting(capsys):
+    argv = ["run", "cook", "--load", "nan", "--meshes", "2,3,4",
+            "--methods", "bes-fem"]
+    assert main(argv) == 2
+    assert "load must be finite" in capsys.readouterr().err
 
 
 def test_pipe_at_zero_poisson_ratio_fails_its_pressure_checks(tmp_path):

@@ -281,7 +281,7 @@ def test_domain_boundaries_close(make, kind):
         n_scaled = np.column_stack([vec[:, 1], -vec[:, 0]])
     else:
         n_scaled = 0.5 * np.cross(pts[:, 1] - pts[:, 0], pts[:, 2] - pts[:, 0])
-    fdom = np.repeat(np.arange(domains.n_domains), np.diff(domains.facet_ptr))
+    fdom = domains.dom_of_cell[domains.facet_cell]
     sums = np.zeros((domains.n_domains, mesh.dim))
     np.add.at(sums, fdom, n_scaled)
     scale = np.abs(n_scaled).sum()
@@ -289,7 +289,7 @@ def test_domain_boundaries_close(make, kind):
 
 
 def unique_oracle_facets(micro, dom):
-    """(facet_pts, facet_cell, facet_ptr) cancelled by np.unique(axis=0)."""
+    """(facet_pts, facet_cell, facet domain) cancelled by np.unique(axis=0)."""
     M, d = micro.n_cells, micro.dim
     faces = micro.cells[:, LOCAL_FACETS[d]].reshape(M * (d + 1), d)
     owner = np.repeat(np.arange(M), d + 1)
@@ -299,9 +299,7 @@ def unique_oracle_facets(micro, dom):
     keep = counts[inverse.ravel()] == 1
     faces, owner = faces[keep], owner[keep]
     order = np.argsort(dom[owner], kind="stable")
-    per_domain = np.bincount(dom[owner], minlength=int(dom.max()) + 1)
-    return faces[order], owner[order], np.concatenate([[0],
-                                                       np.cumsum(per_domain)])
+    return faces[order], owner[order], dom[owner][order]
 
 
 @pytest.mark.parametrize("make_mesh,kinds", [
@@ -313,10 +311,12 @@ def test_domain_facets_equal_unique_oracle(make_mesh, kinds):
     _, micro = make_setup(make_mesh())
     for kind in kinds:
         domains = build_smoothing_domains(micro, kind)
-        pts, cell, ptr = unique_oracle_facets(micro, domains.dom_of_cell)
+        pts, cell, fdom = unique_oracle_facets(micro, domains.dom_of_cell)
         assert np.array_equal(domains.facet_pts, pts)
         assert np.array_equal(domains.facet_cell, cell)
-        assert np.array_equal(domains.facet_ptr, ptr)
+        built = domains.dom_of_cell[domains.facet_cell]
+        assert np.array_equal(built, fdom)
+        assert np.all(np.diff(built) >= 0)
 
 
 def test_domain_facets_trace_known_shape():
@@ -331,9 +331,9 @@ def test_domain_facets_trace_known_shape():
     domains = build_smoothing_domains(micro, "edge")
     interior = np.flatnonzero(~topo.boundary_facet_mask)
     k = interior[0]
-    fpts = domains.facet_pts[domains.facet_ptr[k]:domains.facet_ptr[k + 1]]
+    fpts = domains.facet_pts[domains.dom_of_cell[domains.facet_cell] == k]
     assert len(fpts) == 4
-    cells = domains.cells_of(k)
+    cells = np.flatnonzero(domains.dom_of_cell == k)
     assert len(cells) == 4
     corners = set(np.unique(fpts).tolist())
     endpoints = set(topo.edges[k].tolist())
@@ -366,7 +366,8 @@ def loop_diameters(micro, domains):
     """Per-domain loop the vectorized diameters must repeat exactly."""
     out = np.empty(domains.n_domains)
     for k in range(domains.n_domains):
-        pts = micro.points[np.unique(micro.cells[domains.cells_of(k)])]
+        cells = np.flatnonzero(domains.dom_of_cell == k)
+        pts = micro.points[np.unique(micro.cells[cells])]
         diff = pts[:, None, :] - pts[None, :, :]
         out[k] = 0.5 * np.sqrt((diff ** 2).sum(-1).max())
     return out

@@ -62,6 +62,12 @@ def disc_3d():
         generate_block(2, size=(1.0, 1.0, 1.0)), 0.3, seed=5))
 
 
+@pytest.mark.parametrize("mu, kappa", [(np.nan, 1.0), (0.6, np.inf)])
+def test_params_reject_non_finite_moduli(mu, kappa):
+    with pytest.raises(ValueError, match="finite"):
+        NeoHookeanParams(mu=mu, kappa=kappa)
+
+
 def test_params_lambda():
     assert PARAMS.lam == pytest.approx(1.95 - 2.0 * 0.6 / 3.0, rel=1e-15)
     with pytest.raises(ValueError, match="positive"):

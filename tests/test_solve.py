@@ -177,6 +177,15 @@ def test_singular_system_reports_missing_constraints():
         solve_condensed(bundle.A, f, np.array([], dtype=np.int64))
 
 
+def test_exactly_singular_factor_reports_missing_constraints():
+    """A zero pivot stops SuperLU itself; the message names the likely
+    cause and keeps SuperLU's as its cause."""
+    with pytest.raises(RuntimeError, match="constraint") as info:
+        solve_condensed(sparse.diags([2.0, 0.0, 3.0]), np.ones(3),
+                        np.array([], dtype=np.int64))
+    assert "Factor is exactly singular" in str(info.value.__cause__)
+
+
 def test_weak_factor_reports_stagnation(monkeypatch):
     """A factor that reduces the residual too slowly is not called singular."""
     spla = solve.spla
@@ -452,6 +461,18 @@ def test_infsup_rejects_an_all_zero_coupling():
     G, B, C, fixed, n_disp = cook_infsup_operators(4, "bes-fem")
     with pytest.raises(RuntimeError, match="completely degenerate"):
         infsup_measure(G, B * 0.0, C, fixed, n_disp)
+
+
+def test_infsup_rejects_a_coupling_below_the_zero_threshold():
+    """Every eigenvalue of a coupling scaled by 1e-9 is below
+    ``INFSUP_ZERO``, so no batch finds a nonzero one."""
+    G = sparse.diags([-np.ones(5), 2.0 * np.ones(6), -np.ones(5)], [-1, 0, 1])
+    B = sparse.eye(3, 6, k=1, format="csr")
+    none = np.array([], dtype=np.int64)
+    beta, _ = infsup_measure(G, B, np.ones(3), none, 6)
+    assert beta > 0.1
+    with pytest.raises(RuntimeError, match="completely degenerate"):
+        infsup_measure(G, 1e-9 * B, np.ones(3), none, 6)
 
 
 def test_infsup_is_independent_of_earlier_arpack_calls():
