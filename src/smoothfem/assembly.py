@@ -411,22 +411,6 @@ def assemble_h1_gram(disc, dofmap):
 # loads and constraints
 # ----------------------------------------------------------------------
 
-def _facet_geometry(mesh, topo, facets):
-    """Outward normals, measures, and incident elements of boundary facets."""
-    ids = topo.facet_index(facets)
-    elems = topo.facet_elems[topo.facet_ptr[ids]]
-    counts = np.diff(topo.facet_ptr)[ids]
-    if np.any(counts != 1):
-        raise ValueError("traction facets must lie on the mesh boundary")
-    pts = mesh.nodes[facets]
-    normal, meas = facet_normals(pts)
-    centers = pts.mean(axis=1)
-    elem_centers = mesh.nodes[mesh.elements[elems]].mean(axis=1)
-    flip = np.einsum("fd,fd->f", normal, centers - elem_centers) < 0.0
-    normal[flip] *= -1.0
-    return normal, meas, elems
-
-
 def assemble_loads(mesh, topo, dofmap, tractions):
     """External load vector from facet tractions.
 
@@ -441,7 +425,20 @@ def assemble_loads(mesh, topo, dofmap, tractions):
         facets = mesh.boundary.get(label)
         if facets is None or len(facets) == 0:
             raise ValueError(f"mesh has no boundary facets labeled {label!r}")
-        normal, meas, _ = _facet_geometry(mesh, topo, facets)
+        try:
+            ids = topo.facet_index(facets)
+        except KeyError:
+            raise ValueError(f"boundary facets labeled {label!r} are not all "
+                             "facets of the mesh") from None
+        if not np.all(topo.boundary_facet_mask[ids]):
+            raise ValueError(f"traction facets labeled {label!r} must lie "
+                             "on the mesh boundary")
+        pts = mesh.nodes[facets]
+        normal, meas = facet_normals(pts)
+        # orient each normal away from the centroid of its one element
+        elem_centers = mesh.nodes[mesh.elements[topo.facet_elem[ids]]]
+        away = pts.mean(axis=1) - elem_centers.mean(axis=1)
+        normal[np.einsum("fd,fd->f", normal, away) < 0.0] *= -1.0
         if isinstance(value, tuple) and value and value[0] == "pressure":
             t = -float(value[1]) * normal
         else:

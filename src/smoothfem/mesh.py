@@ -133,28 +133,18 @@ def simplex_measures(points, cells):
 
 @dataclass
 class Topology:
-    """Unique edges/faces of a mesh with element incidences.
+    """Unique edges/faces of a mesh and one element of each facet.
 
     ``facet_*`` refers to codimension-1 entities (edges in 2D, faces in 3D);
-    in 2D the edge and facet tables coincide.  Incidence lists are CSR-style:
-    elements touching entity k are ``facet_elems[facet_ptr[k]:facet_ptr[k+1]]``.
+    in 2D the edge and facet tables coincide.
     """
 
     edges: np.ndarray          # (NE, 2) sorted node pairs, rows lexsorted
     elem_edges: np.ndarray     # (E, n_local_edges) edge ids
     facets: np.ndarray         # (NF, d) sorted node tuples, rows lexsorted
     elem_facets: np.ndarray    # (E, d+1) facet ids, local facet i opposite vertex i
-    facet_ptr: np.ndarray
-    facet_elems: np.ndarray
+    facet_elem: np.ndarray     # (NF,) an element holding each facet
     boundary_facet_mask: np.ndarray  # (NF,) true where exactly one element
-
-    @property
-    def n_edges(self):
-        return len(self.edges)
-
-    @property
-    def n_facets(self):
-        return len(self.facets)
 
     def boundary_nodes(self):
         return np.unique(self.facets[self.boundary_facet_mask])
@@ -162,22 +152,10 @@ class Topology:
     def facet_index(self, facet_nodes):
         """Map (F, d) facet node tuples to facet ids (raises on a miss)."""
         key = np.sort(np.asarray(facet_nodes, np.int64), axis=1)
-        pos = _rows_searchsorted(self.facets, key)
-        if pos is None:
+        unique, inverse, _ = unique_rows(np.concatenate([self.facets, key]))
+        if len(unique) > len(self.facets):
             raise KeyError("facet not present in mesh")
-        return pos
-
-
-def _rows_searchsorted(sorted_rows, query):
-    """Indices of query rows inside lexically sorted unique rows, else None."""
-    d = sorted_rows.shape[1]
-    # encode rows as void dtype for searchsorted
-    a = np.ascontiguousarray(sorted_rows).view([("", sorted_rows.dtype)] * d).ravel()
-    q = np.ascontiguousarray(query).view([("", query.dtype)] * d).ravel()
-    pos = np.searchsorted(a, q)
-    if np.any(pos >= len(a)) or np.any(a[np.minimum(pos, len(a) - 1)] != q):
-        return None
-    return pos
+        return inverse[len(self.facets):]
 
 
 def unique_rows(rows):
@@ -200,14 +178,6 @@ def unique_rows(rows):
     return ordered[starts], inverse, counts
 
 
-def csr_groups(keys, n_groups):
-    """CSR (ptr, ids) grouping item indices by integer key."""
-    order = np.argsort(keys, kind="stable")
-    counts = np.bincount(keys, minlength=n_groups)
-    ptr = np.concatenate([[0], np.cumsum(counts)])
-    return ptr, order
-
-
 def _local_entities(elems, table):
     """Unique sorted node tuples of one local table and each element's ids."""
     rows = np.sort(elems[:, table].reshape(-1, table.shape[1]), axis=1)
@@ -216,16 +186,16 @@ def _local_entities(elems, table):
 
 
 def build_topology(mesh):
-    """Enumerate unique edges and facets and their element incidences."""
+    """Enumerate unique edges and facets and an element of each facet."""
     elems, dim = mesh.elements, mesh.dim
     edges, elem_edges = _local_entities(elems, LOCAL_EDGES[dim])
     facets, elem_facets = ((edges, elem_edges) if dim == 2 else
                            _local_entities(elems, LOCAL_FACETS[dim]))
-    facet_ptr, order = csr_groups(elem_facets.ravel(), len(facets))
-    facet_elems = order // (dim + 1)
-    boundary_mask = np.diff(facet_ptr) == 1
-    return Topology(edges, elem_edges, facets, elem_facets,
-                    facet_ptr, facet_elems, boundary_mask)
+    facet_elem = np.empty(len(facets), np.intp)
+    facet_elem[elem_facets] = np.arange(len(elems))[:, None]
+    boundary_mask = np.bincount(elem_facets.ravel()) == 1
+    return Topology(edges, elem_edges, facets, elem_facets, facet_elem,
+                    boundary_mask)
 
 
 # ----------------------------------------------------------------------
@@ -430,8 +400,8 @@ def _classify_block_facets(nodes, elements, size, patch):
     otherwise.
     """
     (px, py), sz = patch, size[2]
-    topo = build_topology(PrimalMesh(nodes, elements, {}))
-    bfacets = topo.facets[topo.boundary_facet_mask]
+    facets, elem_facets = _local_entities(elements, LOCAL_FACETS[3])
+    bfacets = facets[np.bincount(elem_facets.ravel()) == 1]
     x, y, z = np.moveaxis(nodes[bfacets], -1, 0)      # (F, 3) each
     tol = 1e-9 * max(size)
     on = lambda v, c: np.all(np.abs(v - c) < tol, axis=1)

@@ -43,7 +43,6 @@ _SINGULAR_MSG = (
     "linear system is singular; the mesh likely lacks enough displacement "
     "constraints to remove rigid-body motion"
 )
-_DEGENERATE_MSG = "pairing is completely degenerate"
 
 
 @dataclass
@@ -249,7 +248,7 @@ def infsup_measure(G_gram, B, C_diag, fixed, n_disp):
     G_red = G_gram.tocsr()[free][:, free]
     B_red = B.tocsc()[:, free]
     if B_red.count_nonzero() == 0:
-        raise RuntimeError(_DEGENERATE_MSG)
+        raise RuntimeError("pairing is completely degenerate")
     n_p = B_red.shape[0]
     diag = G_red.diagonal()
     lone = (np.diff(G_red.indptr) == 1) & (diag > 0.0)
@@ -279,5 +278,7 @@ def infsup_measure(G_gram, B, C_diag, fixed, n_disp):
         if len(nonzero):
             return float(np.sqrt(nonzero[0])), low
         if k == n_p - 1:
-            raise RuntimeError(_DEGENERATE_MSG)
+            raise RuntimeError(
+                f"the lowest {k} of {n_p} eigenvalues lie below INFSUP_ZERO "
+                "and ARPACK cannot reach the last one")
         k = min(2 * k, n_p - 1)

@@ -31,6 +31,7 @@ from smoothfem.benchmarks import coupling_operators
 from smoothfem.hyperelastic import NeoHookeanParams, SmoothedHyperProblem
 from smoothfem.mesh import (
     PrimalMesh,
+    build_topology,
     distort_mesh,
     generate_annulus,
     generate_block,
@@ -276,6 +277,49 @@ def test_block_patch_resultant():
     f = assemble_loads(mesh, disc.topo, dofmap, {"traction": ("pressure", 250.0)})
     assert f[2::3].sum() == pytest.approx(-250.0 * 100.0, rel=1e-12)
     assert f[0::3].sum() == pytest.approx(0.0, abs=1e-9)
+
+
+@pytest.mark.parametrize("make_mesh", [
+    lambda: distort_mesh(generate_cook(3), 0.3, seed=5),
+    lambda: generate_annulus((3, 4)),
+    lambda: generate_block(2),
+    lambda: generate_block(3, pattern="unstructured"),
+])
+@pytest.mark.parametrize("load", [("pressure", 7.0), (1.5, -2.0, 0.5)])
+def test_loads_do_not_depend_on_the_facet_vertex_order(make_mesh, load):
+    """A pressure follows the outward normal whatever the orientation of a
+    traction facet's vertices: reversing each 2D facet, or swapping the last
+    two vertices of each 3D facet, flips the raw normal and the centroid
+    test flips it back."""
+    mesh = make_mesh()
+    dim = mesh.dim
+    topo = build_topology(mesh)
+    dofmap = DofMap(mesh.n_nodes, mesh.n_elements, dim, "power")
+    facets = mesh.boundary["traction"]
+    flipped = facets[:, ::-1] if dim == 2 else facets[:, [0, 2, 1]]
+    swapped = PrimalMesh(mesh.nodes, mesh.elements, {"traction": flipped})
+    tractions = {"traction": load if load[0] == "pressure" else load[:dim]}
+    want = assemble_loads(mesh, topo, dofmap, tractions)
+    got = assemble_loads(swapped, topo, dofmap, tractions)
+    assert np.any(want != 0.0)
+    assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("kind, message", [
+    ("corner", "are not all facets of the mesh"),
+    ("interior", "must lie on the mesh boundary"),
+])
+def test_a_traction_label_on_a_non_boundary_row_raises(kind, message):
+    """A row joining two corners of Cook-3 is no mesh facet; an interior
+    edge is a facet but not a boundary one.  Both name the label."""
+    mesh = generate_cook(3)
+    topo = build_topology(mesh)
+    rows = {"corner": np.array([[0, mesh.n_nodes - 1]]),
+            "interior": topo.edges[~topo.boundary_facet_mask][:1]}[kind]
+    bad = PrimalMesh(mesh.nodes, mesh.elements, {"traction": rows})
+    dofmap = DofMap(mesh.n_nodes, mesh.n_elements, 2, "power")
+    with pytest.raises(ValueError, match=f"labeled 'traction' {message}"):
+        assemble_loads(bad, topo, dofmap, {"traction": (0.0, 1.0)})
 
 
 def test_dofmap_rejects_unknown_bubble():

@@ -68,7 +68,7 @@ _TET_FACES = ((1, 2, 3), (0, 3, 2), (0, 1, 3), (0, 2, 1))
 
 
 def loop_micro_2d(mesh, topo):
-    N, E, NE = mesh.n_nodes, mesh.n_elements, topo.n_edges
+    N, E, NE = mesh.n_nodes, mesh.n_elements, len(topo.edges)
     nodes, elems = mesh.nodes, mesh.elements
     points = np.vstack([
         nodes,
@@ -93,7 +93,7 @@ def loop_micro_2d(mesh, topo):
 
 def loop_micro_3d(mesh, topo):
     N, E = mesh.n_nodes, mesh.n_elements
-    NE, NF = topo.n_edges, topo.n_facets
+    NE, NF = len(topo.edges), len(topo.facets)
     nodes, elems = mesh.nodes, mesh.elements
     points = np.vstack([
         nodes,
@@ -337,7 +337,8 @@ def test_domain_facets_trace_known_shape():
     assert len(cells) == 4
     corners = set(np.unique(fpts).tolist())
     endpoints = set(topo.edges[k].tolist())
-    centroids = {int(p) for p in np.unique(fpts) if p >= mesh.n_nodes + topo.n_edges}
+    first = mesh.n_nodes + len(topo.edges)
+    centroids = {int(p) for p in np.unique(fpts) if p >= first}
     assert endpoints <= corners
     assert len(centroids) == 2
 

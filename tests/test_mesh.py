@@ -1,6 +1,7 @@
 """Tests for benchmark mesh generators, topology, and distortion."""
 
 import hashlib
+import itertools
 
 import numpy as np
 import pytest
@@ -214,8 +215,8 @@ def test_topology_euler_2d():
     mesh = generate_cook(5)
     topo = build_topology(mesh)
     # disk-like domain: V - E + F = 1
-    assert mesh.n_nodes - topo.n_edges + mesh.n_elements == 1
-    counts = np.diff(topo.facet_ptr)
+    assert mesh.n_nodes - len(topo.edges) + mesh.n_elements == 1
+    counts = np.bincount(topo.elem_facets.ravel())
     assert set(counts.tolist()) <= {1, 2}
     assert np.all(counts[topo.boundary_facet_mask] == 1)
     assert_rows_strictly_increasing(topo.edges)
@@ -238,6 +239,45 @@ def test_topology_boundary_3d():
     assert_rows_strictly_increasing(topo.facets)
 
 
+def loop_topology(mesh):
+    """Edges, facets, elem_facets (local facet i opposite vertex i) and each
+    facet's element count, from loops over the elements and dicts."""
+    edges, counts = set(), {}
+    for el in mesh.elements.tolist():
+        edges.update(tuple(sorted(e)) for e in itertools.combinations(el, 2))
+        for i in range(len(el)):
+            key = tuple(sorted(el[:i] + el[i + 1:]))
+            counts[key] = counts.get(key, 0) + 1
+    facets = sorted(counts)
+    index = {f: k for k, f in enumerate(facets)}
+    elem_facets = [[index[tuple(sorted(el[:i] + el[i + 1:]))]
+                    for i in range(len(el))] for el in mesh.elements.tolist()]
+    return sorted(edges), facets, elem_facets, [counts[f] for f in facets]
+
+
+@pytest.mark.parametrize("make_mesh", [
+    lambda: generate_cook(3),
+    lambda: generate_annulus((3, 4)),
+    lambda: generate_block(2),
+    lambda: generate_block(3, pattern="unstructured"),
+])
+def test_topology_matches_a_loop_oracle(make_mesh):
+    mesh = make_mesh()
+    topo = build_topology(mesh)
+    edges, facets, elem_facets, counts = loop_topology(mesh)
+    assert [tuple(e) for e in topo.edges.tolist()] == edges
+    assert [tuple(f) for f in topo.facets.tolist()] == facets
+    assert topo.elem_facets.tolist() == elem_facets
+    for el, ids in zip(mesh.elements.tolist(), topo.elem_edges.tolist()):
+        assert {tuple(topo.edges[k]) for k in ids} == {
+            tuple(sorted(e)) for e in itertools.combinations(el, 2)}
+    assert set(counts) <= {1, 2}
+    np.testing.assert_array_equal(topo.boundary_facet_mask,
+                                  np.array(counts) == 1)
+    for f in np.flatnonzero(topo.boundary_facet_mask):
+        assert f in topo.elem_facets[topo.facet_elem[f]]
+
+
 @pytest.mark.parametrize("cols", [2, 3, 4])
 @pytest.mark.parametrize("offset", [0, 2 ** 40])
 def test_unique_rows_matches_numpy(cols, offset):
@@ -258,7 +298,7 @@ def test_facet_index_roundtrip():
     mesh = generate_cook(3)
     topo = build_topology(mesh)
     ids = topo.facet_index(topo.facets[::3])
-    np.testing.assert_array_equal(ids, np.arange(topo.n_facets)[::3])
+    np.testing.assert_array_equal(ids, np.arange(len(topo.facets))[::3])
     with pytest.raises(KeyError):
         topo.facet_index(np.array([[0, mesh.n_nodes - 1]]))
 

@@ -471,8 +471,21 @@ def test_infsup_rejects_a_coupling_below_the_zero_threshold():
     none = np.array([], dtype=np.int64)
     beta, _ = infsup_measure(G, B, np.ones(3), none, 6)
     assert beta > 0.1
-    with pytest.raises(RuntimeError, match="completely degenerate"):
+    with pytest.raises(RuntimeError, match="cannot reach the last one"):
         infsup_measure(G, 1e-9 * B, np.ones(3), none, 6)
+
+
+def test_infsup_says_when_arpack_cannot_reach_the_last_eigenvalue():
+    """A rank-one coupling has n_p - 1 zero modes, so ARPACK's k < n_p
+    eigenvalues are all zero although S has one positive eigenvalue; the
+    error names that limit rather than a degenerate pairing."""
+    G = sparse.diags([-np.ones(5), 2.0 * np.ones(6), -np.ones(5)], [-1, 0, 1])
+    B = np.outer([1.0, 2.0, 3.0], np.arange(1.0, 7.0))
+    S = B @ np.linalg.solve(G.toarray(), B.T)
+    assert np.linalg.eigvalsh(S)[-1] == pytest.approx(5096.0, rel=1e-9)
+    with pytest.raises(RuntimeError, match="lowest 2 of 3 eigenvalues lie"):
+        infsup_measure(G, sparse.csr_matrix(B), np.ones(3),
+                       np.array([], dtype=np.int64), 6)
 
 
 def test_infsup_is_independent_of_earlier_arpack_calls():
