@@ -219,10 +219,6 @@ def acceptance_data():
 # shared helpers
 # ----------------------------------------------------------------------
 
-def _mesh_id(n):
-    return str(n)
-
-
 def _solve_linear(disc, method, mat, tractions, bubble):
     """Assemble, constrain, and solve one method; (solution, bundle)."""
     bundle = assemble_method(disc, method, mat, bubble=bubble)
@@ -272,7 +268,7 @@ def _sweep(config, mesh_of, cell, keys=None, row=None):
         except Exception as exc:
             h, n_elements, mesh_error = float("nan"), 0, exc
         for key in config.methods if keys is None else keys:
-            method, mesh_id = row(n, key) if row else (key, _mesh_id(n))
+            method, mesh_id = row(n, key) if row else (key, str(n))
             report = ErrorReport(method, mesh_id, h, n_elements)
             try:
                 if mesh_error is not None:
@@ -371,7 +367,7 @@ def run_cook(config, data, checks):
     if "locking_gap_min" in data and "tip_limit" in summary:
         limit = summary["tip_limit"]
         gap_n = 16 if 16 in config.meshes else config.meshes[-1]
-        summary["locking_gap_mesh"] = _mesh_id(gap_n)
+        summary["locking_gap_mesh"] = str(gap_n)
         for method in ("fem-t3", "es-fem"):
             tip = tips.get((method, gap_n))
             if tip is not None:
@@ -939,6 +935,6 @@ def run_scenario(config):
         config, data, checks)
     # a runner's own "meshes" (the lemma probe names) replaces the series
     summary = {"scenario": config.scenario, "config": _config_summary(config),
-               "meshes": [_mesh_id(n) for n in config.meshes], **derived,
+               "meshes": [str(n) for n in config.meshes], **derived,
                "checks": checks, "failures": failures}
     return reports, summary

@@ -10,7 +10,9 @@ pressure of the enriched pair and refines against the separate blocks; it
 is the oracle of acceptance criterion 4 (Malkus & Hughes, CMAME 15, 1978).
 The saddle system is solved in the scaled variable q = p / sqrt(lambda),
 and refinement keeps it in agreement with the oracle to strict tolerances
-even at nu = 0.4999999.
+even at nu = 0.4999999.  Refinement measures each residual in longdouble,
+a dot numpy sums in its own loop: OpenBLAS threads a float64 dot over
+10,000 entries, and waking that thread stalls the pipe solves on two cores.
 
 The scaled saddle matrix [[A, sB'], [sB, -C]] is symmetric quasi-definite:
 A is positive definite once the Dirichlet rows are gone and C is a positive
@@ -78,14 +80,16 @@ def _refine(lu, apply_l, b_l, n, max_rounds=6):
     driven down.  A non-finite result, or a correction that does not reduce
     the residual at all, means the factor is no approximation of the
     inverse: the system is numerically singular.  A residual that falls,
-    but too slowly, is reported as stagnation.
+    but too slowly, is reported as stagnation.  The norm is of the residual
+    as formed, in longdouble: a float64 norm of the 14,561-row pipe saddles
+    wakes OpenBLAS's threads, a stall that slows the numpy work after it.
     """
     x = np.zeros(n, dtype=np.longdouble)
     bnorm, resid = None, np.inf
     rounds, singular = 0, False
     for _ in range(max_rounds):
         r = b_l - apply_l(x)
-        rnorm = float(np.linalg.norm(np.asarray(r, float)))
+        rnorm = float(np.linalg.norm(r))
         bnorm = bnorm or rnorm or 1.0
         new = rnorm / bnorm
         if not np.isfinite(new):

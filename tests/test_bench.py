@@ -765,6 +765,33 @@ def test_ab_pairs_quartiles_and_the_clear_change_rule():
     assert "no clear change" in tool.report_line("wall_s", "s", summary)
 
 
+def test_ab_pairs_reads_the_unscaled_medians_without_a_verdict():
+    """The raw times come from the summary lines a benchmark run prints
+    before its result line, and are reported without a verdict."""
+    tool = _load_repo_module("tools/ab_pairs.py")
+    stdout = "\n".join([
+        'provenance {"workload": "pipe-2d"}',
+        "wall_s                             median=1.6543 s  "
+        "tail=n/a (fewer than 11 samples)  n=9",
+        "cpu_s                              median=1.6612 s  "
+        "tail=n/a (fewer than 11 samples)  n=9",
+        "raw.wall_s                         median=1.43057 s  "
+        "tail=n/a (fewer than 11 samples)  n=9",
+        "raw.cpu_s                          median=1.43791 s  "
+        "tail=n/a (fewer than 11 samples)  n=9",
+        "raw.setup_s                        median=0.51 s  p90=0.6  n=13",
+        "calibrate.wall_s                   median=0.0872 s  p90=0.09  n=13",
+        '{"correct": true, "metrics": {}}'])
+    assert tool.raw_medians(stdout) == {"raw.wall_s": 1.43057,
+                                        "raw.cpu_s": 1.43791}
+    assert tool.raw_medians("no summary\n{}") == {}
+    summary = tool.summarize([2.0, 2.1], [1.0, 1.1], "lower")
+    assert summary["clear"]
+    line = tool.report_line("raw.cpu_s", "s", summary, judged=False)
+    assert line.endswith("tree wins 2/2: unscaled, no verdict")
+    assert "clear change" not in line
+
+
 def test_ab_pairs_copies_the_working_tree_as_git_sees_it(tmp_path):
     """The working-tree side is a copy of what git sees: tracked files
     with their uncommitted edits and untracked files, but neither ignored

@@ -20,6 +20,7 @@ from smoothfem.benchmarks import infsup_operators
 from smoothfem.mesh import (
     build_topology,
     distort_mesh,
+    generate_annulus,
     generate_block,
     generate_cook,
 )
@@ -254,6 +255,38 @@ def test_sqd_and_colamd_solves_agree(method, monkeypatch):
     assert kw_s == solve.SQD_OPTIONS and kw_c == {}
     assert lu_s.nnz < lu_c.nnz
     assert lu_s.L.nnz + lu_s.U.nnz < lu_c.L.nnz + lu_c.U.nnz
+
+
+def test_refinement_norms_take_the_longdouble_residual(monkeypatch):
+    """Refinement measures each residual in longdouble, never a float64
+    copy.  numpy sums a longdouble dot in its own loop; a float64 norm goes
+    to OpenBLAS, which threads a dot over more than 10,000 entries (the
+    pipe saddles at mesh 32 have 14,561 rows), and waking that thread
+    stalls every solve on a two-core host."""
+    disc = Discretization(generate_annulus(4))
+    mat = MaterialParams(E=21000.0, nu=0.4999999)
+    problems = []
+    for method in ("bes-fem", "mini", "ns-fem"):
+        bundle = assemble_method(disc, method, mat, bubble="power")
+        f = assemble_loads(disc.mesh, disc.topo, bundle.dofmap,
+                           {"traction": ("pressure", 8.0)})
+        problems.append((bundle, f, dirichlet_dofs(disc.mesh,
+                                                   bundle.dofmap)))
+    cook, cook_f, cook_fixed = cook_problem(
+        Discretization(generate_cook(4)), "bes-fem", 0.4999999)
+    norm, seen = np.linalg.norm, []
+
+    def spy(x, *args, **kwargs):
+        seen.append(np.asarray(x).dtype)
+        return norm(x, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "norm", spy)
+    for bundle, f, fixed in problems:
+        solve_bundle(bundle, f, fixed)
+    solve_condensed_split(cook.A, cook.B, cook.C, cook.mat.lam, cook_f,
+                          cook_fixed)
+    assert len(seen) >= 8
+    assert all(dtype == np.longdouble for dtype in seen), seen
 
 
 def test_locking_order_cook():

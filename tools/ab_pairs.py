@@ -16,8 +16,12 @@ N uses seed N on both sides. For every end-to-end metric that
 ``BENCHMARK.json`` declares, it prints the median and quartiles of each
 side and the number of pairs the working tree won. A metric counts as a
 clear change when the working tree wins at least nine pairs in ten and its
-median is better by more than REV's interquartile range. Exit status 0 when
-every run is correct, 1 otherwise.
+median is better by more than REV's interquartile range. It then prints the
+same figures, labelled "unscaled, no verdict", for the unscaled medians
+``raw.wall_s`` and ``raw.cpu_s`` that each run prints before its result
+line: the host-speed scaling divides wall and CPU time by different kernel
+timings, so an effect that moves between the two shows best unscaled.
+Exit status 0 when every run is correct, 1 otherwise.
 """
 
 import argparse
@@ -31,6 +35,8 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent))
 from same_outputs import extract  # noqa: E402
+
+RAW_TIMES = ("raw.wall_s", "raw.cpu_s")
 
 
 def copy_worktree(repo, dest):
@@ -58,7 +64,19 @@ def run_workload(tree, workload, seed, seconds):
         result = json.loads(lines[-1])
     except (IndexError, ValueError):
         return None
+    result["raw"] = raw_medians(proc.stdout)
     return result if proc.returncode == 0 else dict(result, correct=False)
+
+
+def raw_medians(stdout):
+    """The ``RAW_TIMES`` medians from the ``NAME median=VALUE UNIT ...``
+    lines that a benchmark run prints before its result line."""
+    found = {}
+    for line in stdout.splitlines():
+        name, _, rest = line.partition(" ")
+        if name in RAW_TIMES and "median=" in rest:
+            found[name] = float(rest.split("median=", 1)[1].split()[0])
+    return found
 
 
 def quartiles(samples):
@@ -83,9 +101,11 @@ def summarize(base, head, better):
             "clear": 10 * wins >= 9 * len(base) and gain > bq[2] - bq[0]}
 
 
-def report_line(name, unit, summary):
+def report_line(name, unit, summary, judged=True):
+    """One comparison line; with ``judged`` false it states no verdict."""
     b, h = summary["base"], summary["head"]
-    verdict = "clear change" if summary["clear"] else "no clear change"
+    verdict = ("unscaled, no verdict" if not judged else
+               "clear change" if summary["clear"] else "no clear change")
     return (f"{name:12s} rev {b[1]:.4g} [{b[0]:.4g}, {b[2]:.4g}] {unit}  "
             f"tree {h[1]:.4g} [{h[0]:.4g}, {h[2]:.4g}] {unit}  "
             f"tree wins {summary['wins']}/{summary['pairs']}: {verdict}")
@@ -130,6 +150,12 @@ def main(argv=None):
                           for side in ("base", "head"))
             print(report_line(name, metric["unit"],
                               summarize(base, head, metric["better"])))
+        for name in RAW_TIMES:
+            base, head = ([r["raw"].get(name) for r in results[side]]
+                          for side in ("base", "head"))
+            if None not in base + head:
+                print(report_line(name, "s", summarize(base, head, "lower"),
+                                  judged=False))
     else:
         print("some runs were incorrect or gave no result; no comparison")
     return 0 if correct else 1
