@@ -27,7 +27,7 @@ from .dualmesh import (
     build_pressure_cells,
     build_smoothing_domains,
 )
-from .mesh import build_topology
+from .mesh import build_topology, ordered_matmul
 from .quadrature import simplex_quadrature
 from .smoothing import build_smoothed_gradient, facet_normals
 
@@ -190,8 +190,7 @@ class Discretization:
         if self._quadrature is None:
             micro = self.micro
             rule = simplex_quadrature(self.dim, 4)
-            X = np.einsum("qi,kid->kqd", rule.points,
-                          micro.points[micro.cells])
+            X = ordered_matmul(rule.points, micro.points[micro.cells])
             w = micro.measures[:, None] * rule.weights[None, :]
             lam = self.mesh.barycentric(micro.cell_elem, X)
             for a in (X, w, lam):
@@ -547,6 +546,8 @@ def _assemble_mini(disc, mat):
     lam = np.broadcast_to(rule.points, gradtab.shape[:2] + (dim + 1,))
     Bq = strain_matrix(gradtab)
     Dw = 2.0 * mat.mu * shear_weight_vector(dim)
+    # these einsums keep their own summation order: no faster form that
+    # sums in the same order is known, and the reference outputs pin it
     A_loc = np.einsum("tqvp,v,tqvr,q,t->tpr", Bq, Dw, Bq, rule.weights, meas)
     loc_dofs = dof_indices(
         np.column_stack([mesh.elements, N + np.arange(E)]), dim)

@@ -183,7 +183,7 @@ class SmoothedHyperProblem:
     def energy(self, u):
         """Total strain energy of the smoothed deformation."""
         _, C, lnJ = self.state(u)
-        return float(self.measures @ _energy(C, lnJ, self.params))
+        return float((self.measures * _energy(C, lnJ, self.params)).sum())
 
     def residual_tangent(self, u):
         """Internal force vector, consistent tangent and a roundoff bound.
@@ -289,10 +289,17 @@ _NOISE_FACTOR = 16.0
 TANGENT_OPTIONS = {"permc_spec": "NATURAL", "diag_pivot_thresh": 0.1}
 
 
+def _norm(x):
+    """Euclidean norm of a vector, summed in numpy's own loop: a float64
+    ``np.linalg.norm`` is a BLAS dot, which OpenBLAS threads from 10,000
+    entries on, and waking that thread stalls a two-core host."""
+    return float(np.sqrt(np.square(x).sum()))
+
+
 def _newton(problem, u0, load, free, block, tol, max_iter):
     order, keep, A = block
     u = u0.copy()
-    scale = np.linalg.norm(load[free]) or 1.0
+    scale = _norm(load[free]) or 1.0
     residuals = []
     for it in range(max_iter):
         try:
@@ -300,13 +307,13 @@ def _newton(problem, u0, load, free, block, tol, max_iter):
         except _Inverted:
             raise _StepFailure(residuals)
         r = R - load
-        rabs = float(np.linalg.norm(r[free]))
+        rabs = _norm(r[free])
         rn = rabs / scale
         residuals.append(rn)
         # a stiff volumetric term puts the roundoff floor of the assembled
         # force above tol * |load|; equilibrium cannot be resolved below it
         floor = _NOISE_FACTOR * np.finfo(float).eps \
-            * float(np.linalg.norm(noise[free]))
+            * _norm(noise[free])
         if rn <= tol or rabs <= floor:
             return u, {"iterations": it, "residuals": residuals,
                        "floor_limited": rn > tol}

@@ -21,6 +21,7 @@ import numpy as np
 from scipy.sparse import coo_matrix
 
 from .basis import bubble_gradient, bubble_value
+from .mesh import ordered_matmul
 from .quadrature import simplex_quadrature
 
 
@@ -71,7 +72,7 @@ def build_smoothed_gradient(mesh, micro, domains, bubble=None):
     fdom = domains.dom_of_cell[domains.facet_cell]
 
     rule = simplex_quadrature(dim - 1, dim + 1)
-    X = np.einsum("qi,fid->fqd", rule.points, fpts)     # (F, Q, dim)
+    X = ordered_matmul(rule.points, fpts)               # (F, Q, dim)
     lam = mesh.barycentric(felem, X)                    # (F, Q, d+1)
 
     # facet-mean shape values (normals are constant on flat facets)

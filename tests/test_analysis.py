@@ -5,16 +5,17 @@ import pytest
 
 import smoothfem.assembly as assembly
 from smoothfem.analysis import (CSV_COLUMNS, ErrorReport, ExactPipeSolution,
-                                characteristic_h, error_displacement,
-                                error_energy, error_pressure, fit_rate,
-                                locate_points, monotone_envelope_tv,
-                                pressure_profile, reports_from_json,
-                                reports_to_csv, reports_to_json,
-                                richardson_limit, tip_displacement,
-                                total_variation)
+                                characteristic_h, displacement_values,
+                                error_displacement, error_energy,
+                                error_pressure, fit_rate, locate_points,
+                                monotone_envelope_tv, pressure_profile,
+                                reports_from_json, reports_to_csv,
+                                reports_to_json, richardson_limit,
+                                tip_displacement, total_variation)
 from smoothfem.assembly import (Discretization, MaterialParams,
                                assemble_h1_gram, assemble_method,
                                assemble_plain_B, full_elastic_matrix)
+from smoothfem.basis import bubble_value
 from smoothfem.dualmesh import domain_diameters
 from smoothfem.mesh import (distort_mesh, generate_annulus, generate_block,
                             generate_cook)
@@ -130,6 +131,30 @@ def test_displacement_error_homogeneous(disc_cook):
     scaled = error_displacement(disc_cook, dofmap, 2.5 * u, zero)
     assert scaled == pytest.approx(2.5 * base, rel=1e-12)
     assert base > 0.0
+
+
+@pytest.mark.parametrize("make_mesh", [
+    lambda: distort_mesh(generate_cook(6), 0.4, seed=3),
+    lambda: generate_block(2),
+])
+@pytest.mark.parametrize("bubble", [None, "power", "hat"])
+def test_displacement_values_match_the_einsum_form(make_mesh, bubble):
+    """The values the error norms read after the solve are a matmul now;
+    it may sum in another order than the einsum it replaced, but moves
+    each value only by rounding."""
+    disc = Discretization(make_mesh())
+    dofmap = disc.dofmap(bubble)
+    u = np.random.default_rng(5).standard_normal(dofmap.n_disp)
+    _, _, _, lam = disc.quadrature()
+    elem = disc.micro.cell_elem
+    got = displacement_values(disc, dofmap, u, lam, elem)
+    vals = dofmap.reshape(u)
+    want = np.einsum("kqi,kid->kqd", lam, vals[disc.mesh.elements[elem]])
+    if bubble:
+        want = want + (bubble_value(bubble, lam)[..., None]
+                       * vals[disc.mesh.n_nodes + elem][:, None, :])
+    np.testing.assert_allclose(got, want, rtol=0,
+                               atol=1e-15 * np.abs(want).max())
 
 
 def test_pressure_error_constant_and_linear(disc_cook):

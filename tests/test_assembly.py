@@ -36,7 +36,9 @@ from smoothfem.mesh import (
     generate_annulus,
     generate_block,
     generate_cook,
+    ordered_matmul,
 )
+from smoothfem.quadrature import simplex_quadrature
 
 RNG = np.random.default_rng(2024)
 
@@ -438,3 +440,70 @@ def test_mini_mass_consistency():
     lhs = bundle.B @ U.ravel()
     rhs = np.trace(A) * (bundle.C @ np.ones(mesh.n_nodes))
     np.testing.assert_allclose(lhs, rhs, rtol=1e-11, atol=1e-13)
+
+
+# meshes for the summation-order pins: 2D, 3D (both block patterns) and
+# distorted, so every shape the converted contractions see is covered
+ORDER_MESHES = [
+    lambda: generate_annulus(4),
+    lambda: distort_mesh(generate_cook(6), 0.4, seed=3),
+    lambda: generate_block(2),
+    lambda: generate_block(3, pattern="unstructured"),
+    lambda: distort_mesh(generate_block(2, size=(1.0, 1.1, 0.9)), 0.25,
+                         seed=22),
+]
+
+
+def einsum_barycentric(mesh, elem, X):
+    """``PrimalMesh.barycentric`` as an einsum of a C-ordered inverse."""
+    rel = X - mesh.nodes[mesh.elements[elem, 0]][..., None, :]
+    inv = np.ascontiguousarray(np.swapaxes(mesh.grads[elem, 1:, :], 1, 2))
+    rest = np.einsum("fqc,fcd->fqd", rel, inv)
+    return np.concatenate([1.0 - rest.sum(axis=-1, keepdims=True), rest],
+                          axis=-1)
+
+
+def same_bytes(a, b):
+    return a.dtype == b.dtype and a.shape == b.shape \
+        and a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("make_mesh", ORDER_MESHES)
+def test_ordered_matmul_reproduces_einsum_bytes(make_mesh):
+    """Every contraction ``ordered_matmul`` replaced gives einsum's bytes:
+    the micro-cell, facet and element rule points and the barycentric
+    coordinates of the micro-cell and facet points.  A switch to matmul or
+    ``optimize=True`` reorders the sums and fails here."""
+    disc = Discretization(make_mesh())
+    mesh, micro, dim = disc.mesh, disc.micro, disc.dim
+    domains = disc.domains(disc.smoothing_kind())
+    facet_pts = micro.points[domains.facet_pts]
+    cases = [
+        (simplex_quadrature(dim, 4), micro.points[micro.cells],
+         micro.cell_elem),
+        (simplex_quadrature(dim - 1, dim + 1), facet_pts,
+         micro.cell_elem[domains.facet_cell]),
+        (simplex_quadrature(dim, 2 * dim), mesh.nodes[mesh.elements],
+         np.arange(mesh.n_elements)),
+    ]
+    for rule, corners, elem in cases:
+        X = ordered_matmul(rule.points, corners)
+        assert same_bytes(X, np.einsum("qi,kid->kqd", rule.points, corners))
+        assert same_bytes(mesh.barycentric(elem, X),
+                          einsum_barycentric(mesh, elem, X))
+    # locate_points asks for every candidate element at broadcast points
+    X = np.broadcast_to(mesh.nodes[:5].mean(axis=0), (mesh.n_elements, 3, dim))
+    elem = np.arange(mesh.n_elements)
+    assert same_bytes(mesh.barycentric(elem, X),
+                      einsum_barycentric(mesh, elem, X))
+
+
+@pytest.mark.parametrize("make_mesh", ORDER_MESHES)
+def test_quadrature_is_the_einsum_construction_byte_for_byte(make_mesh):
+    disc = Discretization(make_mesh())
+    micro = disc.micro
+    rule, X, w, lam = disc.quadrature()
+    want = np.einsum("qi,kid->kqd", rule.points, micro.points[micro.cells])
+    assert same_bytes(X, want)
+    assert same_bytes(lam, einsum_barycentric(disc.mesh, micro.cell_elem,
+                                              want))

@@ -6,6 +6,7 @@ import math
 import re
 import subprocess
 import time
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -15,7 +16,8 @@ import smoothfem
 import smoothfem.assembly as assembly
 import smoothfem.benchmarks as benchmarks
 import smoothfem.cli as cli
-from smoothfem.analysis import reports_from_json, reports_to_json
+from smoothfem.analysis import (ExactPipeSolution, reports_from_json,
+                                reports_to_json)
 from smoothfem.benchmarks import SCENARIOS, make_config, run_scenario
 from smoothfem.cli import (config_to_text, format_checks, format_table, main,
                            parse_config_text)
@@ -279,6 +281,40 @@ def test_pipe_mini_ignores_the_bubble_setting():
                                                                 mesh_id)]
         assert rows["power"][("bes-fem", mesh_id)] != rows["hat"][(
             "bes-fem", mesh_id)]
+
+
+def test_pipe_evaluates_each_exact_field_once_per_mesh(monkeypatch):
+    """The pipe's methods share one evaluation of the exact displacement
+    and strain at a mesh's micro-cell points (MINI's energy also takes the
+    strain at its element points), and the last mesh's fields are freed
+    before the next mesh's first solve."""
+    calls, alive = [], []
+    for name in ("displacement", "strain"):
+        def field(self, X, name=name, exact=getattr(ExactPipeSolution, name)):
+            value = exact(self, X)
+            calls.append((name, X.shape[0]))
+            alive.append(weakref.ref(value))
+            return value
+        monkeypatch.setattr(ExactPipeSolution, name, field)
+    solve, meshes, freed = benchmarks._solve_linear, [], []
+
+    def first_solve_checks(disc, *args):
+        if not any(ref() is disc for ref in meshes):
+            meshes.append(weakref.ref(disc))
+            calls.append(("mesh", disc.micro.n_cells, disc.mesh.n_elements))
+            freed.append(all(ref() is None for ref in alive))
+        return solve(disc, *args)
+
+    monkeypatch.setattr(benchmarks, "_solve_linear", first_solve_checks)
+    reports, _ = run_scenario(make_config("pipe", meshes=(2, 3)))
+    assert [r.extra["status"] for r in reports] == ["ok"] * 6
+    assert freed == [True, True]
+    expected = []
+    for mesh in [c for c in calls if c[0] == "mesh"]:
+        _, cells, elements = mesh
+        expected += [mesh, ("displacement", cells), ("strain", cells),
+                     ("strain", elements)]
+    assert calls == expected
 
 
 def test_cli_rejects_bad_values(tmp_path, capsys):
@@ -659,13 +695,25 @@ def test_same_outputs_tells_rounding_from_noise_at_the_solution_scale(
     bes = row("bes-fem", 1.2e-7, 5.7e-15 * tip)
     ns = row("ns-fem", 6.4e-7, 7.2e-9 * tip)
     untipped = row("mini", 1.2e-7, 5.7e-15 * tip, tip_uy=float("nan"))
-    base = {"reports": [bes[0], ns[0], untipped[0]]}
-    head = {"reports": [bes[1], ns[1], untipped[1]]}
+    # a pressure-only rounding move: mini's err_p (0.0702 at mesh 32) moves
+    # by 1.1e-14 relative, 7.8e-16 absolute: about 4,600 eps of |tip_uy|,
+    # a displacement, but only 0.44 eps of the applied pressure 8.0
+    pressure = row("mini", 4.8e-7, 0.0)
+    pressure[0]["err_p"], pressure[1]["err_p"] = 0.0702, 0.0702 * (1 + 1.1e-14)
+    summary = {"config": {"load": 8.0}}
+    base = {"reports": [bes[0], ns[0], untipped[0], pressure[0]],
+            "summary": summary}
+    head = {"reports": [bes[1], ns[1], untipped[1], pressure[1]],
+            "summary": summary}
     moved = tool.scaled_drifts(base, head)
     assert [(label, name, scale) for label, name, _, _, scale in moved] == [
         ("bes-fem 32", "err_u", "|tip_uy|"),
         ("ns-fem 32", "err_u", "|tip_uy|"),
-        ("mini 32", "err_u", "largest |tip_uy| of the rows")]
+        ("mini 32", "err_u", "largest |tip_uy| of the rows"),
+        ("mini 32", "err_p", "|config.load|")]
+    p_step = abs(pressure[1]["err_p"] - pressure[0]["err_p"])
+    assert moved[3][3] == p_step / 8.0 <= tool.FLAG_EPS * tool.EPS < \
+        p_step / tip
     eps = tool.EPS
     (_, _, bes_rel, bes_scaled, _), (_, _, ns_rel, ns_scaled, _) = moved[:2]
     assert bes_rel > 1e-11 and ns_rel > 1e-6
@@ -678,6 +726,10 @@ def test_same_outputs_tells_rounding_from_noise_at_the_solution_scale(
     [(_, _, rel, scaled, scale)] = tool.scaled_drifts(
         {"reports": bare[:1]}, {"reports": bare[1:]})
     assert scaled == rel and scale == "|err_u| itself"
+    # no applied load: err_p's own size
+    [(_, name, rel, scaled, scale)] = tool.scaled_drifts(
+        {"reports": [pressure[0]]}, {"reports": [pressure[1]]})
+    assert (name, scaled, scale) == ("err_p", rel, "|err_p| itself")
 
     sides = []
     for side, doc in (("base", base), ("head", head)):
@@ -692,6 +744,7 @@ def test_same_outputs_tells_rounding_from_noise_at_the_solution_scale(
     flagged = [line for line in notes if line.endswith("FLAGGED")]
     assert len(flagged) == 1 and "ns-fem 32 err_u" in flagged[0]
     assert any("bes-fem 32 err_u" in line for line in notes)
+    assert any("mini 32 err_p" in line for line in notes)
 
 
 def test_same_outputs_gates_every_scenario():

@@ -303,6 +303,26 @@ def test_facet_index_roundtrip():
         topo.facet_index(np.array([[0, mesh.n_nodes - 1]]))
 
 
+@pytest.mark.parametrize("make_mesh", [
+    lambda: generate_annulus((3, 4)),
+    lambda: generate_block(3, pattern="unstructured"),
+])
+def test_facet_index_finds_every_facet_in_any_order(make_mesh):
+    mesh = make_mesh()
+    topo = build_topology(mesh)
+    rng = np.random.default_rng(4)
+    ids = rng.permutation(len(topo.facets))
+    # each query row lists its nodes in a random order
+    query = rng.permuted(topo.facets[ids], axis=1)
+    np.testing.assert_array_equal(topo.facet_index(query), ids)
+    assert topo.facet_index(np.empty((0, mesh.dim), np.int64)).size == 0
+    # a miss that shares its first node, and all but its last, with a facet
+    miss = topo.facets[:1].copy()
+    miss[0, -1] = mesh.n_nodes - 1
+    with pytest.raises(KeyError):
+        topo.facet_index(np.vstack([topo.facets[:2], miss]))
+
+
 def splitmix64_loop(seed, count):
     """Scalar SplitMix64 draws in [-1, 1): state hash(seed) + i for draw i."""
 

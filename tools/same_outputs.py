@@ -18,8 +18,9 @@ row and cell counts and every non-numeric field or cell (statuses, check
 verdicts) must still be identical, and the worst drift is still printed.
 For every report row whose ``err_u``, ``err_p`` or ``err_E`` moved, it also
 prints each moved field's relative drift next to its drift at the solution
-scale: the absolute drift divided by the row's |``tip_uy``|, in machine
-epsilons.  A small error norm amplifies a change of the solution, so only
+scale, in machine epsilons: the absolute drift divided by the row's
+|``tip_uy``|, a displacement, or for ``err_p`` by the applied load, a
+pressure.  A small error norm amplifies a change of the solution, so only
 the scaled drift tells rounding from a real move; rows above ``FLAG_EPS``
 epsilons are flagged.  These lines are information: they change neither
 the verdict nor the exit status.
@@ -117,14 +118,24 @@ def _scale(x):
     return abs(x) if _number(x) and math.isfinite(x) and x != 0 else None
 
 
+def _load(doc):
+    """The applied load ``summary.config.load`` of a report document."""
+    summary = doc.get("summary")
+    config = summary.get("config") if isinstance(summary, dict) else None
+    return config.get("load") if isinstance(config, dict) else None
+
+
 def scaled_drifts(a, b):
     """(row, field, relative drift, scaled drift, scale name) of each moved
     error field of two report documents with the same rows.
 
-    The scaled drift is the absolute drift over the row's |``tip_uy``|.  A
-    row without a usable ``tip_uy`` takes the largest |``tip_uy``| of the
-    document's rows, and the field's own size (so its relative drift) when
-    no row has one.
+    The scaled drift of ``err_u`` and ``err_E`` is the absolute drift over
+    the row's |``tip_uy``|, a displacement.  A row without a usable
+    ``tip_uy`` takes the largest |``tip_uy``| of the document's rows.
+    ``err_p`` is a pressure, so its drift is scaled by the applied load
+    |``summary.config.load``|, which is the pipe's internal pressure (the
+    pipe is the only scenario that reports ``err_p``).  A field without
+    its scale takes its own size, so its relative drift.
     """
     rows = [d.get("reports") if isinstance(d, dict) else None for d in (a, b)]
     if not (all(isinstance(r, list) for r in rows)
@@ -132,6 +143,7 @@ def scaled_drifts(a, b):
         return []
     tips = [_scale(r.get("tip_uy")) for r in rows[0]]
     largest = max((t for t in tips if t is not None), default=None)
+    load = max(_scale(_load(a)) or 0, _scale(_load(b)) or 0)
     moved = []
     for ra, rb in zip(*rows):
         label = f"{ra.get('method')} {ra.get('mesh_id')}"
@@ -141,7 +153,10 @@ def scaled_drifts(a, b):
             if drift == 0.0:
                 continue
             step = abs(ra[name] - rb[name])
-            if tip:
+            if name == "err_p":
+                scaled, scale = ((step / load, "|config.load|") if load
+                                 else (drift, "|err_p| itself"))
+            elif tip:
                 scaled, scale = step / tip, "|tip_uy|"
             elif largest is not None:
                 scaled, scale = step / largest, "largest |tip_uy| of the rows"
