@@ -40,8 +40,10 @@ lemma-checks
     versus volume-average smoothing, and mixed-versus-condensed solver
     equivalence.
 
-A failed solve never aborts a run: the cell is reported with NaN values
-and an error note, and the summary lists it under ``failures``.
+One sweep loop solves every cell.  A failed solve never aborts a run: the
+cell (or a lemma row missing its bound) is reported with NaN values and an
+error note, and the summary lists it under ``failures``.  Only
+``cook-distorted`` has no thresholds; any other missing one is a KeyError.
 """
 
 import json
@@ -124,7 +126,6 @@ class ScenarioConfig:
     distort: float = 0.0
     seed: int = 0
     pattern: str = "unstructured"
-    out: str = ""
 
     def __post_init__(self):
         if self.scenario not in _SCENARIO_TABLE:
@@ -180,9 +181,9 @@ class ScenarioConfig:
 
 
 def accepted_settings(scenario):
-    """Names of the settings ``scenario`` reads, plus the ``seed`` and
-    ``out`` that every scenario accepts."""
-    return (*_SCENARIO_TABLE[scenario].settings, "seed", "out")
+    """Names of the settings ``scenario`` reads, plus the ``seed`` that
+    every scenario accepts."""
+    return (*_SCENARIO_TABLE[scenario].settings, "seed")
 
 
 def make_config(scenario, **overrides):
@@ -229,9 +230,10 @@ def _solve_linear(disc, method, mat, tractions, bubble):
     return sol, bundle
 
 
-def _fail_cell(report, exc, failures):
+def _fail_cell(report, reason, failures):
+    """Mark a report row failed, with ``reason`` as its error text."""
     report.extra["status"] = "failed"
-    report.extra["error"] = f"{type(exc).__name__}: {exc}"
+    report.extra["error"] = reason
     failures.append(f"{report.method}/{report.mesh_id}")
 
 
@@ -240,35 +242,28 @@ def format_bound(check):
     return f"{check['value']:.6g} {check['op']} {check['threshold']:.6g}"
 
 
-def _fail_check(report, check, failures):
-    """Fail a property row whose check did not hold, stating the bound."""
-    report.extra["status"] = "failed"
-    report.extra["error"] = f"check failed: {format_bound(check)}"
-    failures.append(f"{report.method}/{report.mesh_id}")
+def _sweep(meshes, keys, mesh_of, cell, row=None):
+    """Solve every cell of a scenario over a mesh series.
 
-
-def _sweep(config, mesh_of, cell, keys=None, row=None):
-    """Solve every cell of a scenario over its mesh series.
-
-    Each resolution n is meshed by ``mesh_of(n)`` and discretized once;
-    ``cell(disc, n, key, report)`` then fills one ErrorReport per key (the
-    configured methods unless ``keys`` is given) and returns the value the
-    scenario's derived quantities read.  ``row(n, key)`` gives the report's
-    (method, mesh_id), by default (key, n).  A cell that raises is reported
-    as failed and stores no value; a mesh that cannot be built or
-    discretized fails each of its cells (h NaN, no elements).
+    Each resolution n of ``meshes`` is meshed by ``mesh_of(n)`` and
+    discretized once; ``cell(disc, n, key, report)`` then fills one
+    ErrorReport per key and returns the value the scenario's derived
+    quantities read.  ``row(n, key)`` gives the report's (method,
+    mesh_id), by default (key, n).  A cell that raises is reported as
+    failed and stores no value; a mesh that cannot be built or discretized
+    fails each of its cells (h NaN, no elements).
 
     Returns (reports, failures, values) with values keyed by (key, n).
     """
     reports, failures, values = [], [], {}
-    for n in config.meshes:
+    for n in meshes:
         try:
             disc = Discretization(mesh_of(n))
             h, n_elements, mesh_error = (characteristic_h(disc),
                                          disc.mesh.n_elements, None)
         except Exception as exc:
             h, n_elements, mesh_error = float("nan"), 0, exc
-        for key in config.methods if keys is None else keys:
+        for key in keys:
             method, mesh_id = row(n, key) if row else (key, str(n))
             report = ErrorReport(method, mesh_id, h, n_elements)
             try:
@@ -277,7 +272,7 @@ def _sweep(config, mesh_of, cell, keys=None, row=None):
                 values[(key, n)] = cell(disc, n, key, report)
                 report.extra["status"] = "ok"
             except Exception as exc:
-                _fail_cell(report, exc, failures)
+                _fail_cell(report, f"{type(exc).__name__}: {exc}", failures)
             reports.append(report)
     return reports, failures, values
 
@@ -295,17 +290,9 @@ def _add_check(checks, name, value, op, threshold, source):
 
 
 def _gate(checks, data, key, name, value, op):
-    """Check ``value`` against the packaged threshold ``data[key]``, if any."""
-    if key in data:
-        entry = data[key]
-        _add_check(checks, name, value, op, entry["value"], entry["source"])
-
-
-def _config_summary(config):
-    """Every config field but the output directory (tuples dump as lists)."""
-    summary = asdict(config)
-    del summary["out"]
-    return summary
+    """Check ``value`` against the packaged threshold ``data[key]``."""
+    entry = data[key]
+    _add_check(checks, name, value, op, entry["value"], entry["source"])
 
 
 def _series(store, method, meshes):
@@ -341,12 +328,13 @@ def run_cook(config, data, checks):
     Derives the tip series per method, the extrapolated limit of the
     enriched method, per-baseline locking gaps, and (on the undistorted
     scenario, when both profile methods are configured) the
-    pressure-profile total-variation block.
+    pressure-profile total-variation block.  The distorted scenario's
+    empty threshold table skips every gate.
     """
     mat = MaterialParams(config.young, config.poisson)
     tractions = {"traction": (0.0, config.load / COOK_EDGE)}
     reports, failures, tips = _sweep(
-        config, lambda n: _cook_mesh(n, config),
+        config.meshes, config.methods, lambda n: _cook_mesh(n, config),
         _tip_cell(config, mat, tractions, COOK_TIP, 1))
 
     summary = {
@@ -362,10 +350,10 @@ def run_cook(config, data, checks):
     elif finite:
         summary["tip_limit"] = finite[-1]
 
-    if len(finite) >= 2:
+    if data and len(finite) >= 2:
         _gate(checks, data, "tip_change_max", "tip-change",
               abs(finite[-1] - finite[-2]) / abs(finite[-1]), "<=")
-    if "locking_gap_min" in data and "tip_limit" in summary:
+    if data and "tip_limit" in summary:
         limit = summary["tip_limit"]
         gap_n = 16 if 16 in config.meshes else config.meshes[-1]
         summary["locking_gap_mesh"] = str(gap_n)
@@ -378,32 +366,35 @@ def run_cook(config, data, checks):
 
     if (config.scenario == "cook" and not config.distort
             and {"bes-fem", "ns-fem"} <= set(config.methods)):
-        _cook_profiles(config, mat, failures, summary, checks, data)
+        _cook_profiles(config, mat, tractions, failures, summary, checks,
+                       data)
     return reports, failures, summary
 
 
-def _cook_profiles(config, mat, failures, summary, checks, data):
+def _cook_profiles(config, mat, tractions, failures, summary, checks, data):
     """Pressure profiles along x = 24 on the fixed 256-element mesh.
 
-    Results go into ``summary["profile"]`` only, so the report rows stay
-    one per configured (method, mesh) cell.
+    The profile cells' report rows are dropped, so the rows stay one per
+    configured (method, mesh) cell: results go into ``summary["profile"]``
+    and the reasons of failed cells into ``summary["profile_errors"]``.
     """
     mesh_id = "x".join(str(n) for n in PROFILE_MESH)
-    disc = Discretization(generate_cook(PROFILE_MESH))
-    tractions = {"traction": (0.0, config.load / COOK_EDGE)}
-    profiles = {}
+
+    def cell(disc, n, method, report):
+        sol, bundle = _solve_linear(disc, method, mat, tractions,
+                                    config.bubble)
+        return pressure_profile(disc, sol.p, value=PROFILE_LINE_X,
+                                continuous=bundle.nodal_pressure)
+
     wanted = [m for m in config.methods if m in ("bes-fem", "ns-fem", "mini")]
-    for method in wanted:
-        try:
-            sol, bundle = _solve_linear(disc, method, mat, tractions,
-                                        config.bubble)
-            ts, vals = pressure_profile(disc, sol.p, value=PROFILE_LINE_X,
-                                        continuous=bundle.nodal_pressure)
-            profiles[method] = (ts, vals)
-        except Exception as exc:
-            failures.append(f"{method}/{mesh_id}")
-            summary.setdefault("profile_errors", {})[method] = (
-                f"{type(exc).__name__}: {exc}")
+    rows, failed, values = _sweep(
+        [PROFILE_MESH], wanted, generate_cook, cell,
+        row=lambda n, method: (method, mesh_id))
+    failures.extend(failed)
+    if failed:
+        summary["profile_errors"] = {r.method: r.extra["error"] for r in rows
+                                     if r.extra["status"] == "failed"}
+    profiles = {method: value for (method, _), value in values.items()}
 
     block = {}
     for method, (ts, vals) in profiles.items():
@@ -495,7 +486,8 @@ def run_pipe(config, data, checks):
         report.extra["n_dof"] = dofmap.n_disp
         return report.h, report.err_u, report.err_p, report.err_E
 
-    reports, failures, errors = _sweep(config, generate_annulus, cell)
+    reports, failures, errors = _sweep(config.meshes, config.methods,
+                                       generate_annulus, cell)
 
     summary = {"exact_residual": exact.strong_form_residual(), "rates": {}}
     for method in config.methods:
@@ -527,7 +519,7 @@ def run_pipe(config, data, checks):
             for i in (1, 2, 3):
                 margins.append((cell_errors[i] - bes[i]) / cell_errors[i]
                                if cell_errors[i] != 0.0 else float("nan"))
-    if margins and "ordering" in data:
+    if margins:
         # unlike min(), np.min is NaN wherever in the list a NaN sits
         margin = float(np.min(margins))
         summary["ordering_margin"] = margin
@@ -544,7 +536,8 @@ def run_block3d(config, data, checks):
     mat = MaterialParams(config.young, config.poisson)
     tractions = {"traction": ("pressure", config.load)}
     reports, failures, tips = _sweep(
-        config, lambda n: generate_block(n, pattern=config.pattern),
+        config.meshes, config.methods,
+        lambda n: generate_block(n, pattern=config.pattern),
         _tip_cell(config, mat, tractions, BLOCK_MONITOR, 2))
 
     summary = {
@@ -552,15 +545,14 @@ def run_block3d(config, data, checks):
     }
     finest = config.meshes[-1]
     tip_bfs = tips.get(("bfs-fem", finest))
-    if tip_bfs is not None and "tip_reference" in data:
+    if tip_bfs is not None:
         entry = data["tip_reference"]
         summary["reference_tip"] = entry["value"]
         deviation = abs(abs(tip_bfs) / entry["value"] - 1.0)
         _add_check(checks, "tip-reference", deviation, "<=", entry["rtol"],
                    entry["source"])
     tip_fs = tips.get(("fs-fem", finest))
-    if tip_bfs is not None and tip_fs is not None \
-            and "locking_ratio_min" in data:
+    if tip_bfs is not None and tip_fs is not None:
         ratio = abs(tip_bfs) / abs(tip_fs)
         summary["locking_ratio"] = ratio
         _gate(checks, data, "locking_ratio_min", "locking-ratio", ratio, ">=")
@@ -600,27 +592,23 @@ def run_cook_neohookean(config, data, checks):
         return report.tip_uy
 
     reports, failures, tips = _sweep(
-        config, lambda n: _cook_mesh(n, config), cell, keys=config.kappa,
+        config.meshes, config.kappa, lambda n: _cook_mesh(n, config), cell,
         row=lambda n, kappa: ("bes-fem", f"{n}/k{kappa:g}"))
 
     summary = {
-        "curves": {f"k{k:g}": [tips.get((k, n), float("nan"))
-                               for n in config.meshes]
+        "curves": {f"k{k:g}": _series(tips, k, config.meshes)
                    for k in config.kappa},
     }
     converged = len(tips) / (len(config.meshes) * len(config.kappa))
     _gate(checks, data, "all_steps_converge", "all-steps-converge",
           converged, ">=")
-    if "monotone_in_mesh" in data and len(config.meshes) >= 2:
+    if len(config.meshes) >= 2:
         increments = []
         for kappa in config.kappa:
-            vals = [tips.get((kappa, n)) for n in config.meshes]
-            if any(v is None for v in vals):
-                increments.append(float("nan"))
-                continue
-            scale = abs(vals[-1]) or 1.0
-            increments.extend(np.diff(vals) / scale)
-        worst = float(np.min(increments)) if increments else float("nan")
+            # a failed cell's NaN makes its curve's increments NaN
+            vals = _series(tips, kappa, config.meshes)
+            increments.extend(np.diff(vals) / (abs(vals[-1]) or 1.0))
+        worst = float(np.min(increments))
         summary["min_increment"] = worst
         _gate(checks, data, "monotone_in_mesh", "monotone-in-mesh", worst,
               ">=")
@@ -663,7 +651,7 @@ def run_infsup(config, data, checks):
         return beta
 
     reports, failures, betas = _sweep(
-        config, lambda n: _cook_mesh(n, config), cell)
+        config.meshes, config.methods, lambda n: _cook_mesh(n, config), cell)
 
     summary = {
         "betas": {m: _series(betas, m, config.meshes)
@@ -856,9 +844,11 @@ def run_lemma_checks(config, data, checks):
             if "tol" in entry:
                 checks[name]["expected_constant"] = entry["value"]
             if not checks[name]["passed"]:
-                _fail_check(report, checks[name], failures)
+                _fail_cell(report,
+                           f"check failed: {format_bound(checks[name])}",
+                           failures)
         except Exception as exc:
-            _fail_cell(report, exc, failures)
+            _fail_cell(report, f"{type(exc).__name__}: {exc}", failures)
             _add_check(checks, name, float("nan"), "<=", bound,
                        entry["source"])
         reports.append(report)
@@ -879,7 +869,7 @@ def run_lemma_checks(config, data, checks):
          "bubble_ratio_3d_power_closed_form", n_3d),
         ("bubble-ratio-3d-hat", three_d, "hat", "bubble_ratio_3d_hat", n_3d),
     ]
-    recorded = data.get("bubble_ratio_2d_power", {})
+    recorded = data["bubble_ratio_2d_power"]
     for name, group, bubble, key, n_elem in ratio_cases:
         shown = recorded if name == "bubble-ratio-2d-power" else {}
         run_case(name, key, n_elem, lambda: _bubble_ratio_case(
@@ -963,7 +953,7 @@ def run_scenario(config):
     reports, failures, derived = _SCENARIO_TABLE[config.scenario].run(
         config, data, checks)
     # a runner's own "meshes" (the lemma probe names) replaces the series
-    summary = {"scenario": config.scenario, "config": _config_summary(config),
+    summary = {"scenario": config.scenario, "config": asdict(config),
                "meshes": [str(n) for n in config.meshes], **derived,
                "checks": checks, "failures": failures}
     return reports, summary

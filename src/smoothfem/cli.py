@@ -7,19 +7,22 @@ Usage::
     smoothfem check --out results
 
 ``run`` executes one scenario and prints a plain-text result table plus
-one line per recorded check.  With ``--out DIR`` it also writes
-``DIR/<scenario>.csv`` (a timestamp comment line is the only content
-allowed to differ between reruns) and ``DIR/<scenario>.json`` (reports
-plus the full summary, fully deterministic).  ``check`` runs the
-operator property battery and the inf-sup sweep back to back.
+one line per recorded check.  With ``--out DIR``, an option of the command
+line and not a scenario setting, it also writes ``DIR/<scenario>.csv`` (a
+timestamp comment line is the only content allowed to differ between
+reruns) and ``DIR/<scenario>.json`` (reports plus the full summary, fully
+deterministic).  ``check`` runs the operator property battery and the
+inf-sup sweep back to back.
 
 Options may also be read from a flat ``key = value`` file through
 ``--config``; command-line flags override file values, which override
-the scenario defaults.  A ``scenario`` line in the file must name the
-scenario being run.  Each scenario accepts only the settings it reads;
-any other option is an error.  :func:`config_to_text` renders a
-configuration in that file format: the scenario and the settings it
-accepts, which :func:`parse_config_text` reads back to an equal
+the scenario defaults.  A ``#`` opens a comment at the start of a line or
+after whitespace: ``meshes = 2,4  # coarse`` reads ``2,4``, ``out = runs#2``
+keeps its ``#``.  A ``scenario`` line must name the scenario being run; an
+``out`` line stands for ``--out``.  Each scenario accepts only the
+settings it reads; any other option is an error.  :func:`config_to_text`
+renders a configuration in that file format: the scenario and the settings
+it accepts, which :func:`parse_config_text` reads back to an equal
 configuration.
 
 The process exits nonzero when any cell failed to solve or any recorded
@@ -31,6 +34,7 @@ import dataclasses
 import datetime
 import math
 import os
+import re
 import sys
 
 from .analysis import CSV_COLUMNS, reports_to_csv, reports_to_json
@@ -50,7 +54,7 @@ def _parse_floats(text):
     return tuple(float(part) for part in _parse_names(text))
 
 
-# configuration field -> (command-line flag, parser, help)
+# option -> (flag, parser, help); every option but out is a config field
 OPTIONS = {
     "methods": ("--methods", _parse_names, "comma-separated method names"),
     "meshes": ("--meshes", _parse_ints, "comma-separated mesh resolutions"),
@@ -94,13 +98,14 @@ def config_to_text(config):
 def parse_config_text(text):
     """Parse a ``key = value`` configuration file into typed overrides.
 
-    Blank lines and ``#`` comments are skipped.  The returned dict maps
-    field names to values ready for :func:`make_config`; a ``scenario``
-    key is returned under that name as a plain string.
+    Blank lines and comments (a ``#`` at a line's start or after
+    whitespace) are skipped.  The returned dict maps option names to
+    values; ``scenario`` and ``out`` come back as plain strings and every
+    other value is ready for :func:`make_config`.
     """
     values = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
+        line = re.split(r"(?:^|\s)#", raw, maxsplit=1)[0].strip()
         if not line:
             continue
         if "=" not in line:
@@ -174,10 +179,10 @@ def _report_scenario(config, reports, summary, stream):
     return not failures and n_bad == 0
 
 
-def _write_outputs(config, reports, summary):
-    os.makedirs(config.out, exist_ok=True)
+def _write_outputs(config, out, reports, summary):
+    os.makedirs(out, exist_ok=True)
     stamp = datetime.datetime.now().isoformat(timespec="seconds")
-    base = os.path.join(config.out, config.scenario)
+    base = os.path.join(out, config.scenario)
     with open(base + ".csv", "w", encoding="utf-8") as fh:
         fh.write(reports_to_csv(reports, timestamp=stamp))
     with open(base + ".json", "w", encoding="utf-8") as fh:
@@ -185,11 +190,12 @@ def _write_outputs(config, reports, summary):
     return base
 
 
-def _execute(config, stream):
+def _execute(config, out, stream):
+    """Run, print and, when ``out`` names a directory, write the reports."""
     reports, summary = run_scenario(config)
     ok = _report_scenario(config, reports, summary, stream)
-    if config.out:
-        base = _write_outputs(config, reports, summary)
+    if out:
+        base = _write_outputs(config, out, reports, summary)
         print(f"wrote {base}.csv and {base}.json", file=stream)
     return ok
 
@@ -212,15 +218,16 @@ def _collect_overrides(args):
 
 
 def _cmd_run(args, stream):
-    config = make_config(args.scenario, **_collect_overrides(args))
-    return 0 if _execute(config, stream) else 1
+    overrides = _collect_overrides(args)
+    out = overrides.pop("out", "")
+    config = make_config(args.scenario, **overrides)
+    return 0 if _execute(config, out, stream) else 1
 
 
 def _cmd_check(args, stream):
     ok = True
     for scenario in ("lemma-checks", "infsup"):
-        config = make_config(scenario, out=args.out or "")
-        ok = _execute(config, stream) and ok
+        ok = _execute(make_config(scenario), args.out or "", stream) and ok
     return 0 if ok else 1
 
 

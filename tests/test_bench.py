@@ -1,5 +1,6 @@
 """Tests of the benchmark configuration, scenario engine and CLI."""
 
+import dataclasses
 import importlib.util
 import json
 import math
@@ -107,7 +108,7 @@ def test_config_validation_scenario_specific():
 
 
 # a valid value other than the dataclass default for every setting that some
-# scenario does not read (seed and out are accepted by every scenario)
+# scenario does not read (seed is accepted by every scenario)
 _OTHER_VALUES = dict(methods=("bes-fem",), meshes=(3,), young=100.0,
                      poisson=0.3, load=2.0, bubble="hat", kappa=(5.0,),
                      mu=2.0, steps=3, distort=0.2, pattern="uniform")
@@ -116,8 +117,11 @@ _OTHER_VALUES = dict(methods=("bes-fem",), meshes=(3,), young=100.0,
 @pytest.mark.parametrize("scenario", SCENARIOS)
 def test_config_rejects_settings_the_scenario_does_not_read(scenario):
     accepted = benchmarks.accepted_settings(scenario)
-    assert {"seed", "out"} <= set(accepted)
-    make_config(scenario, seed=7, out="results")
+    assert "seed" in accepted and "out" not in accepted
+    make_config(scenario, seed=7)
+    # the output directory belongs to the command line, not the scenario
+    with pytest.raises(ValueError, match="unknown configuration key 'out'"):
+        make_config(scenario, out="results")
     for name, value in _OTHER_VALUES.items():
         if name not in accepted:
             with pytest.raises(ValueError,
@@ -156,10 +160,29 @@ def test_config_file_round_trip(scenario):
 def test_parse_config_text_errors_and_comments():
     values = parse_config_text("# note\n\n meshes = 2,4 # inline\nmu=0.7\n")
     assert values == {"meshes": (2, 4), "mu": 0.7}
+    # a # opens a comment only at a line's start or after whitespace
+    assert parse_config_text("out = runs#2\nmeshes = 2,4  # coarse\n"
+                             "#meshes = 8\nmu = 0.7\t# tab\n") == {
+        "out": "runs#2", "meshes": (2, 4), "mu": 0.7}
     with pytest.raises(ValueError, match="unknown configuration key"):
         parse_config_text("color = red\n")
     with pytest.raises(ValueError, match="key = value"):
         parse_config_text("just words\n")
+
+
+def test_a_config_file_out_line_writes_the_reports(tmp_path):
+    """An ``out`` line stands for ``--out``, keeps a ``#`` inside its value,
+    and stays out of the recorded configuration."""
+    out = tmp_path / "runs#2"
+    cfg_file = tmp_path / "sweep.cfg"
+    cfg_file.write_text(f"out = {out}  # the reports\nmeshes = 2\n"
+                        "methods = fem-t3\n")
+    assert main(["run", "cook", "--config", str(cfg_file)]) == 0
+    assert (out / "cook.csv").exists()
+    _, summary = reports_from_json((out / "cook.json").read_text())
+    config = make_config("cook", meshes=(2,), methods=("fem-t3",))
+    assert summary["config"] == json.loads(json.dumps(
+        dataclasses.asdict(config)))
 
 
 def test_cook_smoke_one_row_per_method():
@@ -354,6 +377,27 @@ def test_cli_reports_profile_failure_reason(monkeypatch, capsys):
     assert "2 cells, 0 failed;" in text  # both report rows are ok
 
 
+def test_a_profile_mesh_that_cannot_be_built_fails_its_cells(monkeypatch):
+    """The profile cells run through the scenario sweep, so a profile mesh
+    that cannot be built fails its cells instead of aborting the run."""
+    generate = benchmarks.generate_cook
+
+    def breaking(resolution):
+        if resolution == benchmarks.PROFILE_MESH:
+            raise ValueError("synthetic mesh breakdown")
+        return generate(resolution)
+
+    monkeypatch.setattr(benchmarks, "generate_cook", breaking)
+    reports, summary = run_scenario(make_config(
+        "cook", methods=("ns-fem", "bes-fem"), meshes=(2,)))
+    assert [r.extra["status"] for r in reports] == ["ok", "ok"]
+    assert summary["failures"] == ["ns-fem/8x16", "bes-fem/8x16"]
+    assert summary["profile_errors"] == dict.fromkeys(
+        ("ns-fem", "bes-fem"), "ValueError: synthetic mesh breakdown")
+    assert summary["profile"]["methods"] == {}
+    assert "pressure-tv-ratio" not in summary["checks"]
+
+
 def test_cli_reports_failed_property_bound(monkeypatch, capsys, tmp_path):
     """A lemma property that misses its bound without raising still says
     why its row failed."""
@@ -465,8 +509,8 @@ def test_cli_check_runs_lemma_checks_then_infsup(monkeypatch, tmp_path):
     sweep, forwards --out to both and fails when either run fails."""
     calls, outcome = [], {}
 
-    def execute(config, stream):
-        calls.append((config.scenario, config.out))
+    def execute(config, out, stream):
+        calls.append((config.scenario, out))
         return outcome[config.scenario]
 
     monkeypatch.setattr(cli, "_execute", execute)
@@ -527,6 +571,78 @@ def test_acceptance_data_is_packaged():
                for section in data.values() if isinstance(section, dict)
                for entry in section.values() if isinstance(entry, dict)}
     assert sources <= {"published-value", "measured-baseline"}
+
+
+class _RecordedTable(dict):
+    """A scenario's threshold table that records every key read from it."""
+
+    def __init__(self, table, read):
+        super().__init__(table)
+        self.read = read
+
+    def __getitem__(self, key):
+        self.read.add(key)
+        return super().__getitem__(key)
+
+    def get(self, key, default=None):
+        self.read.add(key)
+        return super().get(key, default)
+
+
+def _recorded_thresholds(monkeypatch, drop=None):
+    """Patch ``acceptance_data`` to hand out recording tables, without the
+    key ``drop``; returns the set of keys read."""
+    data, read = benchmarks.acceptance_data(), set()
+    tables = {name: _RecordedTable({k: v for k, v in table.items()
+                                    if k != drop}, read)
+              for name, table in data.items() if isinstance(table, dict)}
+    monkeypatch.setattr(benchmarks, "acceptance_data", lambda: tables)
+    return read
+
+
+# small runs of every gated scenario that reach all of its gates
+_GATED_RUNS = {
+    "cook": dict(methods=("fem-t3", "ns-fem", "bes-fem"), meshes=(2, 3)),
+    "pipe": dict(methods=("bes-fem", "ns-fem"), meshes=(2, 3, 4)),
+    "block3d": dict(methods=("bfs-fem", "fs-fem"), meshes=(2,),
+                    pattern="uniform"),
+    "cook-neohookean": dict(meshes=(2, 3), kappa=(1.95,), steps=2),
+    "infsup": dict(meshes=(2, 3, 4)),
+    "lemma-checks": {},
+}
+
+
+def test_every_scenario_with_thresholds_is_gated():
+    data = benchmarks.acceptance_data()
+    assert set(_GATED_RUNS) == {s for s in SCENARIOS if data.get(s)}
+    assert "cook-distorted" not in data
+
+
+@pytest.mark.parametrize("scenario", sorted(_GATED_RUNS))
+def test_every_packaged_threshold_is_read(monkeypatch, scenario):
+    """A dead or misspelled threshold is one that its scenario never reads."""
+    read = _recorded_thresholds(monkeypatch)
+    _, summary = run_scenario(make_config(scenario, **_GATED_RUNS[scenario]))
+    assert not summary["failures"]
+    assert read == set(benchmarks.acceptance_data()[scenario])
+
+
+@pytest.mark.parametrize("scenario, key", [
+    ("cook", "locking_gap_min"), ("pipe", "ordering"),
+    ("block3d", "tip_reference"), ("cook-neohookean", "monotone_in_mesh")])
+def test_a_missing_threshold_is_named_not_skipped(monkeypatch, scenario, key):
+    _recorded_thresholds(monkeypatch, drop=key)
+    with pytest.raises(KeyError, match=key):
+        run_scenario(make_config(scenario, **_GATED_RUNS[scenario]))
+
+
+def test_cook_distorted_records_no_check(monkeypatch):
+    read = _recorded_thresholds(monkeypatch)
+    reports, summary = run_scenario(make_config(
+        "cook-distorted", methods=("fem-t3", "bes-fem"), meshes=(2, 3, 4)))
+    assert len(reports) == 6 and not summary["failures"]
+    assert summary["checks"] == {} and read == set()
+    assert "tip_limit" in summary and "locking_gap_mesh" not in summary
 
 
 def test_public_names_resolve():
@@ -762,6 +878,18 @@ def test_same_outputs_counts_source_lines(tmp_path):
     (package / "b.py").write_text("Y = 2\n")
     (package / "notes.txt").write_text("not counted\n")
     assert tool.source_lines(tmp_path) == 4
+    # a second tree: a.py shrinks, b.py is unchanged, c.py is new and
+    # d.py is gone
+    head = tmp_path / "head"
+    package = head / "src" / "smoothfem"
+    package.mkdir(parents=True)
+    (package / "a.py").write_text("X = 1\n")
+    (package / "b.py").write_text("Y = 2\n")
+    (package / "c.py").write_text("Z = 3\n\n")
+    (tmp_path / "src" / "smoothfem" / "d.py").write_text("W = 4\n")
+    assert tool.moved_lines(tmp_path, head) == [
+        "a.py: 3 -> 1", "c.py: 0 -> 2", "d.py: 1 -> 0"]
+    assert tool.moved_lines(head, head) == []
 
 
 def test_readme_states_the_package_line_count():

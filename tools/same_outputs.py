@@ -27,8 +27,10 @@ the verdict nor the exit status.
 Each scenario's line ends with its wall time on REV and on the working
 tree; each is a single run, so read it as a rough cost, not a benchmark.
 Last it prints the ``src/smoothfem/*.py`` line count of REV and of the
-working tree, so a refactor's size and its identity gate come from one
-command.  Exit status 0 when all seven scenarios pass, 1 otherwise.
+working tree, then one ``name: REV -> tree`` line per file whose count
+differs, so a refactor's size, where its lines went and its identity gate
+come from one command.  Exit status 0 when all seven scenarios pass, 1
+otherwise.
 """
 
 import argparse
@@ -220,10 +222,24 @@ def _judge(headline, diff, rtol, problems, notes):
         problems.append(f"... {len(other) - SHOWN} more mismatches")
 
 
+def file_lines(tree):
+    """``wc -l`` of each package source ``src/smoothfem/*.py``, by name."""
+    return {path.name: path.read_bytes().count(b"\n")
+            for path in (tree / "src" / "smoothfem").glob("*.py")}
+
+
 def source_lines(tree):
     """``wc -l`` total of the package sources ``src/smoothfem/*.py``."""
-    return sum(path.read_bytes().count(b"\n")
-               for path in (tree / "src" / "smoothfem").glob("*.py"))
+    return sum(file_lines(tree).values())
+
+
+def moved_lines(base, head):
+    """``name: before -> after`` for each package source whose line count
+    differs between two trees; a file missing from a tree has 0 lines."""
+    before, after = file_lines(base), file_lines(head)
+    return [f"{name}: {before.get(name, 0)} -> {after.get(name, 0)}"
+            for name in sorted(before.keys() | after.keys())
+            if before.get(name, 0) != after.get(name, 0)]
 
 
 def extract(rev, repo, dest):
@@ -273,6 +289,8 @@ def main(argv=None):
             same += not problems
         print(f"src/smoothfem/*.py: {source_lines(trees['base'])} lines at "
               f"{args.rev}, {source_lines(repo)} in the working tree")
+        for line in moved_lines(trees["base"], repo):
+            print(f"  {line}")
         print(f"{same} of {len(SCENARIOS)} scenarios match {args.rev}")
     return 0 if same == len(SCENARIOS) else 1
 
