@@ -5,7 +5,8 @@ methods are measured through their domain-averaged strains, mixed methods
 additionally through their cell-constant pressure, and MINI through its
 pointwise element fields.  Integrals use a degree-4 rule on the micro-cell
 partition, except MINI's energy norm, which uses the degree-2d element
-rule of MINI's stiffness (``Discretization.element_gradients``).
+rule of MINI's stiffness (``Discretization.element_gradients``).  Exact
+fields at micro-cell points come from ``Discretization.at_quadrature``.
 """
 
 import json
@@ -185,9 +186,9 @@ def error_displacement(disc, dofmap, u, exact):
     partition each element, so piecewise-linear bubbles are integrated
     exactly.
     """
-    _, X, w, lam = disc.quadrature()
-    elem = disc.micro.cell_elem
-    diff = displacement_values(disc, dofmap, u, lam, elem) - exact(X)
+    _, _, w, lam = disc.quadrature()
+    diff = (displacement_values(disc, dofmap, u, lam, disc.micro.cell_elem)
+            - disc.at_quadrature(exact))
     return float(np.sqrt(np.einsum("kq,kqd,kqd->", w, diff, diff)))
 
 
@@ -197,14 +198,14 @@ def error_pressure(disc, p, exact, continuous=False):
     ``p`` holds one value per mesh vertex: cell constants by default, or a
     continuous P1 field (MINI) with ``continuous=True``.
     """
-    _, X, w, lam = disc.quadrature()
+    _, _, w, lam = disc.quadrature()
     p = np.asarray(p, float)
     if continuous:
         elem = disc.micro.cell_elem
         ph = np.einsum("kqi,ki->kq", lam, p[disc.mesh.elements[elem]])
     else:
         ph = np.broadcast_to(p[disc.micro.cell_node][:, None], w.shape)
-    diff = ph - exact(X)
+    diff = ph - disc.at_quadrature(exact)
     return float(np.sqrt(np.einsum("kq,kq->", w, diff * diff)))
 
 
@@ -229,8 +230,8 @@ def error_energy(disc, bundle, u, p, exact):
     G = disc.gradient_ops(bundle.kind, bundle.dofmap.bubble)
     eps_bar = np.stack([R @ u for R in strain_rows(G)], axis=-1)
     dom = disc.domains(bundle.kind).dom_of_cell
-    _, X, w, _ = disc.quadrature()
-    diff = exact.strain(X) - eps_bar[dom][:, None, :]
+    w = disc.quadrature()[2]
+    diff = disc.at_quadrature(exact.strain) - eps_bar[dom][:, None, :]
     if not bundle.mixed:
         C = full_elastic_matrix(mat.lam, mat.mu, disc.dim)
         # the lambda terms cancel in this sum, so its order is pinned:
@@ -241,7 +242,9 @@ def error_energy(disc, bundle, u, p, exact):
     # shear defect plus pressure-divergence defect on smoothing domains
     div_bar = divergence_operator(G) @ u
     ph = np.asarray(p, float)[disc.micro.cell_node][:, None]
-    return _mixed_energy(w, X, diff, ph, div_bar[dom][:, None], exact, mat.mu)
+    return _mixed_energy(w, diff, disc.at_quadrature(exact.pressure) - ph,
+                         disc.at_quadrature(exact.divergence)
+                         - div_bar[dom][:, None], disc.dim, mat.mu)
 
 
 def _energy_mini(disc, bundle, u, p, exact):
@@ -259,19 +262,18 @@ def _energy_mini(disc, bundle, u, p, exact):
 
     ph = np.einsum("qi,ei->eq", rule.points,
                    np.asarray(p, float)[mesh.elements])
-    return _mixed_energy(w, X, exact.strain(X) - eps, ph,
-                         eps[..., :dim].sum(axis=-1), exact, mat.mu)
+    return _mixed_energy(w, exact.strain(X) - eps, exact.pressure(X) - ph,
+                         exact.divergence(X) - eps[..., :dim].sum(axis=-1),
+                         dim, mat.mu)
 
 
-def _mixed_energy(w, X, diff, ph, div, exact, mu):
+def _mixed_energy(w, diff, pdiff, ddiff, dim, mu):
     """(norm, total) of a mixed method's energy defect at weighted points
-    ``w`` (K, Q), ``X`` (K, Q, d): 2 mu times the shear part of the strain
-    defect ``diff`` (K, Q, V), plus the product of the pressure and
-    divergence defects of the discrete ``ph`` and ``div``."""
-    shear = shear_weight_vector(X.shape[-1])
+    ``w`` (K, Q): 2 mu times the shear part of the strain defect ``diff``
+    (K, Q, V), plus the product of the pressure and divergence defects
+    ``pdiff`` and ``ddiff`` (K, Q)."""
+    shear = shear_weight_vector(dim)
     quad = 2.0 * mu * np.einsum("kq,kqv,v->", w, diff * diff, shear)
-    pdiff = exact.pressure(X) - ph
-    ddiff = exact.divergence(X) - div
     total = quad + np.einsum("kq,kq,kq->", w, pdiff, ddiff)
     return float(np.sqrt(max(0.0, total))), float(total)
 

@@ -150,6 +150,7 @@ class Discretization:
         self._gradients = {}
         self._overlaps = {}
         self._quadrature = None
+        self._at_quadrature = {}
         self._element_gradients = None
 
     @property
@@ -197,6 +198,13 @@ class Discretization:
                 a.flags.writeable = False
             self._quadrature = (rule, X, w, lam)
         return self._quadrature
+
+    def at_quadrature(self, field):
+        """``field``, a pure function of points, at the micro-cell points
+        (M, Q, d), evaluated once per callable and kept while this lives."""
+        if field not in self._at_quadrature:
+            self._at_quadrature[field] = field(self.quadrature()[1])
+        return self._at_quadrature[field]
 
     def element_gradients(self):
         """(rule, table): the degree-2d element rule and the read-only

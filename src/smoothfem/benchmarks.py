@@ -5,9 +5,9 @@ per-cell :class:`~smoothfem.analysis.ErrorReport` rows plus a summary dict
 holding derived quantities (monitored displacements, fitted rates, inf-sup
 constants, pressure-profile variation) and named pass/fail checks evaluated
 against the thresholds shipped in ``data/acceptance.json``.  Each runner
-fills the named checks and returns its reports, failed cells and derived
-quantities; :func:`run_scenario`, which the command line calls, wraps them
-in the summary.
+fills the named checks and returns its reports and derived quantities;
+:func:`run_scenario`, which the command line calls, wraps them in the
+summary.
 
 Scenarios
 ---------
@@ -41,14 +41,14 @@ lemma-checks
     equivalence.
 
 One sweep loop solves every cell.  A failed solve never aborts a run: the
-cell (or a lemma row missing its bound) is reported with NaN values and an
-error note, and the summary lists it under ``failures``.  Only
-``cook-distorted`` has no thresholds; any other missing one is a KeyError.
+cell (or a lemma row missing its bound) is reported with NaN values, a
+``failed`` status and an error note; the summary's ``failures`` lists those
+rows, then the profile cells of ``profile_errors``.  Only ``cook-distorted``
+has no thresholds; any other missing one is a KeyError.
 """
 
 import json
 import operator
-import weakref
 from collections import namedtuple
 from dataclasses import asdict, dataclass, fields
 from importlib import resources
@@ -230,11 +230,10 @@ def _solve_linear(disc, method, mat, tractions, bubble):
     return sol, bundle
 
 
-def _fail_cell(report, reason, failures):
+def _fail_cell(report, reason):
     """Mark a report row failed, with ``reason`` as its error text."""
     report.extra["status"] = "failed"
     report.extra["error"] = reason
-    failures.append(f"{report.method}/{report.mesh_id}")
 
 
 def format_bound(check):
@@ -253,9 +252,9 @@ def _sweep(meshes, keys, mesh_of, cell, row=None):
     failed and stores no value; a mesh that cannot be built or discretized
     fails each of its cells (h NaN, no elements).
 
-    Returns (reports, failures, values) with values keyed by (key, n).
+    Returns (reports, values) with values keyed by (key, n).
     """
-    reports, failures, values = [], [], {}
+    reports, values = [], {}
     for n in meshes:
         try:
             disc = Discretization(mesh_of(n))
@@ -272,9 +271,9 @@ def _sweep(meshes, keys, mesh_of, cell, row=None):
                 values[(key, n)] = cell(disc, n, key, report)
                 report.extra["status"] = "ok"
             except Exception as exc:
-                _fail_cell(report, f"{type(exc).__name__}: {exc}", failures)
+                _fail_cell(report, f"{type(exc).__name__}: {exc}")
             reports.append(report)
-    return reports, failures, values
+    return reports, values
 
 
 _COMPARISONS = {">=": operator.ge, "<=": operator.le, ">": operator.gt,
@@ -333,7 +332,7 @@ def run_cook(config, data, checks):
     """
     mat = MaterialParams(config.young, config.poisson)
     tractions = {"traction": (0.0, config.load / COOK_EDGE)}
-    reports, failures, tips = _sweep(
+    reports, tips = _sweep(
         config.meshes, config.methods, lambda n: _cook_mesh(n, config),
         _tip_cell(config, mat, tractions, COOK_TIP, 1))
 
@@ -366,12 +365,11 @@ def run_cook(config, data, checks):
 
     if (config.scenario == "cook" and not config.distort
             and {"bes-fem", "ns-fem"} <= set(config.methods)):
-        _cook_profiles(config, mat, tractions, failures, summary, checks,
-                       data)
-    return reports, failures, summary
+        _cook_profiles(config, mat, tractions, summary, checks, data)
+    return reports, summary
 
 
-def _cook_profiles(config, mat, tractions, failures, summary, checks, data):
+def _cook_profiles(config, mat, tractions, summary, checks, data):
     """Pressure profiles along x = 24 on the fixed 256-element mesh.
 
     The profile cells' report rows are dropped, so the rows stay one per
@@ -387,13 +385,13 @@ def _cook_profiles(config, mat, tractions, failures, summary, checks, data):
                                 continuous=bundle.nodal_pressure)
 
     wanted = [m for m in config.methods if m in ("bes-fem", "ns-fem", "mini")]
-    rows, failed, values = _sweep(
+    rows, values = _sweep(
         [PROFILE_MESH], wanted, generate_cook, cell,
         row=lambda n, method: (method, mesh_id))
-    failures.extend(failed)
-    if failed:
-        summary["profile_errors"] = {r.method: r.extra["error"] for r in rows
-                                     if r.extra["status"] == "failed"}
+    errors = {r.method: r.extra["error"] for r in rows
+              if r.extra["status"] == "failed"}
+    if errors:
+        summary["profile_errors"] = errors
     profiles = {method: value for (method, _), value in values.items()}
 
     block = {}
@@ -430,30 +428,6 @@ def _cook_profiles(config, mat, tractions, failures, summary, checks, data):
 # pipe scenario
 # ----------------------------------------------------------------------
 
-class _MeshFields:
-    """The exact fields for every method on one mesh: the displacement and
-    strain at the micro-cell quadrature points are evaluated by the first
-    error norm that asks and then shared; other points (MINI's element
-    rule) are evaluated afresh, and the pressure and divergence are
-    constants."""
-
-    def __init__(self, exact, disc, values):
-        self.exact, self.disc, self._values = exact, disc, values
-
-    def __getattr__(self, name):
-        field = getattr(self.exact, name)
-        if name not in ("displacement", "strain"):
-            return field
-
-        def at(X):
-            if X is not self.disc.quadrature()[1]:
-                return field(X)
-            if name not in self._values:
-                self._values[name] = field(X)
-            return self._values[name]
-        return at
-
-
 def run_pipe(config, data, checks):
     """Convergence study against the closed-form pipe solution.
 
@@ -465,20 +439,16 @@ def run_pipe(config, data, checks):
                               nu=config.poisson)
     mat = exact.material
     tractions = {"traction": ("pressure", config.load)}
-    # a mesh's shared values die with its discretization, so before the
-    # next mesh's first solve
-    shared = weakref.WeakKeyDictionary()
 
     def cell(disc, n, method, report):
-        mesh_exact = _MeshFields(exact, disc, shared.setdefault(disc, {}))
         sol, bundle = _solve_linear(disc, method, mat, tractions,
                                     config.bubble)
         dofmap = bundle.dofmap
         report.err_u = error_displacement(disc, dofmap, sol.u,
-                                          mesh_exact.displacement)
+                                          exact.displacement)
         report.err_p = error_pressure(disc, sol.p, exact.pressure,
                                       continuous=bundle.nodal_pressure)
-        norm, signed = error_energy(disc, bundle, sol.u, sol.p, mesh_exact)
+        norm, signed = error_energy(disc, bundle, sol.u, sol.p, exact)
         report.err_E = norm
         report.extra["err_E_signed"] = signed
         report.tip_uy = tip_displacement(disc.mesh, dofmap, sol.u,
@@ -486,8 +456,8 @@ def run_pipe(config, data, checks):
         report.extra["n_dof"] = dofmap.n_disp
         return report.h, report.err_u, report.err_p, report.err_E
 
-    reports, failures, errors = _sweep(config.meshes, config.methods,
-                                       generate_annulus, cell)
+    reports, errors = _sweep(config.meshes, config.methods, generate_annulus,
+                             cell)
 
     summary = {"exact_residual": exact.strong_form_residual(), "rates": {}}
     for method in config.methods:
@@ -524,7 +494,7 @@ def run_pipe(config, data, checks):
         margin = float(np.min(margins))
         summary["ordering_margin"] = margin
         _gate(checks, data, "ordering", "error-ordering", margin, ">")
-    return reports, failures, summary
+    return reports, summary
 
 
 # ----------------------------------------------------------------------
@@ -535,7 +505,7 @@ def run_block3d(config, data, checks):
     """Loaded-block study: monitored tip displacement and locking ratio."""
     mat = MaterialParams(config.young, config.poisson)
     tractions = {"traction": ("pressure", config.load)}
-    reports, failures, tips = _sweep(
+    reports, tips = _sweep(
         config.meshes, config.methods,
         lambda n: generate_block(n, pattern=config.pattern),
         _tip_cell(config, mat, tractions, BLOCK_MONITOR, 2))
@@ -556,7 +526,7 @@ def run_block3d(config, data, checks):
         ratio = abs(tip_bfs) / abs(tip_fs)
         summary["locking_ratio"] = ratio
         _gate(checks, data, "locking_ratio_min", "locking-ratio", ratio, ">=")
-    return reports, failures, summary
+    return reports, summary
 
 
 # ----------------------------------------------------------------------
@@ -591,7 +561,7 @@ def run_cook_neohookean(config, data, checks):
         })
         return report.tip_uy
 
-    reports, failures, tips = _sweep(
+    reports, tips = _sweep(
         config.meshes, config.kappa, lambda n: _cook_mesh(n, config), cell,
         row=lambda n, kappa: ("bes-fem", f"{n}/k{kappa:g}"))
 
@@ -612,7 +582,7 @@ def run_cook_neohookean(config, data, checks):
         summary["min_increment"] = worst
         _gate(checks, data, "monotone_in_mesh", "monotone-in-mesh", worst,
               ">=")
-    return reports, failures, summary
+    return reports, summary
 
 
 # ----------------------------------------------------------------------
@@ -650,7 +620,7 @@ def run_infsup(config, data, checks):
         report.extra["n_pressure"] = B.shape[0]
         return beta
 
-    reports, failures, betas = _sweep(
+    reports, betas = _sweep(
         config.meshes, config.methods, lambda n: _cook_mesh(n, config), cell)
 
     summary = {
@@ -665,7 +635,7 @@ def run_infsup(config, data, checks):
     if len(es) >= 2:
         _gate(checks, data, "decay_max", "vertex-pairing-decay",
               es[-1] / es[0], "<")
-    return reports, failures, summary
+    return reports, summary
 
 
 # ----------------------------------------------------------------------
@@ -804,10 +774,9 @@ def condensation_defect(disc, mat, tractions, bubble="power"):
     """Saddle-solve versus split-condensed-solve disagreement of the
     enriched pair (the split solve is the oracle)."""
     method = "bes-fem" if disc.dim == 2 else "bfs-fem"
-    bundle = assemble_method(disc, method, mat, bubble=bubble)
+    mixed, bundle = _solve_linear(disc, method, mat, tractions, bubble)
     f = assemble_loads(disc.mesh, disc.topo, bundle.dofmap, tractions)
     fixed = dirichlet_dofs(disc.mesh, bundle.dofmap)
-    mixed = solve_bundle(bundle, f, fixed)
     u, p, _ = solve_condensed_split(bundle.A, bundle.B, bundle.C, mat.lam, f,
                                     fixed)
     du = np.abs(mixed.u - u).max() / np.abs(mixed.u).max()
@@ -828,7 +797,7 @@ def run_lemma_checks(config, data, checks):
     discs = [(name, Discretization(mesh)) for name, mesh in probes]
     two_d = [(n, d) for n, d in discs if d.dim == 2]
     three_d = [(n, d) for n, d in discs if d.dim == 3]
-    reports, failures = [], []
+    reports = []
 
     def run_case(name, key, n_elements, measure):
         """One property row and its check.  ``measure()`` gives the value
@@ -845,10 +814,9 @@ def run_lemma_checks(config, data, checks):
                 checks[name]["expected_constant"] = entry["value"]
             if not checks[name]["passed"]:
                 _fail_cell(report,
-                           f"check failed: {format_bound(checks[name])}",
-                           failures)
+                           f"check failed: {format_bound(checks[name])}")
         except Exception as exc:
-            _fail_cell(report, f"{type(exc).__name__}: {exc}", failures)
+            _fail_cell(report, f"{type(exc).__name__}: {exc}")
             _add_check(checks, name, float("nan"), "<=", bound,
                        entry["source"])
         reports.append(report)
@@ -897,7 +865,7 @@ def run_lemma_checks(config, data, checks):
                  disc3, MaterialParams(180000.0, 0.4999999),
                  {"traction": ("pressure", 250.0)}), {}))
 
-    return reports, failures, {"meshes": [name for name, _ in probes]}
+    return reports, {"meshes": [name for name, _ in probes]}
 
 
 # ----------------------------------------------------------------------
@@ -946,12 +914,16 @@ def run_scenario(config):
         One row per (method, mesh) cell, in deterministic order.
     summary : dict
         Scenario echo, derived quantities, named ``checks``, and the
-        ``failures`` list (empty on a fully healthy run).
+        ``failures`` list: failed rows, then failed profile cells.
     """
     checks = {}
     data = acceptance_data().get(config.scenario, {})
-    reports, failures, derived = _SCENARIO_TABLE[config.scenario].run(
-        config, data, checks)
+    reports, derived = _SCENARIO_TABLE[config.scenario].run(config, data,
+                                                            checks)
+    failures = [f"{r.method}/{r.mesh_id}" for r in reports
+                if r.extra["status"] == "failed"]
+    failures += [f"{m}/{derived['profile']['mesh']}"
+                 for m in derived.get("profile_errors", ())]
     # a runner's own "meshes" (the lemma probe names) replaces the series
     summary = {"scenario": config.scenario, "config": asdict(config),
                "meshes": [str(n) for n in config.meshes], **derived,

@@ -18,12 +18,12 @@ Options may also be read from a flat ``key = value`` file through
 ``--config``; command-line flags override file values, which override
 the scenario defaults.  A ``#`` opens a comment at the start of a line or
 after whitespace: ``meshes = 2,4  # coarse`` reads ``2,4``, ``out = runs#2``
-keeps its ``#``.  A ``scenario`` line must name the scenario being run; an
-``out`` line stands for ``--out``.  Each scenario accepts only the
-settings it reads; any other option is an error.  :func:`config_to_text`
-renders a configuration in that file format: the scenario and the settings
-it accepts, which :func:`parse_config_text` reads back to an equal
-configuration.
+keeps its ``#``.  A key set twice is an error naming both lines.  A
+``scenario`` line must name the scenario being run; an ``out`` line stands
+for ``--out``.  Each scenario accepts only the settings it reads; any
+other option is an error.  :func:`config_to_text` renders a configuration
+in that file format: the scenario and the settings it accepts, which
+:func:`parse_config_text` reads back to an equal configuration.
 
 The process exits nonzero when any cell failed to solve or any recorded
 check did not pass.
@@ -99,11 +99,11 @@ def parse_config_text(text):
     """Parse a ``key = value`` configuration file into typed overrides.
 
     Blank lines and comments (a ``#`` at a line's start or after
-    whitespace) are skipped.  The returned dict maps option names to
-    values; ``scenario`` and ``out`` come back as plain strings and every
-    other value is ready for :func:`make_config`.
+    whitespace) are skipped; a key set twice is an error.  The returned
+    dict maps option names to values; ``scenario`` and ``out`` come back
+    as plain strings and every other value is ready for :func:`make_config`.
     """
-    values = {}
+    values, seen = {}, {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = re.split(r"(?:^|\s)#", raw, maxsplit=1)[0].strip()
         if not line:
@@ -113,6 +113,10 @@ def parse_config_text(text):
                              f"got {raw!r}")
         key, _, value = line.partition("=")
         key, value = key.strip(), value.strip()
+        if key in seen:
+            raise ValueError(f"lines {seen[key]} and {lineno}: {key!r} is "
+                             f"set twice")
+        seen[key] = lineno
         if key == "scenario":
             values[key] = value
         elif key in OPTIONS:
@@ -162,21 +166,18 @@ def _report_scenario(config, reports, summary, stream):
     checks = summary.get("checks", {})
     for line in format_checks(checks):
         print(line, file=stream)
-    failures = summary.get("failures", [])
-    details = {f"{r.method}/{r.mesh_id}": r.extra.get("error", "")
-               for r in reports if r.extra.get("status") == "failed"}
+    failed = [r for r in reports if r.extra.get("status") == "failed"]
+    for r in failed:
+        print(f"failed cell {r.method}/{r.mesh_id}: {r.extra['error']}",
+              file=stream)
     # pressure profiles run on their own mesh and have no report row
     mesh = summary.get("profile", {}).get("mesh")
-    profiles = {f"{m}/{mesh}": why
-                for m, why in summary.get("profile_errors", {}).items()}
-    for cell in failures:
-        kind = "profile" if cell in profiles else "cell"
-        why = profiles.get(cell, details.get(cell, ""))
-        print(f"failed {kind} {cell}: {why}", file=stream)
+    for method, why in summary.get("profile_errors", {}).items():
+        print(f"failed profile {method}/{mesh}: {why}", file=stream)
     n_bad = sum(1 for c in checks.values() if not c["passed"])
-    print(f"{len(reports)} cells, {len(failures) - len(profiles)} failed; "
+    print(f"{len(reports)} cells, {len(failed)} failed; "
           f"{len(checks)} checks, {n_bad} failed", file=stream)
-    return not failures and n_bad == 0
+    return not summary["failures"] and n_bad == 0
 
 
 def _write_outputs(config, out, reports, summary):

@@ -54,13 +54,19 @@ class PrimalMesh:
     def __post_init__(self):
         self.nodes = np.ascontiguousarray(np.asarray(self.nodes, float))
         self.elements = np.ascontiguousarray(np.asarray(self.elements, np.int64))
-        self.boundary = {
-            k: np.ascontiguousarray(np.asarray(v, np.int64).reshape(-1, self.dim))
-            for k, v in self.boundary.items()
-        }
-        for label in self.boundary:
+        bad = np.flatnonzero(~np.isfinite(self.nodes).all(axis=-1))
+        if bad.size:
+            raise ValueError(f"node {bad[0]} has non-finite coordinates")
+        given, self.boundary = self.boundary, {}
+        for label, facets in given.items():
             if label not in BOUNDARY_LABELS:
                 raise ValueError(f"unknown boundary label {label!r}")
+            facets = np.asarray(facets, np.int64)
+            if facets.size and facets.shape[1:] != (self.dim,):
+                raise ValueError(f"{label} facets have shape {facets.shape}; "
+                                 f"expected (F, {self.dim})")
+            self.boundary[label] = np.ascontiguousarray(
+                facets.reshape(-1, self.dim))
         if self.elements.ndim != 2 or self.elements.shape[1] != self.dim + 1:
             raise ValueError(f"elements have shape {self.elements.shape}; "
                              f"expected (E, {self.dim + 1})")

@@ -1,5 +1,7 @@
 """Tests for exact solutions, error norms, profiles, and rate fitting."""
 
+import weakref
+
 import numpy as np
 import pytest
 
@@ -297,6 +299,33 @@ def test_microcell_quadrature_built_once(pipe, monkeypatch):
     assert sorted(calls) == [(3, 4), (3, 6)]
     with pytest.raises(ValueError):
         disc.element_gradients()[1][0, 0, 0, 0] = 0.0
+
+
+def test_at_quadrature_evaluates_a_field_once_per_discretization(pipe):
+    """On cook-3 the first request is the field at the micro-cell points
+    bit for bit, a repeat returns the kept array without a call, another
+    discretization evaluates afresh, and the value dies with its
+    discretization."""
+    calls = []
+
+    def field(X):
+        calls.append(X)
+        return pipe.strain(X)
+
+    disc = Discretization(generate_cook(3))
+    X = disc.quadrature()[1]
+    value = disc.at_quadrature(field)
+    assert len(calls) == 1 and calls[0] is X
+    assert value.tobytes() == pipe.strain(X).tobytes()
+    assert disc.at_quadrature(field) is value and len(calls) == 1
+    # a bound method is a new object on each access but the same key
+    assert disc.at_quadrature(pipe.strain) is disc.at_quadrature(pipe.strain)
+
+    other = Discretization(generate_cook(3))
+    assert other.at_quadrature(field) is not value and len(calls) == 2
+    freed = weakref.ref(value)
+    del value, disc
+    assert freed() is None
 
 
 def test_energy_cross_term_is_signed(disc_cook):

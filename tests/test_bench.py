@@ -4,8 +4,10 @@ import dataclasses
 import importlib.util
 import json
 import math
+import os
 import re
 import subprocess
+import sys
 import time
 import weakref
 from pathlib import Path
@@ -168,6 +170,12 @@ def test_parse_config_text_errors_and_comments():
         parse_config_text("color = red\n")
     with pytest.raises(ValueError, match="key = value"):
         parse_config_text("just words\n")
+    # a repeated key names both lines instead of keeping the last value
+    with pytest.raises(ValueError,
+                       match="lines 1 and 3: 'meshes' is set twice"):
+        parse_config_text("meshes = 2,4\nmu = 0.7\nmeshes = 8\n")
+    with pytest.raises(ValueError, match="lines 2 and 4: 'scenario'"):
+        parse_config_text("# note\nscenario = cook\n\nscenario = pipe\n")
 
 
 def test_a_config_file_out_line_writes_the_reports(tmp_path):
@@ -890,6 +898,24 @@ def test_same_outputs_counts_source_lines(tmp_path):
     assert tool.moved_lines(tmp_path, head) == [
         "a.py: 3 -> 1", "c.py: 0 -> 2", "d.py: 1 -> 0"]
     assert tool.moved_lines(head, head) == []
+
+
+def test_same_outputs_reads_the_peak_rss_from_stderr():
+    """A run's peak RSS is the last ``ru_maxrss`` line its child prints to
+    standard error, which the compared standard output never holds."""
+    tool = _load_repo_module("tools/same_outputs.py")
+    assert tool.peak_rss_mb("warning: slow\npeak rss kB 1024\n"
+                            "peak rss kB 137216\n") == 134.0
+    assert math.isnan(tool.peak_rss_mb("Traceback (most recent call)\n"))
+    # a rejected setting ends main() before any scenario runs
+    src = Path(__file__).resolve().parents[1] / "src"
+    proc = subprocess.run(
+        [sys.executable, "-c", tool.RUN, "run", "cook", "--nu", "0.7"],
+        env=dict(os.environ, PYTHONPATH=str(src)), capture_output=True,
+        text=True)
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert "Poisson" in proc.stderr
+    assert 1.0 < tool.peak_rss_mb(proc.stderr) < 4096.0
 
 
 def test_readme_states_the_package_line_count():

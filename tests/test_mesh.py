@@ -147,13 +147,33 @@ UNIT_SQUARE = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
     ([[0, 1, 4]], {}, r"element vertex ids must lie in \[0, 4\)"),
     ([[0, 1, 2]], {"free": [[2, -1]]}, r"free vertex ids must lie in"),
     ([[0, 1, 2]], {"clamped": [[0, 4]]}, r"clamped vertex ids must lie in"),
+    ([[0, 1, 2]], {"free": [[0, 1, 3], [3, 2, 1]]},
+     r"free facets have shape \(2, 3\); expected \(F, 2\)"),
+    ([[0, 1, 2]], {"free": [0, 1]},
+     r"free facets have shape \(2,\); expected \(F, 2\)"),
 ], ids=["negative", "too-wide", "past-the-end", "negative-facet",
-        "past-the-end-facet"])
+        "past-the-end-facet", "too-wide-facet", "flat-facet"])
 def test_out_of_range_vertex_ids_rejected(elements, boundary, message):
-    """Every element row has d+1 ids and every id names a node: a negative
-    id would otherwise wrap to another node for the geometry only."""
+    """Every element row has d+1 ids, every facet row d, and every id
+    names a node: a negative id would otherwise wrap to another node for
+    the geometry only, and a reshape would split a (2, 3) facet array into
+    three facets, one of them degenerate."""
     with pytest.raises(ValueError, match=message):
         PrimalMesh(UNIT_SQUARE, elements, boundary)
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+def test_non_finite_nodes_rejected(value):
+    """A NaN node gives its elements NaN measures, which pass the
+    non-positive measure check, so the node is named first; an empty facet
+    list stays a valid label."""
+    mesh = generate_cook(2)
+    assert PrimalMesh(mesh.nodes, mesh.elements,
+                      {"free": []}).boundary["free"].shape == (0, 2)
+    nodes = mesh.nodes.copy()
+    nodes[4, 1] = value
+    with pytest.raises(ValueError, match="node 4 has non-finite coordinates"):
+        PrimalMesh(nodes, mesh.elements, mesh.boundary)
 
 
 @pytest.mark.parametrize("make", [

@@ -24,8 +24,11 @@ pressure.  A small error norm amplifies a change of the solution, so only
 the scaled drift tells rounding from a real move; rows above ``FLAG_EPS``
 epsilons are flagged.  These lines are information: they change neither
 the verdict nor the exit status.
-Each scenario's line ends with its wall time on REV and on the working
-tree; each is a single run, so read it as a rough cost, not a benchmark.
+Each scenario's line ends with its wall time and peak resident set size
+on REV and on the working tree; the peak is the run's own
+``ru_maxrss``, which the child process prints to standard error (the
+compared standard output never holds it).  Each is a single run, so read
+both as a rough cost, not a benchmark.
 Last it prints the ``src/smoothfem/*.py`` line count of REV and of the
 working tree, then one ``name: REV -> tree`` line per file whose count
 differs, so a refactor's size, where its lines went and its identity gate
@@ -46,8 +49,10 @@ from pathlib import Path
 
 SCENARIOS = ("cook", "cook-distorted", "pipe", "block3d", "cook-neohookean",
              "infsup", "lemma-checks")
-RUN = ("import sys; from smoothfem.cli import main; "
-       "sys.exit(main(sys.argv[1:]))")
+RUN = ("import resource, sys; from smoothfem.cli import main; "
+       "code = main(sys.argv[1:]); "
+       "print('peak rss kB', resource.getrusage(resource.RUSAGE_SELF)"
+       ".ru_maxrss, file=sys.stderr); sys.exit(code)")
 SHOWN = 5    # non-numeric mismatches printed per scenario
 ERROR_FIELDS = ("err_u", "err_p", "err_E")
 # a drift at the solution scale above this many machine epsilons is more
@@ -57,9 +62,17 @@ FLAG_EPS = 100
 EPS = sys.float_info.epsilon
 
 
+def peak_rss_mb(stderr):
+    """The peak RSS in MB (``ru_maxrss``, kB on Linux, over 1024) that a
+    ``RUN`` child printed last on ``stderr``; NaN when it printed none."""
+    lines = [line for line in stderr.splitlines()
+             if line.startswith("peak rss kB ")]
+    return int(lines[-1].split()[-1]) / 1024.0 if lines else math.nan
+
+
 def run_scenario(tree, scenario, out):
-    """(exit status, stdout without the 'wrote' line, wall seconds) of one
-    run."""
+    """(exit status, stdout without the 'wrote' line, wall seconds, peak
+    RSS in MB) of one run."""
     env = dict(os.environ, PYTHONPATH=str(tree / "src"))
     start = time.perf_counter()
     proc = subprocess.run(
@@ -68,7 +81,7 @@ def run_scenario(tree, scenario, out):
     wall = time.perf_counter() - start
     lines = [line for line in proc.stdout.splitlines()
              if not line.startswith("wrote ")]
-    return proc.returncode, lines, wall
+    return proc.returncode, lines, wall, peak_rss_mb(proc.stderr)
 
 
 def _cell(text):
@@ -274,16 +287,17 @@ def main(argv=None):
             runs = {}
             for side, tree in trees.items():
                 out = tmp / "out" / side
-                status, stdout, wall = run_scenario(tree, scenario, out)
+                status, stdout, wall, rss = run_scenario(tree, scenario, out)
                 runs[side] = {"status": status, "stdout": stdout, "out": out,
-                              "wall": wall}
+                              "wall": wall, "rss": rss}
             problems, notes = compare(scenario, runs["base"], runs["head"],
                                       args.rtol)
             verdict = ("DIFFERS" if problems else
                        f"within rtol {args.rtol:g}" if notes else "identical")
-            print(f"{scenario}: {verdict} (single run: "
-                  f"{runs['base']['wall']:.2f} s at {args.rev}, "
-                  f"{runs['head']['wall']:.2f} s in the working tree)")
+            base, head = runs["base"], runs["head"]
+            print(f"{scenario}: {verdict} (single run: {base['wall']:.2f} s, "
+                  f"{base['rss']:.0f} MB at {args.rev}, {head['wall']:.2f} s, "
+                  f"{head['rss']:.0f} MB in the working tree)")
             for line in problems + notes:
                 print(f"  {line}")
             same += not problems
