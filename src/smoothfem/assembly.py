@@ -263,26 +263,19 @@ def scatter_blocks(blocks, shape):
         shape=shape).tocsr()
 
 
-def strain_matrix(grad, F=None):
-    """Dense Voigt strain-displacement rows of local scalar functions.
+def strain_matrix(grad):
+    """Dense Voigt small-strain rows of local scalar functions.
 
     ``grad`` is (..., n, d), the gradients of n functions; the result is
     (..., nv, n * d) with column a * d + k the dof of component k of
-    function a.  Without ``F`` the rows give the small strain; with the
-    deformation gradient F (..., d, d) they give the variation of the
-    Green-Lagrange strain, (F^T grad du)_ij + (F^T grad du)_ji.
+    function a.
     """
     d = grad.shape[-1]
     pairs = VOIGT_PAIRS[d]
     B = np.zeros(grad.shape[:-2] + (len(pairs),) + grad.shape[-2:])
     for v, (i, j) in enumerate(pairs):
-        if F is None:
-            B[..., v, :, i] = grad[..., j]
-            B[..., v, :, j] = grad[..., i]
-        else:
-            B[..., v, :, :] = grad[..., :, j, None] * F[..., None, :, i]
-            if i != j:
-                B[..., v, :, :] += grad[..., :, i, None] * F[..., None, :, j]
+        B[..., v, :, i] = grad[..., j]
+        B[..., v, :, j] = grad[..., i]
     return B.reshape(grad.shape[:-2] + (len(pairs), -1))
 
 

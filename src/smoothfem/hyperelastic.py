@@ -16,7 +16,7 @@ import numpy as np
 from scipy import sparse
 from scipy.sparse import linalg as spla
 
-from .assembly import VOIGT_PAIRS, dof_indices, free_dofs, strain_matrix
+from .assembly import VOIGT_PAIRS, dof_indices, free_dofs
 from .basis import check_bubble_kind
 from .mesh import whole
 
@@ -53,20 +53,48 @@ def _stress(Ci, lnJ, params):
             + params.lam * lnJ[..., None, None] * Ci)
 
 
-def _tangent(Ci, lnJ, params):
+def _tangent(Ci, lnJ, params, i, j, k, l):
     """CC_ijkl = lam Ci_ij Ci_kl + (mu - lam ln J)(Ci_ik Ci_jl + Ci_il Ci_jk)
-    from C^-1 and ln J, with full d^4 components."""
-    g = (params.mu - params.lam * lnJ)[..., None, None, None, None]
-    outer = Ci[..., :, :, None, None] * Ci[..., None, None, :, :]
-    sym = (Ci[..., :, None, :, None] * Ci[..., None, :, None, :]
-           + Ci[..., :, None, None, :] * Ci[..., None, :, :, None])
-    return params.lam * outer + g * sym
+    from C^-1 and ln J at index arrays (i, j, k, l) of one shape: the full
+    d^4 grid for material_tangent, the Voigt pairs for Newton."""
+    g = (params.mu - params.lam * lnJ)[(...,) + (None,) * i.ndim]
+    # the six factors of every entry, gathered at once
+    X = np.moveaxis(Ci[..., np.array([i, k, i, j, i, j]),
+                       np.array([j, l, k, l, l, k])], -1 - i.ndim, 0)
+    return params.lam * (X[0] * X[1]) + g * (X[2] * X[3] + X[4] * X[5])
+
+
+# the cofactor signs of a 2x2 matrix, and the indices one and two places
+# cyclically after 0, 1, 2
+_SIGNS = np.array([[1.0, -1.0], [-1.0, 1.0]])
+_NEXT, _AFTER = np.array([1, 2, 0]), np.array([2, 0, 1])
+
+
+def _det_adj(A):
+    """(det A, adj A) of batched 2x2 or 3x3 matrices in closed form: for
+    the few hundred domains of a Newton state, a batched np.linalg call
+    spends more on its per-matrix dispatch than on the arithmetic."""
+    d = A.shape[-1]
+    if d == 2:
+        cof = A[..., ::-1, ::-1] * _SIGNS
+    elif d == 3:
+        # cofactor ij = A[i+1, j+1] A[i+2, j+2] - A[i+1, j+2] A[i+2, j+1]
+        n, a = _NEXT[:, None], _AFTER[:, None]
+        cof = (A[..., n, _NEXT] * A[..., a, _AFTER]
+               - A[..., n, _AFTER] * A[..., a, _NEXT])
+    else:
+        raise ValueError(f"closed-form inverse of a {d}x{d} matrix")
+    # expanded along the first row, term by term: np.sum over a short
+    # last axis is slow
+    p = A[..., 0, :] * cof[..., 0, :]
+    det = sum((p[..., j] for j in range(1, d)), p[..., 0])
+    return det, np.swapaxes(cof, -1, -2)
 
 
 def _metric(C):
     """(C^-1, ln J = (1/2) ln det C) of batched C."""
-    C = np.asarray(C, float)
-    return np.linalg.inv(C), 0.5 * np.log(np.linalg.det(C))
+    det, adj = _det_adj(np.asarray(C, float))
+    return adj / det[..., None, None], 0.5 * np.log(det)
 
 
 def strain_energy(C, params):
@@ -94,7 +122,9 @@ def material_tangent(C, params):
     CC_ijkl = lam Ci_ij Ci_kl + (mu - lam ln J)(Ci_ik Ci_jl + Ci_il Ci_jk),
     returned with full d^4 components, batched over leading axes.
     """
-    return _tangent(*_metric(C), params)
+    Ci, lnJ = _metric(C)
+    d = Ci.shape[-1]
+    return _tangent(Ci, lnJ, params, *np.indices((d,) * 4))
 
 
 class _Inverted(Exception):
@@ -120,14 +150,33 @@ class SmoothedHyperProblem:
         domains = disc.domains(kind)
         self.measures = domains.measures
         self.n_domains = domains.n_domains
-        self._cols, self._grad, self._dofs = self._layout(
+        self._grad, self._dofs = self._layout(
             disc.gradient_ops(kind, bubble))
+        dim = disc.dim
+        # Gt = grad (x) I: row a d + k, column k d + j holds the gradient
+        # g_aj, so Gt^T maps the domain's dofs to vec(grad u) and Gt maps a
+        # field vec(X), X_kj, back to them.  Both are kept C-contiguous:
+        # np.matmul runs a transposed stack of small matrices through its
+        # slow loop.
+        self._Gt = (np.eye(dim)[:, :, None]
+                    * self._grad[:, :, None, None, :]).reshape(
+                        self.n_domains, -1, dim * dim)
+        self._GtT = np.ascontiguousarray(self._Gt.transpose(0, 2, 1))
+        # E[i, j nv + v] picks F's column i into row j of Voigt pair v, so
+        # (F @ E)[k, j nv + v] is column v of the Green-Lagrange variation
+        # at dof component k and gradient direction j
+        pairs = VOIGT_PAIRS[dim]
+        E = np.zeros((dim, dim, len(pairs)))
+        for v, (i, j) in enumerate(pairs):
+            E[i, j, v] = E[j, i, v] = 1.0
+        self._E = E.reshape(dim, -1)
+        self._pairs = pi, pj = np.array(pairs).T
+        self._voigt = np.broadcast_arrays(pi[:, None], pj[:, None], pi, pj)
         self._last = None    # (u, (R, K, noise)) of the latest evaluation
 
     def _layout(self, G):
-        """(cols, grad, dofs): each domain's scalar functions, their
-        gradients and their interleaved dofs, padded to the largest
-        support."""
+        """(grad, dofs): the gradients of each domain's scalar functions
+        and their interleaved dofs, padded to the largest support."""
         # build_smoothed_gradient fills every G_c from one coordinate list,
         # so all components are read through G[0]'s structure
         for c, g in enumerate(G[1:], 1):
@@ -148,7 +197,7 @@ class SmoothedHyperProblem:
         cols = G[0].indices[pos]
         grad = np.stack([np.where(real, g.data[pos], 0.0) for g in G],
                         axis=-1)
-        return cols, grad, dof_indices(cols, self.disc.dim)
+        return grad, dof_indices(cols, self.disc.dim)
 
     @cached_property
     def _pattern(self):
@@ -171,14 +220,15 @@ class SmoothedHyperProblem:
 
         Raises _Inverted when any smoothing domain reaches J <= 0.
         """
-        vals = np.asarray(u, float).reshape(-1, self.disc.dim)
+        dim = self.disc.dim
+        local = np.asarray(u, float)[self._dofs]
         # F = I + sum_a u(a) (x) grad N_a over each domain's functions
-        F = vals[self._cols].transpose(0, 2, 1) @ self._grad
-        F += np.eye(self.disc.dim)
-        J = np.linalg.det(F)
+        F = (self._GtT @ local[:, :, None]).reshape(-1, dim, dim)
+        F += np.eye(dim)
+        J = _det_adj(F)[0]
         if J.min() <= 0.0:
             raise _Inverted("deformation inverted on a smoothing domain")
-        return F, F.transpose(0, 2, 1) @ F, np.log(J)
+        return F, np.ascontiguousarray(F.transpose(0, 2, 1)) @ F, np.log(J)
 
     def energy(self, u):
         """Total strain energy of the smoothed deformation."""
@@ -196,7 +246,7 @@ class SmoothedHyperProblem:
         near-cancellation of terms of magnitude (mu + |lam| (1 + |ln J|))
         times the inverse metric, so its absolute accuracy is machine
         epsilon at that scale no matter how converged the displacement is;
-        the bound contracts those magnitudes through |Bn| exactly like the
+        the bound contracts those magnitudes through |B| exactly like the
         force itself.  Raises _Inverted when any smoothing domain reaches
         J <= 0.
 
@@ -211,24 +261,30 @@ class SmoothedHyperProblem:
         F, C, lnJ = self.state(u)
         mu, lam = self.params.mu, self.params.lam
         m = self.measures
-        Ci = np.linalg.inv(C)
-        pi, pj = np.array(VOIGT_PAIRS[dim]).T
+        det, adj = _det_adj(C)
+        Ci = adj / det[:, None, None]
+        pi, pj = self._pairs
         # stress, Voigt tangent and noise scale integrated over each domain
         S = m[:, None, None] * _stress(Ci, lnJ, self.params)
-        M = m[:, None, None] * _tangent(Ci, lnJ, self.params)[
-            :, pi[:, None], pj[:, None], pi, pj]
+        M = m[:, None, None] * _tangent(Ci, lnJ, self.params, *self._voigt)
         s_scale = (m * (mu + abs(lam) * (1.0 + np.abs(lnJ)))
                    * np.linalg.norm(Ci, axis=(1, 2)))
-        grad = self._grad
-        Bn = strain_matrix(grad, F)
-        force = S[:, None, pi, pj] @ Bn
-        bound = s_scale[:, None] * np.abs(Bn).sum(axis=1)
-        K_loc = Bn.transpose(0, 2, 1) @ (M @ Bn)
-        A = grad @ S @ grad.transpose(0, 2, 1)
-        # the geometric term A (x) I on the interleaved dofs
-        K5 = K_loc.reshape(len(A), A.shape[1], dim, A.shape[1], dim)
+        # H = F E maps the Voigt pairs to fields vec(X), and the domain's
+        # Green-Lagrange strain rows are B = H^T Gt^T
+        H = (F @ self._E).reshape(len(F), dim * dim, -1)
+        Ht = np.ascontiguousarray(H.transpose(0, 2, 1))
+        B = Ht @ self._GtT
+        force = S[:, None, pi, pj] @ B
+        # summed row by row: np.sum over a short axis is slow
+        a = np.abs(B)
+        bound = s_scale[:, None] * sum((a[:, v] for v in range(1, len(pi))),
+                                       a[:, 0])
+        # material H M H^T plus the geometric I (x) S, on the X_kj pairs
+        Q = H @ M @ Ht
+        Q5 = Q.reshape(len(Q), dim, dim, dim, dim)
         for k in range(dim):
-            K5[:, :, k, :, k] += A
+            Q5[:, k, :, k, :] += S
+        K_loc = self._Gt @ Q @ self._GtT
 
         n = self.dofmap.n_disp
         indptr, indices, positions = self._pattern

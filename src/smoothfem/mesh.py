@@ -54,6 +54,9 @@ class PrimalMesh:
     def __post_init__(self):
         self.nodes = np.ascontiguousarray(np.asarray(self.nodes, float))
         self.elements = np.ascontiguousarray(np.asarray(self.elements, np.int64))
+        if self.nodes.ndim != 2 or self.nodes.shape[1] not in (2, 3):
+            raise ValueError(f"nodes have shape {self.nodes.shape}; "
+                             "expected (N, 2) or (N, 3)")
         bad = np.flatnonzero(~np.isfinite(self.nodes).all(axis=-1))
         if bad.size:
             raise ValueError(f"node {bad[0]} has non-finite coordinates")

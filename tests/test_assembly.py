@@ -194,8 +194,9 @@ def test_strain_rows_equal_kron_expansion(which, disc_2d, disc_3d):
 
 @pytest.mark.parametrize("which", ["2d", "3d"])
 def test_dense_and_sparse_strain_builders_agree(which, disc_2d, disc_3d):
-    """The dense strain_matrix (MINI, Newton) and the sparse strain_rows
-    (smoothed operators, energy norm) give the same domain strains."""
+    """The dense strain_matrix (MINI) and the sparse strain_rows (smoothed
+    operators, energy norm) give the same domain strains, and Newton's
+    Green-Lagrange rows Gt (F E) at F = I are the dense rows."""
     disc = disc_2d if which == "2d" else disc_3d
     dim = disc.dim
     G = disc.gradient_ops(disc.smoothing_kind(), "power")
@@ -207,12 +208,13 @@ def test_dense_and_sparse_strain_builders_agree(which, disc_2d, disc_3d):
     u = RNG.standard_normal(problem.dofmap.n_disp)
     eps_sparse = np.stack([R @ u for R in strain_rows(G)], axis=-1)
     scale = np.abs(eps_sparse).max()
-    _, grad, dofs = problem._layout(G)
+    grad, dofs = problem._layout(G)
     n = problem.n_domains
     B = strain_matrix(grad)
     assert B.shape == (n, 3 * dim - 3, grad.shape[1] * dim)
-    eye = np.broadcast_to(np.eye(dim), (n, dim, dim))
-    np.testing.assert_array_equal(strain_matrix(grad, eye), B)
+    H = np.broadcast_to(problem._E.reshape(dim * dim, -1),
+                        (n, dim * dim, 3 * dim - 3))
+    np.testing.assert_array_equal((problem._Gt @ H).transpose(0, 2, 1), B)
     eps_dense = np.einsum("tvx,tx->tv", B, u[dofs])
     assert np.abs(eps_dense - eps_sparse).max() <= 1e-13 * scale
 

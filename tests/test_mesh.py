@@ -162,6 +162,17 @@ def test_out_of_range_vertex_ids_rejected(elements, boundary, message):
         PrimalMesh(UNIT_SQUARE, elements, boundary)
 
 
+@pytest.mark.parametrize("nodes, shape", [
+    (UNIT_SQUARE.ravel(), r"\(8,\)"), (UNIT_SQUARE[:, :1], r"\(4, 1\)")],
+    ids=["flat", "one-column"])
+def test_node_arrays_that_are_not_n_by_d_rejected(nodes, shape):
+    """A flat node array would fail on its missing second axis, and an
+    (N, 1) one would be reported as a facet or element shape fault."""
+    with pytest.raises(ValueError, match=f"nodes have shape {shape}; "
+                       r"expected \(N, 2\) or \(N, 3\)"):
+        PrimalMesh(nodes, [[0, 1, 2]], {"free": [[0, 1]]})
+
+
 @pytest.mark.parametrize("value", [np.nan, np.inf])
 def test_non_finite_nodes_rejected(value):
     """A NaN node gives its elements NaN measures, which pass the
