@@ -431,24 +431,23 @@ class ErrorReport:
     tip_uy: float = float("nan")
     extra: dict = field(default_factory=dict)
 
+    def columns(self):
+        """The values of the CSV_COLUMNS, in that order."""
+        return (self.method, self.mesh_id, self.h, self.n_elements,
+                self.err_u, self.err_p, self.err_E, self.tip_uy)
+
     def row(self):
         """CSV cells in CSV_COLUMNS order."""
-        return (self.method, self.mesh_id, _fmt(self.h),
-                str(self.n_elements), _fmt(self.err_u), _fmt(self.err_p),
-                _fmt(self.err_E), _fmt(self.tip_uy))
+        return tuple(_fmt(v) if isinstance(v, float) else str(v)
+                     for v in self.columns())
 
     def to_dict(self):
-        return {
-            "method": self.method, "mesh_id": self.mesh_id, "h": self.h,
-            "N_e": self.n_elements, "err_u": self.err_u, "err_p": self.err_p,
-            "err_E": self.err_E, "tip_uy": self.tip_uy,
-            "extra": dict(self.extra),
-        }
+        return {**dict(zip(CSV_COLUMNS, self.columns())),
+                "extra": dict(self.extra)}
 
     @classmethod
     def from_dict(cls, d):
-        return cls(d["method"], d["mesh_id"], d["h"], d["N_e"], d["err_u"],
-                   d["err_p"], d["err_E"], d["tip_uy"],
+        return cls(*(d[key] for key in CSV_COLUMNS),
                    dict(d.get("extra", {})))
 
 

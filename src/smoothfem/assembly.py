@@ -443,6 +443,8 @@ def assemble_loads(mesh, topo, dofmap, tractions):
             t = -float(value[1]) * normal
         else:
             t = np.broadcast_to(np.asarray(value, float), (len(facets), dim))
+        if not np.isfinite(t).all():
+            raise ValueError(f"traction labeled {label!r} must be finite")
         w = meas / dim                     # int of each hat over its facet
         for l in range(dim):
             for c in range(dim):

@@ -205,8 +205,6 @@ def make_config(scenario, **overrides):
             continue
         if key not in ScenarioConfig.__dataclass_fields__:
             raise ValueError(f"unknown configuration key {key!r}")
-        if key == "scenario":
-            continue
         settings[key] = value
     return ScenarioConfig(scenario=scenario, **settings)
 
@@ -777,8 +775,7 @@ def condensation_defect(disc, mat, tractions, bubble="power"):
     mixed, bundle = _solve_linear(disc, method, mat, tractions, bubble)
     f = assemble_loads(disc.mesh, disc.topo, bundle.dofmap, tractions)
     fixed = dirichlet_dofs(disc.mesh, bundle.dofmap)
-    u, p, _ = solve_condensed_split(bundle.A, bundle.B, bundle.C, mat.lam, f,
-                                    fixed)
+    u, p, _ = solve_condensed_split(bundle, f, fixed)
     du = np.abs(mixed.u - u).max() / np.abs(mixed.u).max()
     dp = np.abs(mixed.p - p).max() / np.abs(mixed.p).max()
     return float(max(du, dp))

@@ -136,10 +136,7 @@ def _cell(value):
 def format_table(reports):
     """Render reports as an aligned plain-text table."""
     rows = [list(CSV_COLUMNS)]
-    for r in reports:
-        rows.append([r.method, r.mesh_id, _cell(r.h), str(r.n_elements),
-                     _cell(r.err_u), _cell(r.err_p), _cell(r.err_E),
-                     _cell(r.tip_uy)])
+    rows += [[_cell(v) for v in r.columns()] for r in reports]
     widths = [max(len(row[i]) for row in rows) for i in range(len(rows[0]))]
     lines = []
     for row in rows:

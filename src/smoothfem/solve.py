@@ -3,11 +3,12 @@
 One constrained direct solve, ``_solve_constrained``, eliminates the
 Dirichlet dofs, factors the free block and polishes the solution by
 extended-precision iterative refinement against the full operator with the
-prescribed values in place.  ``solve_mixed`` uses it for the saddle system
-of the mixed methods and ``solve_condensed`` for the displacement
-baselines.  ``solve_condensed_split`` eliminates the piecewise-constant
-pressure of the enriched pair and refines against the separate blocks; it
-is the oracle of acceptance criterion 4 (Malkus & Hughes, CMAME 15, 1978).
+prescribed values in place.  ``solve_bundle`` uses it for the saddle system
+of the mixed methods and for the stiffness of the displacement baselines,
+whose pressure it recovers as p = lam C^-1 B u.  ``solve_condensed_split``
+eliminates the piecewise-constant pressure of the enriched pair and refines
+against the separate blocks; it is the oracle of acceptance criterion 4
+(Malkus & Hughes, CMAME 15, 1978).
 The saddle system is solved in the scaled variable q = p / sqrt(lambda),
 and refinement keeps it in agreement with the oracle to strict tolerances
 even at nu = 0.4999999.  Refinement measures each residual in longdouble,
@@ -17,7 +18,7 @@ a dot numpy sums in its own loop: OpenBLAS threads a float64 dot over
 The scaled saddle matrix [[A, sB'], [sB, -C]] is symmetric quasi-definite:
 A is positive definite once the Dirichlet rows are gone and C is a positive
 pressure mass, so it factors stably under any symmetric permutation without
-pivoting (Vanderbei, SIAM J. Optim. 5, 1995).  ``solve_mixed`` therefore
+pivoting (Vanderbei, SIAM J. Optim. 5, 1995).  ``solve_bundle`` therefore
 factors it in SuperLU's symmetric mode with a minimum-degree ordering of
 A' + A (``SQD_OPTIONS``).  The condensed solves keep the default COLAMD
 ordering with partial pivoting: refinement stops at a 1e-15 residual of an
@@ -69,7 +70,7 @@ def _factorize(M, **options):
         raise RuntimeError(_SINGULAR_MSG) from exc
 
 
-def _refine(lu, apply_l, b_l, n, max_rounds=6):
+def _refine(lu, apply_l, b_l, max_rounds=6):
     """Iterative refinement against an exactly applied operator.
 
     ``apply_l`` maps an extended-precision vector to the operator product at
@@ -84,7 +85,7 @@ def _refine(lu, apply_l, b_l, n, max_rounds=6):
     as formed, in longdouble: a float64 norm of the 14,561-row pipe saddles
     wakes OpenBLAS's threads, a stall that slows the numpy work after it.
     """
-    x = np.zeros(n, dtype=np.longdouble)
+    x = np.zeros(len(b_l), dtype=np.longdouble)
     bnorm, resid = None, np.inf
     rounds, singular = 0, False
     for _ in range(max_rounds):
@@ -139,18 +140,13 @@ def _solve_constrained(K, f, fixed, values=None, apply_l=None, **options):
         return apply_l(x)[free]
 
     x[free], resid = _refine(lu, apply_free,
-                             np.asarray(f, np.longdouble)[free], len(free))
+                             np.asarray(f, np.longdouble)[free])
     return x, {"residual": resid, "n_free": len(free)}
 
 
-def solve_condensed(K, f, fixed, values=None):
-    """Solve the displacement-only system under Dirichlet constraints."""
-    x, info = _solve_constrained(K, f, fixed, values)
-    return np.asarray(x, float), {"path": "condensed", **info}
-
-
-def solve_condensed_split(A, B, C_diag, lam, f, fixed, values=None):
-    """Condensed solve refined against the split operator A + lam B'C^-1 B.
+def solve_condensed_split(bundle, f, fixed, values=None):
+    """Condensed solve of an enriched pair, refined against the split
+    operator A + lam B'C^-1 B of its bundle; returns (u, p, info).
 
     Assembling the condensed matrix in double rounds its entries at the
     scale of the lam-term, which near the incompressible limit wipes out
@@ -159,6 +155,7 @@ def solve_condensed_split(A, B, C_diag, lam, f, fixed, values=None):
     from the separately stored, exactly assembled blocks in extended
     precision, so the refined solution satisfies the unrounded equations.
     """
+    A, B, C_diag, lam = bundle.A, bundle.B, bundle.C, bundle.mat.lam
     if not isinstance(C_diag, np.ndarray):
         raise ValueError("condensation needs a diagonal pressure mass")
     A_l = A.astype(np.longdouble).tocsr()
@@ -175,44 +172,31 @@ def solve_condensed_split(A, B, C_diag, lam, f, fixed, values=None):
     return np.asarray(u, float), p, {"path": "condensed", **info}
 
 
-def solve_mixed(A, B, C, lam, f, fixed, values=None):
-    """Solve the scaled saddle system for displacement and pressure.
-
-    C may be a diagonal vector (smoothed pairs) or a sparse pressure mass
-    (MINI).  Returns (u, p, info) with the pressure unscaled.
-    """
-    n_disp = A.shape[0]
-    s = np.sqrt(lam)
-    C_mat = sparse.diags(C) if isinstance(C, np.ndarray) else C
-    M = sparse.bmat([[A, s * B.T], [s * B, -C_mat]], format="csr")
-    rhs = np.concatenate([f, np.zeros(B.shape[0])])
-    x, info = _solve_constrained(M, rhs, fixed, values, **SQD_OPTIONS)
-    u = np.asarray(x[:n_disp], float)
-    p = np.asarray(s * x[n_disp:], float)
-    return u, p, {"path": "mixed", **info}
-
-
-def recover_pressure(B, C_diag, lam, u):
-    """Cell pressures from a displacement field: p = lam C^{-1} B u."""
-    return lam * (B @ u) / C_diag
-
-
 def solve_bundle(bundle, f, fixed, values=None):
     """Solve one assembled method; returns a SolutionField.
 
-    Mixed methods take the saddle solve, displacement baselines the
-    condensed solve of their stiffness ``bundle.A``; every method reports a
-    nodal/cell pressure through its recovery operators.
+    A mixed method solves the saddle system in the scaled pressure
+    q = p / sqrt(lam); C is a diagonal vector (smoothed pairs) or a sparse
+    pressure mass (MINI).  A displacement baseline solves its stiffness
+    ``bundle.A`` and reports the cell pressure p = lam C^-1 B u of its
+    recovery operators.  The dofs ``fixed`` are held at ``values`` (zero
+    when omitted).
     """
-    lam = bundle.mat.lam
+    A, B, C, lam = bundle.A, bundle.B, bundle.C, bundle.mat.lam
     if bundle.mixed:
-        u, p, info = solve_mixed(bundle.A, bundle.B, bundle.C, lam, f, fixed,
-                                 values)
+        path, s = "mixed", np.sqrt(lam)
+        C_mat = sparse.diags(C) if isinstance(C, np.ndarray) else C
+        M = sparse.bmat([[A, s * B.T], [s * B, -C_mat]], format="csr")
+        rhs = np.concatenate([f, np.zeros(B.shape[0])])
+        x, info = _solve_constrained(M, rhs, fixed, values, **SQD_OPTIONS)
+        u = np.asarray(x[:A.shape[0]], float)
+        p = np.asarray(s * x[A.shape[0]:], float)
     else:
-        u, info = solve_condensed(bundle.A, f, fixed, values)
-        p = recover_pressure(bundle.B, bundle.C, lam, u)
-    info["method"] = bundle.method
-    return SolutionField(bundle.method, u, p, info)
+        path = "condensed"
+        x, info = _solve_constrained(A, f, fixed, values)
+        u = np.asarray(x, float)
+        p = lam * (B @ u) / C
+    return SolutionField(bundle.method, u, p, {"path": path, **info})
 
 
 # The spectrum of T (see infsup_measure) lies in [0, d] for every pairing.

@@ -326,6 +326,19 @@ def test_a_traction_label_on_a_non_boundary_row_raises(kind, message):
         assemble_loads(bad, topo, dofmap, {"traction": (0.0, 1.0)})
 
 
+@pytest.mark.parametrize("load", [(np.nan, 1.0), (np.inf, 0.0),
+                                  ("pressure", np.nan)],
+                         ids=["nan-vector", "inf-vector", "nan-pressure"])
+def test_a_non_finite_traction_raises(load):
+    """A non-finite traction is named at assembly; the solve would otherwise
+    call the system singular."""
+    mesh = generate_cook(2)
+    dofmap = DofMap(mesh.n_nodes, mesh.n_elements, 2, "power")
+    with pytest.raises(ValueError,
+                       match="traction labeled 'traction' must be finite"):
+        assemble_loads(mesh, build_topology(mesh), dofmap, {"traction": load})
+
+
 def test_dofmap_rejects_unknown_bubble():
     with pytest.raises(ValueError, match="unknown bubble kind"):
         DofMap(3, 1, 2, bubble="cubic")

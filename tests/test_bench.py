@@ -425,6 +425,29 @@ def test_cli_reports_failed_property_bound(monkeypatch, capsys, tmp_path):
         ("vertex-columns", reason)]
 
 
+def test_cli_reports_a_property_measure_that_raises(monkeypatch, capsys,
+                                                   tmp_path):
+    """A lemma property whose measure raises fails its row with the
+    exception's text and records its check as NaN, not passed."""
+    def breaking(*args):
+        raise ValueError("synthetic measure breakdown")
+
+    monkeypatch.setattr(benchmarks, "vertex_column_defect", breaking)
+    code = main(["run", "lemma-checks", "--out", str(tmp_path)])
+    assert code == 1
+    reason = "ValueError: synthetic measure breakdown"
+    assert (f"failed cell property/vertex-columns: {reason}\n"
+            in capsys.readouterr().out)
+    reports, summary = reports_from_json(
+        (tmp_path / "lemma-checks.json").read_text())
+    assert summary["failures"] == ["property/vertex-columns"]
+    failed = [r for r in reports if r.extra["status"] != "ok"]
+    assert [(r.mesh_id, r.extra["error"]) for r in failed] == [
+        ("vertex-columns", reason)]
+    check = summary["checks"]["vertex-columns"]
+    assert math.isnan(check["value"]) and check["passed"] is False
+
+
 def test_a_mesh_that_cannot_be_built_fails_only_its_cells(tmp_path):
     """The unstructured block has no valid mesh 2; its cells are reported
     as failed and mesh 3 still runs."""
@@ -718,6 +741,27 @@ def test_perfbench_tracer_sees_the_newton_seams():
                           for span in tracer.spans)
     factorizations = tracer.counts["hyperelastic.factorizations"]
     assert 0 < factorizations == factorize_spans
+
+
+def test_perfbench_tracer_sees_the_linear_solve_seams():
+    """The tracer still sees the linear solve layer: each pipe cell makes
+    one factorization inside its ``solve_bundle`` span, through the
+    module-global ``spla`` seam, and refines with the factor."""
+    spans = _load_repo_module("perfbench/spans.py")
+    tracer = spans.Tracer("pipe-tiny")
+    restore = spans.install(tracer)
+    try:
+        with tracer.span(spans.ROOT):
+            reports, _ = run_scenario(make_config("pipe", meshes=(2, 3, 4)))
+    finally:
+        restore()
+    assert len(reports) == 9
+    assert tracer.check_nesting() == []
+    parents = [span[3] for span in tracer.spans if span[0] == "solve.factorize"]
+    assert len(parents) == 9
+    assert all(tracer.spans[p][0] == "solve.solve" for p in parents)
+    assert tracer.counts["solve.factorizations"] == len(reports)
+    assert tracer.counts["solve.refine_rounds"] > 0
 
 
 def test_perfbench_tracer_sees_the_infsup_seams():

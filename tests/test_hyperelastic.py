@@ -412,6 +412,46 @@ def test_singular_tangent_halves_the_step(disc, monkeypatch):
     assert np.all(np.isfinite(u))
 
 
+def test_non_finite_direction_halves_the_step(disc, monkeypatch):
+    """A Newton direction that is not finite fails the step before it is
+    applied, and the step is then halved."""
+    spla = hyperelastic.spla
+    calls = []
+
+    class NanLU:
+        def solve(self, rhs):
+            return np.full_like(rhs, np.nan)
+
+    class FirstNan:
+        def splu(self, A, **options):
+            calls.append(A.shape)
+            if len(calls) == 1:
+                return NanLU()
+            return spla.splu(A, **options)
+
+        def __getattr__(self, name):
+            return getattr(spla, name)
+
+    monkeypatch.setattr(hyperelastic, "spla", FirstNan())
+    problem = SmoothedHyperProblem(disc, PARAMS)
+    evaluate, finite = problem.residual_tangent, []
+
+    def recording(u):
+        finite.append(bool(np.isfinite(u).all()))
+        return evaluate(u)
+
+    problem.residual_tangent = recording
+    fixed = dirichlet_dofs(disc.mesh, problem.dofmap)
+    f = assemble_loads(disc.mesh, disc.topo, problem.dofmap,
+                       {"traction": (0.0, 1.0 / 16.0)})
+    u, history = newton_load_stepping(problem, f, fixed, steps=2)
+    assert len(calls) > 1
+    assert all(finite)   # the NaN direction is never applied
+    assert history[0]["load"] == pytest.approx(0.25)
+    assert history[-1]["load"] == pytest.approx(1.0)
+    assert np.all(np.isfinite(u))
+
+
 def test_gather_rejects_components_with_different_structure(disc):
     problem = SmoothedHyperProblem(disc, PARAMS)
     G = [g.copy() for g in disc.gradient_ops("edge", "power")]

@@ -26,9 +26,7 @@ from smoothfem.mesh import (
 )
 from smoothfem.solve import (
     infsup_measure,
-    recover_pressure,
     solve_bundle,
-    solve_condensed,
     solve_condensed_split,
 )
 
@@ -50,8 +48,7 @@ def boundary_values(disc, exact):
 def solve_patch(bundle, f, fixed, values, split):
     """(u, p) from the bundle's own solve, or from the split-condensed one."""
     if split:
-        u, p, _ = solve_condensed_split(bundle.A, bundle.B, bundle.C,
-                                        bundle.mat.lam, f, fixed, values)
+        u, p, _ = solve_condensed_split(bundle, f, fixed, values)
         return u, p
     sol = solve_bundle(bundle, f, fixed, values=values)
     return sol.u, sol.p
@@ -123,8 +120,7 @@ def test_mixed_equals_condensed(nu):
     disc = Discretization(generate_cook(4))
     bundle, f, fixed = cook_problem(disc, "bes-fem", nu)
     mixed = solve_bundle(bundle, f, fixed)
-    u, p, _ = solve_condensed_split(bundle.A, bundle.B, bundle.C,
-                                    bundle.mat.lam, f, fixed)
+    u, p, _ = solve_condensed_split(bundle, f, fixed)
     du = np.abs(mixed.u - u).max() / np.abs(mixed.u).max()
     dp = np.abs(mixed.p - p).max() / np.abs(mixed.p).max()
     assert du < 1e-9
@@ -136,8 +132,7 @@ def test_mini_has_no_condensed_path():
     disc = Discretization(generate_cook(2))
     bundle, f, fixed = cook_problem(disc, "mini", 0.4999)
     with pytest.raises(ValueError, match="diagonal pressure mass"):
-        solve_condensed_split(bundle.A, bundle.B, bundle.C, bundle.mat.lam,
-                              f, fixed)
+        solve_condensed_split(bundle, f, fixed)
 
 
 @pytest.mark.parametrize("method", ["bes-fem", "mini", "fem-t3"])
@@ -148,14 +143,14 @@ def test_unknown_solve_path_rejected(method):
     bundle, f, fixed = cook_problem(disc, method, 0.4999)
     with pytest.raises(TypeError, match="path"):
         solve_bundle(bundle, f, fixed, path="mixed")
-    assert solve_bundle(bundle, f, fixed).info["method"] == method
+    assert solve_bundle(bundle, f, fixed).method == method
 
 
 def test_pressure_recovery_identity():
     disc = Discretization(generate_cook(3))
     bundle, f, fixed = cook_problem(disc, "bes-fem", 0.4999)
     sol = solve_bundle(bundle, f, fixed)
-    p2 = recover_pressure(bundle.B, bundle.C, bundle.mat.lam, sol.u)
+    p2 = bundle.mat.lam * (bundle.B @ sol.u) / bundle.C
     np.testing.assert_allclose(p2, sol.p, rtol=1e-9)
 
 
@@ -163,8 +158,7 @@ def test_energy_identity():
     """For the condensed solve, u^T K u = f^T u (Galerkin)."""
     disc = Discretization(generate_cook(4))
     bundle, f, fixed = cook_problem(disc, "bes-fem", 0.4999)
-    u, _, _ = solve_condensed_split(bundle.A, bundle.B, bundle.C,
-                                    bundle.mat.lam, f, fixed)
+    u, _, _ = solve_condensed_split(bundle, f, fixed)
     K = assemble_condensed(bundle.A, bundle.B, bundle.C, bundle.mat.lam)
     lhs = u @ (K @ u)
     rhs = f @ u
@@ -175,15 +169,15 @@ def test_singular_system_reports_missing_constraints():
     disc = Discretization(generate_cook(2))
     bundle, f, _ = cook_problem(disc, "fem-t3", 0.3)
     with pytest.raises(RuntimeError, match="constraint"):
-        solve_condensed(bundle.A, f, np.array([], dtype=np.int64))
+        solve_bundle(bundle, f, np.array([], dtype=np.int64))
 
 
 def test_exactly_singular_factor_reports_missing_constraints():
     """A zero pivot stops SuperLU itself; the message names the likely
     cause and keeps SuperLU's as its cause."""
     with pytest.raises(RuntimeError, match="constraint") as info:
-        solve_condensed(sparse.diags([2.0, 0.0, 3.0]), np.ones(3),
-                        np.array([], dtype=np.int64))
+        solve._solve_constrained(sparse.diags([2.0, 0.0, 3.0]), np.ones(3),
+                                 np.array([], dtype=np.int64))
     assert "Factor is exactly singular" in str(info.value.__cause__)
 
 
@@ -209,10 +203,42 @@ def test_weak_factor_reports_stagnation(monkeypatch):
     disc = Discretization(generate_cook(2))
     bundle, f, fixed = cook_problem(disc, "fem-t3", 0.3)
     with pytest.raises(RuntimeError) as info:
-        solve_condensed(bundle.A, f, fixed)
+        solve_bundle(bundle, f, fixed)
     message = str(info.value)
     assert message == "refinement stagnated at residual 0.7 after 1 rounds"
     assert "constraint" not in message
+
+
+def test_non_finite_correction_reports_a_singular_system(monkeypatch):
+    """A factor whose solve returns NaN is no approximation of the inverse:
+    the refinement calls the system singular before it applies the
+    correction."""
+    spla = solve.spla
+
+    class NanLU:
+        def solve(self, r):
+            return np.full_like(r, np.nan)
+
+    class NanSpla:
+        def splu(self, A):
+            return NanLU()
+
+        def __getattr__(self, name):
+            return getattr(spla, name)
+
+    norm, finite = np.linalg.norm, []
+
+    def spy(x, *args, **kwargs):
+        finite.append(bool(np.isfinite(x).all()))
+        return norm(x, *args, **kwargs)
+
+    disc = Discretization(generate_cook(2))
+    bundle, f, fixed = cook_problem(disc, "fem-t3", 0.3)
+    monkeypatch.setattr(solve, "spla", NanSpla())
+    monkeypatch.setattr(np.linalg, "norm", spy)
+    with pytest.raises(RuntimeError, match="linear system is singular"):
+        solve_bundle(bundle, f, fixed)
+    assert finite == [True]   # the NaN correction is never applied
 
 
 class RecordingSpla:
@@ -283,8 +309,7 @@ def test_refinement_norms_take_the_longdouble_residual(monkeypatch):
     monkeypatch.setattr(np.linalg, "norm", spy)
     for bundle, f, fixed in problems:
         solve_bundle(bundle, f, fixed)
-    solve_condensed_split(cook.A, cook.B, cook.C, cook.mat.lam, cook_f,
-                          cook_fixed)
+    solve_condensed_split(cook, cook_f, cook_fixed)
     assert len(seen) >= 8
     assert all(dtype == np.longdouble for dtype in seen), seen
 
