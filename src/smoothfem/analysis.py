@@ -19,16 +19,19 @@ from .assembly import (MaterialParams, divergence_operator,
                        strain_matrix, strain_rows)
 from .basis import bubble_value
 from .dualmesh import mesh_size
-from .mesh import ordered_matmul
+from .mesh import LOCAL_EDGES, PIPE_RADII, ordered_matmul
+
+PROFILE_SAMPLES = 1024       # points of a pressure profile
+STRONG_FORM_SAMPLES = 100    # radii of the pipe's strong-form check
 
 
 @dataclass(frozen=True)
 class ExactPipeSolution:
     """Closed-form plane-strain fields of a pressurized thick-walled pipe.
 
-    Annulus a <= r <= b under internal pressure p with Young's modulus E and
-    Poisson ratio nu.  Radial methods take radii; field methods take
-    Cartesian points of shape (..., 2) and vectorize over leading axes.
+    Annulus a <= r <= b (``PIPE_RADII``) under internal pressure p with
+    Young's modulus E and Poisson ratio nu.  Radial methods take radii;
+    field methods take Cartesian points (..., 2) and vectorize over them.
 
     The radial displacement is u_r = C[(1 - 2 nu) r + b^2 / r] with
     C = (1 + nu) a^2 p / (E (b^2 - a^2)), so that the stresses
@@ -36,11 +39,11 @@ class ExactPipeSolution:
     S = a^2 p / (b^2 - a^2) satisfy sigma_r(a) = -p and sigma_r(b) = 0.
     """
 
-    a: float = 1.0
-    b: float = 2.0
-    p: float = 8.0
-    E: float = 21000.0
-    nu: float = 0.4999999
+    p: float
+    E: float
+    nu: float
+
+    a, b = PIPE_RADII
 
     @property
     def material(self):
@@ -89,21 +92,15 @@ class ExactPipeSolution:
         out[..., 2] = 2.0 * delta * n[..., 0] * n[..., 1]
         return out
 
-    def divergence(self, X=None):
-        """div u, a constant; broadcast over X when given."""
-        value = 2.0 * self.coeff * (1.0 - 2.0 * self.nu)
-        if X is None:
-            return value
+    def divergence(self, X):
+        """div u, a constant, broadcast over X."""
         X = np.asarray(X, float)
-        return np.full(X.shape[:-1], value)
+        return np.full(X.shape[:-1], 2.0 * self.coeff * (1.0 - 2.0 * self.nu))
 
-    def pressure(self, X=None):
-        """p = lambda div u = 2 nu a^2 p / (b^2 - a^2), a constant."""
-        value = 2.0 * self.nu * self.stress_scale
-        if X is None:
-            return value
+    def pressure(self, X):
+        """p = lambda div u = 2 nu a^2 p / (b^2 - a^2), broadcast over X."""
         X = np.asarray(X, float)
-        return np.full(X.shape[:-1], value)
+        return np.full(X.shape[:-1], 2.0 * self.nu * self.stress_scale)
 
     def stress(self, X):
         """Cartesian Voigt stress (s_xx, s_yy, s_xy), plane strain.
@@ -120,7 +117,7 @@ class ExactPipeSolution:
         out[..., 2] = mat.mu * eps[..., 2]
         return out
 
-    def strong_form_residual(self, n_samples=100):
+    def strong_form_residual(self):
         """Largest scaled defect of the closed forms at sampled radii.
 
         Checks, by central finite differences, that the displacement
@@ -131,7 +128,7 @@ class ExactPipeSolution:
         near the incompressible limit where lambda amplifies the finite
         difference noise; a wrong closed form still shows up at order one.
         """
-        r = np.linspace(self.a, self.b, n_samples)
+        r = np.linspace(self.a, self.b, STRONG_FORM_SAMPLES)
         h = 1e-5 * self.a
         mat = self.material
         lam, mu = mat.lam, mat.mu
@@ -278,75 +275,57 @@ def _mixed_energy(w, diff, pdiff, ddiff, dim, mu):
     return float(np.sqrt(max(0.0, total))), float(total)
 
 
-def locate_points(disc, X, candidates=None):
+def locate_points(disc, X, candidates):
     """Containing element and barycentric coordinates of points X (S, d).
 
-    Picks, among ``candidates`` (default all elements), the element whose
+    Picks, among the element ids ``candidates``, the first element whose
     smallest barycentric coordinate is largest; a negative best coordinate
     below -1e-9 means the point lies outside and raises ValueError.
     """
-    mesh = disc.mesh
     X = np.asarray(X, float)
-    cand = np.arange(mesh.n_elements) if candidates is None \
-        else np.asarray(candidates, np.int64)
-    S = len(X)
-    best_elem = np.zeros(S, np.int64)
-    best_min = np.full(S, -np.inf)
-    best_lam = np.zeros((S, mesh.dim + 1))
-    for lo in range(0, len(cand), 512):
-        chunk = cand[lo:lo + 512]
-        lam = mesh.barycentric(
-            chunk, np.broadcast_to(X, (len(chunk),) + X.shape))
-        lmin = lam.min(axis=-1)
-        pick = lmin.argmax(axis=0)
-        rows = np.arange(S)
-        better = lmin[pick, rows] > best_min
-        best_min[better] = lmin[pick, rows][better]
-        best_elem[better] = chunk[pick[better]]
-        best_lam[better] = lam[pick[better], rows[better]]
+    cand = np.asarray(candidates, np.int64)
+    lam = disc.mesh.barycentric(cand, np.broadcast_to(X, cand.shape + X.shape))
+    lmin = lam.min(axis=-1)
+    pick, rows = lmin.argmax(axis=0), np.arange(len(X))
+    best_min = lmin[pick, rows]
     if best_min.min() < -1e-9:
-        worst = X[best_min.argmin()]
-        raise ValueError(f"point {worst} lies outside the mesh")
-    return best_elem, best_lam
+        raise ValueError(f"point {X[best_min.argmin()]} lies outside the mesh")
+    return cand[pick], lam[pick, rows]
 
 
-def pressure_profile(disc, p, value=24.0, axis=0, n_samples=1024,
-                     continuous=False):
-    """Sample a pressure field along the line {x_axis = value} (2D).
+def pressure_profile(disc, p, value, continuous=False):
+    """Sample a pressure field along the line x = ``value`` (2D).
 
-    Returns (positions, values) sorted by the complementary coordinate.
-    Cell-constant fields take the value of the node cell owning each sample
-    (the largest barycentric coordinate of the containing element);
-    continuous fields interpolate linearly.  Samples sit at midpoints of
-    uniform bins over the intersected range, so reruns are deterministic.
+    Returns (positions, values) sorted by y.  Cell-constant fields take the
+    value of the node cell owning each sample (the largest barycentric
+    coordinate of the containing element); continuous fields interpolate
+    linearly.  The ``PROFILE_SAMPLES`` samples sit at midpoints of uniform
+    bins over the intersected range, so reruns are deterministic.
     """
     mesh = disc.mesh
     if mesh.dim != 2:
         raise ValueError("pressure profiles are defined for 2D meshes")
-    other = 1 - axis
-    corners = mesh.nodes[mesh.elements]
-    along = corners[..., axis]
+    along = mesh.nodes[mesh.elements, 0]
     hit = (along.min(axis=1) <= value) & (value <= along.max(axis=1))
     if not hit.any():
-        raise ValueError(f"no elements intersect axis {axis} = {value}")
+        raise ValueError(f"no elements intersect x = {value}")
     cand = np.flatnonzero(hit)
 
     # clip the line against the candidate triangles: collect the crossing
-    # ordinates of every edge so the sample range stays inside the domain
-    tri = corners[cand]
-    crossings = [tri[..., other][tri[..., axis] == value]]
-    for i, j in ((0, 1), (1, 2), (2, 0)):
-        x1, x2 = tri[:, i, axis], tri[:, j, axis]
+    # ordinates of every edge so the sample range stays inside the domain;
+    # only their extremes are read, so the edge order does not matter
+    x, y = np.moveaxis(mesh.nodes[mesh.elements[cand]], -1, 0)
+    crossings = [y[x == value]]
+    for i, j in LOCAL_EDGES[2]:
+        x1, x2 = x[:, i], x[:, j]
         keep = ((x1 - value) * (x2 - value) < 0.0) & (x1 != x2)
         t = (value - x1[keep]) / (x2[keep] - x1[keep])
-        crossings.append(tri[keep, i, other] * (1.0 - t)
-                         + tri[keep, j, other] * t)
+        crossings.append(y[keep, i] * (1.0 - t) + y[keep, j] * t)
     cross = np.concatenate(crossings)
     lo, hi = float(cross.min()), float(cross.max())
-    ts = lo + (hi - lo) * (np.arange(n_samples) + 0.5) / n_samples
-    X = np.empty((n_samples, 2))
-    X[:, axis] = value
-    X[:, other] = ts
+    n = PROFILE_SAMPLES
+    ts = lo + (hi - lo) * (np.arange(n) + 0.5) / n
+    X = np.column_stack([np.full(n, value), ts])
 
     elem, lam = locate_points(disc, X, cand)
     p = np.asarray(p, float)
@@ -406,7 +385,7 @@ def richardson_limit(values):
     return float(v[-1] + d2 / (rho - 1.0))
 
 
-def tip_displacement(mesh, dofmap, u, point, comp=1):
+def tip_displacement(mesh, dofmap, u, point, comp):
     """Displacement component at the mesh node nearest to ``point``."""
     d2 = ((mesh.nodes - np.asarray(point, float)) ** 2).sum(axis=1)
     node = int(np.argmin(d2))

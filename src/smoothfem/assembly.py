@@ -415,9 +415,10 @@ def assemble_loads(mesh, topo, dofmap, tractions):
     """External load vector from facet tractions.
 
     ``tractions`` maps boundary labels to either a constant traction vector
-    or ``("pressure", p)`` for a load of magnitude p along the inward facet
-    normal (a positive p pushes into the domain).  Facet integrals are exact
-    for the linear vertex functions; bubbles carry no boundary load.
+    of d numbers or ``("pressure", p)`` for a load of magnitude p along the
+    inward facet normal (a positive p pushes into the domain); any other
+    value raises ValueError.  Facet integrals are exact for the linear
+    vertex functions; bubbles carry no boundary load.
     """
     f = np.zeros(dofmap.n_disp)
     dim = mesh.dim
@@ -439,10 +440,16 @@ def assemble_loads(mesh, topo, dofmap, tractions):
         elem_centers = mesh.nodes[mesh.elements[topo.facet_elem[ids]]]
         away = pts.mean(axis=1) - elem_centers.mean(axis=1)
         normal[np.einsum("fd,fd->f", normal, away) < 0.0] *= -1.0
-        if isinstance(value, tuple) and value and value[0] == "pressure":
-            t = -float(value[1]) * normal
-        else:
-            t = np.broadcast_to(np.asarray(value, float), (len(facets), dim))
+        pressure = isinstance(value, tuple) and value[:1] == ("pressure",)
+        try:
+            vals = np.asarray(value[1:] if pressure else value, float)
+        except (TypeError, ValueError):
+            vals = np.empty(0)      # a shape no traction has
+        if vals.shape != ((1,) if pressure else (dim,)):
+            raise ValueError(f"traction labeled {label!r} must be ('pressure',"
+                             f" p) or {dim} numbers, not {value!r}")
+        t = (-vals[0] * normal if pressure
+             else np.broadcast_to(vals, (len(facets), dim)))
         if not np.isfinite(t).all():
             raise ValueError(f"traction labeled {label!r} must be finite")
         w = meas / dim                     # int of each hat over its facet

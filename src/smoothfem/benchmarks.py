@@ -86,19 +86,20 @@ from .hyperelastic import (
     SmoothedHyperProblem,
     newton_load_stepping,
 )
-from .mesh import (distort_mesh, generate_annulus, generate_block,
-                   generate_cook, whole)
+from .mesh import (PIPE_RADII, distort_mesh, generate_annulus,
+                   generate_block, generate_cook, whole)
 from .smoothing import volume_average_gradient
 from .solve import infsup_measure, solve_bundle, solve_condensed_split
 
-# monitored points and profile geometry
+# monitored points, profile geometry and the smoothing oracle's sample
 COOK_TIP = (48.0, 60.0)            # top right corner of the membrane
 COOK_MIDRIGHT = (48.0, 52.0)       # midpoint of the loaded edge
 COOK_EDGE = 16.0                   # length of the loaded edge
-PIPE_INNER = (1.0, 0.0)            # point on the pressurized inner arc
+PIPE_INNER = (PIPE_RADII[0], 0.0)  # point on the pressurized inner arc
 BLOCK_MONITOR = (0.0, 0.0, 50.0)   # top corner under the loaded patch
 PROFILE_LINE_X = 24.0              # sampling line of the pressure profile
 PROFILE_MESH = (8, 16)             # 256-element membrane mesh
+ORACLE_DOMAINS = 7                 # domains per case of the smoothing oracle
 
 
 @dataclass
@@ -500,7 +501,11 @@ def run_pipe(config, data, checks):
 # ----------------------------------------------------------------------
 
 def run_block3d(config, data, checks):
-    """Loaded-block study: monitored tip displacement and locking ratio."""
+    """Loaded-block study: monitored tip displacement and locking ratio.
+
+    The loaded patch is one grid cell (``generate_block``), so only mesh 5
+    carries the 10x10 patch of ``tip-reference``: each mesh has its load.
+    """
     mat = MaterialParams(config.young, config.poisson)
     tractions = {"traction": ("pressure", config.load)}
     reports, tips = _sweep(
@@ -740,12 +745,12 @@ def measure_identity_defect(disc):
     return max(defects)
 
 
-def smoothing_oracle_defect(disc, rng, domains_per_case=7):
+def smoothing_oracle_defect(disc, rng):
     """Boundary-integral smoothed gradients versus volume averages.
 
     Evaluates random (possibly enriched) fields on a deterministic sample
-    of domains for every domain kind and bubble kind and returns the
-    largest scaled disagreement.
+    of about ``ORACLE_DOMAINS`` domains for every domain kind and bubble
+    kind and returns the largest scaled disagreement.
     """
     mesh = disc.mesh
     kinds = (disc.smoothing_kind(), "node", "element")
@@ -756,7 +761,7 @@ def smoothing_oracle_defect(disc, rng, domains_per_case=7):
             G = disc.gradient_ops(kind, bubble)
             n_scalar = mesh.n_nodes + (mesh.n_elements if bubble else 0)
             U = rng.normal(size=(n_scalar, mesh.dim))
-            step = max(1, domains.n_domains // domains_per_case)
+            step = max(1, domains.n_domains // ORACLE_DOMAINS)
             for k in range(0, domains.n_domains, step):
                 H_bnd = np.column_stack([(G[c] @ U)[k]
                                          for c in range(mesh.dim)])

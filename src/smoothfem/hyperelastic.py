@@ -336,6 +336,9 @@ class _StepFailure(Exception):
 # multiple of machine epsilon granted to the assembly noise bound when
 # testing convergence; see SmoothedHyperProblem.residual_tangent
 _NOISE_FACTOR = 16.0
+NEWTON_TOL = 1e-9       # converged free residual, relative to the free load
+NEWTON_MAX_ITER = 25    # Newton updates of one load step
+MAX_HALVINGS = 8        # step halvings of one load-stepping call
 
 
 # SuperLU options of the Newton tangent: the free block is already in a
@@ -352,12 +355,12 @@ def _norm(x):
     return float(np.sqrt(np.square(x).sum()))
 
 
-def _newton(problem, u0, load, free, block, tol, max_iter):
+def _newton(problem, u0, load, free, block):
     order, keep, A = block
     u = u0.copy()
     scale = _norm(load[free]) or 1.0
     residuals = []
-    for it in range(max_iter):
+    for it in range(NEWTON_MAX_ITER):
         try:
             R, K, noise = problem.residual_tangent(u)
         except _Inverted:
@@ -367,12 +370,12 @@ def _newton(problem, u0, load, free, block, tol, max_iter):
         rn = rabs / scale
         residuals.append(rn)
         # a stiff volumetric term puts the roundoff floor of the assembled
-        # force above tol * |load|; equilibrium cannot be resolved below it
+        # force above NEWTON_TOL * |load|; equilibrium is not resolved below it
         floor = _NOISE_FACTOR * np.finfo(float).eps \
             * _norm(noise[free])
-        if rn <= tol or rabs <= floor:
+        if rn <= NEWTON_TOL or rabs <= floor:
             return u, {"iterations": it, "residuals": residuals,
-                       "floor_limited": rn > tol}
+                       "floor_limited": rn > NEWTON_TOL}
         A.data = K.data[keep]
         try:
             du = spla.splu(A, **TANGENT_OPTIONS).solve(-r[order])
@@ -384,15 +387,14 @@ def _newton(problem, u0, load, free, block, tol, max_iter):
     raise _StepFailure(residuals)
 
 
-def newton_load_stepping(problem, f_ext, fixed, steps=10, tol=1e-9,
-                         max_iter=25, max_halvings=8):
+def newton_load_stepping(problem, f_ext, fixed, steps=10):
     """Ramp the load in uniform increments, solving each step by Newton.
 
     Returns (u, history): the converged displacement at full load and one
     record per accepted step with the load fraction, Newton update count,
     and residual trail.  A step that fails (non-convergence, an inverted
     domain or an exactly singular tangent) is retried at half width, up to
-    ``max_halvings`` times overall; running out raises RuntimeError with
+    ``MAX_HALVINGS`` times overall; running out raises RuntimeError with
     the last residual trail.
 
     The free-free block of the tangent is laid out once per call, in the
@@ -415,14 +417,13 @@ def newton_load_stepping(problem, f_ext, fixed, steps=10, tol=1e-9,
     while current < 1.0 - 1e-12:
         target = min(current + width, 1.0)
         try:
-            u_next, record = _newton(problem, u, target * f_ext, free,
-                                     block, tol, max_iter)
+            u_next, record = _newton(problem, u, target * f_ext, free, block)
         except _StepFailure as exc:
             halved += 1
-            if halved > max_halvings:
+            if halved > MAX_HALVINGS:
                 raise RuntimeError(
                     "load stepping failed after "
-                    f"{max_halvings} halvings at load {target:.6g}; "
+                    f"{MAX_HALVINGS} halvings at load {target:.6g}; "
                     f"residual trail {exc.residuals}") from exc
             width *= 0.5
             continue

@@ -276,16 +276,18 @@ def generate_cook(resolution):
     return PrimalMesh(nodes, _grid_triangles(ids), boundary)
 
 
-def generate_annulus(resolution, inner=1.0, outer=2.0):
-    """Quarter annulus (pipe cross-section) with symmetry rollers.
+PIPE_RADII = (1.0, 2.0)     # inner and outer radius of the pressurized pipe
+
+
+def generate_annulus(resolution):
+    """Quarter annulus (pipe cross-section) of radii ``PIPE_RADII``.
 
     ``resolution`` is n or (n_radial, n_circumferential); the inner arc is
     the pressurized ``traction`` boundary, the outer arc is free, y = 0 gets
     ``roller-y`` and x = 0 gets ``roller-x``.
     """
     nr, nt = _sides(resolution, 2, derive=lambda n: 2 * n)
-    if inner <= 0 or outer <= inner:
-        raise ValueError("need 0 < inner < outer")
+    inner, outer = PIPE_RADII
     index, ids = _grid((nr, nt))
     r = inner + (outer - inner) * index[:, 0] / nr
     th = 0.5 * np.pi * index[:, 1] / nt
@@ -328,7 +330,9 @@ def generate_block(resolution, size=(50.0, 50.0, 50.0), pattern="uniform"):
 
     Labels: z=0 clamped, x=0 roller-x, y=0 roller-y, top facets inside
     the corner grid cell [0,px]x[0,py] traction (so the default 50-cube at
-    resolution 5 gets the 10x10 patch), rest free.
+    resolution 5 gets the 10x10 patch), rest free.  The patch is one grid
+    cell, so its area, (50/n)^2 on the default cube, and the total load
+    change with the resolution: 625 at n = 2, 100 at n = 5, 69.4 at n = 6.
     """
     nx, ny, nz = sides = _sides(resolution, 3)
     sx, sy, sz = size
@@ -375,7 +379,7 @@ _BLOCK_SEED = 1
 _PAIR_A, _PAIR_B = np.nonzero(~np.eye(4, dtype=bool))
 
 
-def _relaxed_block_points(nodes, size, patch, h, seed=_BLOCK_SEED):
+def _relaxed_block_points(nodes, size, patch, h, seed):
     """Jitter grid nodes and relax them by Laplacian sweeps.
 
     Boundary nodes keep their plane (tangential motion only), nodes on two
@@ -489,7 +493,7 @@ def _uniform_draws(seed, shape):
     return (bits / 2.0 ** 63 - 1.0).reshape(shape)
 
 
-def distort_mesh(mesh, density, seed=0):
+def distort_mesh(mesh, density, seed):
     """Randomly perturb interior nodes while keeping all elements valid.
 
     Each interior node moves by ``density * r * spacing`` per coordinate,

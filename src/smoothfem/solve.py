@@ -61,6 +61,7 @@ class SolutionField:
 # never pass this ordering without SymmetricMode: fill and time explode
 SQD_OPTIONS = {"permc_spec": "MMD_AT_PLUS_A", "diag_pivot_thresh": 0.0,
                "options": {"SymmetricMode": True}}
+REFINE_ROUNDS = 6    # refinement rounds of a solve, the direct solve included
 
 
 def _factorize(M, **options):
@@ -70,7 +71,7 @@ def _factorize(M, **options):
         raise RuntimeError(_SINGULAR_MSG) from exc
 
 
-def _refine(lu, apply_l, b_l, max_rounds=6):
+def _refine(lu, apply_l, b_l):
     """Iterative refinement against an exactly applied operator.
 
     ``apply_l`` maps an extended-precision vector to the operator product at
@@ -88,7 +89,7 @@ def _refine(lu, apply_l, b_l, max_rounds=6):
     x = np.zeros(len(b_l), dtype=np.longdouble)
     bnorm, resid = None, np.inf
     rounds, singular = 0, False
-    for _ in range(max_rounds):
+    for _ in range(REFINE_ROUNDS):
         r = b_l - apply_l(x)
         rnorm = float(np.linalg.norm(r))
         bnorm = bnorm or rnorm or 1.0

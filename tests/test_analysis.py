@@ -18,6 +18,7 @@ from smoothfem.assembly import (Discretization, MaterialParams,
                                assemble_h1_gram, assemble_method,
                                assemble_plain_B, full_elastic_matrix)
 from smoothfem.basis import bubble_value
+from smoothfem.benchmarks import make_config
 from smoothfem.dualmesh import domain_diameters
 from smoothfem.mesh import (distort_mesh, generate_annulus, generate_block,
                             generate_cook)
@@ -25,7 +26,8 @@ from smoothfem.mesh import (distort_mesh, generate_annulus, generate_block,
 
 @pytest.fixture(scope="module")
 def pipe():
-    return ExactPipeSolution()
+    config = make_config("pipe")
+    return ExactPipeSolution(p=config.load, E=config.young, nu=config.poisson)
 
 
 @pytest.fixture(scope="module")
@@ -82,14 +84,15 @@ def test_pipe_frozen_values(pipe):
     assert pipe.radial_stress(pipe.b) == pytest.approx(0.0, abs=1e-12)
     assert pipe.hoop_stress(pipe.a) == pytest.approx(40.0 / 3.0, rel=1e-12)
     assert pipe.radial_displacement(1.0) == pytest.approx(7.619048e-4, rel=1e-6)
-    assert pipe.pressure() == pytest.approx(2.6666661, rel=1e-7)
-    assert pipe.pressure() == pytest.approx(
+    pressure = pipe.pressure(np.array([[1.5, 0.0]]))[0]
+    assert pressure == pytest.approx(2.6666661, rel=1e-7)
+    assert pressure == pytest.approx(
         2.0 * pipe.nu * pipe.a ** 2 * pipe.p / (pipe.b ** 2 - pipe.a ** 2),
         rel=1e-14)
 
 
 def test_pipe_strong_form(pipe):
-    assert pipe.strong_form_residual(100) < 1e-6
+    assert pipe.strong_form_residual() < 1e-6
 
 
 def test_pipe_cartesian_consistency(pipe):
@@ -350,21 +353,22 @@ def test_locate_points_finds_containing_elements(disc_cook):
     lam = rng.dirichlet(np.ones(3), size=30)
     elems = rng.integers(0, mesh.n_elements, 30)
     X = np.einsum("si,sid->sd", lam, mesh.nodes[mesh.elements[elems]])
-    found, bary = locate_points(disc_cook, X)
+    every = np.arange(mesh.n_elements)
+    found, bary = locate_points(disc_cook, X, every)
     rebuilt = np.einsum("si,sid->sd", bary, mesh.nodes[mesh.elements[found]])
     np.testing.assert_allclose(rebuilt, X, atol=1e-10)
     outside = np.array([[100.0, 100.0]])
     with pytest.raises(ValueError, match="outside"):
-        locate_points(disc_cook, outside)
+        locate_points(disc_cook, outside, every)
 
 
 def test_pressure_profile_constant_and_monotone(disc_cook):
     n = disc_cook.mesh.n_nodes
-    ts, vals = pressure_profile(disc_cook, np.full(n, 2.0), n_samples=200)
+    ts, vals = pressure_profile(disc_cook, np.full(n, 2.0), 24.0)
     assert total_variation(vals) == 0.0
 
     p = disc_cook.mesh.nodes[:, 1].copy()
-    ts, vals = pressure_profile(disc_cook, p, n_samples=400)
+    ts, vals = pressure_profile(disc_cook, p, 24.0)
     assert np.all(np.diff(ts) > 0.0)
     assert total_variation(vals) == pytest.approx(monotone_envelope_tv(vals))
     assert monotone_envelope_tv(vals) > 0.0
@@ -373,8 +377,7 @@ def test_pressure_profile_constant_and_monotone(disc_cook):
 def test_pressure_profile_continuous_linear(disc_cook):
     nodes = disc_cook.mesh.nodes
     p = 3.0 * nodes[:, 0] + 2.0 * nodes[:, 1]
-    ts, vals = pressure_profile(disc_cook, p, value=24.0, n_samples=150,
-                                continuous=True)
+    ts, vals = pressure_profile(disc_cook, p, value=24.0, continuous=True)
     np.testing.assert_allclose(vals, 3.0 * 24.0 + 2.0 * ts, rtol=1e-10)
 
 
@@ -393,6 +396,8 @@ def test_richardson_limit_geometric_series():
     vals = [limit - 2.0 / 4.0 ** k for k in range(4)]
     assert richardson_limit(vals) == pytest.approx(limit, rel=1e-12)
     assert richardson_limit([1.0, 1.0, 1.0]) == 1.0
+    # growing differences of one sign do not contract: no extrapolation
+    assert richardson_limit([1.0, 2.0, 4.0]) == 4.0
     with pytest.raises(ValueError, match="3 values"):
         richardson_limit([1.0, 2.0])
 
@@ -422,7 +427,8 @@ def test_tip_displacement_reads_nearest_node(disc_cook):
     dofmap = disc_cook.dofmap()
     u = np.arange(dofmap.n_disp, dtype=float)
     node = int(np.argmin(((mesh.nodes - [48.0, 60.0]) ** 2).sum(1)))
-    assert tip_displacement(mesh, dofmap, u, (48.0, 60.0)) == u[2 * node + 1]
+    tip = tip_displacement(mesh, dofmap, u, (48.0, 60.0), 1)
+    assert tip == u[2 * node + 1]
 
 
 def test_report_serialization_round_trip():
@@ -443,3 +449,11 @@ def test_report_serialization_round_trip():
     assert reports_to_csv(reports) == csv_text
     stamped = reports_to_csv(reports, timestamp="2026-01-01T00:00:00")
     assert stamped.split("\n", 1)[1] == csv_text
+
+
+def test_pressure_profile_rejects_a_3d_mesh_and_a_missed_line(disc_cook):
+    disc = Discretization(generate_block(2))
+    with pytest.raises(ValueError, match="defined for 2D meshes"):
+        pressure_profile(disc, np.zeros(disc.mesh.n_nodes), 25.0)
+    with pytest.raises(ValueError, match="no elements intersect x = 100"):
+        pressure_profile(disc_cook, np.zeros(disc_cook.mesh.n_nodes), 100.0)

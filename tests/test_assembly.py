@@ -522,3 +522,34 @@ def test_quadrature_is_the_einsum_construction_byte_for_byte(make_mesh):
     assert same_bytes(X, want)
     assert same_bytes(lam, einsum_barycentric(disc.mesh, micro.cell_elem,
                                               want))
+
+
+def test_a_traction_on_an_absent_label_raises():
+    mesh = generate_cook(2)
+    dofmap = DofMap(mesh.n_nodes, mesh.n_elements, 2, "power")
+    with pytest.raises(ValueError,
+                       match="no boundary facets labeled 'roller-x'"):
+        assemble_loads(mesh, build_topology(mesh), dofmap,
+                       {"roller-x": (0.0, 1.0)})
+
+
+@pytest.mark.parametrize("make_mesh, load, form", [
+    (generate_cook, (1.0,), "2 numbers"),
+    (generate_cook, ((1.0, 2.0), (3.0, 4.0)), "2 numbers"),
+    (generate_cook, ("pressure", 1.0, 2.0), "2 numbers"),
+    (generate_cook, ("pressure",), "2 numbers"),
+    (generate_cook, (1.0, 2.0, 3.0), "2 numbers"),
+    (generate_block, (0.0, 1.0), "3 numbers"),
+    (generate_cook, ((1.0,), (2.0, 3.0)), "2 numbers"),
+], ids=["short", "per-facet", "pressure-pair", "bare-pressure", "long",
+        "2-vector-in-3d", "ragged"])
+def test_a_traction_of_the_wrong_shape_raises(make_mesh, load, form):
+    """A traction is ("pressure", p) or exactly d numbers; nothing is
+    broadcast, dropped or left to fail inside numpy."""
+    mesh = make_mesh(2)
+    dofmap = DofMap(mesh.n_nodes, mesh.n_elements, mesh.dim, "power")
+    with pytest.raises(ValueError) as info:
+        assemble_loads(mesh, build_topology(mesh), dofmap,
+                       {"traction": load})
+    assert str(info.value) == (f"traction labeled 'traction' must be "
+                               f"('pressure', p) or {form}, not {load!r}")

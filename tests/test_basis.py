@@ -225,3 +225,16 @@ def test_bubble_gradient_rejects_unknown_kind():
     lam = np.full((1, 1, 3), 1.0 / 3.0)
     with pytest.raises(ValueError, match="bubble kind"):
         bubble_gradient("cubic", lam, np.zeros((1, 3, 2)))
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: simplex_quadrature(2, -1), "degree must be nonnegative"),
+    (lambda: simplex_quadrature(4, 2), "unsupported dimension 4"),
+    (lambda: barycentric_monomial_integral(2, (1, 1)),
+     "need d\\+1 nonnegative exponents"),
+    (lambda: barycentric_monomial_integral(2, (1, -1, 0)),
+     "need d\\+1 nonnegative exponents"),
+])
+def test_quadrature_rejects_bad_arguments(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()

@@ -942,6 +942,36 @@ def test_same_outputs_counts_source_lines(tmp_path):
     assert tool.moved_lines(tmp_path, head) == [
         "a.py: 3 -> 1", "c.py: 0 -> 2", "d.py: 1 -> 0"]
     assert tool.moved_lines(head, head) == []
+    # the option count: every def's defaulted parameters, keyword-only ones
+    # included, and every dataclass field with a default; a plain class's
+    # attributes, a lambda's defaults and a required parameter do not count
+    opts = tmp_path / "opts"
+    package = opts / "src" / "smoothfem"
+    package.mkdir(parents=True)
+    (package / "a.py").write_text(
+        "def f(x, y=1, *, z=2, w):\n"
+        "    g = lambda v=3: v\n"
+        "    def inner(q=4):\n"
+        "        return q\n"
+        "    return inner\n")
+    (package / "b.py").write_text(
+        "import dataclasses\n"
+        "from dataclasses import dataclass, field\n\n"
+        "@dataclass\n"
+        "class A:\n"
+        "    x: int\n"
+        "    y: int = 0\n"
+        "    z: dict = field(default_factory=dict)\n"
+        "    K = 5\n\n"
+        "@dataclasses.dataclass(frozen=True)\n"
+        "class B:\n"
+        "    u: float = 1.0\n"
+        "    async def m(self, t=2):\n"
+        "        return t\n\n"
+        "class C:\n"
+        "    v: int = 7\n")
+    assert tool.defaulted_parameters(opts) == 7
+    assert tool.defaulted_parameters(head) == 0
 
 
 def test_same_outputs_reads_the_peak_rss_from_stderr():
@@ -1067,3 +1097,39 @@ def test_ab_pairs_copies_the_working_tree_as_git_sees_it(tmp_path):
                     if f.is_file())
     assert copied == [".gitignore", "pkg/a.py", "pkg/new.py"]
     assert (copy / "pkg" / "a.py").read_text() == "A = 2\n"
+
+
+@pytest.mark.parametrize("setting, message", [
+    ({"mu": 0.0}, "shear modulus must be positive"),
+    ({"steps": 0}, "need at least one load step"),
+])
+def test_config_rejects_a_bad_neohookean_setting(setting, message):
+    with pytest.raises(ValueError, match=message):
+        make_config("cook-neohookean", **setting)
+
+
+def test_pipe_ordering_skips_a_mesh_without_a_bes_fem_result(monkeypatch):
+    """A failed bes-fem cell leaves its mesh out of the error ordering; the
+    margin comes from the meshes where bes-fem solved."""
+    solve = benchmarks._solve_linear
+
+    def failing(disc, method, *args):
+        if method == "bes-fem" and disc.mesh.n_elements == 16:
+            raise RuntimeError("synthetic breakdown")
+        return solve(disc, method, *args)
+
+    monkeypatch.setattr(benchmarks, "_solve_linear", failing)
+    reports, summary = run_scenario(make_config(
+        "pipe", methods=("bes-fem", "ns-fem"), meshes=(2, 3)))
+    rows = {(r.method, r.mesh_id): r for r in reports}
+    assert rows[("bes-fem", "2")].extra["status"] == "failed"
+    bes, ns = rows[("bes-fem", "3")], rows[("ns-fem", "3")]
+    assert summary["ordering_margin"] == min(
+        (getattr(ns, k) - getattr(bes, k)) / getattr(ns, k)
+        for k in ("err_u", "err_p", "err_E"))
+
+
+def test_infsup_operators_reject_an_unknown_pairing():
+    disc = assembly.Discretization(generate_block(2))
+    with pytest.raises(ValueError, match="no inf-sup pairing for 'mini'"):
+        benchmarks.infsup_operators(disc, "mini")

@@ -387,3 +387,13 @@ def test_domain_diameters_equal_loop(make_mesh, kinds):
         domains = build_smoothing_domains(micro, kind)
         assert np.array_equal(domain_diameters(micro, domains.dom_of_cell),
                               loop_diameters(micro, domains))
+
+
+@pytest.mark.parametrize("kind, message", [
+    ("vertex", "unknown domain kind 'vertex'"),
+    ("face", "face-based domains are used in 3D"),
+])
+def test_smoothing_domains_reject_a_kind_foreign_to_the_mesh(kind, message):
+    _, micro = make_setup(generate_cook(2))
+    with pytest.raises(ValueError, match=message):
+        build_smoothing_domains(micro, kind)

@@ -381,8 +381,7 @@ def test_impossible_load_raises_after_halvings(disc):
     f = assemble_loads(disc.mesh, disc.topo, problem.dofmap,
                        {"traction": (0.0, 1e8)})
     with pytest.raises(RuntimeError, match="halvings"):
-        newton_load_stepping(problem, f, fixed, steps=1, max_halvings=2,
-                             max_iter=6)
+        newton_load_stepping(problem, f, fixed, steps=1)
 
 
 def test_singular_tangent_halves_the_step(disc, monkeypatch):
@@ -600,7 +599,7 @@ def test_tangent_pattern_and_free_block_are_built_once(disc, monkeypatch):
 
 
 @pytest.mark.parametrize("kappa", [1.95, 1e4])
-def test_newton_direction_matches_a_direct_solve(kappa):
+def test_newton_direction_matches_a_direct_solve(kappa, monkeypatch):
     """The band-ordered, threshold-pivoted factor gives the Newton update
     of the free-free system in the ascending dof order."""
     disc = Discretization(generate_cook(4))
@@ -622,8 +621,10 @@ def test_newton_direction_matches_a_direct_solve(kappa):
     problem.residual_tangent = recorded
     block = hyperelastic._free_block(*problem._pattern[:2], free)
     # two iterations evaluate u0 and u0 + du, then fail at tol 0
+    monkeypatch.setattr(hyperelastic, "NEWTON_TOL", 0.0)
+    monkeypatch.setattr(hyperelastic, "NEWTON_MAX_ITER", 2)
     with pytest.raises(hyperelastic._StepFailure):
-        hyperelastic._newton(problem, u0, load, free, block, 0.0, 2)
+        hyperelastic._newton(problem, u0, load, free, block)
     assert len(states) == 2 and np.array_equal(states[0], u0)
     du = states[1] - u0
     assert not du[fixed].any()
@@ -784,3 +785,11 @@ def test_newton_evaluates_each_state_once(monkeypatch):
     assert steps == 12 and iterations > steps
     assert len(calls) == iterations + steps
     assert len(evaluations) == iterations + len(reports)
+
+
+def test_load_stepping_needs_a_step(disc):
+    problem = SmoothedHyperProblem(disc, PARAMS)
+    fixed = dirichlet_dofs(disc.mesh, problem.dofmap)
+    f = np.zeros(problem.dofmap.n_disp)
+    with pytest.raises(ValueError, match="at least one load step"):
+        newton_load_stepping(problem, f, fixed, steps=0)

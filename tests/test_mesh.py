@@ -55,7 +55,7 @@ def test_cook_profile_mesh_has_midline_nodes():
 
 
 def test_annulus_geometry():
-    mesh = generate_annulus((4, 8), inner=1.0, outer=2.0)
+    mesh = generate_annulus((4, 8))
     assert mesh.n_elements == 64
     r = np.linalg.norm(mesh.nodes, axis=1)
     assert r.min() == pytest.approx(1.0, rel=1e-13)
@@ -585,3 +585,24 @@ def test_meshes_keep_their_numbering_and_bits(name):
            "elements": _array_digest(mesh.elements),
            **{k: _array_digest(v) for k, v in mesh.boundary.items()}}
     assert list(got.items()) == list(expected.items())
+
+
+def test_block_rejects_an_unknown_pattern():
+    with pytest.raises(ValueError, match="unknown block pattern 'hexagonal'"):
+        generate_block(2, pattern="hexagonal")
+
+
+@pytest.mark.parametrize("density", [-0.1, 1.0])
+def test_distortion_density_must_lie_in_the_unit_interval(density):
+    with pytest.raises(ValueError, match=r"density must be in \[0, 1\)"):
+        distort_mesh(generate_cook(3), density, seed=0)
+
+
+def test_distortion_gives_up_after_ten_rounds(monkeypatch):
+    """An element that stays inverted however far its nodes fall back is
+    named after the tenth halving round."""
+    monkeypatch.setattr(mesh_module, "simplex_measures",
+                        lambda nodes, cells: np.full(len(cells), -1.0))
+    with pytest.raises(RuntimeError,
+                       match="inversion persisted after 10 reduction rounds"):
+        distort_mesh(generate_cook(3), 0.4, seed=0)

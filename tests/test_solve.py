@@ -552,3 +552,11 @@ def test_infsup_is_independent_of_earlier_arpack_calls():
     spla.eigsh(sparse.diags(np.arange(1.0, 51.0)), k=3,
                return_eigenvectors=False)
     assert infsup_measure(*ops)[0] == first
+
+
+def test_non_finite_residual_reports_a_singular_system():
+    """A residual that is not finite ends the refinement at once: the
+    system is called singular."""
+    b = np.ones(3, dtype=np.longdouble)
+    with pytest.raises(RuntimeError, match="linear system is singular"):
+        solve._refine(None, lambda x: np.full(len(x), np.nan), b)

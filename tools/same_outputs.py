@@ -31,12 +31,15 @@ compared standard output never holds it).  Each is a single run, so read
 both as a rough cost, not a benchmark.
 Last it prints the ``src/smoothfem/*.py`` line count of REV and of the
 working tree, then one ``name: REV -> tree`` line per file whose count
-differs, so a refactor's size, where its lines went and its identity gate
-come from one command.  Exit status 0 when all seven scenarios pass, 1
-otherwise.
+differs, and the number of defaulted parameters of REV and of the working
+tree (every ``def``'s parameters with a default plus every dataclass field
+with one), so a refactor's size, where its lines went, how many options it
+offers and its identity gate come from one command.  Exit status 0 when
+all seven scenarios pass, 1 otherwise.
 """
 
 import argparse
+import ast
 import json
 import math
 import os
@@ -255,6 +258,33 @@ def moved_lines(base, head):
             if before.get(name, 0) != after.get(name, 0)]
 
 
+def _is_dataclass(node):
+    """Whether a class definition carries a ``dataclass`` decorator."""
+    for dec in node.decorator_list:
+        target = dec.func if isinstance(dec, ast.Call) else dec
+        name = (target.attr if isinstance(target, ast.Attribute)
+                else getattr(target, "id", None))
+        if name == "dataclass":
+            return True
+    return False
+
+
+def defaulted_parameters(tree):
+    """Defaulted parameters of the package sources ``src/smoothfem/*.py``:
+    every ``def``'s positional and keyword parameters with a default plus
+    every dataclass field with one."""
+    count = 0
+    for path in (tree / "src" / "smoothfem").glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_bytes())):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                count += len(node.args.defaults) + sum(
+                    d is not None for d in node.args.kw_defaults)
+            elif isinstance(node, ast.ClassDef) and _is_dataclass(node):
+                count += sum(isinstance(s, ast.AnnAssign)
+                             and s.value is not None for s in node.body)
+    return count
+
+
 def extract(rev, repo, dest):
     """Unpack the committed tree of ``rev`` into ``dest``."""
     archive = dest.with_suffix(".tar")
@@ -305,6 +335,9 @@ def main(argv=None):
               f"{args.rev}, {source_lines(repo)} in the working tree")
         for line in moved_lines(trees["base"], repo):
             print(f"  {line}")
+        print(f"defaulted parameters: {defaulted_parameters(trees['base'])} "
+              f"at {args.rev}, {defaulted_parameters(repo)} in the working "
+              "tree")
         print(f"{same} of {len(SCENARIOS)} scenarios match {args.rev}")
     return 0 if same == len(SCENARIOS) else 1
 
