@@ -150,7 +150,7 @@ class Discretization:
         self._gradients = {}
         self._overlaps = {}
         self._quadrature = None
-        self._at_quadrature = {}
+        self._kept = {}
         self._element_gradients = None
 
     @property
@@ -199,12 +199,17 @@ class Discretization:
             self._quadrature = (rule, X, w, lam)
         return self._quadrature
 
+    def kept(self, key, build):
+        """``build()``, called once per hashable ``key`` and kept while this
+        lives: a product of this mesh that several callers read."""
+        if key not in self._kept:
+            self._kept[key] = build()
+        return self._kept[key]
+
     def at_quadrature(self, field):
         """``field``, a pure function of points, at the micro-cell points
         (M, Q, d), evaluated once per callable and kept while this lives."""
-        if field not in self._at_quadrature:
-            self._at_quadrature[field] = field(self.quadrature()[1])
-        return self._at_quadrature[field]
+        return self.kept(field, lambda: field(self.quadrature()[1]))
 
     def element_gradients(self):
         """(rule, table): the degree-2d element rule and the read-only

@@ -86,18 +86,18 @@ from .hyperelastic import (
     SmoothedHyperProblem,
     newton_load_stepping,
 )
-from .mesh import (PIPE_RADII, distort_mesh, generate_annulus,
-                   generate_block, generate_cook, whole)
+from .mesh import (BLOCK_SIZE, COOK_CORNERS, PIPE_RADII, distort_mesh,
+                   generate_annulus, generate_block, generate_cook, whole)
 from .smoothing import volume_average_gradient
 from .solve import infsup_measure, solve_bundle, solve_condensed_split
 
 # monitored points, profile geometry and the smoothing oracle's sample
-COOK_TIP = (48.0, 60.0)            # top right corner of the membrane
-COOK_MIDRIGHT = (48.0, 52.0)       # midpoint of the loaded edge
-COOK_EDGE = 16.0                   # length of the loaded edge
+COOK_TIP = COOK_CORNERS[2]         # top right corner of the membrane
+COOK_EDGE = COOK_TIP[1] - COOK_CORNERS[1][1]   # length of the loaded edge
+COOK_MIDRIGHT = (COOK_TIP[0], COOK_TIP[1] - 0.5 * COOK_EDGE)  # its midpoint
 PIPE_INNER = (PIPE_RADII[0], 0.0)  # point on the pressurized inner arc
-BLOCK_MONITOR = (0.0, 0.0, 50.0)   # top corner under the loaded patch
-PROFILE_LINE_X = 24.0              # sampling line of the pressure profile
+BLOCK_MONITOR = (0.0, 0.0, BLOCK_SIZE[2])  # top corner under the patch
+PROFILE_LINE_X = 0.5 * COOK_TIP[0]  # sampling line of the pressure profile
 PROFILE_MESH = (8, 16)             # 256-element membrane mesh
 ORACLE_DOMAINS = 7                 # domains per case of the smoothing oracle
 
@@ -598,20 +598,18 @@ def infsup_operators(disc, method, bubble="power"):
     'bes-fem' measures the enriched displacement space against the
     node-cell pressures; 'es-fem' restricts the Gram matrix and the
     coupling to the vertex block, pairing the unenriched space with those
-    pressures.  Returns (G, B, C, fixed, n_disp).
+    pressures.  Both slice the G and B assembled once per ``disc`` and
+    bubble.  Returns (G, B, C, fixed, n_disp).
     """
     if method not in ("bes-fem", "es-fem"):
         raise ValueError(f"no inf-sup pairing for {method!r}")
     dofmap = disc.dofmap(bubble)
-    G = assemble_h1_gram(disc, dofmap)
-    B = assemble_B_bar(disc, disc.smoothing_kind(), bubble)
-    n_disp = dofmap.n_disp
-    if method == "es-fem":
-        n_disp = disc.mesh.n_nodes * disc.dim
-        G, B = G[:n_disp, :n_disp], B[:, :n_disp]
-    fixed = dirichlet_dofs(disc.mesh, dofmap)
-    C = disc.pressure_cells.measures.copy()
-    return G, B, C, fixed, n_disp
+    G, B = disc.kept(("h1-pairing", bubble), lambda: (
+        assemble_h1_gram(disc, dofmap),
+        assemble_B_bar(disc, disc.smoothing_kind(), bubble)))
+    n = dofmap.n_disp if method == "bes-fem" else disc.mesh.n_nodes * disc.dim
+    return (G[:n, :n], B[:, :n], disc.pressure_cells.measures.copy(),
+            dirichlet_dofs(disc.mesh, dofmap), n)
 
 
 def run_infsup(config, data, checks):

@@ -387,7 +387,7 @@ def _newton(problem, u0, load, free, block):
     raise _StepFailure(residuals)
 
 
-def newton_load_stepping(problem, f_ext, fixed, steps=10):
+def newton_load_stepping(problem, f_ext, fixed, steps):
     """Ramp the load in uniform increments, solving each step by Newton.
 
     Returns (u, history): the converged displacement at full load and one

@@ -258,25 +258,29 @@ def _line_facets(indices):
     return np.column_stack([indices[:-1], indices[1:]])
 
 
+COOK_CORNERS = ((0.0, 0.0), (48.0, 44.0), (48.0, 60.0), (0.0, 44.0))  # ccw
+PIPE_RADII = (1.0, 2.0)     # inner and outer radius of the pressurized pipe
+BLOCK_SIZE = (50.0, 50.0, 50.0)     # edge lengths of the quarter block
+
+
 def generate_cook(resolution):
     """Cook's membrane: clamped left edge, vertical traction on the right.
 
-    Corners (0,0), (48,44), (48,60), (0,44); ``resolution`` is n or (nx, ny)
-    quads per side, each split into two triangles.
+    Corners ``COOK_CORNERS``; ``resolution`` is n or (nx, ny) quads per
+    side, each split into two triangles.
     """
     nx, ny = _sides(resolution, 2)
     index, ids = _grid((nx, ny))
     xi, eta = index[:, 0] / nx, index[:, 1] / ny
-    nodes = np.column_stack([48.0 * xi, 44.0 * xi + eta * (44.0 - 28.0 * xi)])
+    _, (width, low), (_, high), (_, left) = COOK_CORNERS
+    nodes = np.column_stack(
+        [width * xi, low * xi + eta * (left - (left - high + low) * xi)])
     boundary = {
         "clamped": _line_facets(ids[0]),
         "traction": _line_facets(ids[-1]),
         "free": np.vstack([_line_facets(ids[:, 0]), _line_facets(ids[:, -1])]),
     }
     return PrimalMesh(nodes, _grid_triangles(ids), boundary)
-
-
-PIPE_RADII = (1.0, 2.0)     # inner and outer radius of the pressurized pipe
 
 
 def generate_annulus(resolution):
@@ -312,7 +316,7 @@ _KUHN_TABLE = np.where(np.linalg.det(_KUHN_STEPS)[:, None, None] < 0,
                        _KUHN_PATHS[:, [0, 1, 3, 2]], _KUHN_PATHS)
 
 
-def generate_block(resolution, size=(50.0, 50.0, 50.0), pattern="uniform"):
+def generate_block(resolution, size=BLOCK_SIZE, pattern="uniform"):
     """Quarter block, clamped base, pressure patch on top near the corner.
 
     The box [0,sx]x[0,sy]x[0,sz] starts from a grid of resolution

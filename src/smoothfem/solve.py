@@ -25,19 +25,20 @@ ordering with partial pivoting: refinement stops at a 1e-15 residual of an
 ill-conditioned K, so their outputs carry ordering-dependent rounding (1e-8
 relative in the ns-fem pressure error on the pipe).
 
-``infsup_measure`` forms no dense matrix and factors one matrix: ARPACK
-finds the low end of the pressure spectrum by shift-invert, to the bounded
-tolerance ``INFSUP_TOL``.  The spectrum it searches lies in [0, d] for
-every pairing (the bound at ``INFSUP_SHIFT``), so a fixed shift and zero
-threshold serve every mesh.  The shifted saddle, its bubbles condensed into
-the pressure block, is again symmetric quasi-definite for a shift sigma < 0
-and factors with ``SQD_OPTIONS``.
+``infsup_measure`` forms no dense matrix and factors one matrix: Lanczos
+climbs the pressure spectrum by shift-invert to its first nonzero value, to
+``INFSUP_TOL``, with einsum products for the reason above.  The spectrum
+lies in [0, d] for every pairing (the bound at ``INFSUP_SHIFT``), so a
+fixed shift and zero threshold serve every mesh.  The shifted saddle, its
+bubbles condensed into the pressure block, is again quasi-definite for a
+shift sigma < 0 and factors with ``SQD_OPTIONS``.
 """
 
 from dataclasses import dataclass, field
 
 import numpy as np
 from scipy import sparse
+from scipy.linalg import eigh_tridiagonal
 from scipy.sparse import linalg as spla
 
 from .assembly import assemble_condensed, free_dofs
@@ -206,12 +207,15 @@ def solve_bundle(bundle, f, fixed, values=None):
 # cell V_i and once inside each domain, gives |C^-1/2 B u|^2 <= |div u|^2,
 # and |div u|^2 <= d |u|_1^2.  So this shift lies just below the spectrum,
 # and this threshold separates its zero modes, on every pairing and mesh.
-INFSUP_SHIFT = -1e-3
+# Zero modes map to nu = 1e5 and a Ritz value carries eps * 1e5 of rounding,
+# so lambda carries eps lambda / |sigma| relative: 4.4e-11 at lambda = d = 2
+# (6.7e-11 at 3), 9e-13 at beta^2 <= 0.04.  sigma < 0 keeps the saddle SQD.
+INFSUP_SHIFT = -1e-5
 INFSUP_ZERO = 1e-10
-# ARPACK stops once each Ritz residual is below this fraction of its value.
-# A symmetric Ritz value's error is quadratic in its residual, so an
-# eigenvalue nu of the shift-invert operator moves by about 1e-16 nu / gap:
-# beta stays at the rounding level of the factored solves.
+# Lanczos stops once each Ritz value from the top down to the first nonzero
+# lambda has a residual below this fraction of itself.  A Ritz value's error
+# is quadratic in its residual, so an eigenvalue nu of the shift-invert
+# operator moves by about 1e-16 nu / gap: beta stays at the rounding level.
 INFSUP_TOL = 1e-8
 
 
@@ -222,16 +226,17 @@ def infsup_measure(G_gram, B, C_diag, fixed, n_disp):
     S = B G^{-1} B^T measured against the pressure mass C, over the
     constrained displacement space; G must be the H1-seminorm Gram matrix
     of the displacement space (Chapelle & Bathe, Comput. Struct. 47, 1993).
-    The eigenvalues of T = W S W, W = C^{-1/2}, lie in [0, d].  ARPACK
-    finds the largest eigenvalues nu of (T - sigma I)^{-1}, three at a time
-    to ``INFSUP_TOL``, one solve with [[G, B^T], [B, sigma C]] each, whose
-    pressure block is -(S - sigma C)^{-1}; lambda = sigma + 1/nu.  The free
-    dofs whose Gram row is one positive diagonal D_s (every bubble: its
-    gradient integrates to zero against each hat) are condensed exactly, so
-    the factored matrix is [[G_r, B_r^T], [B_r, sigma C - B_s D_s^-1 B_s^T]].
-    An eigenvalue below ``INFSUP_ZERO`` counts as zero.  Returns beta and
-    the converged low end of the spectrum of T, where a multiple eigenvalue
-    (a double zero) may show once.
+    The eigenvalues of T = W S W, W = C^{-1/2}, lie in [0, d].  Lanczos
+    with full reorthogonalization (Parlett, The Symmetric Eigenvalue
+    Problem, 1980) finds the largest eigenvalues nu of (T - sigma I)^{-1},
+    one solve with [[G, B^T], [B, sigma C]] per step, whose pressure block
+    is -(S - sigma C)^{-1}.  The free dofs whose Gram row is one positive
+    diagonal D_s (every bubble: its gradient integrates to zero against each
+    hat) are condensed exactly, so the factored matrix is
+    [[G_r, B_r^T], [B_r, sigma C - B_s D_s^-1 B_s^T]].  An eigenvalue
+    lambda = sigma + 1/nu below ``INFSUP_ZERO`` counts as zero.  Returns
+    beta and the converged low end of the spectrum of T through its first
+    nonzero eigenvalue, where a zero may show fewer times than it repeats.
     """
     free = free_dofs(n_disp, fixed)
     G_red = G_gram.tocsr()[free][:, free]
@@ -249,25 +254,27 @@ def infsup_measure(G_gram, B, C_diag, fixed, n_disp):
                                      [B_r, pressure]]), **SQD_OPTIONS)
     sqrt_c = np.sqrt(C_diag)
     n_rest = B_r.shape[1]
-
-    def shift_invert(r):
-        rhs = np.concatenate([np.zeros(n_rest), sqrt_c * r.ravel()])
-        return -sqrt_c * saddle.solve(rhs)[n_rest:]
-
-    OPinv = spla.LinearOperator((n_p, n_p), matvec=shift_invert, dtype=float)
-    # a fixed start vector: ARPACK's default draws from a state that every
-    # earlier eigsh call in the process advances
-    v0 = np.random.default_rng(0).uniform(-1.0, 1.0, n_p)
-    k = min(3, n_p - 1)   # the 2D es-fem pairings have two zero modes
-    while True:
-        nu = spla.eigsh(OPinv, k, which="LA", v0=v0, tol=INFSUP_TOL,
-                        return_eigenvectors=False)
-        low = np.sort(INFSUP_SHIFT + 1.0 / nu)
-        nonzero = low[low > INFSUP_ZERO]
-        if len(nonzero):
-            return float(np.sqrt(nonzero[0])), low
-        if k == n_p - 1:
-            raise RuntimeError(
-                f"the lowest {k} of {n_p} eigenvalues lie below INFSUP_ZERO "
-                "and ARPACK cannot reach the last one")
-        k = min(2 * k, n_p - 1)
+    rhs = np.zeros(n_rest + n_p)
+    # a fixed start vector touches every eigenspace
+    v = np.random.default_rng(0).uniform(-1.0, 1.0, n_p)
+    V, alpha, off = np.empty((0, n_p)), [], []
+    for m in range(1, n_p + 1):
+        V = np.vstack([V, v / np.sqrt(np.einsum("i,i", v, v))])
+        rhs[n_rest:] = sqrt_c * V[-1]
+        v = -sqrt_c * saddle.solve(rhs)[n_rest:]
+        alpha.append(np.einsum("i,i", V[-1], v))
+        for _ in range(2):  # Gram-Schmidt twice keeps V orthonormal
+            v -= np.einsum("ij,i", V, np.einsum("ij,j", V, v))
+        off.append(np.sqrt(np.einsum("i,i", v, v)))
+        theta, S = eigh_tridiagonal(alpha, off[:-1])
+        theta, resid = theta[::-1], np.abs(off[-1] * S[-1, ::-1])
+        low = INFSUP_SHIFT + 1.0 / theta
+        k = np.argmax(low > INFSUP_ZERO) + 1    # through the first nonzero
+        # an exhausted Krylov space: its Ritz values are eigenvalues
+        done = m == n_p or off[-1] <= np.finfo(float).eps * theta[0]
+        if low[k - 1] > INFSUP_ZERO and (
+                done or np.all(resid[:k] <= INFSUP_TOL * theta[:k])):
+            return float(np.sqrt(low[k - 1])), low[:k]
+        if done:
+            raise RuntimeError("no eigenvalue of the exhausted Krylov space "
+                               "lies above INFSUP_ZERO")

@@ -1,6 +1,7 @@
 """Tests of the benchmark configuration, scenario engine and CLI."""
 
 import dataclasses
+import gc
 import importlib.util
 import json
 import math
@@ -24,7 +25,8 @@ from smoothfem.analysis import (ExactPipeSolution, reports_from_json,
 from smoothfem.benchmarks import SCENARIOS, make_config, run_scenario
 from smoothfem.cli import (config_to_text, format_checks, format_table, main,
                            parse_config_text)
-from smoothfem.mesh import generate_block
+from smoothfem.mesh import distort_mesh, generate_block, generate_cook
+from smoothfem.solve import infsup_measure
 
 
 def test_defaults_cook():
@@ -1099,6 +1101,32 @@ def test_ab_pairs_copies_the_working_tree_as_git_sees_it(tmp_path):
     assert (copy / "pkg" / "a.py").read_text() == "A = 2\n"
 
 
+def test_ab_pairs_takes_several_workloads_and_alternates_them(capsys):
+    """``--workload`` repeats; each pair runs every workload on both sides,
+    and the side that goes first flips from pair to pair.  Parsing and
+    scheduling start no benchmark."""
+    tool = _load_repo_module("tools/ab_pairs.py")
+    args = tool.parse_args(["HEAD", "--workload", "infsup-2d",
+                            "--workload", "pipe-2d", "--pairs", "2"])
+    assert args.workload == ["infsup-2d", "pipe-2d"]
+    assert (args.rev, args.pairs, args.seconds) == ("HEAD", 2, 42)
+    assert tool.parse_args(["HEAD", "--workload", "pipe-2d"]).workload == [
+        "pipe-2d"]
+    assert list(tool.schedule(2, args.workload)) == [
+        (0, "infsup-2d", "base"), (0, "infsup-2d", "head"),
+        (0, "pipe-2d", "base"), (0, "pipe-2d", "head"),
+        (1, "infsup-2d", "head"), (1, "infsup-2d", "base"),
+        (1, "pipe-2d", "head"), (1, "pipe-2d", "base")]
+    for argv, message in ((["HEAD"], "--workload"),
+                          (["HEAD", "--workload", "a", "--pairs", "0"],
+                           "at least 1"),
+                          (["HEAD", "--workload", "a", "--workload", "a"],
+                           "once")):
+        with pytest.raises(SystemExit):
+            tool.parse_args(argv)
+        assert message in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("setting, message", [
     ({"mu": 0.0}, "shear modulus must be positive"),
     ({"steps": 0}, "need at least one load step"),
@@ -1127,6 +1155,33 @@ def test_pipe_ordering_skips_a_mesh_without_a_bes_fem_result(monkeypatch):
     assert summary["ordering_margin"] == min(
         (getattr(ns, k) - getattr(bes, k)) / getattr(ns, k)
         for k in ("err_u", "err_p", "err_E"))
+
+
+def test_infsup_operators_assemble_each_mesh_pairing_once(monkeypatch):
+    """Both inf-sup pairings of one discretization slice one enriched G and
+    B, which go with the discretization; es-fem's beta is the one it gets
+    from a discretization of its own."""
+    built = []
+    gram = benchmarks.assemble_h1_gram
+
+    def spy(*args):
+        G = gram(*args)
+        built.append(weakref.ref(G))
+        return G
+
+    monkeypatch.setattr(benchmarks, "assemble_h1_gram", spy)
+    mesh = distort_mesh(generate_cook(4), 0.4, seed=3)
+    disc = assembly.Discretization(mesh)
+    benchmarks.infsup_operators(disc, "bes-fem")
+    es = benchmarks.infsup_operators(disc, "es-fem")
+    assert len(built) == 1
+    alone = benchmarks.infsup_operators(assembly.Discretization(mesh),
+                                        "es-fem")
+    assert len(built) == 2
+    assert infsup_measure(*es)[0] == infsup_measure(*alone)[0]
+    del disc
+    gc.collect()
+    assert built[0]() is None
 
 
 def test_infsup_operators_reject_an_unknown_pairing():

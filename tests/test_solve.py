@@ -504,13 +504,13 @@ def test_infsup_spectrum_lies_in_zero_to_dim_3d(pattern, bubble):
 
 
 def test_infsup_skips_more_zero_modes_than_one_batch():
-    """Eight zero pressure rows outnumber the three eigenvalues of a first
-    batch, so the measure has to widen its search to find beta."""
+    """Eight zero pressure rows add an eight-fold zero eigenvalue; the
+    measure reports a zero on its way to beta and finds the same beta."""
     G, B, C, fixed, n_disp = cook_infsup_operators(4, "bes-fem")
     B_pad = sparse.vstack([B, sparse.csr_matrix((8, B.shape[1]))])
     C_pad = np.concatenate([C, np.linspace(0.5, 2.0, 8)])
     beta, low = infsup_measure(G, B_pad, C_pad, fixed, n_disp)
-    assert len(low) > 8
+    assert np.any(low <= solve.INFSUP_ZERO)
     assert beta == pytest.approx(infsup_measure(G, B, C, fixed, n_disp)[0],
                                  rel=1e-10)
 
@@ -523,27 +523,55 @@ def test_infsup_rejects_an_all_zero_coupling():
 
 def test_infsup_rejects_a_coupling_below_the_zero_threshold():
     """Every eigenvalue of a coupling scaled by 1e-9 is below
-    ``INFSUP_ZERO``, so no batch finds a nonzero one."""
+    ``INFSUP_ZERO``, so the whole Krylov space holds no nonzero one."""
     G = sparse.diags([-np.ones(5), 2.0 * np.ones(6), -np.ones(5)], [-1, 0, 1])
     B = sparse.eye(3, 6, k=1, format="csr")
     none = np.array([], dtype=np.int64)
     beta, _ = infsup_measure(G, B, np.ones(3), none, 6)
     assert beta > 0.1
-    with pytest.raises(RuntimeError, match="cannot reach the last one"):
+    with pytest.raises(RuntimeError, match="no eigenvalue of the exhausted"):
         infsup_measure(G, 1e-9 * B, np.ones(3), none, 6)
 
 
-def test_infsup_says_when_arpack_cannot_reach_the_last_eigenvalue():
-    """A rank-one coupling has n_p - 1 zero modes, so ARPACK's k < n_p
-    eigenvalues are all zero although S has one positive eigenvalue; the
-    error names that limit rather than a degenerate pairing."""
+def test_infsup_finds_the_one_positive_eigenvalue_of_a_rank_one_coupling():
+    """A rank-one coupling has n_p - 1 zero modes and one positive
+    eigenvalue.  The Krylov space is exhausted before that eigenvalue
+    converges by the residual test, and its Ritz values are then the
+    eigenvalues: beta^2 = 5096 to the eps * lambda / |sigma| bound stated
+    beside ``INFSUP_SHIFT``."""
     G = sparse.diags([-np.ones(5), 2.0 * np.ones(6), -np.ones(5)], [-1, 0, 1])
     B = np.outer([1.0, 2.0, 3.0], np.arange(1.0, 7.0))
     S = B @ np.linalg.solve(G.toarray(), B.T)
     assert np.linalg.eigvalsh(S)[-1] == pytest.approx(5096.0, rel=1e-9)
-    with pytest.raises(RuntimeError, match="lowest 2 of 3 eigenvalues lie"):
-        infsup_measure(G, sparse.csr_matrix(B), np.ones(3),
-                       np.array([], dtype=np.int64), 6)
+    beta, low = infsup_measure(G, sparse.csr_matrix(B), np.ones(3),
+                               np.array([], dtype=np.int64), 6)
+    bound = np.finfo(float).eps * 5096.0 / abs(solve.INFSUP_SHIFT)
+    assert low[-1] == pytest.approx(5096.0, rel=bound)
+    assert beta == np.sqrt(low[-1]) and np.all(low[:-1] <= solve.INFSUP_ZERO)
+
+
+def test_infsup_measure_solve_budget(monkeypatch):
+    """Lanczos stops once beta's values converge: each pairing on the
+    distorted cook-16 takes at most 20 shift-invert solves (ARPACK took 37
+    for bes-fem, converging three Ritz values)."""
+    counts = []
+    factorize = solve._factorize
+
+    class Counting:
+        def __init__(self, lu):
+            self.lu, self.solves = lu, 0
+            counts.append(self)
+
+        def solve(self, rhs):
+            self.solves += 1
+            return self.lu.solve(rhs)
+
+    monkeypatch.setattr(solve, "_factorize",
+                        lambda M, **options: Counting(factorize(M, **options)))
+    for method in ("bes-fem", "es-fem"):
+        _assert_matches_dense_oracle(cook_infsup_operators(16, method, 0.4))
+    solves = [c.solves for c in counts]
+    assert len(solves) == 2 and all(0 < n <= 20 for n in solves), solves
 
 
 def test_infsup_is_independent_of_earlier_arpack_calls():

@@ -1,18 +1,21 @@
 #!/usr/bin/env python3
-"""Compare a revision and the working tree on one benchmark workload.
+"""Compare a revision and the working tree on benchmark workloads.
 
 Usage (from anywhere inside the repository)::
 
-    python3 tools/ab_pairs.py REV --workload W [--pairs 10] [--seconds 42]
+    python3 tools/ab_pairs.py REV --workload W [--workload W2 ...]
+                              [--pairs 10] [--seconds 42]
 
 Extracts REV with ``git archive`` (the helper of ``same_outputs.py``) and
 copies the working tree's files (tracked, or untracked and not ignored)
 into sibling directories of one temporary directory, so neither side runs
 from a location the other does not share. It then runs ``perfbench/run.py
 --workload W --seed N --seconds S --trace 0`` PAIRS times on REV and on the
-working tree. The runs alternate, and the side that goes first alternates
-from pair to pair, so a slow drift of the host hits both sides alike. Pair
-N uses seed N on both sides. For every end-to-end metric that
+working tree for each workload W. Every pair runs each workload in the
+order given, both sides back to back; the sides alternate, and the side
+that goes first alternates from pair to pair, so a slow drift of the host
+hits both sides and every workload alike. Pair N uses seed N on both
+sides. For each workload and every end-to-end metric that
 ``BENCHMARK.json`` declares, it prints the median and quartiles of each
 side and the number of pairs the working tree won. A metric counts as a
 clear change when the working tree wins at least nine pairs in ten and its
@@ -111,54 +114,81 @@ def report_line(name, unit, summary, judged=True):
             f"tree wins {summary['wins']}/{summary['pairs']}: {verdict}")
 
 
-def main(argv=None):
+def parse_args(argv=None):
+    """The command line: a revision, one or more distinct workloads, and
+    the pair count and seconds of each run."""
     parser = argparse.ArgumentParser(
         description="Alternate benchmark runs of a revision and the working "
                     "tree and compare their end-to-end metrics.")
     parser.add_argument("rev", help="git revision to compare against")
-    parser.add_argument("--workload", required=True)
+    parser.add_argument("--workload", action="append", required=True,
+                        help="workload to compare; repeat for more")
     parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--seconds", type=int, default=42)
     args = parser.parse_args(argv)
     if args.pairs < 1:
         parser.error("--pairs must be at least 1")
+    if len(set(args.workload)) < len(args.workload):
+        parser.error("each --workload may be given once")
+    return args
+
+
+def schedule(pairs, workloads):
+    """(pair, workload, side) of every run, in run order: each pair runs
+    every workload on both sides, and the side that goes first flips from
+    pair to pair."""
+    for pair in range(pairs):
+        order = ("base", "head") if pair % 2 == 0 else ("head", "base")
+        for workload in workloads:
+            for side in order:
+                yield pair, workload, side
+
+
+def report(workload, metrics, results):
+    """Print one workload's comparison; False when a run was incorrect."""
+    print(f"== {workload}")
+    correct = all(r is not None and r["correct"]
+                  for side in results.values() for r in side)
+    if not correct:
+        print("some runs were incorrect or gave no result; no comparison")
+        return False
+    for metric in metrics:
+        name = metric["name"]
+        base, head = ([r["metrics"][name]["value"] for r in results[side]]
+                      for side in ("base", "head"))
+        print(report_line(name, metric["unit"],
+                          summarize(base, head, metric["better"])))
+    for name in RAW_TIMES:
+        base, head = ([r["raw"].get(name) for r in results[side]]
+                      for side in ("base", "head"))
+        if None not in base + head:
+            print(report_line(name, "s", summarize(base, head, "lower"),
+                              judged=False))
+    return True
+
+
+def main(argv=None):
+    args = parse_args(argv)
     repo = Path(subprocess.run(
         ["git", "rev-parse", "--show-toplevel"], check=True,
         capture_output=True, text=True).stdout.strip())
     metrics = json.loads((repo / "BENCHMARK.json").read_text())["end_to_end"]
-    results = {"base": [], "head": []}
+    results = {w: {"base": [], "head": []} for w in args.workload}
     with tempfile.TemporaryDirectory(prefix="ab-pairs-") as tmp:
         trees = {"base": Path(tmp) / "rev", "head": Path(tmp) / "tree"}
         extract(args.rev, repo, trees["base"])
         copy_worktree(repo, trees["head"])
-        for pair in range(args.pairs):
-            order = ("base", "head") if pair % 2 == 0 else ("head", "base")
-            for side in order:
-                result = run_workload(trees[side], args.workload, pair + 1,
-                                      args.seconds)
-                results[side].append(result)
-                state = ("no result" if result is None else
-                         "correct" if result["correct"] else "INCORRECT")
-                print(f"pair {pair + 1} {'rev' if side == 'base' else 'tree'}"
-                      f": {state}", flush=True)
-    correct = all(r is not None and r["correct"]
-                  for side in results.values() for r in side)
-    if correct:
-        for metric in metrics:
-            name = metric["name"]
-            base, head = ([r["metrics"][name]["value"] for r in results[side]]
-                          for side in ("base", "head"))
-            print(report_line(name, metric["unit"],
-                              summarize(base, head, metric["better"])))
-        for name in RAW_TIMES:
-            base, head = ([r["raw"].get(name) for r in results[side]]
-                          for side in ("base", "head"))
-            if None not in base + head:
-                print(report_line(name, "s", summarize(base, head, "lower"),
-                                  judged=False))
-    else:
-        print("some runs were incorrect or gave no result; no comparison")
-    return 0 if correct else 1
+        for pair, workload, side in schedule(args.pairs, args.workload):
+            result = run_workload(trees[side], workload, pair + 1,
+                                  args.seconds)
+            results[workload][side].append(result)
+            state = ("no result" if result is None else
+                     "correct" if result["correct"] else "INCORRECT")
+            print(f"pair {pair + 1} {workload} "
+                  f"{'rev' if side == 'base' else 'tree'}: {state}",
+                  flush=True)
+    correct = [report(w, metrics, results[w]) for w in args.workload]
+    return 0 if all(correct) else 1
 
 
 if __name__ == "__main__":
