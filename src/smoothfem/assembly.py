@@ -134,8 +134,9 @@ class DofMap:
 
 
 class Discretization:
-    """Cached geometric products of one mesh: topology, micro-cells, domains,
-    the micro-cell quadrature and the element gradient table.
+    """Geometric products of one mesh: topology, micro-cells and pressure
+    cells, then domains, gradients, overlaps, the micro-cell quadrature and
+    the element gradient table, each built on first request and kept.
 
     Everything downstream (operators, error norms, benchmarks) pulls from
     here so the expensive pieces are built once per mesh.
@@ -146,12 +147,7 @@ class Discretization:
         self.topo = build_topology(mesh)
         self.micro = build_micro_decomposition(mesh, self.topo)
         self.pressure_cells = build_pressure_cells(self.micro)
-        self._domains = {}
-        self._gradients = {}
-        self._overlaps = {}
-        self._quadrature = None
         self._kept = {}
-        self._element_gradients = None
 
     @property
     def dim(self):
@@ -161,24 +157,28 @@ class Discretization:
         """The bubble methods' domain kind in this dimension."""
         return "edge" if self.dim == 2 else "face"
 
+    def kept(self, key, build):
+        """``build()``, called once per hashable ``key`` and kept while this
+        lives: the one store of this mesh's products.  Each builder below is
+        looked up when it runs, so a wrapped builder sees every build."""
+        if key not in self._kept:
+            self._kept[key] = build()
+        return self._kept[key]
+
     def domains(self, kind):
-        if kind not in self._domains:
-            self._domains[kind] = build_smoothing_domains(self.micro, kind)
-        return self._domains[kind]
+        return self.kept(("domains", kind),
+                         lambda: build_smoothing_domains(self.micro, kind))
 
     def gradient_ops(self, kind, bubble=None):
-        key = (kind, bubble)
-        if key not in self._gradients:
-            self._gradients[key] = build_smoothed_gradient(
-                self.mesh, self.micro, self.domains(kind), bubble=bubble)
-        return self._gradients[key]
+        return self.kept(("gradients", kind, bubble),
+                         lambda: build_smoothed_gradient(
+                             self.mesh, self.micro, self.domains(kind),
+                             bubble=bubble))
 
     def overlap(self, kind):
-        if kind not in self._overlaps:
-            self._overlaps[kind] = self.pressure_cells.overlap_with_domains(
-                self.micro, self.domains(kind)
-            )
-        return self._overlaps[kind]
+        return self.kept(("overlap", kind),
+                         lambda: self.pressure_cells.overlap_with_domains(
+                             self.micro, self.domains(kind)))
 
     def quadrature(self):
         """Degree-4 volume rule over every micro-cell, built once.
@@ -188,7 +188,7 @@ class Discretization:
         micro-cell measures, and barycentric coordinates (M, Q, d+1) in
         each micro-cell's element ``micro.cell_elem``.
         """
-        if self._quadrature is None:
+        def build():
             micro = self.micro
             rule = simplex_quadrature(self.dim, 4)
             X = ordered_matmul(rule.points, micro.points[micro.cells])
@@ -196,15 +196,8 @@ class Discretization:
             lam = self.mesh.barycentric(micro.cell_elem, X)
             for a in (X, w, lam):
                 a.flags.writeable = False
-            self._quadrature = (rule, X, w, lam)
-        return self._quadrature
-
-    def kept(self, key, build):
-        """``build()``, called once per hashable ``key`` and kept while this
-        lives: a product of this mesh that several callers read."""
-        if key not in self._kept:
-            self._kept[key] = build()
-        return self._kept[key]
+            return rule, X, w, lam
+        return self.kept(("quadrature",), build)
 
     def at_quadrature(self, field):
         """``field``, a pure function of points, at the micro-cell points
@@ -218,7 +211,7 @@ class Discretization:
         product of two table entries exactly, so MINI's stiffness, its
         energy norm and the H1 Gram share it.
         """
-        if self._element_gradients is None:
+        def build():
             mesh, dim = self.mesh, self.dim
             rule = simplex_quadrature(dim, 2 * dim)
             lam = np.broadcast_to(rule.points,
@@ -229,8 +222,8 @@ class Discretization:
                                  gb.shape[:2] + (dim + 1, dim)),
                  gb[:, :, None]], axis=2)
             table.flags.writeable = False
-            self._element_gradients = (rule, table)
-        return self._element_gradients
+            return rule, table
+        return self.kept(("element-gradients",), build)
 
     def dofmap(self, bubble=None):
         return DofMap(self.mesh.n_nodes, self.mesh.n_elements, self.dim,

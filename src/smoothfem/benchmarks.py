@@ -656,9 +656,10 @@ def property_meshes():
 
 
 def coupling_operators(disc, bubble):
-    """Smoothed and element-wise pressure couplings on one mesh."""
-    return (assemble_B_bar(disc, disc.smoothing_kind(), bubble),
-            assemble_plain_B(disc, disc.dofmap(bubble)))
+    """Smoothed and element-wise pressure couplings on one mesh, kept."""
+    return disc.kept(("couplings", bubble), lambda: (
+        assemble_B_bar(disc, disc.smoothing_kind(), bubble),
+        assemble_plain_B(disc, disc.dofmap(bubble))))
 
 
 def vertex_column_defect(disc, bubble):
@@ -763,8 +764,7 @@ def smoothing_oracle_defect(disc, rng):
             for k in range(0, domains.n_domains, step):
                 H_bnd = np.column_stack([(G[c] @ U)[k]
                                          for c in range(mesh.dim)])
-                H_vol = volume_average_gradient(mesh, disc.micro, domains,
-                                                k, U, bubble=bubble)
+                H_vol = volume_average_gradient(disc, domains, k, U, bubble)
                 scale = max(float(np.abs(H_vol).max()), 1e-12)
                 worst = max(worst,
                             float(np.abs(H_bnd - H_vol).max()) / scale)

@@ -13,8 +13,8 @@ then one interior bubble per element when enrichment is on), such that
 
 All strain, divergence, and deformation-gradient smoothing in the package
 is derived from these matrices.  ``volume_average_gradient`` computes the
-same averages by volume quadrature over the member micro-cells, sharing no
-code with the boundary form, and exists to cross-check it.
+same averages on the discretization's micro-cell rule, sharing no code with
+the boundary form; the ``lemma-checks`` battery and the tests compare them.
 """
 
 import numpy as np
@@ -102,21 +102,20 @@ def build_smoothed_gradient(mesh, micro, domains, bubble=None):
     ]
 
 
-def volume_average_gradient(mesh, micro, domains, k, coeffs, bubble=None):
+def volume_average_gradient(disc, domains, k, coeffs, bubble=None):
     """Average gradient over domain k by volume quadrature (oracle path).
 
-    ``coeffs`` is (n_scalar, d) vertex (and bubble) dof values.  Integrates
-    the actual field gradient over the member micro-cells with a degree-4
-    rule, which is exact for both bubble kinds because micro-cells never
+    ``domains`` is a domain set of ``disc`` and ``coeffs`` is (n_scalar, d)
+    vertex (and bubble) dof values.  Integrates the actual field gradient
+    over the member micro-cells with ``disc.quadrature()``, the degree-4
+    micro-cell rule, exact for both bubble kinds because micro-cells never
     straddle the piecewise-linear bubble's interior interfaces, then divides
     by the domain measure.  Returns (d, d) with entry (r, c) = avg du_r/dx_c.
     """
-    dim = mesh.dim
-    N = mesh.n_nodes
+    mesh, micro = disc.mesh, disc.micro
     coeffs = np.asarray(coeffs, float)
 
     cells = np.flatnonzero(domains.dom_of_cell == k)
-    cpts = micro.points[micro.cells[cells]]         # (C, d+1, dim)
     celem = micro.cell_elem[cells]
     cmeas = micro.measures[cells]
 
@@ -126,10 +125,8 @@ def volume_average_gradient(mesh, micro, domains, k, coeffs, bubble=None):
     H = np.einsum("k,kir,kic->rc", cmeas, U_loc, gl)
 
     if bubble:
-        rule = simplex_quadrature(dim, 4)
-        X = np.einsum("qi,kid->kqd", rule.points, cpts)
-        lam = mesh.barycentric(celem, X)            # (C, Q, d+1)
-        gb = bubble_gradient(bubble, lam, gl)       # (C, Q, d)
-        Ub = coeffs[N + celem]                      # (C, d)
+        rule, _, _, lam = disc.quadrature()
+        gb = bubble_gradient(bubble, lam[cells], gl)    # (C, Q, d)
+        Ub = coeffs[mesh.n_nodes + celem]               # (C, d)
         H += np.einsum("k,q,kqc,kr->rc", cmeas, rule.weights, gb, Ub)
     return H / domains.measures[k]

@@ -63,6 +63,9 @@ class SolutionField:
 SQD_OPTIONS = {"permc_spec": "MMD_AT_PLUS_A", "diag_pivot_thresh": 0.0,
                "options": {"SymmetricMode": True}}
 REFINE_ROUNDS = 6    # refinement rounds of a solve, the direct solve included
+# past this lam / mu the double lam-sum of a condensed stiffness rounds its
+# shear part by more than refinement accepts (eps lam / mu > 1e-8)
+CONDENSED_RATIO_MAX = 1e-8 / np.finfo(float).eps     # about 4.5e7
 
 
 def _factorize(M, **options):
@@ -195,7 +198,14 @@ def solve_bundle(bundle, f, fixed, values=None):
         p = np.asarray(s * x[A.shape[0]:], float)
     else:
         path = "condensed"
-        x, info = _solve_constrained(A, f, fixed, values)
+        try:
+            x, info = _solve_constrained(A, f, fixed, values)
+        except RuntimeError as exc:
+            if lam / bundle.mat.mu <= CONDENSED_RATIO_MAX:
+                raise
+            raise RuntimeError(f"condensed solve failed at lambda/mu = "
+                               f"{lam / bundle.mat.mu:.3g}: its double "
+                               "lambda-sum swamps the shear part") from exc
         u = np.asarray(x, float)
         p = lam * (B @ u) / C
     return SolutionField(bundle.method, u, p, {"path": path, **info})

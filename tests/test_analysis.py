@@ -411,12 +411,19 @@ def test_characteristic_h_decreases(disc_annulus):
     lambda: distort_mesh(generate_cook(6), 0.4, seed=3),
     lambda: generate_block(2),
 ])
-def test_characteristic_h_builds_no_node_domains(make_mesh):
+def test_characteristic_h_builds_no_node_domains(make_mesh, monkeypatch):
     """h reads the node cells' micro-cell keys, so only the smoothing
     domains are built, and it equals the largest radius of both systems."""
     disc = Discretization(make_mesh())
+    built, build = [], assembly.build_smoothing_domains
+
+    def counting(micro, kind):
+        built.append(kind)
+        return build(micro, kind)
+
+    monkeypatch.setattr(assembly, "build_smoothing_domains", counting)
     h = characteristic_h(disc)
-    assert list(disc._domains) == [disc.smoothing_kind()]
+    assert built == [disc.smoothing_kind()]
     radii = [domain_diameters(disc.micro, disc.domains(kind).dom_of_cell)
              for kind in (disc.smoothing_kind(), "node")]
     assert h == max(float(r.max()) for r in radii)

@@ -20,6 +20,7 @@ import smoothfem
 import smoothfem.assembly as assembly
 import smoothfem.benchmarks as benchmarks
 import smoothfem.cli as cli
+import smoothfem.smoothing as smoothing
 from smoothfem.analysis import (ExactPipeSolution, reports_from_json,
                                 reports_to_json)
 from smoothfem.benchmarks import SCENARIOS, make_config, run_scenario
@@ -450,6 +451,49 @@ def test_cli_reports_a_property_measure_that_raises(monkeypatch, capsys,
     assert math.isnan(check["value"]) and check["passed"] is False
 
 
+def test_lemma_checks_build_each_product_once(monkeypatch):
+    """One lemma-checks run assembles each coupling once per (probe mesh,
+    bubble), 18 times where each check once assembled its own (33), and
+    builds one micro-cell rule per mesh and one facet rule per gradient
+    build: 60, not one rule per sampled oracle domain.  A discretization
+    returns its kept domains, gradients and overlaps on a second request,
+    and the smoothing oracle reads its micro-cell rule."""
+    calls = {}
+
+    def count(module, name):
+        build = getattr(module, name)
+
+        def counting(*args, **kwargs):
+            calls[name] = calls.get(name, 0) + 1
+            return build(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, counting)
+
+    for name in ("assemble_B_bar", "assemble_plain_B"):
+        count(benchmarks, name)
+    for module in (assembly, smoothing):
+        count(module, "simplex_quadrature")
+    reports, _ = run_scenario(make_config("lemma-checks"))
+    assert [r.extra["status"] for r in reports] == ["ok"] * len(reports)
+    assert calls == {"assemble_B_bar": 18, "assemble_plain_B": 18,
+                     "simplex_quadrature": 60}
+
+    disc = assembly.Discretization(generate_cook(3))
+    kind = disc.smoothing_kind()
+    for product, args in ((disc.domains, (kind,)),
+                          (disc.gradient_ops, (kind, "power")),
+                          (disc.overlap, (kind,))):
+        assert product(*args) is product(*args)
+    disc.quadrature()
+    calls.clear()
+    U = np.random.default_rng(3).normal(
+        size=(disc.mesh.n_nodes + disc.mesh.n_elements, 2))
+    for bubble in ("power", "hat"):
+        smoothing.volume_average_gradient(disc, disc.domains(kind), 0, U,
+                                          bubble=bubble)
+    assert calls == {}
+
+
 def test_a_mesh_that_cannot_be_built_fails_only_its_cells(tmp_path):
     """The unstructured block has no valid mesh 2; its cells are reported
     as failed and mesh 3 still runs."""
@@ -707,6 +751,11 @@ def test_perfbench_tracer_finds_its_seams():
     assert tracer.check_nesting() == []
     names = {span[0] for span in tracer.spans}
     assert {"analysis.error_norms", "dualmesh.domains"} <= names
+    # each mesh builds its edge and node domains, the gradients of each and
+    # their overlaps once: a memo that bypasses a seam or rebuilds shows here
+    assert tracer.counts["dualmesh.domain_builds"] == 6
+    assert tracer.counts["smoothing.gradient_builds"] == 6
+    assert [span[0] for span in tracer.spans].count("dualmesh.overlap") == 6
 
 
 def test_perfbench_tracer_sees_the_newton_seams():

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from smoothfem.assembly import strain_rows
+from smoothfem.assembly import Discretization, strain_rows
 from smoothfem.dualmesh import build_micro_decomposition, build_smoothing_domains
 from smoothfem.mesh import (
     build_topology,
@@ -51,16 +51,15 @@ KIND_CASES = [(kind, name, make)
 def test_boundary_integral_matches_volume_average(kind, name, make, bubble):
     """Smoothed gradients equal direct volume averages for random fields."""
     mesh = make()
-    topo, micro = setup(mesh)
-    domains = build_smoothing_domains(micro, kind)
-    G = build_smoothed_gradient(mesh, micro, domains, bubble=bubble)
+    disc = Discretization(mesh)
+    domains = build_smoothing_domains(disc.micro, kind)
+    G = build_smoothed_gradient(mesh, disc.micro, domains, bubble=bubble)
     n_scalar = mesh.n_nodes + (mesh.n_elements if bubble else 0)
     U = RNG.normal(size=(n_scalar, mesh.dim))
     step = max(1, domains.n_domains // 17)
     for k in range(0, domains.n_domains, step):
         H_bnd = smoothed_H(G, U, k)
-        H_vol = volume_average_gradient(mesh, micro, domains, k, U,
-                                        bubble=bubble)
+        H_vol = volume_average_gradient(disc, domains, k, U, bubble=bubble)
         np.testing.assert_allclose(H_bnd, H_vol, rtol=1e-10, atol=1e-12)
 
 
