@@ -135,8 +135,9 @@ class DofMap:
 
 class Discretization:
     """Geometric products of one mesh: topology, micro-cells and pressure
-    cells, then domains, gradients, overlaps, the micro-cell quadrature and
-    the element gradient table, each built on first request and kept.
+    cells, then domains, gradients, overlaps, smoothed couplings, the
+    micro-cell quadrature and the element gradient table, each built on
+    first request and kept.
 
     Everything downstream (operators, error norms, benchmarks) pulls from
     here so the expensive pieces are built once per mesh.
@@ -179,6 +180,11 @@ class Discretization:
         return self.kept(("overlap", kind),
                          lambda: self.pressure_cells.overlap_with_domains(
                              self.micro, self.domains(kind)))
+
+    def coupling(self, kind, bubble):
+        """The smoothed pressure coupling ``assemble_B_bar``, kept."""
+        return self.kept(("B_bar", kind, bubble),
+                         lambda: assemble_B_bar(self, kind, bubble))
 
     def quadrature(self):
         """Degree-4 volume rule over every micro-cell, built once.
@@ -534,13 +540,13 @@ def assemble_method(disc, method, mat, bubble="power"):
         check_bubble_kind(bubble)
         kind = disc.smoothing_kind()
         A = assemble_A_bar(disc, kind, bubble, mat.mu)
-        B = assemble_B_bar(disc, kind, bubble)
+        B = disc.coupling(kind, bubble)
         return OperatorBundle(method, disc.dofmap(bubble), mat, A, B, C, kind)
 
     A = assemble_A_bar(disc, kind, None, mat.mu) \
         + assemble_lambda_stiffness(disc, kind, None, mat.lam)
     # node-domain recovery operators give every baseline a reportable pressure
-    B = assemble_B_bar(disc, "node")
+    B = disc.coupling("node", None)
     return OperatorBundle(method, disc.dofmap(), mat, A.tocsr(), B, C, kind)
 
 

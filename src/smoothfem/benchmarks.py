@@ -72,7 +72,6 @@ from .analysis import (
 from .assembly import (
     Discretization,
     MaterialParams,
-    assemble_B_bar,
     assemble_h1_gram,
     assemble_loads,
     assemble_method,
@@ -604,9 +603,9 @@ def infsup_operators(disc, method, bubble="power"):
     if method not in ("bes-fem", "es-fem"):
         raise ValueError(f"no inf-sup pairing for {method!r}")
     dofmap = disc.dofmap(bubble)
-    G, B = disc.kept(("h1-pairing", bubble), lambda: (
-        assemble_h1_gram(disc, dofmap),
-        assemble_B_bar(disc, disc.smoothing_kind(), bubble)))
+    G = disc.kept(("h1-gram", bubble),
+                  lambda: assemble_h1_gram(disc, dofmap))
+    B = disc.coupling(disc.smoothing_kind(), bubble)
     n = dofmap.n_disp if method == "bes-fem" else disc.mesh.n_nodes * disc.dim
     return (G[:n, :n], B[:, :n], disc.pressure_cells.measures.copy(),
             dirichlet_dofs(disc.mesh, dofmap), n)
@@ -657,9 +656,9 @@ def property_meshes():
 
 def coupling_operators(disc, bubble):
     """Smoothed and element-wise pressure couplings on one mesh, kept."""
-    return disc.kept(("couplings", bubble), lambda: (
-        assemble_B_bar(disc, disc.smoothing_kind(), bubble),
-        assemble_plain_B(disc, disc.dofmap(bubble))))
+    return (disc.coupling(disc.smoothing_kind(), bubble),
+            disc.kept(("plain-B", bubble),
+                      lambda: assemble_plain_B(disc, disc.dofmap(bubble))))
 
 
 def vertex_column_defect(disc, bubble):

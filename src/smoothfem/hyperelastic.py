@@ -9,6 +9,7 @@ through lambda = kappa - 2 mu / 3, and 2D runs are plane strain (the out of
 plane stretch is one).
 """
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -172,7 +173,6 @@ class SmoothedHyperProblem:
         self._E = E.reshape(dim, -1)
         self._pairs = pi, pj = np.array(pairs).T
         self._voigt = np.broadcast_arrays(pi[:, None], pj[:, None], pi, pj)
-        self._last = None    # (u, (R, K, noise)) of the latest evaluation
 
     def _layout(self, G):
         """(grad, dofs): the gradients of each domain's scalar functions
@@ -249,14 +249,7 @@ class SmoothedHyperProblem:
         the bound contracts those magnitudes through |B| exactly like the
         force itself.  Raises _Inverted when any smoothing domain reaches
         J <= 0.
-
-        The latest evaluation is kept: a call with exactly the same u (the
-        first Newton iterate of a load step starts at the last converged
-        one) returns the same R, K and noise, whose arrays are read-only.
         """
-        u = np.asarray(u, float)
-        if self._last is not None and np.array_equal(self._last[0], u):
-            return self._last[1]
         dim = self.disc.dim
         F, C, lnJ = self.state(u)
         mu, lam = self.params.mu, self.params.lam
@@ -292,11 +285,7 @@ class SmoothedHyperProblem:
         R = np.bincount(dofs, force.ravel(), n)
         noise = np.bincount(dofs, bound.ravel(), n)
         data = np.bincount(positions, K_loc.ravel(), indices.size)
-        for array in (R, noise, data):
-            array.flags.writeable = False
-        result = R, sparse.csc_matrix((data, indices, indptr), (n, n)), noise
-        self._last = (u.copy(), result)
-        return result
+        return R, sparse.csc_matrix((data, indices, indptr), (n, n)), noise
 
 
 def _free_block(indptr, indices, free):
@@ -339,6 +328,7 @@ _NOISE_FACTOR = 16.0
 NEWTON_TOL = 1e-9       # converged free residual, relative to the free load
 NEWTON_MAX_ITER = 25    # Newton updates of one load step
 MAX_HALVINGS = 8        # step halvings of one load-stepping call
+PREDICTOR_POINTS = 4    # converged states a load step extrapolates from
 
 
 # SuperLU options of the Newton tangent: the free block is already in a
@@ -387,6 +377,16 @@ def _newton(problem, u0, load, free, block):
     raise _StepFailure(residuals)
 
 
+def _extrapolate(states, load):
+    """The Lagrange polynomial through the converged ``(load, u)`` states,
+    evaluated at ``load``: one state gives itself, four give a cubic."""
+    u = np.zeros_like(states[0][1])
+    for i, (t_i, u_i) in enumerate(states):
+        u += math.prod((load - t) / (t_i - t)
+                       for j, (t, _) in enumerate(states) if j != i) * u_i
+    return u
+
+
 def newton_load_stepping(problem, f_ext, fixed, steps):
     """Ramp the load in uniform increments, solving each step by Newton.
 
@@ -396,6 +396,10 @@ def newton_load_stepping(problem, f_ext, fixed, steps):
     domain or an exactly singular tangent) is retried at half width, up to
     ``MAX_HALVINGS`` times overall; running out raises RuntimeError with
     the last residual trail.
+
+    Each step's Newton starts from the polynomial through the last
+    ``PREDICTOR_POINTS`` converged states of the path from the unloaded
+    one, extrapolated to the step's target load (``_extrapolate``).
 
     The free-free block of the tangent is laid out once per call, in the
     reverse Cuthill-McKee order of its pattern (``_free_block``); each
@@ -411,13 +415,14 @@ def newton_load_stepping(problem, f_ext, fixed, steps):
     # iteration sets its data
     block = _free_block(*problem._pattern[:2], free)
 
-    u = np.zeros(problem.dofmap.n_disp)
+    states = [(0.0, np.zeros(problem.dofmap.n_disp))]
     history = []
     current, width, halved = 0.0, 1.0 / steps, 0
     while current < 1.0 - 1e-12:
         target = min(current + width, 1.0)
+        u0 = _extrapolate(states[-PREDICTOR_POINTS:], target)
         try:
-            u_next, record = _newton(problem, u, target * f_ext, free, block)
+            u, record = _newton(problem, u0, target * f_ext, free, block)
         except _StepFailure as exc:
             halved += 1
             if halved > MAX_HALVINGS:
@@ -427,8 +432,8 @@ def newton_load_stepping(problem, f_ext, fixed, steps):
                     f"residual trail {exc.residuals}") from exc
             width *= 0.5
             continue
-        u = u_next
+        states.append((target, u))
         current = target
         record["load"] = current
         history.append(record)
-    return u, history
+    return states[-1][1], history

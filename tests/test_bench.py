@@ -453,12 +453,14 @@ def test_cli_reports_a_property_measure_that_raises(monkeypatch, capsys,
 
 def test_lemma_checks_build_each_product_once(monkeypatch):
     """One lemma-checks run assembles each coupling once per (probe mesh,
-    bubble), 18 times where each check once assembled its own (33), and
-    builds one micro-cell rule per mesh and one facet rule per gradient
-    build: 60, not one rule per sampled oracle domain.  A discretization
-    returns its kept domains, gradients and overlaps on a second request,
-    and the smoothing oracle reads its micro-cell rule."""
-    calls = {}
+    kind, bubble), 18 times where each check once assembled its own (33),
+    and the smoothed one once for its coupling check, its inf-sup pairing
+    and its condensed bundle; it builds one micro-cell rule per mesh and
+    one facet rule per gradient build: 60, not one rule per sampled oracle
+    domain.  A discretization returns its kept domains, gradients,
+    overlaps and couplings on a second request, and the smoothing oracle
+    reads its micro-cell rule."""
+    calls, couplings = {}, []
 
     def count(module, name):
         build = getattr(module, name)
@@ -469,20 +471,28 @@ def test_lemma_checks_build_each_product_once(monkeypatch):
 
         monkeypatch.setattr(module, name, counting)
 
-    for name in ("assemble_B_bar", "assemble_plain_B"):
-        count(benchmarks, name)
+    build_B_bar = assembly.assemble_B_bar
+
+    def recorded(disc, kind, bubble=None):
+        # the discretization itself, so no two share an id
+        couplings.append((disc, kind, bubble))
+        return build_B_bar(disc, kind, bubble)
+
+    monkeypatch.setattr(assembly, "assemble_B_bar", recorded)
+    count(benchmarks, "assemble_plain_B")
     for module in (assembly, smoothing):
         count(module, "simplex_quadrature")
     reports, _ = run_scenario(make_config("lemma-checks"))
     assert [r.extra["status"] for r in reports] == ["ok"] * len(reports)
-    assert calls == {"assemble_B_bar": 18, "assemble_plain_B": 18,
-                     "simplex_quadrature": 60}
+    assert calls == {"assemble_plain_B": 18, "simplex_quadrature": 60}
+    assert len(couplings) == len(set(couplings)) == 18
 
     disc = assembly.Discretization(generate_cook(3))
     kind = disc.smoothing_kind()
     for product, args in ((disc.domains, (kind,)),
                           (disc.gradient_ops, (kind, "power")),
-                          (disc.overlap, (kind,))):
+                          (disc.overlap, (kind,)),
+                          (disc.coupling, (kind, "power"))):
         assert product(*args) is product(*args)
     disc.quadrature()
     calls.clear()
@@ -1051,6 +1061,24 @@ def test_readme_states_the_package_line_count():
                        (root / "README.md").read_text())
     assert stated is not None
     assert int(stated.group(1).replace(",", "")) == tool.source_lines(root)
+
+
+def test_newton_ladder_prints_each_cell_of_a_tiny_ladder(capsys):
+    """The ladder tool runs the working tree in a child process and prints
+    one line per (mesh, kappa) with the scenario's own counts and tip."""
+    tool = _load_repo_module("tools/newton_ladder.py")
+    assert tool.main(["--meshes", "2", "--kappa", "1.95,100"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == "cook-neohookean, 10 steps; sides: tree"
+    reports, _ = run_scenario(make_config(
+        "cook-neohookean", meshes=(2,), kappa=(1.95, 100.0), steps=10))
+    assert len(lines) == 1 + len(reports) == 3
+    for line, report in zip(lines[1:], reports):
+        extra = report.extra
+        assert line.startswith(f"mesh   2 kappa {extra['kappa']:<8g} | ")
+        assert (f"{extra['newton_iterations']:5d} it "
+                f"{extra['load_steps']:4d} steps tol   "
+                f"tip {report.tip_uy:.9g} ") in line
 
 
 def test_ab_pairs_summarizes_paired_samples():
