@@ -102,21 +102,6 @@ class ExactPipeSolution:
         X = np.asarray(X, float)
         return np.full(X.shape[:-1], 2.0 * self.nu * self.stress_scale)
 
-    def stress(self, X):
-        """Cartesian Voigt stress (s_xx, s_yy, s_xy), plane strain.
-
-        Uses the split 2 mu eps + p I with the closed-form pressure, which
-        avoids the lambda-scale cancellation of the full material product.
-        """
-        mat = self.material
-        eps = self.strain(X)
-        p = self.pressure(X)
-        out = np.empty_like(eps)
-        out[..., 0] = 2.0 * mat.mu * eps[..., 0] + p
-        out[..., 1] = 2.0 * mat.mu * eps[..., 1] + p
-        out[..., 2] = mat.mu * eps[..., 2]
-        return out
-
     def strong_form_residual(self):
         """Largest scaled defect of the closed forms at sampled radii.
 

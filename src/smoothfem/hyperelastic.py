@@ -17,7 +17,7 @@ import numpy as np
 from scipy import sparse
 from scipy.sparse import linalg as spla
 
-from .assembly import VOIGT_PAIRS, dof_indices, free_dofs
+from .assembly import VOIGT_PAIRS, dirichlet_dofs, dof_indices, free_dofs
 from .basis import check_bubble_kind
 from .mesh import whole
 
@@ -139,7 +139,9 @@ class SmoothedHyperProblem:
     dense (domains x largest support) layout, so each Newton state is one
     batched stress/tangent evaluation, one ``np.bincount`` of the local
     blocks into the tangent's CSC sparsity pattern (built on first use and
-    shared by every later tangent) and one sparse factorization.
+    shared by every later tangent) and one factorization of its free-free
+    block (``newton_update``).  ``free`` lists, in ascending order, the
+    dofs that the mesh's Dirichlet labels do not hold at zero.
     """
 
     def __init__(self, disc, params, bubble="power"):
@@ -147,6 +149,8 @@ class SmoothedHyperProblem:
         self.disc = disc
         self.params = params
         self.dofmap = disc.dofmap(bubble)
+        self.free = free_dofs(self.dofmap.n_disp,
+                              dirichlet_dofs(disc.mesh, self.dofmap))
         kind = disc.smoothing_kind()
         domains = disc.domains(kind)
         self.measures = domains.measures
@@ -214,6 +218,37 @@ class SmoothedHyperProblem:
         indptr = np.zeros(n + 1, itype)
         np.cumsum(np.bincount(cells // n, minlength=n), out=indptr[1:])
         return indptr, (cells % n).astype(itype), positions
+
+    @cached_property
+    def _band(self):
+        """(order, keep, A): ``free`` in the reverse Cuthill-McKee order of
+        the free-free tangent pattern, and that block as a CSC matrix A
+        with sorted indices and zero data; for any tangent K,
+        K[order][:, order] is A with data K.data[keep]."""
+        from scipy.sparse.csgraph import reverse_cuthill_mckee
+
+        indptr, indices, _ = self._pattern
+        n, free = self.dofmap.n_disp, self.free
+        # the block carries each entry's position in K.data, plus one, as data
+        P = sparse.csc_matrix((np.arange(1.0, indices.size + 1), indices,
+                               indptr), (n, n))
+        B = P[free][:, free]
+        perm = reverse_cuthill_mckee(B, symmetric_mode=True)
+        A = B[perm][:, perm].tocsc()
+        A.sort_indices()
+        keep = A.data.astype(np.intp) - 1
+        A.data = np.zeros(len(keep))
+        return free[perm], keep, A
+
+    def newton_update(self, K, r):
+        """The update du of K_ff du_f = -r_f, zero on the fixed dofs, from
+        a factor of K's band-ordered free block (``TANGENT_OPTIONS``); an
+        exactly singular block raises RuntimeError."""
+        order, keep, A = self._band
+        A.data = K.data[keep]
+        du = np.zeros(len(r))
+        du[order] = spla.splu(A, **TANGENT_OPTIONS).solve(-r[order])
+        return du
 
     def state(self, u):
         """Smoothed (F, C, ln J) on every domain for a displacement vector.
@@ -288,32 +323,6 @@ class SmoothedHyperProblem:
         return R, sparse.csc_matrix((data, indices, indptr), (n, n)), noise
 
 
-def _free_block(indptr, indices, free):
-    """The free-free block of a square CSC pattern in a band order.
-
-    Returns (order, keep, A): ``order`` is ``free`` in the reverse
-    Cuthill-McKee order of the block's symmetric pattern, and for any K on
-    the pattern, K[order][:, order] is the CSC matrix A (sorted indices)
-    with data K.data[keep].  A is built with zero data.
-    """
-    from scipy.sparse.csgraph import reverse_cuthill_mckee
-
-    local = np.full(len(indptr) - 1, -1)
-    local[free] = np.arange(len(free))
-    rows = local[indices]
-    cols = np.repeat(local, np.diff(indptr))
-    keep = np.flatnonzero((rows >= 0) & (cols >= 0))
-    # the block carries each entry's position in K.data, plus one, as data
-    shape = (len(free), len(free))
-    B = sparse.csc_matrix((keep + 1.0, (rows[keep], cols[keep])), shape)
-    perm = reverse_cuthill_mckee(B, symmetric_mode=True)
-    A = B[perm][:, perm].tocsc()
-    A.sort_indices()
-    keep = A.data.astype(keep.dtype) - 1
-    A.data = np.zeros(len(keep))
-    return free[perm], keep, A
-
-
 class _StepFailure(Exception):
     """Newton did not converge (or inverted); carries the residual trail."""
 
@@ -332,9 +341,10 @@ PREDICTOR_POINTS = 4    # converged states a load step extrapolates from
 
 
 # SuperLU options of the Newton tangent: the free block is already in a
-# band order (_free_block), NATURAL factors it inside that envelope, and a
-# diagonal pivot is kept while it is at least a tenth of its column's
-# largest entry.  The block can be indefinite, so pivoting stays.
+# band order (SmoothedHyperProblem._band), NATURAL factors it inside that
+# envelope, and a diagonal pivot is kept while it is at least a tenth of
+# its column's largest entry.  The block can be indefinite, so pivoting
+# stays.
 TANGENT_OPTIONS = {"permc_spec": "NATURAL", "diag_pivot_thresh": 0.1}
 
 
@@ -345,8 +355,8 @@ def _norm(x):
     return float(np.sqrt(np.square(x).sum()))
 
 
-def _newton(problem, u0, load, free, block):
-    order, keep, A = block
+def _newton(problem, u0, load):
+    free = problem.free
     u = u0.copy()
     scale = _norm(load[free]) or 1.0
     residuals = []
@@ -366,14 +376,13 @@ def _newton(problem, u0, load, free, block):
         if rn <= NEWTON_TOL or rabs <= floor:
             return u, {"iterations": it, "residuals": residuals,
                        "floor_limited": rn > NEWTON_TOL}
-        A.data = K.data[keep]
         try:
-            du = spla.splu(A, **TANGENT_OPTIONS).solve(-r[order])
+            du = problem.newton_update(K, r)
         except RuntimeError:   # exactly singular tangent
             raise _StepFailure(residuals)
         if not np.all(np.isfinite(du)):
             raise _StepFailure(residuals)
-        u[order] += du
+        u += du
     raise _StepFailure(residuals)
 
 
@@ -387,7 +396,7 @@ def _extrapolate(states, load):
     return u
 
 
-def newton_load_stepping(problem, f_ext, fixed, steps):
+def newton_load_stepping(problem, f_ext, steps):
     """Ramp the load in uniform increments, solving each step by Newton.
 
     Returns (u, history): the converged displacement at full load and one
@@ -401,20 +410,13 @@ def newton_load_stepping(problem, f_ext, fixed, steps):
     ``PREDICTOR_POINTS`` converged states of the path from the unloaded
     one, extrapolated to the step's target load (``_extrapolate``).
 
-    The free-free block of the tangent is laid out once per call, in the
-    reverse Cuthill-McKee order of its pattern (``_free_block``); each
-    iteration sets its data, factors it with ``TANGENT_OPTIONS`` and
-    gathers the residual and scatters the update through that order.  The
-    convergence test reads the free residual in the ascending dof order.
+    The constraints and the factor are the problem's: the convergence test
+    reads the residual on ``problem.free``, and each update is
+    ``problem.newton_update``.
     """
     if whole(steps, "load step count") < 1:
         raise ValueError("need at least one load step")
     f_ext = np.asarray(f_ext, float)
-    free = free_dofs(problem.dofmap.n_disp, fixed)
-    # the free-free tangent in its factor order, built once; each
-    # iteration sets its data
-    block = _free_block(*problem._pattern[:2], free)
-
     states = [(0.0, np.zeros(problem.dofmap.n_disp))]
     history = []
     current, width, halved = 0.0, 1.0 / steps, 0
@@ -422,7 +424,7 @@ def newton_load_stepping(problem, f_ext, fixed, steps):
         target = min(current + width, 1.0)
         u0 = _extrapolate(states[-PREDICTOR_POINTS:], target)
         try:
-            u, record = _newton(problem, u0, target * f_ext, free, block)
+            u, record = _newton(problem, u0, target * f_ext)
         except _StepFailure as exc:
             halved += 1
             if halved > MAX_HALVINGS:

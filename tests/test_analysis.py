@@ -105,8 +105,12 @@ def test_pipe_cartesian_consistency(pipe):
     np.testing.assert_allclose(np.linalg.norm(u, axis=1),
                                pipe.radial_displacement(r), rtol=1e-12)
 
-    # rotate the Cartesian stress back to polar components
-    s = pipe.stress(X)
+    # the plane-strain stress 2 mu eps + p I from the strain and the
+    # closed-form pressure, rotated back to polar components
+    eps, p = pipe.strain(X), pipe.pressure(X)
+    mu = pipe.material.mu
+    s = np.column_stack([2.0 * mu * eps[:, 0] + p, 2.0 * mu * eps[:, 1] + p,
+                         mu * eps[:, 2]])
     c, sn = np.cos(th), np.sin(th)
     s_rr = s[:, 0] * c ** 2 + s[:, 1] * sn ** 2 + 2.0 * s[:, 2] * sn * c
     s_tt = s[:, 0] * sn ** 2 + s[:, 1] * c ** 2 - 2.0 * s[:, 2] * sn * c

@@ -3,6 +3,7 @@
 import dataclasses
 import gc
 import importlib.util
+import inspect
 import json
 import math
 import os
@@ -20,6 +21,7 @@ import smoothfem
 import smoothfem.assembly as assembly
 import smoothfem.benchmarks as benchmarks
 import smoothfem.cli as cli
+import smoothfem.hyperelastic as hyperelastic
 import smoothfem.smoothing as smoothing
 from smoothfem.analysis import (ExactPipeSolution, reports_from_json,
                                 reports_to_json)
@@ -91,7 +93,8 @@ def test_config_validation_scenario_specific():
         make_config("cook-neohookean", methods=("mini",))
     with pytest.raises(ValueError, match="not defined"):
         make_config("infsup", methods=("mini",))
-    with pytest.raises(ValueError, match="bulk"):
+    with pytest.raises(ValueError,
+                       match="neo-Hookean moduli must be positive"):
         make_config("cook-neohookean", kappa=(-1.0,))
     with pytest.raises(ValueError, match="repeated kappa"):
         make_config("cook-neohookean", meshes=(2,), kappa=(1.95, 1.95),
@@ -550,6 +553,27 @@ def test_a_zero_load_is_rejected(capsys):
     assert make_config("cook", load=-100.0).load == -100.0
 
 
+@pytest.mark.parametrize("scenario, flag, value, message", [
+    ("cook", "--bubble", "cubic", "unknown bubble kind 'cubic'"),
+    ("cook", "--young", "-1", "Young's modulus must be positive"),
+    ("pipe", "--nu", "0.5", r"Poisson ratio must lie in \[0, 0.5\)"),
+    ("cook-neohookean", "--mu", "-0.6",
+     "neo-Hookean moduli must be positive"),
+])
+def test_config_checks_each_setting_through_its_owner(
+        scenario, flag, value, message, capsys, monkeypatch):
+    """The bubble kind and the material constants are checked by the
+    classes that use them, and the command line exits 2 before any cell
+    runs."""
+    name = next(k for k, (f, *_) in cli.OPTIONS.items() if f == flag)
+    parse = cli.OPTIONS[name][1]
+    with pytest.raises(ValueError, match=message):
+        make_config(scenario, **{name: parse(value)})
+    monkeypatch.setattr(benchmarks, "_sweep", None)   # a cell would raise
+    assert main(["run", scenario, flag, value]) == 2
+    assert re.search(message, capsys.readouterr().err)
+
+
 @pytest.mark.parametrize("bad", [math.nan, math.inf])
 @pytest.mark.parametrize("scenario, name", [
     ("cook", "young"), ("cook", "load"), ("pipe", "young"), ("block3d", "load"),
@@ -560,7 +584,9 @@ def test_non_finite_settings_are_rejected(scenario, name, bad):
     """A NaN or infinite modulus or load is named, not left to fail every
     cell as a singular system."""
     value = (1.95, bad) if name == "kappa" else bad
-    with pytest.raises(ValueError, match=f"{name} must be finite"):
+    what = {"young": "Young's modulus", "load": "load",
+            "mu": "neo-Hookean moduli", "kappa": "neo-Hookean moduli"}[name]
+    with pytest.raises(ValueError, match=f"{what} must be finite"):
         make_config(scenario, **{name: value})
 
 
@@ -1081,6 +1107,63 @@ def test_newton_ladder_prints_each_cell_of_a_tiny_ladder(capsys):
                 f"tip {report.tip_uy:.9g} ") in line
 
 
+# statements of f: the if (line 7), return 1 (8), y = 2 (10), return y
+# (11); the docstring, the def and the local import are not counted
+UNRUN_SOURCE = """import os
+
+
+def f(x):
+    \"\"\"Doc.\"\"\"
+    import math
+    if x:
+        return 1
+    else:
+        y = 2
+        return y
+
+
+class C:
+    n = 1
+"""
+
+
+def test_unrun_statements_counts_function_statements_only():
+    tool = _load_repo_module("tools/unrun_statements.py")
+    assert [s[:3] for s in tool.statements(UNRUN_SOURCE)] == [
+        (7, 7, 11), (8, 8, 8), (10, 10, 10), (11, 11, 11)]
+    assert tool.unrun(UNRUN_SOURCE, {7, 8}) == (4, 2, [(10, 10), (11, 11)])
+    # a run child marks its enclosing statement run; an unrun if is one entry
+    assert tool.unrun(UNRUN_SOURCE, {10, 11}) == (4, 1, [(8, 8)])
+    assert tool.unrun(UNRUN_SOURCE, set()) == (4, 4, [(7, 11)])
+
+
+def test_unrun_statements_on_the_lemma_battery():
+    """The lemma battery never enters the Newton loop ``_newton``, runs
+    all of ``condensation_defect``, and no listed entry is a def, import
+    or docstring."""
+    tool = _load_repo_module("tools/unrun_statements.py")
+    modules, statuses, _ = tool.report(["lemma-checks"])
+    assert statuses == {"lemma-checks": 0}
+    for fn, module, unrun in (
+            (hyperelastic._newton, "hyperelastic.py", True),
+            (benchmarks.condensation_defect, "benchmarks.py", False)):
+        lines, start = inspect.getsourcelines(fn)
+        end = start + len(lines) - 1
+        body = [s for s in tool.statements(inspect.getsource(
+                    inspect.getmodule(fn))) if start < s[0] <= end]
+        listed = [entry for entry in modules[module][2]
+                  if start < entry[0] <= end]
+        top = [(first, last) for first, _, last, parent in body
+               if parent is None]
+        assert body and listed == (top if unrun else [])
+    for name, (total, count, outer) in modules.items():
+        assert len(outer) <= count <= total
+        source = (tool.PACKAGE / name).read_text().splitlines()
+        for first, _ in outer:
+            assert not source[first - 1].lstrip().startswith(
+                ("def ", "class ", "import ", "from ", '"', "'"))
+
+
 def test_ab_pairs_summarizes_paired_samples():
     tool = _load_repo_module("tools/ab_pairs.py")
     base = [2.0, 2.1, 1.9, 2.2, 2.0, 2.05, 1.95, 2.1, 2.0, 2.15]
@@ -1205,7 +1288,7 @@ def test_ab_pairs_takes_several_workloads_and_alternates_them(capsys):
 
 
 @pytest.mark.parametrize("setting, message", [
-    ({"mu": 0.0}, "shear modulus must be positive"),
+    ({"mu": 0.0}, "neo-Hookean moduli must be positive"),
     ({"steps": 0}, "need at least one load step"),
 ])
 def test_config_rejects_a_bad_neohookean_setting(setting, message):

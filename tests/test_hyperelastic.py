@@ -338,9 +338,8 @@ def test_residual_matches_fd_energy(which, disc, disc_3d):
 
 def test_zero_load_converges_immediately(disc):
     problem = SmoothedHyperProblem(disc, PARAMS)
-    fixed = dirichlet_dofs(disc.mesh, problem.dofmap)
     f = np.zeros(problem.dofmap.n_disp)
-    u, history = newton_load_stepping(problem, f, fixed, steps=2)
+    u, history = newton_load_stepping(problem, f, steps=2)
     assert np.abs(u).max() == 0.0
     assert all(rec["iterations"] == 0 for rec in history)
 
@@ -349,22 +348,20 @@ def test_load_stepping_rejects_a_non_integral_step_count(disc):
     """steps=2.5 raises instead of ramping the load 0.4, 0.8, 1.0; a
     whole-number float is that many steps."""
     problem = SmoothedHyperProblem(disc, PARAMS)
-    fixed = dirichlet_dofs(disc.mesh, problem.dofmap)
     f = np.zeros(problem.dofmap.n_disp)
     with pytest.raises(ValueError,
                        match="load step count 2.5 is not an integer"):
-        newton_load_stepping(problem, f, fixed, steps=2.5)
-    _, history = newton_load_stepping(problem, f, fixed, steps=2.0)
+        newton_load_stepping(problem, f, steps=2.5)
+    _, history = newton_load_stepping(problem, f, steps=2.0)
     assert [rec["load"] for rec in history] == [0.5, 1.0]
 
 
 def test_cook_shear_converges(disc):
     problem = SmoothedHyperProblem(disc, PARAMS)
     dofmap = problem.dofmap
-    fixed = dirichlet_dofs(disc.mesh, dofmap)
     f = assemble_loads(disc.mesh, disc.topo, dofmap,
                        {"traction": (0.0, 1.0 / 16.0)})
-    u, history = newton_load_stepping(problem, f, fixed, steps=4)
+    u, history = newton_load_stepping(problem, f, steps=4)
     assert history[-1]["load"] == pytest.approx(1.0)
     assert all(rec["iterations"] <= 8 for rec in history)
     assert all(rec["residuals"][-1] <= 1e-9 for rec in history)
@@ -377,11 +374,10 @@ def test_cook_shear_converges(disc):
 
 def test_impossible_load_raises_after_halvings(disc):
     problem = SmoothedHyperProblem(disc, PARAMS)
-    fixed = dirichlet_dofs(disc.mesh, problem.dofmap)
     f = assemble_loads(disc.mesh, disc.topo, problem.dofmap,
                        {"traction": (0.0, 1e8)})
     with pytest.raises(RuntimeError, match="halvings"):
-        newton_load_stepping(problem, f, fixed, steps=1)
+        newton_load_stepping(problem, f, steps=1)
 
 
 def test_singular_tangent_halves_the_step(disc, monkeypatch):
@@ -401,10 +397,9 @@ def test_singular_tangent_halves_the_step(disc, monkeypatch):
 
     monkeypatch.setattr(hyperelastic, "spla", FirstSingular())
     problem = SmoothedHyperProblem(disc, PARAMS)
-    fixed = dirichlet_dofs(disc.mesh, problem.dofmap)
     f = assemble_loads(disc.mesh, disc.topo, problem.dofmap,
                        {"traction": (0.0, 1.0 / 16.0)})
-    u, history = newton_load_stepping(problem, f, fixed, steps=2)
+    u, history = newton_load_stepping(problem, f, steps=2)
     assert len(calls) > 1
     assert history[0]["load"] == pytest.approx(0.25)
     assert history[-1]["load"] == pytest.approx(1.0)
@@ -440,10 +435,9 @@ def test_non_finite_direction_halves_the_step(disc, monkeypatch):
         return evaluate(u)
 
     problem.residual_tangent = recording
-    fixed = dirichlet_dofs(disc.mesh, problem.dofmap)
     f = assemble_loads(disc.mesh, disc.topo, problem.dofmap,
                        {"traction": (0.0, 1.0 / 16.0)})
-    u, history = newton_load_stepping(problem, f, fixed, steps=2)
+    u, history = newton_load_stepping(problem, f, steps=2)
     assert len(calls) > 1
     assert all(finite)   # the NaN direction is never applied
     assert history[0]["load"] == pytest.approx(0.25)
@@ -509,9 +503,11 @@ def test_tangent_matches_einsum_scatter_oracle(kappa):
     assert np.abs(R - R_ref).max() <= 1e-14 * np.abs(R_ref).max()
     assert np.abs(noise - noise_ref).max() <= 1e-14 * noise_ref.max()
 
-    free = free_dofs(problem.dofmap.n_disp,
-                     dirichlet_dofs(disc.mesh, problem.dofmap))
-    order, keep, block = hyperelastic._free_block(K.indptr, K.indices, free)
+    free = problem.free
+    np.testing.assert_array_equal(
+        free, free_dofs(problem.dofmap.n_disp,
+                        dirichlet_dofs(disc.mesh, problem.dofmap)))
+    order, keep, block = problem._band
     # order is free in a permutation perm of the block
     perm = np.searchsorted(free, order)
     np.testing.assert_array_equal(np.sort(perm), np.arange(len(free)))
@@ -567,6 +563,8 @@ def test_evaluation_calls_no_linalg_inverse_or_determinant(
 
 
 def test_tangent_pattern_and_free_block_are_built_once(disc, monkeypatch):
+    """The tangent pattern and its band-ordered free block belong to the
+    problem: two load-stepping calls on one problem order the block once."""
     problem = SmoothedHyperProblem(disc, PARAMS)
     u = 1e-3 * np.random.default_rng(8).standard_normal(
         problem.dofmap.n_disp)
@@ -576,26 +574,46 @@ def test_tangent_pattern_and_free_block_are_built_once(disc, monkeypatch):
     # the csc constructor re-slices indices; both views share one array
     assert K1.indices.base is K2.indices.base is problem._pattern[1]
 
-    builds, orders = [], []
-    build = hyperelastic._free_block
+    orders = []
     rcm = csgraph.reverse_cuthill_mckee
-
-    def counted(*args):
-        builds.append(args)
-        return build(*args)
 
     def ordered(*args, **kwargs):
         orders.append(args)
         return rcm(*args, **kwargs)
 
-    monkeypatch.setattr(hyperelastic, "_free_block", counted)
     monkeypatch.setattr(csgraph, "reverse_cuthill_mckee", ordered)
-    fixed = dirichlet_dofs(disc.mesh, problem.dofmap)
     f = assemble_loads(disc.mesh, disc.topo, problem.dofmap,
                        {"traction": (0.0, 1.0 / 16.0)})
-    _, history = newton_load_stepping(problem, f, fixed, steps=2)
-    assert sum(rec["iterations"] for rec in history) > 1
-    assert len(builds) == len(orders) == 1
+    _, first = newton_load_stepping(problem, f, steps=2)
+    band = problem._band
+    u, second = newton_load_stepping(problem, f, steps=2)
+    assert sum(rec["iterations"] for rec in first + second) > 2
+    assert len(orders) == 1 and problem._band is band
+    # the same problem and load give the same path twice
+    assert first == second and np.all(np.isfinite(u))
+
+
+def test_block_newton_holds_its_clamp_and_rollers():
+    """Newton on the 3D block converges under its pressure patch; the
+    clamped base and each roller's normal component stay exactly zero,
+    while the roller faces slide in their other components."""
+    mesh = generate_block(2, size=(1.0, 1.0, 1.0))
+    disc = Discretization(mesh)
+    problem = SmoothedHyperProblem(disc, PARAMS)
+    f = assemble_loads(mesh, disc.topo, problem.dofmap,
+                       {"traction": ("pressure", 0.05)})
+    u, history = newton_load_stepping(problem, f, steps=2)
+    assert [rec["load"] for rec in history] == [0.5, 1.0]
+    assert all(rec["residuals"][-1] <= hyperelastic.NEWTON_TOL
+               for rec in history)
+    dofmap = problem.dofmap
+    clamped = np.unique(mesh.boundary["clamped"])
+    assert not u[dofmap.vertex_dof(clamped[:, None], np.arange(3))].any()
+    for label, normal in (("roller-x", 0), ("roller-y", 1)):
+        nodes = np.unique(mesh.boundary[label])
+        assert not u[dofmap.vertex_dof(nodes, normal)].any()
+        for comp in set(range(3)) - {normal}:
+            assert np.abs(u[dofmap.vertex_dof(nodes, comp)]).max() > 0.0
 
 
 @pytest.mark.parametrize("kappa", [1.95, 1e4])
@@ -605,8 +623,7 @@ def test_newton_direction_matches_a_direct_solve(kappa, monkeypatch):
     disc = Discretization(generate_cook(4))
     problem = SmoothedHyperProblem(disc, NeoHookeanParams(0.6, kappa))
     n = problem.dofmap.n_disp
-    fixed = dirichlet_dofs(disc.mesh, problem.dofmap)
-    free = free_dofs(n, fixed)
+    free, fixed = problem.free, dirichlet_dofs(disc.mesh, problem.dofmap)
     load = assemble_loads(disc.mesh, disc.topo, problem.dofmap,
                           {"traction": (0.0, 1.0 / 16.0)})
     u0 = np.zeros(n)
@@ -619,12 +636,11 @@ def test_newton_direction_matches_a_direct_solve(kappa, monkeypatch):
         return evaluate(u)
 
     problem.residual_tangent = recorded
-    block = hyperelastic._free_block(*problem._pattern[:2], free)
     # two iterations evaluate u0 and u0 + du, then fail at tol 0
     monkeypatch.setattr(hyperelastic, "NEWTON_TOL", 0.0)
     monkeypatch.setattr(hyperelastic, "NEWTON_MAX_ITER", 2)
     with pytest.raises(hyperelastic._StepFailure):
-        hyperelastic._newton(problem, u0, load, free, block)
+        hyperelastic._newton(problem, u0, load)
     assert len(states) == 2 and np.array_equal(states[0], u0)
     du = states[1] - u0
     assert not du[fixed].any()
@@ -678,8 +694,7 @@ def test_newton_iterations_per_step_are_pinned(mesh, kappa):
     problem = SmoothedHyperProblem(disc, NeoHookeanParams(0.6, kappa))
     f = assemble_loads(disc.mesh, disc.topo, problem.dofmap,
                        {"traction": (0.0, 1.0 / 16.0)})
-    _, history = newton_load_stepping(
-        problem, f, dirichlet_dofs(disc.mesh, problem.dofmap), steps=2)
+    _, history = newton_load_stepping(problem, f, steps=2)
     assert ([rec["iterations"] for rec in history]
             == PINNED_ITERATIONS[mesh, kappa])
 
@@ -810,7 +825,6 @@ def test_newton_cost_stays_bounded_near_the_incompressible_limit():
 
 def test_load_stepping_needs_a_step(disc):
     problem = SmoothedHyperProblem(disc, PARAMS)
-    fixed = dirichlet_dofs(disc.mesh, problem.dofmap)
     f = np.zeros(problem.dofmap.n_disp)
     with pytest.raises(ValueError, match="at least one load step"):
-        newton_load_stepping(problem, f, fixed, steps=0)
+        newton_load_stepping(problem, f, steps=0)
